@@ -46,6 +46,7 @@ from repro.plans.nodes import (
     Proj,
     Sel,
 )
+from repro.plans.patterns import index_join_possible
 from repro.querygraph.predicates import (
     Comparison,
     Const,
@@ -511,40 +512,13 @@ class SPJGenerator:
         arcs = left.arcs | right.arcs
         nested = EJ(left.plan, right.plan, predicate, NESTED_LOOP)
         yield _Partial(nested, arcs, consumed, self._cost(nested, delta_env))
-        if self._index_join_possible(right.plan, predicate, left_vars):
+        if index_join_possible(
+            right.plan, predicate, left_vars, self.physical
+        ):
             indexed = EJ(left.plan, right.plan, predicate, INDEX_JOIN)
             yield _Partial(
                 indexed, arcs, consumed, self._cost(indexed, delta_env)
             )
-
-    def _index_join_possible(
-        self, right: PlanNode, predicate: Predicate, left_vars: Set[str]
-    ) -> bool:
-        leaf: Optional[EntityLeaf] = None
-        if isinstance(right, EntityLeaf):
-            leaf = right
-        elif isinstance(right, Sel) and isinstance(right.child, EntityLeaf):
-            leaf = right.child
-        if leaf is None:
-            return False
-        for conjunct in conjuncts(predicate):
-            if not isinstance(conjunct, Comparison) or conjunct.op != "=":
-                continue
-            for inner, outer in (
-                (conjunct.right, conjunct.left),
-                (conjunct.left, conjunct.right),
-            ):
-                if (
-                    isinstance(inner, PathRef)
-                    and inner.var == leaf.var
-                    and len(inner.attrs) == 1
-                    and outer.variables() <= left_vars
-                    and self.physical.has_selection_index(
-                        leaf.entity, inner.attrs[0]
-                    )
-                ):
-                    return True
-        return False
 
     # -- deferred attachment ------------------------------------------------------------------------
 

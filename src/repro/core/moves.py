@@ -17,7 +17,7 @@ over plans; these moves define the edges:
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Tuple
 
 from repro.core.transform import apply_filter, find_filter_sites
 from repro.physical.schema import PhysicalSchema
@@ -29,46 +29,11 @@ from repro.plans.nodes import (
     PIJ,
     EntityLeaf,
     PlanNode,
-    Sel,
 )
-from repro.plans.patterns import PlanPath, paths_to
-from repro.querygraph.predicates import Comparison, PathRef, Predicate, conjuncts
+from repro.plans.patterns import PlanPath, index_join_possible, paths_to
+from repro.querygraph.predicates import PathRef
 
 __all__ = ["neighbors", "index_join_possible"]
-
-
-def index_join_possible(
-    right: PlanNode,
-    predicate: Predicate,
-    left_vars: Set[str],
-    physical: PhysicalSchema,
-) -> bool:
-    """Whether an EJ(left, right, predicate) admits the index-join
-    algorithm: the inner is a (possibly selected) entity with a
-    selection index on an equality-joined attribute."""
-    leaf: Optional[EntityLeaf] = None
-    if isinstance(right, EntityLeaf):
-        leaf = right
-    elif isinstance(right, Sel) and isinstance(right.child, EntityLeaf):
-        leaf = right.child
-    if leaf is None:
-        return False
-    for conjunct in conjuncts(predicate):
-        if not isinstance(conjunct, Comparison) or conjunct.op != "=":
-            continue
-        for inner, outer in (
-            (conjunct.right, conjunct.left),
-            (conjunct.left, conjunct.right),
-        ):
-            if (
-                isinstance(inner, PathRef)
-                and inner.var == leaf.var
-                and len(inner.attrs) == 1
-                and outer.variables() <= left_vars
-                and physical.has_selection_index(leaf.entity, inner.attrs[0])
-            ):
-                return True
-    return False
 
 
 def neighbors(

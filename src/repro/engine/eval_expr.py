@@ -27,7 +27,7 @@ cache works (compilation counts must not scale with tuple counts).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ExecutionError
 from repro.engine.columns import (
@@ -37,6 +37,7 @@ from repro.engine.columns import (
     numpy_backend,
 )
 from repro.physical.storage import ObjectStore, Oid, StoredRecord
+from repro.plans.patterns import equality_join_key
 from repro.querygraph.predicates import (
     COMPARISON_OPS,
     And,
@@ -54,10 +55,25 @@ from repro.engine.metrics import RuntimeMetrics
 
 Binding = Dict[str, object]
 
-__all__ = ["Binding", "ExpressionEvaluator", "normalize_value", "canonical_row"]
+__all__ = [
+    "Binding",
+    "ExpressionEvaluator",
+    "JoinKernel",
+    "normalize_value",
+    "canonical_row",
+]
 
 #: Sentinel distinguishing "attribute absent" from a stored None.
 _MISSING = object()
+
+#: Value types the join kernel compares raw.  ``==`` between any two of
+#: them cannot raise, dereference or recurse, so a column pass and the
+#: per-pair ``compare`` closure agree on every pair by construction.
+_JOIN_KEY_KINDS = frozenset({int, float, str, bool, Oid})
+#: An inner key column may also hold nulls: a null never matches (the
+#: per-pair path expands it to no value at all), it does not make the
+#: column non-uniform — root composers have ``master = None``.
+_JOIN_COLUMN_KINDS = _JOIN_KEY_KINDS | {type(None)}
 
 #: ``const <op> path`` rewritten as ``path <mirrored op> const`` so the
 #: fast comparison path applies regardless of operand order.
@@ -133,6 +149,9 @@ class ExpressionEvaluator:
             int, Tuple[PathRef, Callable[[Binding], List[object]]]
         ] = {}
         self._compiled_kernels: Dict[int, Tuple[Predicate, Callable]] = {}
+        self._compiled_join_kernels: Dict[
+            tuple, Tuple[Predicate, Optional["JoinKernel"]]
+        ] = {}
         self._compiled_value_walks: Dict[int, Tuple[PathRef, Callable]] = {}
         #: Compilation counters: how many closures were built.  Bounded
         #: by the number of distinct AST nodes, never by tuple counts.
@@ -462,16 +481,10 @@ class ExpressionEvaluator:
         every element is a stored record with a plain scalar for
         ``attr``; None otherwise (the whole batch then takes the row
         path, keeping any charging and counting in row order)."""
-        if column_kinds(column) != {StoredRecord}:
+        extracted = _stored_attr_column(column, attr)
+        if extracted is None or not is_plain_kinds(extracted[1]):
             return None
-        try:
-            raws = [record.values[attr] for record in column]
-        except KeyError:
-            return None
-        kinds = column_kinds(raws)
-        if not is_plain_kinds(kinds):
-            return None
-        return raws, kinds
+        return extracted
 
     def _column_comparison(self, spec):
         """One vectorized pass for ``record.attr <op> constant`` over a
@@ -565,6 +578,55 @@ class ExpressionEvaluator:
 
         return column_pass
 
+    def compile_join_kernel(
+        self, predicate: Predicate, outer_vars: Set[str], inner_vars: Set[str]
+    ) -> Optional["JoinKernel"]:
+        """The column kernel of a nested-loop join predicate (cached
+        per node and operand variables), or None when the predicate
+        has no column form.
+
+        The shape is ``outer.a = inner.b`` (either operand order) — one
+        attribute of an outer-side variable against one attribute of
+        the inner operand's only variable — alone or as the *first*
+        part of a conjunction.  Later parts of a conjunction stay
+        closures (:attr:`JoinKernel.residual`): the join runs them on
+        matches only, in their original order, which is exactly where
+        the per-pair ``And`` short-circuit reaches them.
+        """
+        cache_key = (
+            id(predicate), frozenset(outer_vars), frozenset(inner_vars)
+        )
+        cached = self._compiled_join_kernels.get(cache_key)
+        if cached is not None:
+            return cached[1]
+        kernel = self._build_join_kernel(predicate, outer_vars, inner_vars)
+        self._compiled_join_kernels[cache_key] = (predicate, kernel)
+        return kernel
+
+    def _build_join_kernel(
+        self, predicate: Predicate, outer_vars: Set[str], inner_vars: Set[str]
+    ) -> Optional["JoinKernel"]:
+        parts = predicate.parts if isinstance(predicate, And) else (predicate,)
+        if not isinstance(parts[0], Comparison) or len(inner_vars) != 1:
+            return None
+        (inner_var,) = inner_vars
+        if inner_var in outer_vars:
+            return None
+        found = equality_join_key(parts[0], inner_var, outer_vars)
+        if found is None:
+            return None
+        outer, inner_attr = found
+        # Narrower than the index join, which probes with any outer
+        # expression: the kernel reads one stored attribute raw.
+        if not (isinstance(outer, PathRef) and len(outer.attrs) == 1):
+            return None
+        rest = [self._build_predicate(part) for part in parts[1:]]
+        residual = _conjoin(rest) if rest else None
+        return JoinKernel(
+            self._metrics, outer.var, outer.attrs[0], inner_var, inner_attr,
+            residual,
+        )
+
     def _inner_predicate(
         self, predicate: Predicate
     ) -> Callable[[Binding], bool]:
@@ -619,13 +681,7 @@ class ExpressionEvaluator:
                 fused = self._fast_conjunction(predicate, two_part)
                 return fused if fused is not None else two_part
 
-            def conjunction(binding: Binding) -> bool:
-                for part in parts:
-                    if not part(binding):
-                        return False
-                return True
-
-            return conjunction
+            return _conjoin(parts)
         if isinstance(predicate, Or):
             parts = [self._build_predicate(part) for part in predicate.parts]
 
@@ -754,6 +810,112 @@ class ExpressionEvaluator:
             return slow(binding)
 
         return fused
+
+
+class JoinKernel:
+    """Column form of the nested-loop equi-join predicate
+    ``outer_var.outer_attr = inner_var.inner_attr`` (built by
+    :meth:`ExpressionEvaluator.compile_join_kernel`).
+
+    Per outer binding :meth:`outer_key` extracts the raw key once; per
+    inner batch :meth:`matches` compares it against the inner key
+    column.  Both answer None for anything the raw comparison does not
+    provably reproduce, and the join then runs that outer binding (or
+    that whole inner batch) through the per-pair closure — the same
+    whole-batch fallback rule as the ``Sel`` kernels, so evaluation
+    counters and buffer-charge order cannot diverge.
+
+    :meth:`matches` counts a whole inner batch up front, so counter
+    parity with the per-pair loop holds for *drained* streams (the
+    ``Sel`` kernels' caveat too): a consumer that stops mid-batch — a
+    cancellation, a closed generator, a raising residual — leaves
+    ``predicate_evals``/``expr_evals`` up to one batch ahead.
+    """
+
+    __slots__ = (
+        "_metrics", "outer_var", "outer_attr", "inner_var", "inner_attr",
+        "residual",
+    )
+
+    def __init__(
+        self,
+        metrics: RuntimeMetrics,
+        outer_var: str,
+        outer_attr: str,
+        inner_var: str,
+        inner_attr: str,
+        residual: Optional[Callable[[Binding], bool]],
+    ) -> None:
+        self._metrics = metrics
+        self.outer_var = outer_var
+        self.outer_attr = outer_attr
+        self.inner_var = inner_var
+        self.inner_attr = inner_attr
+        #: The conjunction's remaining parts (uncounted closure over the
+        #: merged binding), or None for a bare equality.
+        self.residual = residual
+
+    def outer_key(self, binding: Binding) -> Optional[object]:
+        """The raw join key of one outer binding, or None when the
+        binding needs the per-pair loop: not a stored record (a temp
+        tuple, an oid), or its attribute is computed, null, multivalued
+        or record-valued."""
+        value = binding.get(self.outer_var)
+        if type(value) is StoredRecord:
+            raw = value.values.get(self.outer_attr)
+            if type(raw) in _JOIN_KEY_KINDS:
+                return raw
+        return None
+
+    def matches(self, key: object, batch) -> Optional[List[StoredRecord]]:
+        """The inner records of ``batch`` whose key equals ``key``, in
+        batch order, or None when the batch is not a single column of
+        stored records with plain-or-null keys.  Counts what the
+        per-pair path counts for the whole batch: one predicate
+        evaluation and two expression evaluations per pair."""
+        columns = batch._columns
+        if columns is None or len(columns) != 1:
+            return None
+        column = columns.get(self.inner_var)
+        if column is None:
+            return None
+        extracted = _stored_attr_column(column, self.inner_attr)
+        if extracted is None or not extracted[1] <= _JOIN_COLUMN_KINDS:
+            return None
+        raws = extracted[0]
+        metrics = self._metrics
+        metrics.predicate_evals += len(column)
+        metrics.expr_evals += 2 * len(column)
+        return [record for record, raw in zip(column, raws) if raw == key]
+
+
+def _conjoin(
+    parts: Sequence[Callable[[Binding], bool]]
+) -> Callable[[Binding], bool]:
+    """The short-circuit conjunction of compiled predicate closures."""
+    if len(parts) == 1:
+        return parts[0]
+
+    def conjunction(binding: Binding) -> bool:
+        for part in parts:
+            if not part(binding):
+                return False
+        return True
+
+    return conjunction
+
+
+def _stored_attr_column(column, attr):
+    """``(raw values, kinds)`` of ``column[i].values[attr]`` when every
+    element is a stored record that stores ``attr``; None otherwise (a
+    non-record binding, or an attribute some record computes)."""
+    if column_kinds(column) != {StoredRecord}:
+        return None
+    try:
+        raws = [record.values[attr] for record in column]
+    except KeyError:
+        return None
+    return raws, column_kinds(raws)
 
 
 def _product(lists: Sequence[List[object]]):

@@ -51,6 +51,7 @@ from repro.engine.context import (
 from repro.engine.eval_expr import (
     Binding,
     ExpressionEvaluator,
+    JoinKernel,
     canonical_row,
     normalize_value,
 )
@@ -76,6 +77,7 @@ from repro.plans.nodes import (
     TempLeaf,
     UnionOp,
 )
+from repro.plans.patterns import equality_join_key, index_join_leaf
 from repro.plans.validate import validate_plan
 from repro.querygraph.predicates import (
     Comparison,
@@ -523,20 +525,22 @@ class Engine:
     ) -> Iterator[Batch]:
         """Scan an extent into batches.  One cancellation poll and one
         ``batches`` increment per batch; the page-touch order of the
-        underlying scan is untouched."""
+        underlying scan is untouched: records arrive a page at a time
+        and every batch a page completes is yielded before the next
+        page is asked for (and touched)."""
         batch_size = self.batch_size
         metrics = self.metrics
         produced = 0
         records: List[StoredRecord] = []
         try:
-            for record in self.store.scan(entity):
-                records.append(record)
-                if len(records) >= batch_size:
+            for page_records in self.store.scan_pages(entity):
+                records.extend(page_records)
+                while len(records) >= batch_size:
+                    full, records = records[:batch_size], records[batch_size:]
                     self.check_cancelled()
-                    produced += len(records)
+                    produced += batch_size
                     metrics.batches += 1
-                    yield self._make_scan_batch(var, records, node_id)
-                    records = []
+                    yield self._make_scan_batch(var, full, node_id)
             if records:
                 self.check_cancelled()
                 produced += len(records)
@@ -1133,11 +1137,20 @@ class Engine:
         for every outer *binding* — not per outer batch — re-charging
         its I/O exactly as the EJ cost formula of Figure 5 prices it
         (rescanning per batch would make measured I/O depend on the
-        batch size, which the parity contract forbids)."""
+        batch size, which the parity contract forbids).
+
+        An equality join compares each inner batch against the outer
+        key as one column pass (:class:`JoinKernel`); whatever the
+        kernel declines takes the per-pair closure.  Either way the
+        pairs are judged lazily, one emission at a time, so the touches
+        a predicate makes keep their place among the consumer's."""
         evaluator = self._evaluator
         assert evaluator is not None
         node_id = self._node_ids.get(id(node))
         predicate = evaluator.compile_predicate(node.predicate)
+        kernel = evaluator.compile_join_kernel(
+            node.predicate, node.left.output_vars(), node.right.output_vars()
+        )
         batch_size = self.batch_size
         metrics = self.metrics
         produced = 0
@@ -1145,19 +1158,34 @@ class Engine:
         try:
             for left_batch in self.iterate_batches(node.left, delta_env):
                 for left_binding in left_batch.rows:
+                    key = (
+                        kernel.outer_key(left_binding)
+                        if kernel is not None
+                        else None
+                    )
                     for right_batch in self.iterate_batches(
                         node.right, delta_env
                     ):
-                        for right_binding in right_batch.rows:
-                            merged = dict(left_binding)
-                            merged.update(right_binding)
-                            if predicate(merged):
-                                rows.append(merged)
-                                if len(rows) >= batch_size:
-                                    produced += len(rows)
-                                    metrics.batches += 1
-                                    yield Batch(rows, node_id)
-                                    rows = []
+                        matched = (
+                            kernel.matches(key, right_batch)
+                            if key is not None
+                            else None
+                        )
+                        if matched is None:
+                            joined = _joined_pairs(
+                                left_binding, right_batch.rows, predicate
+                            )
+                        else:
+                            joined = _joined_matches(
+                                left_binding, kernel, matched
+                            )
+                        for merged in joined:
+                            rows.append(merged)
+                            if len(rows) >= batch_size:
+                                produced += len(rows)
+                                metrics.batches += 1
+                                yield Batch(rows, node_id)
+                                rows = []
             if rows:
                 produced += len(rows)
                 metrics.batches += 1
@@ -1171,8 +1199,21 @@ class Engine:
         evaluator = self._evaluator
         assert evaluator is not None
         node_id = self._node_ids.get(id(node))
-        leaf, residual_wrap = self._index_join_inner(node.right)
-        equality = self._index_join_key(node, leaf)
+        leaf = index_join_leaf(node.right)
+        if leaf is None:
+            raise ExecutionError(
+                "index_join inner operand must be an entity (optionally "
+                "under a selection)"
+            )
+        residual_wrap = (
+            node.right.predicate if isinstance(node.right, Sel) else None
+        )
+        equality = equality_join_key(
+            node.predicate,
+            leaf.var,
+            node.left.output_vars(),
+            lambda attr: self.physical.has_selection_index(leaf.entity, attr),
+        )
         if equality is None:
             raise ExecutionError(
                 "index_join requires an equality conjunct on an indexed "
@@ -1222,37 +1263,31 @@ class Engine:
         finally:
             metrics.add_tuples("ej", node_id, produced)
 
-    def _index_join_inner(self, right: PlanNode):
-        """The inner entity leaf and any residual selection around it."""
-        if isinstance(right, EntityLeaf):
-            return right, None
-        if isinstance(right, Sel) and isinstance(right.child, EntityLeaf):
-            return right.child, right.predicate
-        raise ExecutionError(
-            "index_join inner operand must be an entity (optionally under "
-            "a selection)"
-        )
 
-    def _index_join_key(self, node: EJ, leaf: EntityLeaf):
-        """Find ``outer_expr = leaf.attr`` with an index on (entity, attr)."""
-        for conjunct in conjuncts(node.predicate):
-            if not isinstance(conjunct, Comparison) or conjunct.op != "=":
-                continue
-            for inner, outer in (
-                (conjunct.right, conjunct.left),
-                (conjunct.left, conjunct.right),
-            ):
-                if (
-                    isinstance(inner, PathRef)
-                    and inner.var == leaf.var
-                    and len(inner.attrs) == 1
-                    and not (outer.variables() & {leaf.var})
-                    and self.physical.has_selection_index(
-                        leaf.entity, inner.attrs[0]
-                    )
-                ):
-                    return outer, inner.attrs[0]
-        return None
+def _joined_pairs(
+    outer: Binding, inner_rows: List[Binding], predicate
+) -> Iterator[Binding]:
+    """The merged bindings of ``outer`` x ``inner_rows`` that satisfy
+    the (counting) join predicate."""
+    for inner in inner_rows:
+        merged = dict(outer)
+        merged.update(inner)
+        if predicate(merged):
+            yield merged
+
+
+def _joined_matches(
+    outer: Binding, kernel: JoinKernel, records: List[StoredRecord]
+) -> Iterator[Binding]:
+    """The merged bindings of ``outer`` with the inner records the join
+    kernel matched, less those the conjunction's residual rejects."""
+    inner_var = kernel.inner_var
+    residual = kernel.residual
+    for record in records:
+        merged = dict(outer)
+        merged[inner_var] = record
+        if residual is None or residual(merged):
+            yield merged
 
 
 class _ColumnEmitter:

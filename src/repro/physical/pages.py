@@ -14,17 +14,19 @@ parameterized as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, NamedTuple
 
 __all__ = ["PageId", "Page", "PagedSegment", "DEFAULT_RECORDS_PER_PAGE"]
 
 DEFAULT_RECORDS_PER_PAGE = 20
 
 
-@dataclass(frozen=True, order=True)
-class PageId:
-    """Identifier of one page: a segment name plus a page offset."""
+class PageId(NamedTuple):
+    """Identifier of one page: a segment name plus a page offset.
+
+    A named tuple, so the buffer pool's residency dict hashes and
+    compares it at C speed — every page touch keys on one.
+    """
 
     segment: str
     number: int

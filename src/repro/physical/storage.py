@@ -67,10 +67,43 @@ class Extent:
         # The segment the extent is placed in.  Initially its own; a
         # clustering strategy may re-place records into a shared segment.
         self.segment: PagedSegment = PagedSegment(name, records_per_page)
+        self._page_directory: Optional[
+            List[Tuple[PageId, List[StoredRecord]]]
+        ] = None
 
     def add(self, record: StoredRecord) -> None:
         self.records.append(record)
         self.by_oid[record.oid] = record
+        self._page_directory = None
+
+    def page_directory(self) -> List[Tuple[PageId, List[StoredRecord]]]:
+        """The extent's records grouped by page, in page order — what a
+        sequential scan walks.  Cached until :meth:`add` or
+        :meth:`invalidate_placement`; callers must not mutate it.
+
+        Extents are shared across shard threads (``replica_view``): the
+        directory is built in a local and published by one attribute
+        store, so a racing reader sees either None (and builds its own,
+        identical one) or a complete list, never a partial one.
+        """
+        directory = self._page_directory
+        if directory is None:
+            by_page: Dict[PageId, List[StoredRecord]] = {}
+            for record in self.records:
+                if record.page_id is None:
+                    raise StorageError(
+                        f"record {record.oid!r} of {self.name!r} is unplaced"
+                    )
+                by_page.setdefault(record.page_id, []).append(record)
+            directory = [
+                (page_id, by_page[page_id]) for page_id in sorted(by_page)
+            ]
+            self._page_directory = directory
+        return directory
+
+    def invalidate_placement(self) -> None:
+        """Forget the cached page directory (records changed pages)."""
+        self._page_directory = None
 
     def __len__(self) -> int:
         return len(self.records)
@@ -184,18 +217,18 @@ class ObjectStore:
         each page is charged exactly one logical read, matching the
         sequential-scan term of ``access_cost``.
         """
-        extent = self.extent(entity)
-        by_page: Dict[PageId, List[StoredRecord]] = {}
-        for record in extent.records:
-            if record.page_id is None:
-                raise StorageError(
-                    f"record {record.oid!r} of {entity!r} is unplaced"
-                )
-            by_page.setdefault(record.page_id, []).append(record)
-        for page_id in sorted(by_page):
-            self.buffer.touch(page_id)
-            for record in by_page[page_id]:
-                yield record
+        for records in self.scan_pages(entity):
+            yield from records
+
+    def scan_pages(self, entity: str) -> Iterator[List[StoredRecord]]:
+        """:meth:`scan`, one page at a time: each step touches the next
+        page and yields its records (a list the caller must not
+        mutate).  The touch of a page happens only when the consumer
+        asks for it, after it has dealt with the previous page."""
+        touch = self.buffer.touch
+        for page_id, records in self.extent(entity).page_directory():
+            touch(page_id)
+            yield records
 
     def entity_of(self, oid: Oid) -> str:
         record = self._records.get(oid)
@@ -220,6 +253,7 @@ class ObjectStore:
         for name, segment in placements.items():
             extent = self.extent(name)
             extent.segment = segment
+            extent.invalidate_placement()
         # Re-derive page ids from the segments' slot contents.
         for name, segment in placements.items():
             for page in segment.pages:

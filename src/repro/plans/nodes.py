@@ -347,9 +347,11 @@ class IJ(PlanNode):
 class EJ(PlanNode):
     """Explicit join ``EJ_pred(left, right)``.
 
-    ``algorithm`` selects the implementation: ``nested_loop`` re-scans
-    the right subtree per left binding (the engine materializes it once
-    and loops in memory-over-pages fashion); ``index_join`` requires an
+    ``algorithm`` selects the implementation: ``nested_loop`` re-opens
+    (and re-charges the I/O of) the right subtree for every left
+    binding, as Figure 5 prices it — the engine never materializes the
+    inner, it only compares an equality's key column batch-at-a-time;
+    ``index_join`` requires an
     equality conjunct whose right side is a direct attribute of a right
     entity leaf carrying a selection index.
     """

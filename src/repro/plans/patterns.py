@@ -10,9 +10,28 @@ subtrees back into the whole plan, plus generic saturation rewriting.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional, Set, Tuple, Type
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    Type,
+)
 
-from repro.plans.nodes import EJ, IJ, PIJ, PlanNode, Proj, Sel
+from repro.plans.nodes import EJ, IJ, PIJ, EntityLeaf, PlanNode, Proj, Sel
+from repro.querygraph.predicates import (
+    Comparison,
+    Expr,
+    PathRef,
+    Predicate,
+    conjuncts,
+)
+
+if TYPE_CHECKING:
+    from repro.physical.schema import PhysicalSchema
 
 __all__ = [
     "PlanPath",
@@ -21,6 +40,9 @@ __all__ = [
     "rewrite_once",
     "rewrite_saturate",
     "consumed_variables",
+    "equality_join_key",
+    "index_join_leaf",
+    "index_join_possible",
 ]
 
 
@@ -120,6 +142,70 @@ def consumed_variables(root: PlanNode) -> Set[str]:
         elif isinstance(node, EJ):
             consumed |= node.predicate.variables()
     return consumed
+
+
+def equality_join_key(
+    predicate: Predicate,
+    inner_var: str,
+    outer_vars: Set[str],
+    usable: Optional[Callable[[str], bool]] = None,
+) -> Optional[Tuple[Expr, str]]:
+    """``(outer_expr, attr)`` of the first conjunct of ``predicate``
+    that reads ``outer_expr = inner_var.attr`` (either operand order)
+    with ``outer_expr`` over ``outer_vars`` only, or None.
+
+    ``usable(attr)`` narrows the match further — the index-join tests
+    pass "the inner entity has a selection index on ``attr``".
+    """
+    for conjunct in conjuncts(predicate):
+        if not isinstance(conjunct, Comparison) or conjunct.op != "=":
+            continue
+        for inner, outer in (
+            (conjunct.right, conjunct.left),
+            (conjunct.left, conjunct.right),
+        ):
+            if (
+                isinstance(inner, PathRef)
+                and inner.var == inner_var
+                and len(inner.attrs) == 1
+                and outer.variables() <= outer_vars
+                and (usable is None or usable(inner.attrs[0]))
+            ):
+                return outer, inner.attrs[0]
+    return None
+
+
+def index_join_leaf(right: PlanNode) -> Optional[EntityLeaf]:
+    """The entity an index join would probe: ``right`` itself or the
+    child of a selection around it; None for any other inner operand."""
+    if isinstance(right, EntityLeaf):
+        return right
+    if isinstance(right, Sel) and isinstance(right.child, EntityLeaf):
+        return right.child
+    return None
+
+
+def index_join_possible(
+    right: PlanNode,
+    predicate: Predicate,
+    left_vars: Set[str],
+    physical: PhysicalSchema,
+) -> bool:
+    """Whether an EJ(left, right, predicate) admits the index-join
+    algorithm: the inner is a (possibly selected) entity with a
+    selection index on an equality-joined attribute."""
+    leaf = index_join_leaf(right)
+    if leaf is None:
+        return False
+    return (
+        equality_join_key(
+            predicate,
+            leaf.var,
+            left_vars,
+            lambda attr: physical.has_selection_index(leaf.entity, attr),
+        )
+        is not None
+    )
 
 
 def rewrite_saturate(

@@ -147,7 +147,8 @@ def flat_queries(draw):
 
 @st.composite
 def recursive_queries(draw):
-    """A query over the Influencer view with random filters."""
+    """A query over the Influencer view with random filters, half the
+    time joined explicitly with ``Composer``."""
     conjuncts = [
         predicate("i")
         for predicate in draw(
@@ -155,14 +156,19 @@ def recursive_queries(draw):
         )
     ]
     name, expr = draw(st.sampled_from(INFLUENCER_OUTPUTS))("i")
+    arcs = [arc("Influencer", i=".")]
+    fields = {name: expr}
+    if draw(st.booleans()):
+        # The closure joined back to its base class by the recursion's
+        # own predicate: an explicit equi-join with temp tuples on one
+        # side, which the optimizer may also push through the Fix.
+        arcs.append(arc("Composer", x="."))
+        conjuncts.append(eq(path("i", "disciple"), path("x", "master")))
+        fields["pupil"] = path("x", "name")
     p1, p2 = influencer_rules()
     answer = rule(
         "Answer",
-        spj(
-            [arc("Influencer", i=".")],
-            where=and_(*conjuncts),
-            select=out(**{name: expr}),
-        ),
+        spj(arcs, where=and_(*conjuncts), select=out(**fields)),
     )
     return query(p1, p2, answer)
 

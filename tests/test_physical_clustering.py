@@ -9,6 +9,7 @@ from repro.physical.fragments import (
     create_vertical_fragment,
 )
 from repro.physical.stats import Statistics
+from tests.test_physical_storage import RecordingPool, observed, regrouped
 
 
 class TestClustering:
@@ -39,6 +40,25 @@ class TestClustering:
         n_composers = len(store.extent("Composer"))
         apply_clustering(store, ClusterTree("Composer", {"works": None}))
         assert len(list(store.scan("Composer"))) == n_composers
+
+    def test_scan_after_clustering_walks_the_new_pages(self, small_db):
+        # ``replace_segment`` must drop the page directories that the
+        # scans before it cached.
+        store = small_db.store
+        store.buffer = RecordingPool()
+        names = ("Composer", "Composition")
+        before = {name: observed(store, name) for name in names}
+        apply_clustering(store, ClusterTree("Composer", {"works": None}))
+        for name in names:
+            touched, records = observed(store, name)
+            assert (touched, records) == regrouped(store, name)
+            assert touched != before[name][0]
+            assert {page.segment for page in touched} == {
+                "cluster(Composer+Composition)"
+            }
+            assert sorted(r.oid for r in records) == sorted(
+                r.oid for r in before[name][1]
+            )
 
     def test_cluster_along_path_convenience(self, small_db):
         segment = cluster_along_path(

@@ -1,11 +1,18 @@
 """Tests for pages, the buffer pool and the object store."""
 
+import sys
+import threading
+
 import pytest
 
+from repro.engine import Engine
 from repro.errors import OidError, StorageError, UnknownEntityError
 from repro.physical.buffer import BufferPool
 from repro.physical.pages import Page, PagedSegment, PageId
+from repro.physical.schema import PhysicalSchema
 from repro.physical.storage import ObjectStore, Oid
+from repro.plans import EntityLeaf, Proj
+from repro.querygraph.builder import out, path
 
 
 class TestPages:
@@ -167,3 +174,171 @@ class TestObjectStore:
             store.insert("E", {})
         store.insert("F", {})
         assert store.page_count() == 3  # two pages of E + one of F
+
+
+class RecordingPool(BufferPool):
+    """A buffer pool that logs the page of every touch, in order."""
+
+    def __init__(self, capacity=256):
+        super().__init__(capacity)
+        self.touched = []
+
+    def touch(self, page_id):
+        self.touched.append(page_id)
+        return super().touch(page_id)
+
+
+def regrouped(store, entity):
+    """``(touch sequence, record order)`` a scan of ``entity`` must
+    produce, regrouped from the extent's records from scratch — what
+    ``ObjectStore.scan`` computed on every call before it cached the
+    page directory."""
+    by_page = {}
+    for record in store.extent(entity).records:
+        by_page.setdefault(record.page_id, []).append(record)
+    pages = sorted(by_page)
+    return pages, [record for page in pages for record in by_page[page]]
+
+
+def observed(store, entity):
+    """``(touch sequence, record order)`` of one actual scan."""
+    store.buffer.touched.clear()
+    records = list(store.scan(entity))
+    return list(store.buffer.touched), records
+
+
+class TestPageDirectory:
+    """``scan`` walks a page directory cached on the extent; everything
+    that moves a record onto (or off) a page must invalidate it."""
+
+    def make_store(self, count=5):
+        store = ObjectStore(RecordingPool(), records_per_page=2)
+        store.create_extent("E")
+        for i in range(count):
+            store.insert("E", {"i": i})
+        return store
+
+    def test_repeated_scans_agree_with_regrouping(self):
+        store = self.make_store()
+        first = observed(store, "E")
+        assert first == regrouped(store, "E")
+        assert len(first[0]) == 3
+        assert observed(store, "E") == first
+
+    def test_insert_after_scan_is_seen(self):
+        store = self.make_store(count=4)
+        assert observed(store, "E") == regrouped(store, "E")
+        store.insert("E", {"i": 4})  # opens a third page
+        store.insert("E", {"i": 5})  # lands on the cached last page
+        touched, records = observed(store, "E")
+        assert (touched, records) == regrouped(store, "E")
+        assert [record.values["i"] for record in records] == list(range(6))
+        assert len(touched) == 3
+
+    def test_temp_create_fill_drop_recreate(self):
+        store = self.make_store()
+        for generation in range(3):
+            store.create_extent("temp")
+            for i in range(generation + 1):
+                store.insert("temp", {"generation": generation, "i": i})
+            touched, records = observed(store, "temp")
+            assert (touched, records) == regrouped(store, "temp")
+            assert {r.values["generation"] for r in records} == {generation}
+            store.drop_extent("temp")
+        with pytest.raises(UnknownEntityError):
+            list(store.scan("temp"))
+
+    def test_unplaced_record_still_raises_before_any_touch(self):
+        store = self.make_store()
+        store.extent("E").records[2].page_id = None
+        store.extent("E").invalidate_placement()
+        store.buffer.touched.clear()
+        for _attempt in range(2):  # the failed build is not cached
+            with pytest.raises(StorageError):
+                list(store.scan("E"))
+        assert store.buffer.touched == []
+
+    def test_scan_pages_touches_a_page_only_when_asked_for_it(self):
+        store = self.make_store()
+        pages, _records = regrouped(store, "E")
+        store.buffer.touched.clear()
+        for position, page_records in enumerate(store.scan_pages("E")):
+            # Page k+1 is untouched while the consumer still holds page k.
+            assert store.buffer.touched == pages[: position + 1]
+            assert len(page_records) <= 2
+        assert store.buffer.touched == pages
+
+    def test_replica_views_scan_one_extent_concurrently(self):
+        store = self.make_store(count=41)
+        want_pages, want_records = regrouped(store, "E")
+        views = [store.replica_view(RecordingPool()) for _ in range(8)]
+        barrier = threading.Barrier(len(views))
+        results = [None] * len(views)
+
+        def scan(position):
+            view = views[position]
+            barrier.wait(timeout=10)
+            runs = []
+            for _ in range(20):
+                # Drop the shared directory so builds keep racing.
+                view.extent("E").invalidate_placement()
+                runs.append(observed(view, "E"))
+            results[position] = runs
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=scan, args=(position,))
+                for position in range(len(views))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for runs in results:
+            assert runs is not None and len(runs) == 20
+            for touched, records in runs:
+                assert touched == want_pages
+                assert records == want_records
+
+
+class TestScanBatchInterleaving:
+    """``Engine._scan_batches`` takes records a page at a time; the
+    touch of the next page must still come after the consumer has seen
+    every batch the previous page completed — at any batch size."""
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 3, 5, 256])
+    def test_touch_and_emission_order(self, batch_size):
+        store = ObjectStore(RecordingPool(), records_per_page=2)
+        physical = PhysicalSchema(store)
+        physical.register_extent("E")
+        physical.register_extent("T", records_per_page=1)
+        targets = [store.insert("T", {"w": i}) for i in range(7)]
+        for target in targets:
+            store.insert("E", {"ref": target})
+        # The consumer dereferences E.ref per row of each batch it is
+        # handed, so its T touches mark where the batches fell.
+        plan = Proj(EntityLeaf("E", "e"), out(w=path("e", "ref", "w")))
+        store.buffer.touched.clear()
+        result = Engine(physical, batch_size=batch_size).execute(plan)
+        assert [row["w"] for row in result.rows] == list(range(7))
+
+        # Record-at-a-time model of the scan: touch a page, append its
+        # records one by one, hand over a batch the moment it fills.
+        expected, pending = [], []
+        pages, _records = regrouped(store, "E")
+        for page in pages:
+            expected.append(page)
+            for record in store.extent("E").records:
+                if record.page_id != page:
+                    continue
+                pending.append(store.peek(record.values["ref"]).page_id)
+                if len(pending) >= batch_size:
+                    expected.extend(pending)
+                    pending = []
+        expected.extend(pending)
+        assert store.buffer.touched == expected
