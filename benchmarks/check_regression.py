@@ -220,29 +220,6 @@ def check_batch_execution(gate, fresh, baseline):
         )
 
 
-def check_columnar_execution(gate, fresh, baseline):
-    floor = fresh.get("required_spj_speedup", 1.5)
-    # The claim is gated on the pure-Python kernels: columnar must beat
-    # row on the scan+filter SPJ without numpy.  The numpy figures are
-    # reported in the JSON but carry no floor.
-    gate.absolute(
-        "columnar_execution",
-        "spj columnar/row claim (pure python)",
-        fresh.get("spj_speedup@pure_python", 0.0),
-        floor,
-    )
-    for metric in (
-        "spj_speedup@pure_python",
-        "contains_speedup@pure_python",
-    ):
-        gate.check(
-            "columnar_execution",
-            metric,
-            fresh.get(metric, 0.0),
-            baseline.get(metric, 0.0),
-        )
-
-
 def check_obs_overhead(gate, fresh, baseline):
     overhead = fresh.get("overhead", {})
     gate.absolute(
@@ -317,7 +294,6 @@ CHECKERS = {
     "BENCH_parallel_fixpoint.json": check_parallel_fixpoint,
     "BENCH_distributed_fixpoint.json": check_distributed_fixpoint,
     "BENCH_batch_execution.json": check_batch_execution,
-    "BENCH_columnar_execution.json": check_columnar_execution,
 }
 
 

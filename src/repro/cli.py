@@ -126,13 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: REPRO_BATCH_SIZE or 256; 1 = tuple-at-a-time)",
     )
     run_parser.add_argument(
-        "--batch-layout",
-        choices=["row", "columnar"],
-        default=None,
-        help="operator exchange layout (default: REPRO_BATCH_LAYOUT or "
-        "columnar; row pins the row-list compatibility semantics)",
-    )
-    run_parser.add_argument(
         "--shards",
         type=int,
         default=1,
@@ -257,13 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="bindings per batch the engine exchanges between operators "
         "(requests may override; default: REPRO_BATCH_SIZE or 256)",
-    )
-    serve_parser.add_argument(
-        "--batch-layout",
-        choices=["row", "columnar"],
-        default=None,
-        help="default operator exchange layout per query (requests may "
-        "override; default: REPRO_BATCH_LAYOUT or columnar)",
     )
     serve_parser.add_argument(
         "--shards",
@@ -559,7 +545,6 @@ def cmd_run(args, out) -> int:
         db.physical,
         parallelism=max(1, getattr(args, "parallelism", 1)),
         batch_size=getattr(args, "batch_size", None),
-        batch_layout=getattr(args, "batch_layout", None),
         shards=shards,
         cluster=cluster,
     )
@@ -777,7 +762,6 @@ def cmd_serve(args, out, server_box=None) -> int:
             max_concurrent=args.max_concurrent,
             parallelism=max(1, args.parallelism),
             batch_size=args.batch_size,
-            batch_layout=args.batch_layout,
             shards=max(1, args.shards),
             strategy=args.strategy if args.strategy != "ii" else None,
             slow_query_seconds=(

@@ -174,10 +174,6 @@ def run_fixpoint_distributed(
     profiler = getattr(engine, "profiler", None)
     progress = getattr(engine, "progress", None)
     rid = getattr(engine, "request_id", "") or "local"
-    # Wire layout follows the engine's batch layout: columnar engines
-    # exchange run-length column frames, row engines keep the
-    # tuple-array frames byte-for-byte.
-    wire_layout = getattr(engine, "batch_layout", "row")
     tracer = getattr(engine, "tracer", NULL_TRACER)
     if tracer.enabled and tracer.trace_id is None:
         tracer.trace_id = rid
@@ -252,7 +248,7 @@ def run_fixpoint_distributed(
                         shard,
                         produced,
                         trace_id=trace_id,
-                        layout=wire_layout,
+                        layout="columnar",
                     )
                 reads = session.io.stats.logical_reads - reads_before
                 round_span.set(tuples=len(produced), reads=reads)
@@ -440,7 +436,7 @@ def run_fixpoint_distributed(
                                         shard,
                                         [record.values for record in piece],
                                         trace_id=trace_id,
-                                        layout=wire_layout,
+                                        layout="columnar",
                                     )
                                     payloads[("slice", shard)] = frames
                                     stats = scatter_by_shard.setdefault(
@@ -469,7 +465,7 @@ def run_fixpoint_distributed(
                                     target,
                                     [record.values for record in delta],
                                     trace_id=trace_id,
-                                    layout=wire_layout,
+                                    layout="columnar",
                                 )
                                 stats = scatter_by_shard.setdefault(
                                     target, exchange.ExchangeStats()

@@ -8,21 +8,21 @@ amortized across the whole batch (the batch-at-a-time runtime substrate
 transformation-based recursive optimizers assume; see
 ``docs/architecture.md`` for the operator ABI).
 
-A batch carries its bindings in one of two layouts:
-
-* **row** — a list of binding dicts, the original representation
-  (``Batch(rows, node_id)``); this is what ``--batch-layout row``
-  reproduces bit-for-bit.
-* **columnar** — a dict of column name → value list
-  (:meth:`Batch.from_columns`), the layout the column kernels of
-  :mod:`repro.engine.eval_expr` operate on.  Rows are materialized
-  lazily (and cached) the first time a consumer touches ``.rows``, so
-  row-oriented operators and existing callers work unchanged.
+A batch holds its bindings as uniform-schema columns — a dict of
+column name → value list (:meth:`Batch.from_columns`) — which is what
+scans, filters, projections and the implicit/path-index joins emit and
+what the column kernels of :mod:`repro.engine.eval_expr` read.  The
+binding dicts are materialized lazily (and cached) the first time a
+consumer touches ``.rows``.  Operators that build their output one
+merged binding at a time (the explicit joins, index-assisted
+selections) construct the batch from those dicts instead
+(``Batch(rows, node_id)``); such a batch has no native column store, so
+a kernel handed one declines and the operator evaluates it through the
+per-row closure — same truth values, same counters, same charge order.
 
 ``batch_size=1`` degenerates to the exact tuple-at-a-time semantics:
 every batch carries one binding, and all per-batch bookkeeping happens
-per tuple — the compatibility path CI pins with ``REPRO_BATCH_SIZE=1``
-(and, for the layout axis, with ``REPRO_BATCH_LAYOUT=row``).
+per tuple — the compatibility path CI pins with ``REPRO_BATCH_SIZE=1``.
 """
 
 from __future__ import annotations
@@ -34,11 +34,8 @@ from repro.obs.log import get_logger
 
 __all__ = [
     "Batch",
-    "BATCH_LAYOUTS",
     "DEFAULT_BATCH_SIZE",
-    "DEFAULT_BATCH_LAYOUT",
     "default_batch_size",
-    "default_batch_layout",
     "rebatch",
 ]
 
@@ -49,14 +46,6 @@ _LOG = get_logger("engine")
 #: noise, small enough that a batch of music-schema bindings stays well
 #: inside a few cache lines of pointers.
 DEFAULT_BATCH_SIZE = 256
-
-#: Accepted values of the ``batch_layout`` knob.
-BATCH_LAYOUTS = ("row", "columnar")
-
-#: Default operator exchange layout.  Columnar is the primary path; the
-#: ``layout=row`` CI job pins the row-list compatibility semantics the
-#: same way the ``REPRO_BATCH_SIZE=1`` job pins tuple-at-a-time.
-DEFAULT_BATCH_LAYOUT = "columnar"
 
 
 def default_batch_size() -> int:
@@ -89,26 +78,6 @@ def default_batch_size() -> int:
     return size
 
 
-def default_batch_layout() -> str:
-    """The engine-wide default batch layout.
-
-    ``REPRO_BATCH_LAYOUT`` overrides the built-in default so an entire
-    test run can be pinned to the row-list compatibility path
-    (``REPRO_BATCH_LAYOUT=row``) without touching any call site; an
-    unknown value falls back to the default with a structured warning.
-    """
-    raw = os.environ.get("REPRO_BATCH_LAYOUT")
-    if not raw:
-        return DEFAULT_BATCH_LAYOUT
-    if raw not in BATCH_LAYOUTS:
-        _LOG.warning(
-            "ignoring unknown REPRO_BATCH_LAYOUT",
-            extra={"value": raw, "default": DEFAULT_BATCH_LAYOUT},
-        )
-        return DEFAULT_BATCH_LAYOUT
-    return raw
-
-
 class Batch:
     """One unit of exchange between plan operators.
 
@@ -118,11 +87,12 @@ class Batch:
     may therefore treat every received batch as carrying at least one
     binding.
 
-    Row-constructed batches behave exactly as before.  Columnar batches
-    (:meth:`from_columns`) hold their bindings as uniform-schema
-    columns; ``.rows`` materializes (and caches) the binding dicts on
-    first touch, preserving binding order and the column-insertion
-    field order, so row-oriented consumers never see the difference.
+    Batches built by :meth:`from_columns` hold their bindings as
+    uniform-schema columns; ``.rows`` materializes (and caches) the
+    binding dicts on first touch, preserving binding order and the
+    column-insertion field order.  Batches built from binding dicts
+    (``Batch(rows)``) answer ``.columns`` by transposing on demand but
+    are not :attr:`is_columnar` — the column kernels decline them.
     """
 
     __slots__ = ("_rows", "_columns", "_length", "node_id")

@@ -1,64 +1,28 @@
-"""Column-store helpers for the columnar batch layout.
+"""Column-store helpers for the engine's batches.
 
-A columnar :class:`~repro.engine.batch.Batch` carries a dict of column
-name → value list.  This module holds the small shared vocabulary the
-column kernels need: the optional numpy backend (behind the ``fast``
-extra, with a pure-Python fallback so the zero-dependency install keeps
-working), cheap whole-column type classification (one C-level pass with
-``set(map(type, column))`` instead of per-value ``isinstance`` chains),
-and index-list gathering.
-
-``REPRO_NO_NUMPY=1`` forces the pure-Python fallback even when numpy is
-importable — the hook the no-numpy CI job and the columnar benchmark
-use to measure the fallback on an image that ships numpy anyway.
+A :class:`~repro.engine.batch.Batch` carries a dict of column name →
+value list.  This module holds the small shared vocabulary the column
+kernels need: cheap whole-column type classification (one C-level pass
+with ``set(map(type, column))`` instead of per-value ``isinstance``
+chains) and index-list gathering.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence
 
 __all__ = [
-    "numpy_backend",
     "column_kinds",
     "is_plain_kinds",
-    "is_numeric_kinds",
     "has_structured_kinds",
     "gather",
     "gather_columns",
 ]
 
 #: Value types the vectorized comparison kernels accept: plain atoms
-#: whose comparisons cannot dereference, charge or recurse.  ``bool``
-#: is deliberately *plain* (it compares as an int) but *not* numeric
-#: below — the numpy path keeps away from bool/int dtype coercion.
+#: whose comparisons cannot dereference, charge or recurse.
 _PLAIN_KINDS = frozenset({int, float, str, bool})
-_NUMERIC_KINDS = frozenset({int, float})
 _STRUCTURED_KINDS = frozenset({list, tuple, dict, set, frozenset})
-
-_UNSET = object()
-_numpy = _UNSET
-
-
-def numpy_backend():
-    """The numpy module, or None when unavailable or disabled.
-
-    The import is attempted once and cached; the ``REPRO_NO_NUMPY``
-    environment switch is consulted on every call so a test or
-    benchmark can flip between the numpy and pure-Python column paths
-    inside one process.
-    """
-    if os.environ.get("REPRO_NO_NUMPY"):
-        return None
-    global _numpy
-    if _numpy is _UNSET:
-        try:
-            import numpy  # noqa: PLC0415 - optional ``fast`` extra
-
-            _numpy = numpy
-        except ImportError:
-            _numpy = None
-    return _numpy
 
 
 def column_kinds(column: Sequence[object]) -> frozenset:
@@ -71,11 +35,6 @@ def is_plain_kinds(kinds: frozenset) -> bool:
     (no records, oids, collections or None — nothing a comparison could
     dereference or that the row-at-a-time fast path would reject)."""
     return kinds <= _PLAIN_KINDS
-
-
-def is_numeric_kinds(kinds: frozenset) -> bool:
-    """Whether a column with these kinds is safe for the numpy path."""
-    return bool(kinds) and kinds <= _NUMERIC_KINDS
 
 
 def has_structured_kinds(kinds: frozenset) -> bool:

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.engine.batch import BATCH_LAYOUTS
 from repro.engine.cancel import CancellationToken
 from repro.obs.profile import PlanProfiler
 
@@ -66,10 +65,6 @@ class ExecutionContext:
     #: engine's configured size, 1 pins the exact tuple-at-a-time
     #: compatibility semantics.
     batch_size: Optional[int] = None
-    #: Operator exchange layout (``"row"`` or ``"columnar"``); None
-    #: keeps the engine's configured layout.  ``"row"`` pins the
-    #: row-list compatibility semantics bit-for-bit.
-    batch_layout: Optional[str] = None
     #: Shard workers a fixpoint may scatter delta partitions across;
     #: 1 = single-store evaluation, >1 = the distributed scatter-gather
     #: rounds of :mod:`repro.dist` (requires a cluster on the engine).
@@ -78,5 +73,4 @@ class ExecutionContext:
     def __post_init__(self) -> None:
         validate_knob("parallelism", self.parallelism)
         validate_knob("batch_size", self.batch_size)
-        validate_choice("batch_layout", self.batch_layout, BATCH_LAYOUTS)
         validate_knob("shards", self.shards)

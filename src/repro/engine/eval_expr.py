@@ -30,12 +30,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ExecutionError
-from repro.engine.columns import (
-    column_kinds,
-    is_numeric_kinds,
-    is_plain_kinds,
-    numpy_backend,
-)
+from repro.engine.columns import column_kinds, is_plain_kinds
 from repro.physical.storage import ObjectStore, Oid, StoredRecord
 from repro.plans.patterns import equality_join_key
 from repro.querygraph.predicates import (
@@ -138,9 +133,6 @@ class ExpressionEvaluator:
         ] = {}
         self._compiled_inner: Dict[
             int, Tuple[Predicate, Callable[[Binding], bool]]
-        ] = {}
-        self._compiled_filters: Dict[
-            int, Tuple[Predicate, Callable[[Sequence[Binding]], List[Binding]]]
         ] = {}
         self._compiled_exprs: Dict[
             int, Tuple[Expr, Callable[[Binding], List[object]]]
@@ -395,42 +387,21 @@ class ExpressionEvaluator:
         self._compiled_predicates[id(predicate)] = (predicate, evaluate)
         return evaluate
 
-    def compile_filter(
-        self, predicate: Predicate
-    ) -> Callable[[Sequence[Binding]], List[Binding]]:
-        """The compiled *batch* filter of a predicate (cached per
-        node): one call filters a whole batch of bindings, updating
-        the evaluation counter once per batch instead of once per row
-        — the vectorized twin of :meth:`compile_predicate`, with the
-        identical per-row truth values and the identical final
-        ``predicate_evals`` total."""
-        cached = self._compiled_filters.get(id(predicate))
-        if cached is not None:
-            return cached[1]
-        metrics = self._metrics
-        inner = self._inner_predicate(predicate)
-
-        def filter_rows(rows: Sequence[Binding]) -> List[Binding]:
-            metrics.predicate_evals += len(rows)
-            return [row for row in rows if inner(row)]
-
-        self._compiled_filters[id(predicate)] = (predicate, filter_rows)
-        return filter_rows
-
     def compile_filter_kernel(
         self, predicate: Predicate
     ) -> Callable[["object"], List[int]]:
         """The compiled *column* kernel of a predicate (cached per
-        node): one call filters a whole columnar batch, returning the
-        selected row positions.  Counter parity with the row paths is
+        node): one call filters a whole batch, returning the selected
+        row positions.  Counter parity with the per-row closure is
         exact — ``predicate_evals`` counts once per row, and the
         vectorized passes replicate the ``expr_evals`` accounting of
         the fast row closures, short-circuit included.  A batch whose
         filter column is not uniformly vectorizable (a non-record
         binding, a missing/None/record/collection attribute anywhere in
-        the column) is filtered row-at-a-time through the *same* inner
-        closure the row layout uses, preserving per-row evaluation and
-        buffer-charge order, so the counters cannot diverge."""
+        the column, or a batch built from binding dicts) is filtered
+        row-at-a-time through the *same* inner closure
+        :meth:`compile_predicate` wraps, preserving per-row evaluation
+        and buffer-charge order, so the counters cannot diverge."""
         cached = self._compiled_kernels.get(id(predicate))
         if cached is not None:
             return cached[1]
@@ -477,14 +448,14 @@ class ExpressionEvaluator:
 
     @staticmethod
     def _extract_plain_column(column, attr):
-        """``(raw values, kinds)`` of ``column[i].values[attr]`` when
-        every element is a stored record with a plain scalar for
-        ``attr``; None otherwise (the whole batch then takes the row
-        path, keeping any charging and counting in row order)."""
+        """The raw values of ``column[i].values[attr]`` when every
+        element is a stored record with a plain scalar for ``attr``;
+        None otherwise (the whole batch then takes the row path,
+        keeping any charging and counting in row order)."""
         extracted = _stored_attr_column(column, attr)
         if extracted is None or not is_plain_kinds(extracted[1]):
             return None
-        return extracted
+        return extracted[0]
 
     def _column_comparison(self, spec):
         """One vectorized pass for ``record.attr <op> constant`` over a
@@ -492,7 +463,6 @@ class ExpressionEvaluator:
         ``_fast_comparison`` does row-at-a-time."""
         metrics = self._metrics
         var, attr, op, const = spec
-        const_numeric = type(const) in (int, float)
 
         def column_pass(batch) -> Optional[List[int]]:
             columns = batch._columns
@@ -501,16 +471,10 @@ class ExpressionEvaluator:
             column = columns.get(var)
             if column is None:
                 return None
-            extracted = self._extract_plain_column(column, attr)
-            if extracted is None:
+            raws = self._extract_plain_column(column, attr)
+            if raws is None:
                 return None
-            raws, kinds = extracted
             metrics.expr_evals += 2 * len(raws)
-            if const_numeric and is_numeric_kinds(kinds):
-                np = numpy_backend()
-                if np is not None:
-                    mask = op(np.asarray(raws), const)
-                    return np.flatnonzero(mask).tolist()
             try:
                 return [i for i, raw in enumerate(raws) if op(raw, const)]
             except TypeError:
@@ -534,10 +498,6 @@ class ExpressionEvaluator:
         metrics = self._metrics
         var, attr, first_op, first_const = first
         second_op, second_const = second[2], second[3]
-        consts_numeric = (
-            type(first_const) in (int, float)
-            and type(second_const) in (int, float)
-        )
 
         def column_pass(batch) -> Optional[List[int]]:
             columns = batch._columns
@@ -546,19 +506,9 @@ class ExpressionEvaluator:
             column = columns.get(var)
             if column is None:
                 return None
-            extracted = self._extract_plain_column(column, attr)
-            if extracted is None:
+            raws = self._extract_plain_column(column, attr)
+            if raws is None:
                 return None
-            raws, kinds = extracted
-            if consts_numeric and is_numeric_kinds(kinds):
-                np = numpy_backend()
-                if np is not None:
-                    array = np.asarray(raws)
-                    first_mask = first_op(array, first_const)
-                    passed = int(first_mask.sum())
-                    metrics.expr_evals += 2 * len(raws) + 2 * passed
-                    mask = first_mask & second_op(array, second_const)
-                    return np.flatnonzero(mask).tolist()
             selected: List[int] = []
             passed = 0
             for i, raw in enumerate(raws):

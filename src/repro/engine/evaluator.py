@@ -30,12 +30,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import ExecutionError
-from repro.engine.batch import (
-    BATCH_LAYOUTS,
-    Batch,
-    default_batch_layout,
-    default_batch_size,
-)
+from repro.engine.batch import Batch, default_batch_size
 from repro.engine.cancel import CancellationToken
 from repro.engine.columns import (
     column_kinds,
@@ -43,11 +38,7 @@ from repro.engine.columns import (
     gather_columns,
     has_structured_kinds,
 )
-from repro.engine.context import (
-    ExecutionContext,
-    validate_choice,
-    validate_knob,
-)
+from repro.engine.context import ExecutionContext, validate_knob
 from repro.engine.eval_expr import (
     Binding,
     ExpressionEvaluator,
@@ -124,7 +115,6 @@ class Engine:
         batch_size: Optional[int] = None,
         shards: int = 1,
         cluster=None,
-        batch_layout: Optional[str] = None,
     ) -> None:
         self.physical = physical
         self.store = physical.store
@@ -143,14 +133,6 @@ class Engine:
         #: Bindings per :class:`Batch` exchanged between operators;
         #: 1 = exact tuple-at-a-time compatibility semantics.
         self.batch_size = batch_size
-        if batch_layout is None:
-            batch_layout = default_batch_layout()
-        validate_choice("batch_layout", batch_layout, BATCH_LAYOUTS)
-        #: Operator exchange layout: ``"columnar"`` (the default) moves
-        #: column-major batches through the pipeline so filters and
-        #: projections run as column kernels; ``"row"`` reproduces the
-        #: row-list semantics bit-for-bit.
-        self.batch_layout = batch_layout
         validate_knob("shards", shards)
         #: Shard fan-out for distributed fixpoints; >1 (with a
         #: ``cluster``) routes Fix evaluation through
@@ -228,8 +210,6 @@ class Engine:
             self.parallelism = context.parallelism
             if context.batch_size is not None:
                 self.batch_size = context.batch_size
-            if context.batch_layout is not None:
-                self.batch_layout = context.batch_layout
             self.shards = context.shards
         if validate:
             validate_plan(plan, self.physical)
@@ -291,7 +271,6 @@ class Engine:
         clone.keep_temps = self.keep_temps
         clone.parallelism = 1  # workers never nest pools
         clone.batch_size = self.batch_size
-        clone.batch_layout = self.batch_layout
         clone.shards = 1
         clone.cluster = None
         clone.cancel_token = self.cancel_token
@@ -330,7 +309,6 @@ class Engine:
         clone.keep_temps = self.keep_temps
         clone.parallelism = 1  # shard-local evaluation is serial
         clone.batch_size = self.batch_size
-        clone.batch_layout = self.batch_layout
         clone.shards = 1
         clone.cluster = None
         clone.cancel_token = self.cancel_token
@@ -511,15 +489,6 @@ class Engine:
 
     # -- operator implementations ------------------------------------------------------
 
-    def _make_scan_batch(
-        self, var: str, records: List[StoredRecord], node_id: Optional[str]
-    ) -> Batch:
-        """One scan output batch in the engine's layout: a single
-        ``{var: records}`` column, or the equivalent row dicts."""
-        if self.batch_layout == "columnar":
-            return Batch.from_columns({var: records}, node_id)
-        return Batch([{var: record} for record in records], node_id)
-
     def _scan_batches(
         self, entity: str, var: str, kind: str, node_id: Optional[str]
     ) -> Iterator[Batch]:
@@ -540,12 +509,12 @@ class Engine:
                     self.check_cancelled()
                     produced += batch_size
                     metrics.batches += 1
-                    yield self._make_scan_batch(var, full, node_id)
+                    yield Batch.from_columns({var: full}, node_id)
             if records:
                 self.check_cancelled()
                 produced += len(records)
                 metrics.batches += 1
-                yield self._make_scan_batch(var, records, node_id)
+                yield Batch.from_columns({var: records}, node_id)
         finally:
             metrics.add_tuples(kind, node_id, produced)
 
@@ -571,12 +540,12 @@ class Engine:
                 if len(records) >= batch_size:
                     produced += len(records)
                     metrics.batches += 1
-                    yield self._make_scan_batch(var, records, node_id)
+                    yield Batch.from_columns({var: records}, node_id)
                     records = []
             if records:
                 produced += len(records)
                 metrics.batches += 1
-                yield self._make_scan_batch(var, records, node_id)
+                yield Batch.from_columns({var: records}, node_id)
         finally:
             metrics.add_tuples("delta", node_id, produced)
 
@@ -586,46 +555,30 @@ class Engine:
         delta_env: Dict[str, List[StoredRecord]],
         node_id: Optional[str],
     ) -> Iterator[Batch]:
-        """Unindexed selection.  Columnar layout filters through the
-        compiled column kernel (index-list selection + column gather,
-        with the all-pass gather forwarding the input columns
-        unchanged); row layout keeps the row-list batch filter.  The
-        survivors of one input batch travel as one (possibly smaller)
-        output batch: merging across input batches would delay emission
-        behind a selective filter for no measured gain."""
+        """Unindexed selection through the compiled column kernel
+        (index-list selection + column gather, with the all-pass gather
+        forwarding the input columns unchanged).  The survivors of one
+        input batch travel as one (possibly smaller) output batch:
+        merging across input batches would delay emission behind a
+        selective filter for no measured gain."""
         evaluator = self._evaluator
         assert evaluator is not None
         metrics = self.metrics
         touch_width = len(node.predicate.variables())
         produced = 0
-        if self.batch_layout == "columnar":
-            kernel = evaluator.compile_filter_kernel(node.predicate)
-            try:
-                for batch in self.iterate_batches(node.child, delta_env):
-                    metrics.column_touches += touch_width * len(batch)
-                    selected = kernel(batch)
-                    if selected:
-                        produced += len(selected)
-                        metrics.batches += 1
-                        yield Batch.from_columns(
-                            gather_columns(
-                                batch.columns, selected, len(batch)
-                            ),
-                            node_id,
-                            len(selected),
-                        )
-            finally:
-                metrics.add_tuples("sel", node_id, produced)
-            return
-        batch_filter = evaluator.compile_filter(node.predicate)
+        kernel = evaluator.compile_filter_kernel(node.predicate)
         try:
             for batch in self.iterate_batches(node.child, delta_env):
                 metrics.column_touches += touch_width * len(batch)
-                rows = batch_filter(batch.rows)
-                if rows:
-                    produced += len(rows)
+                selected = kernel(batch)
+                if selected:
+                    produced += len(selected)
                     metrics.batches += 1
-                    yield Batch(rows, node_id)
+                    yield Batch.from_columns(
+                        gather_columns(batch.columns, selected, len(batch)),
+                        node_id,
+                        len(selected),
+                    )
         finally:
             metrics.add_tuples("sel", node_id, produced)
 
@@ -635,12 +588,12 @@ class Engine:
         delta_env: Dict[str, List[StoredRecord]],
         node_id: Optional[str],
     ) -> Iterator[Batch]:
-        """Projection.  Columnar layout builds the output columns
-        field-by-field when every field has a column recipe and the
-        batch's needed columns extract cleanly; any batch (or field
-        shape) that would need the generic walk is projected row-wise
-        through the same compiled closures the row layout uses, so
-        evaluation counting and buffer charging stay in row order."""
+        """Projection.  The output columns are built field-by-field
+        when every field has a column recipe and the batch's needed
+        columns extract cleanly; any batch (or field shape) that would
+        need the generic walk is projected row-wise through the
+        compiled per-row closures, so evaluation counting and buffer
+        charging stay in row order."""
         evaluator = self._evaluator
         assert evaluator is not None
         fields = [
@@ -652,11 +605,7 @@ class Engine:
             touched |= field.expr.variables()
         touch_width = len(touched)
         metrics = self.metrics
-        specs = (
-            self._proj_column_specs(node)
-            if self.batch_layout == "columnar"
-            else None
-        )
+        specs = self._proj_column_specs(node)
         produced = 0
         try:
             for batch in self.iterate_batches(node.child, delta_env):
@@ -920,92 +869,61 @@ class Engine:
     def _ij_batches(
         self, node: IJ, delta_env: Dict[str, List[StoredRecord]]
     ) -> Iterator[Batch]:
+        """Implicit join: walk the head column in row order (which
+        fixes the fetch/charge order), gather the surviving input
+        columns by expansion index and append the joined records as one
+        new column."""
         evaluator = self._evaluator
         assert evaluator is not None
         node_id = self._node_ids.get(id(node))
         fetch = self.store.fetch
         out_var = node.out_var
-        batch_size = self.batch_size
         metrics = self.metrics
         produced = 0
-        if self.batch_layout == "columnar":
-            # Column form: walk the head column in row order (the
-            # fetch/charge order is identical to the row loop), gather
-            # the surviving input columns by expansion index and append
-            # the joined records as one new column.
-            walk_from = evaluator.compile_path_from_value(node.source)
-            src_var = node.source.var
-            emitter = _ColumnEmitter(batch_size, node_id)
-            try:
-                for batch in self.iterate_batches(node.child, delta_env):
-                    metrics.column_touches += len(batch)
-                    columns = batch.columns
-                    source = columns.get(src_var)
-                    if source is None:
-                        # Unbound head variable: the row walk raises
-                        # the canonical error.
-                        evaluator.compile_path(node.source)(
-                            batch.rows[0] if len(batch) else {}
-                        )
-                        continue
-                    indices: List[int] = []
-                    records: List[StoredRecord] = []
-                    for position, value in enumerate(source):
-                        for reached in walk_from(value):
-                            if isinstance(reached, Oid):
-                                record = fetch(reached)
-                            elif isinstance(reached, StoredRecord):
-                                record = reached
-                            else:
-                                # null or non-reference: inner-join
-                                # drops it
-                                continue
-                            indices.append(position)
-                            records.append(record)
-                    if not indices:
-                        continue
-                    out_columns = {
-                        name: gather(column, indices)
-                        for name, column in columns.items()
-                    }
-                    out_columns[out_var] = records
-                    for emitted in emitter.add(out_columns, len(indices)):
-                        produced += len(emitted)
-                        metrics.batches += 1
-                        yield emitted
-                final = emitter.flush()
-                if final is not None:
-                    produced += len(final)
-                    metrics.batches += 1
-                    yield final
-            finally:
-                metrics.add_tuples("ij", node_id, produced)
-            return
-        path_fn = evaluator.compile_path(node.source)
-        rows: List[Binding] = []
+        walk_from = evaluator.compile_path_from_value(node.source)
+        src_var = node.source.var
+        emitter = _ColumnEmitter(self.batch_size, node_id)
         try:
             for batch in self.iterate_batches(node.child, delta_env):
                 metrics.column_touches += len(batch)
-                for binding in batch.rows:
-                    for value in path_fn(binding):
-                        if isinstance(value, Oid):
-                            record = fetch(value)
-                        elif isinstance(value, StoredRecord):
-                            record = value
+                columns = batch.columns
+                source = columns.get(src_var)
+                if source is None:
+                    # Unbound head variable: the row walk raises the
+                    # canonical error.
+                    evaluator.compile_path(node.source)(
+                        batch.rows[0] if len(batch) else {}
+                    )
+                    continue
+                indices: List[int] = []
+                records: List[StoredRecord] = []
+                for position, value in enumerate(source):
+                    for reached in walk_from(value):
+                        if isinstance(reached, Oid):
+                            record = fetch(reached)
+                        elif isinstance(reached, StoredRecord):
+                            record = reached
                         else:
-                            continue  # null or non-reference: inner-join drops it
-                        merged = dict(binding)
-                        merged[out_var] = record
-                        rows.append(merged)
-                        if len(rows) >= batch_size:
-                            produced += len(rows)
-                            metrics.batches += 1
-                            yield Batch(rows, node_id)
-                            rows = []
-            if rows:
-                produced += len(rows)
+                            # null or non-reference: inner-join drops it
+                            continue
+                        indices.append(position)
+                        records.append(record)
+                if not indices:
+                    continue
+                out_columns = {
+                    name: gather(column, indices)
+                    for name, column in columns.items()
+                }
+                out_columns[out_var] = records
+                for emitted in emitter.add(out_columns, len(indices)):
+                    produced += len(emitted)
+                    metrics.batches += 1
+                    yield emitted
+            final = emitter.flush()
+            if final is not None:
+                produced += len(final)
                 metrics.batches += 1
-                yield Batch(rows, node_id)
+                yield final
         finally:
             metrics.add_tuples("ij", node_id, produced)
 
@@ -1024,78 +942,31 @@ class Engine:
         head_count = max(1, stats.instances(index.root_entity))
         per_lookup = index.nblevels + index.nbleaves / head_count
         fetch = self.store.fetch
-        consumed_vars = self._consumed_vars
-        batch_size = self.batch_size
         metrics = self.metrics
         produced = 0
-        if self.batch_layout == "columnar":
-            walk_from = evaluator.compile_path_from_value(node.source)
-            src_var = node.source.var
-            out_vars = list(node.out_vars)
-            # Only fetch objects somebody consumes; the others stay as
-            # oids (dereferenced on demand if a predicate surprises us)
-            # — the whole point of a path index is skipping the
-            # intermediate objects ([MS86]).
-            consumed_flags = [var in consumed_vars for var in out_vars]
-            emitter = _ColumnEmitter(batch_size, node_id)
-            try:
-                for batch in self.iterate_batches(node.child, delta_env):
-                    metrics.column_touches += len(batch)
-                    columns = batch.columns
-                    source = columns.get(src_var)
-                    if source is None:
-                        evaluator.compile_path(node.source)(
-                            batch.rows[0] if len(batch) else {}
-                        )
-                        continue
-                    indices: List[int] = []
-                    out_lists: List[list] = [[] for _ in out_vars]
-                    for position, head_value in enumerate(source):
-                        for value in walk_from(head_value):
-                            if isinstance(value, StoredRecord):
-                                head = value.oid
-                            elif isinstance(value, Oid):
-                                head = value
-                            else:
-                                continue
-                            metrics.index_lookups += 1
-                            metrics.index_page_reads += per_lookup
-                            for path_tuple in index.forward(head):
-                                indices.append(position)
-                                for slot, wanted in enumerate(
-                                    consumed_flags
-                                ):
-                                    oid = path_tuple[slot + 1]
-                                    out_lists[slot].append(
-                                        fetch(oid) if wanted else oid
-                                    )
-                    if not indices:
-                        continue
-                    out_columns = {
-                        name: gather(column, indices)
-                        for name, column in columns.items()
-                    }
-                    for slot, out_var in enumerate(out_vars):
-                        out_columns[out_var] = out_lists[slot]
-                    for emitted in emitter.add(out_columns, len(indices)):
-                        produced += len(emitted)
-                        metrics.batches += 1
-                        yield emitted
-                final = emitter.flush()
-                if final is not None:
-                    produced += len(final)
-                    metrics.batches += 1
-                    yield final
-            finally:
-                metrics.add_tuples("pij", node_id, produced)
-            return
-        path_fn = evaluator.compile_path(node.source)
-        rows: List[Binding] = []
+        walk_from = evaluator.compile_path_from_value(node.source)
+        src_var = node.source.var
+        out_vars = list(node.out_vars)
+        # Only fetch objects somebody consumes; the others stay as oids
+        # (dereferenced on demand if a predicate surprises us) — the
+        # whole point of a path index is skipping the intermediate
+        # objects ([MS86]).
+        consumed_flags = [var in self._consumed_vars for var in out_vars]
+        emitter = _ColumnEmitter(self.batch_size, node_id)
         try:
             for batch in self.iterate_batches(node.child, delta_env):
                 metrics.column_touches += len(batch)
-                for binding in batch.rows:
-                    for value in path_fn(binding):
+                columns = batch.columns
+                source = columns.get(src_var)
+                if source is None:
+                    evaluator.compile_path(node.source)(
+                        batch.rows[0] if len(batch) else {}
+                    )
+                    continue
+                indices: List[int] = []
+                out_lists: List[list] = [[] for _ in out_vars]
+                for position, head_value in enumerate(source):
+                    for value in walk_from(head_value):
                         if isinstance(value, StoredRecord):
                             head = value.oid
                         elif isinstance(value, Oid):
@@ -1105,28 +976,29 @@ class Engine:
                         metrics.index_lookups += 1
                         metrics.index_page_reads += per_lookup
                         for path_tuple in index.forward(head):
-                            merged = dict(binding)
-                            for position, out_var in enumerate(node.out_vars):
-                                oid = path_tuple[position + 1]
-                                # Only fetch objects somebody consumes; the
-                                # others stay as oids (dereferenced on demand
-                                # if a predicate surprises us) — the whole
-                                # point of a path index is skipping the
-                                # intermediate objects ([MS86]).
-                                if out_var in consumed_vars:
-                                    merged[out_var] = fetch(oid)
-                                else:
-                                    merged[out_var] = oid
-                            rows.append(merged)
-                            if len(rows) >= batch_size:
-                                produced += len(rows)
-                                metrics.batches += 1
-                                yield Batch(rows, node_id)
-                                rows = []
-            if rows:
-                produced += len(rows)
+                            indices.append(position)
+                            for slot, wanted in enumerate(consumed_flags):
+                                oid = path_tuple[slot + 1]
+                                out_lists[slot].append(
+                                    fetch(oid) if wanted else oid
+                                )
+                if not indices:
+                    continue
+                out_columns = {
+                    name: gather(column, indices)
+                    for name, column in columns.items()
+                }
+                for slot, out_var in enumerate(out_vars):
+                    out_columns[out_var] = out_lists[slot]
+                for emitted in emitter.add(out_columns, len(indices)):
+                    produced += len(emitted)
+                    metrics.batches += 1
+                    yield emitted
+            final = emitter.flush()
+            if final is not None:
+                produced += len(final)
                 metrics.batches += 1
-                yield Batch(rows, node_id)
+                yield final
         finally:
             metrics.add_tuples("pij", node_id, produced)
 
@@ -1292,10 +1164,11 @@ def _joined_matches(
 
 class _ColumnEmitter:
     """Accumulates join output across input batches and slices it into
-    ``batch_size`` emissions — the same greedy chunk boundaries the
-    row-path accumulator produces (every full chunk as soon as it is
-    available, one remainder at the end), so ``metrics.batches`` parity
-    across layouts holds.  Chunks accumulate column-wise; if the output
+    ``batch_size`` emissions on greedy chunk boundaries (every full
+    chunk as soon as it is available, one remainder at the end) — the
+    boundaries the explicit joins' row accumulators use, so
+    ``metrics.batches`` depends on the batch size alone.  Chunks
+    accumulate column-wise; if the output
     schema ever changes mid-stream (heterogeneous union branches) the
     pending columns are materialized once and accumulation continues
     row-wise — correctness over speed for that rare shape."""

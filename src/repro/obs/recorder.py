@@ -347,7 +347,6 @@ def replay_bundle(bundle: Dict[str, Any], database=None) -> Dict[str, Any]:
         max_fix_iterations=int(knobs.get("max_fix_iterations", 256)),
         parallelism=max(1, int(knobs.get("parallelism", 1))),
         batch_size=knobs.get("batch_size") or None,
-        batch_layout=knobs.get("batch_layout") or None,
         shards=shards,
         cluster=cluster,
     )

@@ -93,7 +93,6 @@ class ServiceClient:
         parallelism: Optional[int] = None,
         batch_size: Optional[int] = None,
         shards: Optional[int] = None,
-        batch_layout: Optional[str] = None,
     ) -> dict:
         payload: dict = {"op": "query", "text": text}
         if params is not None:
@@ -106,8 +105,6 @@ class ServiceClient:
             payload["batch_size"] = batch_size
         if shards is not None:
             payload["shards"] = shards
-        if batch_layout is not None:
-            payload["batch_layout"] = batch_layout
         return self.request(payload)
 
     def prepare(self, text: str) -> str:
@@ -122,7 +119,6 @@ class ServiceClient:
         parallelism: Optional[int] = None,
         batch_size: Optional[int] = None,
         shards: Optional[int] = None,
-        batch_layout: Optional[str] = None,
     ) -> dict:
         payload: dict = {"op": "execute", "statement": statement}
         if params is not None:
@@ -135,8 +131,6 @@ class ServiceClient:
             payload["batch_size"] = batch_size
         if shards is not None:
             payload["shards"] = shards
-        if batch_layout is not None:
-            payload["batch_layout"] = batch_layout
         return self.request(payload)
 
     def stats(self) -> dict:

@@ -45,9 +45,6 @@ class QueryRecord:
     #: telemetry attribute latency regressions to the right pipeline
     #: configuration (0 = unknown, for records predating the field).
     batch_size: int = 0
-    #: Engine batch layout the request ran with (``"row"`` or
-    #: ``"columnar"``; "" = unknown, for records predating the field).
-    batch_layout: str = ""
     #: Shard width the request ran with (1 = single-process).  The
     #: per-shard counters below belong to *this* request alone — they
     #: are read from the request's own engine, whose shard sessions are
@@ -70,7 +67,6 @@ class QueryRecord:
             "rows": self.rows,
             "request_id": self.request_id,
             "batch_size": self.batch_size,
-            "batch_layout": self.batch_layout,
             "shards": self.shards,
         }
         if self.shards > 1:

@@ -8,16 +8,12 @@ plus payload, or ``ok: false`` plus ``error: {code, message}``.
 Operations
     ``hello``                             → ``{session}``
     ``query {text, params?, timeout?, parallelism?, batch_size?,
-    batch_layout?, shards?, strategy?}``  → ``{rows, cache, ...}``
+    shards?, strategy?}``                 → ``{rows, cache, ...}``
                                             (``strategy``: transformPT
                                             search — ``ii``/``sa``/
                                             ``2po``/``enum``/
                                             ``exhaustive``; plans are
-                                            cached per strategy;
-                                            ``batch_layout``: operator
-                                            exchange layout — ``row``/
-                                            ``columnar``, echoed on the
-                                            response)
+                                            cached per strategy)
     ``prepare {text}``                    → ``{statement, parameters}``
     ``execute {statement, params?, ...}`` → like ``query``
     ``explain {text, analyze?}``          → annotated plan (est vs. actual)

@@ -35,7 +35,7 @@ from repro.core.strategies import STRATEGY_NAMES
 from repro.cost.model import DetailedCostModel
 from repro.cost.params import CostParameters
 from repro.cost.recost import recost_plan
-from repro.engine.batch import BATCH_LAYOUTS, default_batch_size
+from repro.engine.batch import default_batch_size
 from repro.engine.cancel import CancellationToken
 from repro.engine.context import validate_choice
 from repro.engine.evaluator import Engine
@@ -94,12 +94,6 @@ class ServiceConfig:
     #: (the per-request ``batch_size`` field wins); ``None`` defers to
     #: the engine default (``REPRO_BATCH_SIZE`` or 256).
     batch_size: Optional[int] = None
-    #: Default engine batch layout (``"row"`` or ``"columnar"``) for
-    #: requests that do not override it (the per-request
-    #: ``batch_layout`` field wins); ``None`` defers to the engine
-    #: default (``REPRO_BATCH_LAYOUT`` or columnar).  ``"row"`` pins
-    #: the row-list compatibility semantics bit-for-bit.
-    batch_layout: Optional[str] = None
     #: Default shard fan-out for requests that do not override it (the
     #: per-request ``shards`` field wins); at 1 no shard cluster is
     #: built and execution has exact single-process semantics.  Like
@@ -181,7 +175,6 @@ class ServiceConfig:
 
     def __post_init__(self) -> None:
         validate_choice("strategy", self.strategy, STRATEGY_NAMES)
-        validate_choice("batch_layout", self.batch_layout, BATCH_LAYOUTS)
 
 
 @dataclass
@@ -345,23 +338,21 @@ class QueryService:
         batch_size: Optional[int] = None,
         shards: Optional[int] = None,
         strategy: Optional[str] = None,
-        batch_layout: Optional[str] = None,
     ) -> dict:
         """Serve one query text end to end; raises ReproError subclasses
         on failure (the protocol layer maps them to error codes).
         ``parallelism`` overrides the service default for this request
         (the grant is capped by the admission controller's slot count);
-        ``batch_size`` overrides the engine batch size; ``batch_layout``
-        overrides the operator exchange layout (``"row"`` pins the
-        row-list compatibility semantics); ``shards`` overrides the
-        shard fan-out (capped by the same slot count — admission weighs
-        a request by max(parallelism, shards)); ``strategy`` overrides
-        the transformPT search strategy used on a plan-cache miss."""
+        ``batch_size`` overrides the engine batch size; ``shards``
+        overrides the shard fan-out (capped by the same slot count —
+        admission weighs a request by max(parallelism, shards));
+        ``strategy`` overrides the transformPT search strategy used on
+        a plan-cache miss."""
         self.metrics.record_request()
         try:
             return self._run_query(
                 text, params, timeout, parallelism, batch_size, shards,
-                strategy, batch_layout,
+                strategy,
             )
         except ReproError as error:
             self._count_failure(error)
@@ -456,11 +447,9 @@ class QueryService:
         batch_size: Optional[int] = None,
         shards: Optional[int] = None,
         strategy: Optional[str] = None,
-        batch_layout: Optional[str] = None,
     ) -> dict:
         substituted = substitute_params(text, params)
         validate_choice("strategy", strategy, STRATEGY_NAMES)
-        validate_choice("batch_layout", batch_layout, BATCH_LAYOUTS)
         feedback = self.feedback
         fingerprint: Optional[str] = None
         optimize_started = time.perf_counter()
@@ -561,11 +550,6 @@ class QueryService:
                         if batch_size is not None
                         else self.config.batch_size
                     ),
-                    batch_layout=(
-                        batch_layout
-                        if batch_layout is not None
-                        else self.config.batch_layout
-                    ),
                     shards=granted_shards,
                     cluster=self._cluster_for(granted_shards),
                 )
@@ -595,7 +579,6 @@ class QueryService:
             rows=len(execution.rows),
             request_id=request_id,
             batch_size=engine.batch_size,
-            batch_layout=engine.batch_layout,
             shards=granted_shards,
             exchange_tuples=execution.metrics.exchange_tuples,
             exchange_bytes=execution.metrics.exchange_bytes,
@@ -617,7 +600,6 @@ class QueryService:
             knobs={
                 "parallelism": granted_parallelism,
                 "batch_size": engine.batch_size,
-                "batch_layout": engine.batch_layout,
                 "shards": granted_shards,
                 "max_fix_iterations": self.config.max_fix_iterations,
             },
@@ -654,7 +636,6 @@ class QueryService:
             "fix_iterations": execution.metrics.fix_iterations,
             "parallelism": granted_parallelism,
             "batch_size": engine.batch_size,
-            "batch_layout": engine.batch_layout,
             "shards": granted_shards,
         }
         if obs_echo is not None:
@@ -879,7 +860,6 @@ class QueryService:
         batch_size: Optional[int] = None,
         shards: Optional[int] = None,
         strategy: Optional[str] = None,
-        batch_layout: Optional[str] = None,
     ) -> dict:
         session = self._session(session_id)
         template = session.statements.get(statement_id)
@@ -887,7 +867,7 @@ class QueryService:
             raise ProtocolError(f"unknown statement {statement_id!r}")
         return self.run_query(
             template, params, timeout, parallelism, batch_size, shards,
-            strategy, batch_layout,
+            strategy,
         )
 
     # -- maintenance / observability ---------------------------------------
@@ -1155,7 +1135,6 @@ class QueryService:
             knobs={
                 "parallelism": 1,
                 "batch_size": engine.batch_size,
-                "batch_layout": engine.batch_layout,
                 "shards": width,
                 "max_fix_iterations": self.config.max_fix_iterations,
             },
@@ -1377,11 +1356,10 @@ class QueryService:
             text,
             request.get("params"),
             _timeout_field(request),
-            _parallelism_field(request),
-            _batch_size_field(request),
-            _shards_field(request),
+            _positive_int_field(request, "parallelism"),
+            _positive_int_field(request, "batch_size"),
+            _positive_int_field(request, "shards"),
             _strategy_field(request),
-            _batch_layout_field(request),
         )
 
     def _op_prepare(self, request: dict) -> dict:
@@ -1399,11 +1377,10 @@ class QueryService:
             statement,
             request.get("params"),
             _timeout_field(request),
-            _parallelism_field(request),
-            _batch_size_field(request),
-            _shards_field(request),
+            _positive_int_field(request, "parallelism"),
+            _positive_int_field(request, "batch_size"),
+            _positive_int_field(request, "shards"),
             _strategy_field(request),
-            _batch_layout_field(request),
         )
 
     def _op_stats(self, request: dict) -> dict:
@@ -1421,7 +1398,7 @@ class QueryService:
             request.get("params"),
             analyze=bool(request.get("analyze")),
             timeout=_timeout_field(request),
-            shards=_shards_field(request),
+            shards=_positive_int_field(request, "shards"),
         )
 
     def _op_trace(self, request: dict) -> dict:
@@ -1433,7 +1410,7 @@ class QueryService:
             request.get("params"),
             execute=request.get("execute", True) is not False,
             timeout=_timeout_field(request),
-            shards=_shards_field(request),
+            shards=_positive_int_field(request, "shards"),
         )
 
     def _op_progress(self, request: dict) -> dict:
@@ -1484,49 +1461,17 @@ class QueryService:
             text,
             request.get("params"),
             timeout=_timeout_field(request),
-            shards=_shards_field(request),
+            shards=_positive_int_field(request, "shards"),
         )
 
 
-def _parallelism_field(request: dict) -> Optional[int]:
-    parallelism = request.get("parallelism")
-    if parallelism is None:
+def _positive_int_field(request: dict, name: str) -> Optional[int]:
+    value = request.get(name)
+    if value is None:
         return None
-    if isinstance(parallelism, bool) or not isinstance(parallelism, int) \
-            or parallelism < 1:
-        raise ProtocolError("parallelism must be a positive integer")
-    return parallelism
-
-
-def _batch_size_field(request: dict) -> Optional[int]:
-    batch_size = request.get("batch_size")
-    if batch_size is None:
-        return None
-    if isinstance(batch_size, bool) or not isinstance(batch_size, int) \
-            or batch_size < 1:
-        raise ProtocolError("batch_size must be a positive integer")
-    return batch_size
-
-
-def _shards_field(request: dict) -> Optional[int]:
-    shards = request.get("shards")
-    if shards is None:
-        return None
-    if isinstance(shards, bool) or not isinstance(shards, int) \
-            or shards < 1:
-        raise ProtocolError("shards must be a positive integer")
-    return shards
-
-
-def _batch_layout_field(request: dict) -> Optional[str]:
-    batch_layout = request.get("batch_layout")
-    if batch_layout is None:
-        return None
-    try:
-        validate_choice("batch_layout", batch_layout, BATCH_LAYOUTS)
-    except ValueError as error:
-        raise ProtocolError(str(error)) from None
-    return batch_layout
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ProtocolError(f"{name} must be a positive integer")
+    return value
 
 
 def _strategy_field(request: dict) -> Optional[str]:

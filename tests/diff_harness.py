@@ -12,20 +12,23 @@ set.
 ``test_differential_parallel.py`` sweeps the batch-size × parallelism
 grid; ``test_differential_shards.py`` adds the shards dimension,
 running the same queries through the distributed scatter-gather
-fixpoint, plus the batch-layout sweep ({row, columnar} crossed into
-the grid via ``layouts=``, with per-point metering parity).
+fixpoint, plus the kernel-parity sweep (column kernels {on, off}
+crossed into the grid via ``kernels=``, with per-point metering
+parity).
 ``REPRO_DIFF_EXAMPLES`` scales the example count and
 ``derandomize=True`` keeps CI seeds fixed so a red run is
 reproducible.
 """
 
+import contextlib
 import os
+from unittest import mock
 
 from hypothesis import HealthCheck
 from hypothesis import strategies as st
 
 from repro.core import cost_controlled_optimizer
-from repro.engine import Engine, ReferenceEvaluator
+from repro.engine import Engine, ExpressionEvaluator, ReferenceEvaluator
 from repro.errors import OptimizationError
 from repro.querygraph.builder import (
     and_,
@@ -187,8 +190,24 @@ def parts_queries(draw):
 # -- differential check -------------------------------------------------------
 
 
+@contextlib.contextmanager
+def kernels_declined():
+    """Run the engine with every column kernel declining, so each
+    operator takes the per-row closure that is the kernel's reference:
+    ``Sel`` filters a batch row by row, the nested-loop ``EJ`` judges
+    each pair, ``Proj`` builds each output row through the compiled
+    field closures.  (Patched on the classes: parallel workers and
+    shard sessions build their own evaluators mid-execution.)"""
+    with mock.patch.object(
+        ExpressionEvaluator, "_build_column_pass", return_value=None
+    ), mock.patch.object(
+        ExpressionEvaluator, "compile_join_kernel", return_value=None
+    ), mock.patch.object(Engine, "_proj_column_specs", return_value=None):
+        yield
+
+
 def run_differential(
-    db, graph, grid, cluster=None, optimizer=None, layouts=(None,)
+    db, graph, grid, cluster=None, optimizer=None, kernels=(True,)
 ):
     """Optimize once, execute on a fresh engine per configuration, and
     assert every run matches the reference evaluator's answer set and
@@ -202,13 +221,14 @@ def run_differential(
     the hook the enumeration sweep uses to prove the plans ``enum``
     picks execute identically under every configuration.
 
-    ``layouts`` crosses a ``batch_layout`` dimension into the grid
-    (``None`` = the engine's configured default).  Layout is a pure
-    representation choice, so on top of the tuple-count invariants the
-    harness requires ``predicate_evals`` and ``logical_reads`` to be
-    *identical across layouts* at every ``(batch, parallelism,
-    shards)`` point — a columnar kernel that skipped or repeated a
-    predicate evaluation fails here even when the answers agree.
+    ``kernels`` crosses a column-kernels {on, off} dimension into the
+    grid (off = :func:`kernels_declined`).  A kernel is a faster way to
+    do what its row closure does, so on top of the tuple-count
+    invariants the harness requires ``predicate_evals``, ``expr_evals``
+    and ``logical_reads`` to be *identical with kernels on and off* at
+    every ``(batch, parallelism, shards)`` point — a columnar kernel
+    that skipped or repeated a predicate evaluation fails here even
+    when the answers agree.
     """
     if optimizer is None:
         optimizer = cost_controlled_optimizer
@@ -220,24 +240,24 @@ def run_differential(
         return
     want = ReferenceEvaluator(db.physical).answer_set(graph)
     grid = list(grid)
-    layouts = list(layouts)
+    kernels = list(kernels)
     counts = {}
     by_node = {}
     metering = {}
     for batch_size, level, shards in grid:
-        for layout in layouts:
+        for kernel in kernels:
             engine = Engine(
                 db.physical,
                 parallelism=level,
                 batch_size=batch_size,
-                batch_layout=layout,
                 shards=shards,
                 cluster=cluster if shards > 1 else None,
             )
-            result = engine.execute(plan)
-            config = (layout, batch_size, level, shards)
+            with contextlib.nullcontext() if kernel else kernels_declined():
+                result = engine.execute(plan)
+            config = (kernel, batch_size, level, shards)
             assert result.answer_set() == want, (
-                f"layout={layout} batch_size={batch_size} "
+                f"kernels={kernel} batch_size={batch_size} "
                 f"parallelism={level} shards={shards} diverged from "
                 f"the reference evaluator"
             )
@@ -245,30 +265,31 @@ def run_differential(
             by_node[config] = dict(result.metrics.tuples_by_node)
             metering[config] = (
                 result.metrics.predicate_evals,
+                result.metrics.expr_evals,
                 result.metrics.buffer.logical_reads,
             )
     assert len(set(counts.values())) == 1, (
         f"tuple counts diverged across the configuration grid: {counts}"
     )
-    reference_config = (layouts[0], *grid[0])
+    reference_config = (kernels[0], *grid[0])
     reference_nodes = by_node[reference_config]
     for config, nodes in by_node.items():
         assert nodes == reference_nodes, (
-            f"per-node tuple counts at layout={config[0]} "
+            f"per-node tuple counts at kernels={config[0]} "
             f"batch_size={config[1]} parallelism={config[2]} "
             f"shards={config[3]} diverged from the {reference_config} "
             f"reference: {nodes} != {reference_nodes}"
         )
-    # Layout parity of the metering counters, per grid point: the
-    # layout axis must be invisible to predicate_evals/logical_reads
-    # (the other axes may legitimately change them).
+    # Kernel parity of the metering counters, per grid point: the
+    # kernel axis must be invisible to them (the other axes may
+    # legitimately change them).
     for batch_size, level, shards in grid:
         point = {
-            layout: metering[(layout, batch_size, level, shards)]
-            for layout in layouts
+            kernel: metering[(kernel, batch_size, level, shards)]
+            for kernel in kernels
         }
         assert len(set(point.values())) == 1, (
-            f"metering (predicate_evals, logical_reads) diverged across "
-            f"layouts at batch_size={batch_size} parallelism={level} "
-            f"shards={shards}: {point}"
+            f"metering (predicate_evals, expr_evals, logical_reads) "
+            f"diverged with kernels on/off at batch_size={batch_size} "
+            f"parallelism={level} shards={shards}: {point}"
         )

@@ -15,7 +15,6 @@ import pytest
 
 from repro.cost.params import CostParameters
 from repro.engine import DEFAULT_BATCH_SIZE, Engine, default_batch_size
-from repro.engine.batch import DEFAULT_BATCH_LAYOUT, default_batch_layout
 from repro.engine.batch import Batch, rebatch
 from repro.engine.context import ExecutionContext
 from repro.plans import EntityLeaf, Proj, Sel
@@ -75,47 +74,11 @@ class TestConfigurationPlumbing:
         assert "out-of-range REPRO_BATCH_SIZE" in record.getMessage()
         assert record.value == "-3"
 
-    def test_layout_env_var_overrides_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_LAYOUT", "row")
-        assert default_batch_layout() == "row"
-        monkeypatch.setenv("REPRO_BATCH_LAYOUT", "columnar")
-        assert default_batch_layout() == "columnar"
-
-    def test_layout_env_var_garbage_warns_and_falls_back(
-        self, monkeypatch, caplog
-    ):
-        monkeypatch.setenv("REPRO_BATCH_LAYOUT", "diagonal")
-        with caplog.at_level(logging.WARNING, logger="repro.engine"):
-            assert default_batch_layout() == DEFAULT_BATCH_LAYOUT
-        [record] = caplog.records
-        assert "unknown REPRO_BATCH_LAYOUT" in record.getMessage()
-        assert record.value == "diagonal"
-        assert record.default == DEFAULT_BATCH_LAYOUT
-
     def test_engine_picks_up_env_default(self, small_db, monkeypatch):
         monkeypatch.setenv("REPRO_BATCH_SIZE", "17")
         assert Engine(small_db.physical).batch_size == 17
         # An explicit size always wins over the environment.
         assert Engine(small_db.physical, batch_size=3).batch_size == 3
-
-    def test_engine_picks_up_layout_env_default(self, small_db, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_LAYOUT", "row")
-        assert Engine(small_db.physical).batch_layout == "row"
-        # An explicit layout always wins over the environment.
-        engine = Engine(small_db.physical, batch_layout="columnar")
-        assert engine.batch_layout == "columnar"
-
-    def test_context_overrides_engine_batch_layout(self, small_db):
-        engine = Engine(small_db.physical, batch_layout="columnar")
-        engine.execute(
-            EntityLeaf("Composer", "x"),
-            context=ExecutionContext(batch_layout="row"),
-        )
-        assert engine.batch_layout == "row"
-
-    def test_worker_clone_inherits_batch_layout(self, small_db):
-        engine = Engine(small_db.physical, batch_layout="row")
-        assert engine.worker_clone().batch_layout == "row"
 
     def test_nonpositive_batch_size_rejected(self, small_db):
         with pytest.raises(ValueError):

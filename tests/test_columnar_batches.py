@@ -1,16 +1,18 @@
-"""Columnar batch layout: round-trip properties and layout parity.
+"""Columnar batches: round-trip properties and kernel parity.
 
-The columnar refactor's contract is representational only — a batch's
-layout must be invisible to every consumer.  The properties here pin
-the three conversion boundaries:
+Whether a batch was built from columns or from binding dicts, and
+whether an operator's column kernel took it or declined it to the row
+closure, must be invisible to every consumer.  The properties here pin
+the three boundaries:
 
 * ``Batch.from_columns(...).rows`` materializes exactly the binding
   dicts a row batch would carry (same values, same field order), and
   ``Batch(rows).columns`` inverts it;
 * columnar exchange frames (run-length encoded columns) decode back to
   the exact tuples the row frames carry, values *and* types;
-* running one plan under ``layout=row`` and ``layout=columnar``
-  produces identical answers and identical metering counters.
+* running one plan through the column kernels and through the row
+  closures they decline to produces identical answers and identical
+  metering counters.
 """
 
 import pytest
@@ -22,6 +24,7 @@ from repro.engine import Engine
 from repro.engine.batch import Batch
 from repro.plans import EntityLeaf, Proj, Sel
 from repro.querygraph.builder import and_, const, ge, le, out, path
+from tests.diff_harness import kernels_declined
 
 # Atom values covering every kind the engine stores, including the
 # adversarial bool/int/float lookalikes (True vs 1 vs 1.0) that a
@@ -118,8 +121,9 @@ class TestExchangeRoundTrip:
 
 
 class TestLayoutParity:
-    """layout only changes the representation batches carry; every
-    observable counter of the computation itself is invariant."""
+    """A column kernel only changes how a batch is evaluated; every
+    observable counter of the computation itself is what the row
+    closures (the kernels' decline path) produce."""
 
     def plan(self):
         return Proj(
@@ -135,15 +139,10 @@ class TestLayoutParity:
 
     @pytest.mark.parametrize("batch_size", [1, 7, 256])
     def test_row_and_columnar_agree(self, indexed_db, batch_size):
-        results = {}
-        for layout in ("row", "columnar"):
-            engine = Engine(
-                indexed_db.physical,
-                batch_size=batch_size,
-                batch_layout=layout,
-            )
-            results[layout] = engine.execute(self.plan())
-        row, col = results["row"], results["columnar"]
+        engine = Engine(indexed_db.physical, batch_size=batch_size)
+        col = engine.execute(self.plan())
+        with kernels_declined():
+            row = engine.execute(self.plan())
         assert col.answer_set() == row.answer_set()
         assert col.metrics.tuples_by_node == row.metrics.tuples_by_node
         assert col.metrics.predicate_evals == row.metrics.predicate_evals

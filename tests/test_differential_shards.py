@@ -44,11 +44,12 @@ GRID = [
 ]
 assert GRID[0] == (1, 1, 1)
 
-#: The layout sweep crosses batch_layout {row, columnar} into a
+#: The kernel-parity sweep crosses column kernels {on, off} into a
 #: batch {1, 256} × parallelism {1, 4} × shards {1, 2} grid; the
-#: harness additionally requires predicate_evals and logical_reads to
-#: be identical across layouts at every grid point.
-LAYOUTS = ("row", "columnar")
+#: harness additionally requires predicate_evals, expr_evals and
+#: logical_reads to be identical with kernels on and off at every grid
+#: point.
+KERNELS = (True, False)
 LAYOUT_GRID = [
     (batch_size, level, shards)
     for shards in (1, 2)
@@ -105,7 +106,7 @@ def test_differential_layout_sweep_flat_queries(
     music_db, music_cluster, graph
 ):
     run_differential(
-        music_db, graph, LAYOUT_GRID, cluster=music_cluster, layouts=LAYOUTS
+        music_db, graph, LAYOUT_GRID, cluster=music_cluster, kernels=KERNELS
     )
 
 
@@ -115,7 +116,7 @@ def test_differential_layout_sweep_recursive_queries(
     music_db, music_cluster, graph
 ):
     run_differential(
-        music_db, graph, LAYOUT_GRID, cluster=music_cluster, layouts=LAYOUTS
+        music_db, graph, LAYOUT_GRID, cluster=music_cluster, kernels=KERNELS
     )
 
 

@@ -3,11 +3,12 @@
 The kernel's contract is that nothing but wall time may tell it from
 the loop it replaces: the emitted row *list* (order and duplicates),
 every evaluation counter, the buffer's hit/miss/eviction history and
-the per-node tuple counts must be identical.  The row layout never
-takes the kernel (its batches carry no columns), so it is the oracle:
-each generated join runs at ``batch_layout`` {columnar, row} x
-``batch_size`` {1, 3, 256} x buffer {6 pages, default}, and at every
-point the columnar run must agree with the row run.
+the per-node tuple counts must be identical.  The loop is still in
+``src/`` — it is where the join goes whenever the kernel declines — so
+it is the oracle: each generated join runs with the kernel {on, off} x
+``batch_size`` {1, 3, 256} x buffer {6 pages, default}, the off run
+having ``compile_join_kernel`` answer None so every pair takes the
+loop, and at every point the two runs must agree.
 
 The generated key columns mix what the kernel accepts (ints, strings,
 bools, floats incl. NaN, oids, nulls) with everything that must send a
@@ -15,12 +16,19 @@ binding or a whole batch back to the loop: multivalued and
 record-valued attributes, and attributes computed by a method.
 """
 
+import contextlib
+from unittest import mock
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.engine import Engine
-from repro.engine.eval_expr import JoinKernel, canonical_row
+from repro.engine import Batch, Engine, RuntimeMetrics
+from repro.engine.eval_expr import (
+    ExpressionEvaluator,
+    JoinKernel,
+    canonical_row,
+)
 from repro.physical.buffer import BufferPool
 from repro.physical.schema import PhysicalSchema
 from repro.physical.storage import ObjectStore, Oid
@@ -108,13 +116,18 @@ def build_physical(left_specs, right_specs):
 BATCH_DEPENDENT = ("batches", "physical_reads", "evictions")
 
 
-def observe(physical, plan, layout, batch_size, buffer_pages):
-    """Everything a run may be told apart by, from a cold buffer."""
+def observe(physical, plan, kernel, batch_size, buffer_pages):
+    """Everything a run may be told apart by, from a cold buffer.
+    ``kernel=False`` is the oracle: no join kernel is ever built, so
+    the nested loop judges every pair through the per-pair closure."""
     physical.store.buffer = (
         BufferPool() if buffer_pages is None else BufferPool(buffer_pages)
     )
-    engine = Engine(physical, batch_size=batch_size, batch_layout=layout)
-    result = engine.execute(plan)
+    no_kernel = mock.patch.object(
+        ExpressionEvaluator, "compile_join_kernel", return_value=None
+    )
+    with contextlib.nullcontext() if kernel else no_kernel:
+        result = Engine(physical, batch_size=batch_size).execute(plan)
     metrics = result.metrics
     return {
         # repr: NaN keys compare unequal to themselves.
@@ -134,10 +147,8 @@ def assert_parity(physical, plan):
     for buffer_pages in BUFFERS:
         invariant = None
         for batch_size in BATCH_SIZES:
-            oracle = observe(physical, plan, "row", batch_size, buffer_pages)
-            kernel = observe(
-                physical, plan, "columnar", batch_size, buffer_pages
-            )
+            oracle = observe(physical, plan, False, batch_size, buffer_pages)
+            kernel = observe(physical, plan, True, batch_size, buffer_pages)
             assert kernel == oracle, (batch_size, buffer_pages)
             for name in BATCH_DEPENDENT:
                 del oracle[name]
@@ -283,7 +294,7 @@ class TestKernelEngages:
         monkeypatch.setattr(JoinKernel, "matches", spy)
         return calls
 
-    def run(self, left, right, layout="columnar", predicate=None):
+    def run(self, left, right, predicate=None):
         physical = build_physical(
             [("value", v) for v in left], [("value", v) for v in right]
         )
@@ -292,9 +303,7 @@ class TestKernelEngages:
             EntityLeaf("R", "r"),
             predicate if predicate is not None else equality(False),
         )
-        return Engine(physical, batch_size=256, batch_layout=layout).execute(
-            plan
-        )
+        return Engine(physical, batch_size=256).execute(plan)
 
     def test_null_inner_keys_do_not_decline_the_batch(self, fired):
         result = self.run([1, 2], [None, 1, None, 2, 1])
@@ -324,9 +333,21 @@ class TestKernelEngages:
         assert fired == {"matched": 0, "declined": 1}
         assert len(result.rows) == 2
 
-    def test_row_layout_never_matches(self, fired):
-        self.run([1, 2], [1, 2], layout="row")
-        assert fired["matched"] == 0
+    def test_row_layout_never_matches(self):
+        """An inner batch built from binding dicts has no native
+        columns: ``matches`` declines it, uncounted, and the join takes
+        the loop."""
+        physical = build_physical([], [("value", 1), ("value", 2)])
+        records = physical.store.extent("R").records
+        metrics = RuntimeMetrics()
+        kernel = JoinKernel(metrics, "l", "k", "r", "k", None)
+        rows = [{"r": record} for record in records]
+        assert kernel.matches(1, Batch(rows)) is None
+        assert (metrics.predicate_evals, metrics.expr_evals) == (0, 0)
+        assert kernel.matches(1, Batch.from_columns({"r": records})) == [
+            records[0]
+        ]
+        assert (metrics.predicate_evals, metrics.expr_evals) == (2, 4)
 
     def test_non_equality_has_no_kernel(self, fired):
         self.run([1, 2], [1, 2], predicate=ge(path("l", "k"), path("r", "k")))
@@ -337,9 +358,7 @@ class TestKernelEngages:
             [("oid", 1), ("oid", 2)], [("oid", 2), ("oid", 1), ("oid", 1)]
         )
         plan = EJ(EntityLeaf("L", "l"), EntityLeaf("R", "r"), equality(True))
-        result = Engine(
-            physical, batch_size=256, batch_layout="columnar"
-        ).execute(plan)
+        result = Engine(physical, batch_size=256).execute(plan)
         assert fired == {"matched": 2, "declined": 0}
         assert all(
             isinstance(row["l"].values["k"], Oid)

@@ -2,15 +2,15 @@
 PR): every integer knob — ``parallelism``, ``batch_size``, ``shards``
 — is validated by one shared path (:func:`validate_knob`, called from
 ``ExecutionContext.__post_init__`` and the ``Engine`` constructor), and
-every enumerated knob — ``batch_layout``, the service ``strategy`` —
-by :func:`validate_choice`, so every entry point rejects the same bad
+the enumerated knob — the service ``strategy`` — by
+:func:`validate_choice`, so every entry point rejects the same bad
 values with the same message.
 """
 
 import pytest
 
+from repro.core.strategies import STRATEGY_NAMES
 from repro.engine import Engine
-from repro.engine.batch import BATCH_LAYOUTS
 from repro.engine.context import (
     ExecutionContext,
     validate_choice,
@@ -55,16 +55,17 @@ def test_validate_knob_honours_custom_minimum():
 
 
 def test_validate_choice_accepts_none_and_members():
-    for value in (None, "row", "columnar"):
-        validate_choice("batch_layout", value, BATCH_LAYOUTS)  # must not raise
+    for value in (None, "ii", "enum"):
+        validate_choice("strategy", value, STRATEGY_NAMES)  # must not raise
 
 
-@pytest.mark.parametrize("bad", ["diagonal", "", "ROW", 1, ["row"]])
+@pytest.mark.parametrize("bad", ["diagonal", "", "II", 1, ["ii"]])
 def test_validate_choice_rejects_non_members(bad):
     with pytest.raises(
-        ValueError, match="batch_layout must be one of: row, columnar"
+        ValueError,
+        match="strategy must be one of: ii, sa, 2po, enum, exhaustive",
     ):
-        validate_choice("batch_layout", bad, BATCH_LAYOUTS)
+        validate_choice("strategy", bad, STRATEGY_NAMES)
 
 
 # -- one test per knob through ExecutionContext -------------------------------
@@ -87,14 +88,6 @@ def test_context_validates_batch_size():
         ExecutionContext(batch_size=True)
 
 
-def test_context_validates_batch_layout():
-    assert ExecutionContext(batch_layout=None).batch_layout is None
-    assert ExecutionContext(batch_layout="row").batch_layout == "row"
-    assert ExecutionContext(batch_layout="columnar").batch_layout == "columnar"
-    with pytest.raises(ValueError, match="batch_layout must be one of"):
-        ExecutionContext(batch_layout="diagonal")
-
-
 def test_context_validates_shards():
     assert ExecutionContext(shards=4).shards == 4
     with pytest.raises(ValueError, match="shards must be >= 1"):
@@ -114,16 +107,8 @@ def test_engine_constructor_rejects_bad_knobs(physical, knob):
         Engine(physical, **{knob: 3.5})
 
 
-def test_engine_constructor_validates_batch_layout(physical):
-    with pytest.raises(ValueError, match="batch_layout must be one of"):
-        Engine(physical, batch_layout="diagonal")
-
-
 def test_engine_constructor_accepts_good_knobs(physical):
-    engine = Engine(
-        physical, parallelism=2, batch_size=64, batch_layout="row", shards=2
-    )
+    engine = Engine(physical, parallelism=2, batch_size=64, shards=2)
     assert engine.parallelism == 2
     assert engine.batch_size == 64
-    assert engine.batch_layout == "row"
     assert engine.shards == 2

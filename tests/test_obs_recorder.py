@@ -1,11 +1,13 @@
 """The flight recorder: bundle assembly, recording caps, and
 deterministic replay (plan-fingerprint + answer-set equality)."""
 
+import io
 import json
 import os
 
 import pytest
 
+from repro.cli import main
 from repro.core.baselines import cost_controlled_optimizer
 from repro.engine import Engine
 from repro.lang.compile import compile_text
@@ -147,6 +149,18 @@ class TestReplay:
         bundle = run_and_bundle(FIG3, db)
         report = replay_bundle(bundle)
         assert report["matched"]
+
+    def test_replay_accepts_retired_batch_layout_knob(self, tmp_path):
+        # Bundles recorded while the engine still had a row layout
+        # carry the knob; replay drops it (same bundle_version).
+        db = database_from_config(RECIPE)
+        bundle = run_and_bundle(FIG3, db)
+        bundle["knobs"]["batch_layout"] = "row"
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(bundle, default=str))
+        out = io.StringIO()
+        assert main(["replay", str(path)], out=out) == 0
+        assert "REPLAY OK" in out.getvalue()
 
     def test_replay_detects_answer_divergence(self):
         db = database_from_config(RECIPE)

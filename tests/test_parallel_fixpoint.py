@@ -14,6 +14,7 @@ import pytest
 import repro.engine.parallel as parallel_mod
 from repro.core.baselines import cost_controlled_optimizer
 from repro.engine import (
+    Batch,
     CancellationToken,
     Engine,
     ExecutionContext,
@@ -282,9 +283,11 @@ class TestSeenProbeNormalization:
         """Regression: the seen-set probe used to re-normalize every
         value of every produced binding (2x per field); normalization
         now happens exactly once per field, at insertion time.  Pinned
-        to the row layout — the columnar dedup path assembles its keys
-        straight from normalized columns and never routes through
-        ``key_of_normalized``, so this accounting is row-specific."""
+        to the row probe (every batch declared row-constructed) — the
+        columnar dedup path assembles its keys straight from normalized
+        columns and never routes through ``key_of_normalized``, so this
+        accounting is row-specific."""
+        monkeypatch.setattr(Batch, "is_columnar", False)
         db = _music_db()
         _graph, plan = _optimized(db, RECURSIVE)
 
@@ -306,7 +309,7 @@ class TestSeenProbeNormalization:
             fixpoint_mod, "normalize_value", counting_normalize
         )
         monkeypatch.setattr(fixpoint_mod, "key_of_normalized", counting_key)
-        Engine(db.physical, batch_layout="row").execute(plan)
+        Engine(db.physical).execute(plan)
         assert key_calls[0] > 0
         # Influencer tuples carry exactly 3 scalar fields (master,
         # disciple, gen): one normalize call per field per probed
@@ -317,29 +320,30 @@ class TestSeenProbeNormalization:
         """The columnar dedup path normalizes column-wise (at most once
         per field per produced binding, and not at all for all-atomic
         columns) — so it can only ever call ``normalize_value`` fewer
-        times than the row path does for the same plan."""
+        times than the row probe — the path row-constructed batches
+        take — does for the same plan."""
         db = _music_db()
         _graph, plan = _optimized(db, RECURSIVE)
 
         real_normalize = fixpoint_mod.normalize_value
 
-        def run(layout):
+        def run(row_probe):
             calls = [0]
 
             def counting_normalize(value):
                 calls[0] += 1
                 return real_normalize(value)
 
-            monkeypatch.setattr(
-                fixpoint_mod, "normalize_value", counting_normalize
-            )
-            result = Engine(db.physical, batch_layout=layout).execute(plan)
-            monkeypatch.setattr(
-                fixpoint_mod, "normalize_value", real_normalize
-            )
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    fixpoint_mod, "normalize_value", counting_normalize
+                )
+                if row_probe:
+                    patch.setattr(Batch, "is_columnar", False)
+                result = Engine(db.physical).execute(plan)
             return result.answer_set(), calls[0]
 
-        row_answers, row_calls = run("row")
-        col_answers, col_calls = run("columnar")
+        row_answers, row_calls = run(row_probe=True)
+        col_answers, col_calls = run(row_probe=False)
         assert col_answers == row_answers
         assert 0 < col_calls <= row_calls

@@ -196,6 +196,17 @@ class TestProtocolEdges:
             client.request({"op": "frobnicate"})
         assert excinfo.value.code == "protocol_error"
 
+    def test_retired_batch_layout_field_is_ignored(self, served):
+        # Clients written against the dual-layout protocol still send
+        # the field; like any unknown field it changes nothing.
+        _db, _service, client = served
+        plain = client.query(SCAN_QUERY)
+        legacy = client.request(
+            {"op": "query", "text": SCAN_QUERY, "batch_layout": "row"}
+        )
+        assert canonical_rows(legacy["rows"]) == canonical_rows(plain["rows"])
+        assert "batch_layout" not in legacy
+
     def test_malformed_json(self, served):
         _db, _service, client = served
         client._socket.sendall(b"this is not json\n")

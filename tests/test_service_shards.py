@@ -20,7 +20,7 @@ from repro.service import (
     ServiceClientError,
     ServiceConfig,
 )
-from repro.service.server import _shards_field
+from repro.service.server import _positive_int_field
 from repro.workloads import MusicConfig, generate_music_database
 from repro.workloads.queries import fig3_query
 
@@ -72,14 +72,14 @@ def rows_key(rows):
 
 
 def test_shards_field_accepts_absent_and_positive():
-    assert _shards_field({}) is None
-    assert _shards_field({"shards": 4}) == 4
+    assert _positive_int_field({}, "shards") is None
+    assert _positive_int_field({"shards": 4}, "shards") == 4
 
 
 @pytest.mark.parametrize("bad", [0, -1, 1.5, "4", True, False, [2]])
 def test_shards_field_rejects_bad_values(bad):
     with pytest.raises(ProtocolError, match="shards must be a positive integer"):
-        _shards_field({"shards": bad})
+        _positive_int_field({"shards": bad}, "shards")
 
 
 def test_bad_shards_rejected_over_the_wire(db):
