@@ -29,10 +29,11 @@ exhaustively.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.errors import OptimizationError
+from repro.errors import OptimizationError, QueryModelError, UnknownEntityError
 from repro.core.generate import SPJGenerator
 from repro.core.rewrite import rewrite
 from repro.core.strategies import (
@@ -154,10 +155,18 @@ class Optimizer:
         per step — ``rewrite``, ``generatePT`` per produced name,
         ``transformPT`` — with per-arc ``translate.arc`` events and one
         ``transformPT.candidate`` / ``transformPT.push_comparison``
-        event per costed alternative."""
+        event per costed alternative.
+
+        Every plan and subplan the steps cost is costed inside one memo
+        scope of the cost model (when the model has one), so a subplan
+        shared by candidates, restarts or fixpoint rounds is estimated
+        and costed once; the memo is dropped when this call returns or
+        raises."""
         self._tracer = tracer if tracer is not None else NULL_TRACER
+        memo_scope = getattr(self.cost_model, "memo_scope", nullcontext)
         try:
-            return self._optimize(graph)
+            with memo_scope():
+                return self._optimize(graph)
         finally:
             self._tracer = NULL_TRACER
 
@@ -297,7 +306,8 @@ class Optimizer:
         node = rules[0].node
         if isinstance(node, FixNode):
             return self._plan_for_fix(
-                graph, name, node, translator, generator, producer_plans
+                graph, name, translator, generator, producer_plans,
+                shapes.get(name, {}),
             )
         if graph.is_recursive_name(name):
             # Recursive but not recognized as fixpoint recursion:
@@ -328,10 +338,10 @@ class Optimizer:
         self,
         graph: QueryGraph,
         name: str,
-        node: FixNode,
         translator: Translator,
         generator: SPJGenerator,
         producer_plans: Dict[str, PlanNode],
+        shape_fields: Dict[str, Optional[str]],
     ) -> Tuple[PlanNode, int]:
         info = analyze_recursion(graph, name)
         if info is None:
@@ -351,7 +361,7 @@ class Optimizer:
             base_tuples += self.cost_model.estimator.estimate(
                 base_plan
             ).tuples
-        shape = TupleShape(dict(self._shape_fields(graph, name)))
+        shape = TupleShape(dict(shape_fields))
         delta_env = {name: (max(base_tuples, 1.0), shape)}
 
         recursive_plans: List[PlanNode] = []
@@ -380,12 +390,6 @@ class Optimizer:
         )
         return fix, costed
 
-    def _shape_fields(
-        self, graph: QueryGraph, name: str
-    ) -> Dict[str, Optional[str]]:
-        shapes = self._produced_shapes(graph)
-        return shapes.get(name, {})
-
     def _recursion_hint(
         self, info: RecursionInfo
     ) -> Tuple[Optional[str], Optional[str]]:
@@ -412,13 +416,13 @@ class Optimizer:
                         continue
                     try:
                         arc = part.binding_arc(other.var)
-                    except Exception:
+                    except QueryModelError:
                         continue
                     if arc.name == info.name:
                         continue
                     try:
                         entity = self.physical.primary_entity(arc.name).name
-                    except Exception:
+                    except UnknownEntityError:
                         continue
                     return entity, other.attrs[0]
         return None, None

@@ -12,15 +12,23 @@ carry a :class:`TupleShape` mapping each field to the class its values
 come from, so predicates applied *after* a recursion can still resolve
 selectivities and fan-outs (e.g. ``i.master.works.instruments.name``
 knows ``master`` holds Composers).
+
+Estimates are memoised inside a :meth:`CardinalityEstimator.memo_scope`
+(the cost model opens one per optimization, or per report): an estimate
+is a pure function of the plan term and of the ``delta_env`` entries
+the term can see (:func:`visible_env`), so within a scope each
+(term, visible env) is derived once — a loop-invariant operand inside a
+``Fix`` body once, not once per round, and a ``Fix`` once, not once per
+ancestor.  Outside a scope nothing is kept.
 """
 
 from __future__ import annotations
 
-import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.errors import CostModelError
+from repro.errors import CostModelError, SchemaError, UnknownEntityError
 from repro.cost.params import CostParameters
 from repro.physical.schema import PhysicalSchema
 from repro.plans.nodes import (
@@ -50,7 +58,13 @@ from repro.querygraph.predicates import (
     TruePredicate,
 )
 
-__all__ = ["TupleShape", "VarInfo", "NodeEstimate", "CardinalityEstimator"]
+__all__ = [
+    "TupleShape",
+    "VarInfo",
+    "NodeEstimate",
+    "CardinalityEstimator",
+    "visible_env",
+]
 
 DEFAULT_EQ_SELECTIVITY = 0.1
 DEFAULT_JOIN_SELECTIVITY = 0.1
@@ -73,6 +87,11 @@ class TupleShape:
 
     fields: Dict[str, Optional[str]] = field(default_factory=dict)
     invariant_satisfied: frozenset = frozenset()
+
+    def memo_key(self) -> tuple:
+        """The shape by value, hashable — a ``TupleShape`` is a mutable
+        dataclass and so cannot key a memo itself."""
+        return (tuple(self.fields.items()), self.invariant_satisfied)
 
 
 #: What a variable is bound to: the name of a physical entity (records),
@@ -99,6 +118,25 @@ class NodeEstimate:
     stream_vars: frozenset = frozenset()
 
 
+def visible_env(
+    node: PlanNode, env: Dict[str, Tuple[float, TupleShape]]
+) -> tuple:
+    """The part of ``env`` that can change what ``node`` estimates or
+    costs to, as a hashable memo-key component: the entries of the
+    recursions the subtree reads from outside — ``()`` for a subtree
+    with no free ``RecLeaf``, whatever round it is costed in."""
+    if not env:
+        return ()
+    recursions = node.memo_traits()[0]
+    if not recursions:
+        return ()
+    return tuple(
+        (name, env[name][0], env[name][1].memo_key())
+        for name in sorted(recursions)
+        if name in env
+    )
+
+
 class CardinalityEstimator:
     """Estimates node output cardinalities over a physical schema."""
 
@@ -108,8 +146,24 @@ class CardinalityEstimator:
         self.physical = physical
         self.params = params or CostParameters()
         self.stats = physical.statistics
+        #: (node, visible env) -> NodeEstimate, inside a memo scope.
+        self._memo: Optional[Dict[tuple, NodeEstimate]] = None
 
     # -- entry point ------------------------------------------------------------
+
+    @contextmanager
+    def memo_scope(self) -> Iterator[None]:
+        """Memoise :meth:`estimate` until the block exits (re-entrant:
+        an inner scope shares the outer one's table).  Physical schema,
+        statistics and ``params`` must not change inside a scope."""
+        if self._memo is not None:
+            yield
+            return
+        self._memo = {}
+        try:
+            yield
+        finally:
+            self._memo = None
 
     def estimate(
         self,
@@ -118,8 +172,21 @@ class CardinalityEstimator:
     ) -> NodeEstimate:
         """Estimate a node's output cardinality, page count and
         variable bindings; ``delta_env`` supplies RecLeaf sizes when
-        estimating inside a fixpoint body."""
+        estimating inside a fixpoint body.  The returned estimate may
+        be shared with other callers: treat it as read-only."""
         env = delta_env or {}
+        memo = self._memo
+        if memo is None:
+            return self._estimate(node, env)
+        key = (node, visible_env(node, env))
+        estimate = memo.get(key)
+        if estimate is None:
+            estimate = memo[key] = self._estimate(node, env)
+        return estimate
+
+    def _estimate(
+        self, node: PlanNode, env: Dict[str, Tuple[float, TupleShape]]
+    ) -> NodeEstimate:
         if isinstance(node, (EntityLeaf, TempLeaf)):
             return self._estimate_leaf(node)
         if isinstance(node, RecLeaf):
@@ -187,7 +254,7 @@ class CardinalityEstimator:
                 stream_vars=left.stream_vars & right.stream_vars,
             )
         if isinstance(node, Fix):
-            return self.estimate_fix(node, env)
+            return self._estimate_fix(node, env)
         if isinstance(node, Materialize):
             child = self.estimate(node.child, env)
             shape = TupleShape(
@@ -243,15 +310,12 @@ class CardinalityEstimator:
             return None
         try:
             attribute = self.physical.catalog.attribute(conceptual, terminal_attr)
-        except Exception:
+        except SchemaError:
             return None
         referenced = attribute.referenced_class()
         if referenced is None:
             return None
-        try:
-            return self.physical.primary_entity(referenced).name
-        except Exception:
-            return None
+        return self._entity_for_class(referenced)
 
     # -- path resolution ----------------------------------------------------------------
 
@@ -263,7 +327,7 @@ class CardinalityEstimator:
     def _entity_for_class(self, class_name: str) -> Optional[str]:
         try:
             return self.physical.primary_entity(class_name).name
-        except Exception:
+        except UnknownEntityError:
             return None
 
     def _resolve_path(
@@ -304,7 +368,7 @@ class CardinalityEstimator:
             catalog = self.physical.catalog
             try:
                 attribute = catalog.attribute(conceptual, attr)
-            except Exception:
+            except SchemaError:
                 # Possibly a method (computed attribute).
                 return (current, attr, fanout)
             referenced = attribute.referenced_class()
@@ -520,7 +584,7 @@ class CardinalityEstimator:
             tuples, self._tuple_pages(tuples), varmap, stream_vars=stream
         )
 
-    def estimate_fix(self, node: Fix, env) -> NodeEstimate:
+    def _estimate_fix(self, node: Fix, env) -> NodeEstimate:
         """Estimate a fixpoint: base once, then per-iteration deltas.
 
         Iteration count and frontier decay come from chain-depth

@@ -20,13 +20,33 @@ The model prices I/O in page reads and CPU in predicate/tuple
 evaluations using :class:`~repro.cost.params.CostParameters`, the same
 units the engine's measured cost uses — so estimates and measurements
 are directly comparable.
+
+**Each subplan is costed once.**  Plan nodes are immutable terms with
+structural equality and a cached hash, so ``_cost`` memoises its
+``(io, cpu)`` per *subterm* inside a :meth:`DetailedCostModel.memo_scope`
+— one ``Optimizer.optimize`` call (the optimizer opens the scope), or
+one ``cost``/``report`` call otherwise.  A search move rebuilds only the
+path from the rewritten node to the root, so only that path is
+re-costed; a ``Fix`` body part is priced once per (part, delta).  The
+key is everything a subterm's cost can depend on inside a scope: the
+term, the ``delta_env`` entries it can see
+(:func:`repro.cost.cardinality.visible_env`) and, for each ``PIJ`` in
+it, whether the whole plan consumes that ``PIJ``'s out-variables.  The
+memo is bypassed where a hit would lose something besides the number:
+when a per-node ``rows`` table is being built (``report``), when
+``annotated_report`` accumulates per-visit captures, and — at
+``params.shards > 1`` — for terms containing a ``Fix``, whose
+``fix_breakdowns[id(node)]`` entry only ``_cost_fix`` fills.
+Cardinality estimates are memoised on the same key and scope by the
+estimator.  Nothing outlives the scope.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import CostModelError
 from repro.cost.cardinality import (
@@ -34,6 +54,7 @@ from repro.cost.cardinality import (
     NodeEstimate,
     TupleShape,
     VarInfo,
+    visible_env,
 )
 from repro.cost.params import CostParameters
 from repro.physical.schema import PhysicalSchema
@@ -118,6 +139,11 @@ class DetailedCostModel:
         #: network/disk/skew estimates EXPLAIN ANALYZE lines up against
         #: measured actuals.  Empty unless ``params.shards > 1``.
         self.fix_breakdowns: Dict[int, dict] = {}
+        #: Variables some operator of the plan being costed reads.
+        self._consumed_vars: Set[str] = set()
+        #: (term, visible env, consumed PIJ bits) -> (io, cpu), inside
+        #: a memo scope.
+        self._memo: Optional[Dict[tuple, Tuple[float, float]]] = None
 
     # -- public API ---------------------------------------------------------------
 
@@ -126,8 +152,10 @@ class DetailedCostModel:
         plan: PlanNode,
         delta_env: Optional[Dict[str, Tuple[float, TupleShape]]] = None,
     ) -> float:
-        """Total estimated cost of ``plan`` (io + cpu)."""
-        return self.report(plan, delta_env).total
+        """Total estimated cost of ``plan`` (io + cpu) — what a search
+        compares; builds no per-node table."""
+        io, cpu = self._cost_plan(plan, delta_env, None)
+        return io + cpu
 
     def report(
         self,
@@ -137,13 +165,38 @@ class DetailedCostModel:
         """Cost a plan; ``delta_env`` supplies delta cardinalities when
         the plan is a fixpoint-body fragment containing RecLeaf nodes
         (used by the optimizer when generating inside a recursion)."""
+        rows: List[Tuple[str, float]] = []
+        io, cpu = self._cost_plan(plan, delta_env, rows)
+        return CostReport(io + cpu, io, cpu, rows)
+
+    @contextmanager
+    def memo_scope(self) -> Iterator[None]:
+        """Cost each subplan once until the block exits (see the module
+        docstring).  Re-entrant: an inner scope shares the outer one's
+        table.  The physical schema, its statistics and ``params`` must
+        not change inside a scope."""
+        if self._memo is not None:
+            yield
+            return
+        self._memo = {}
+        try:
+            with self.estimator.memo_scope():
+                yield
+        finally:
+            self._memo = None
+
+    def _cost_plan(
+        self,
+        plan: PlanNode,
+        delta_env: Optional[Dict[str, Tuple[float, TupleShape]]],
+        rows: Optional[List[Tuple[str, float]]],
+    ) -> Tuple[float, float]:
         from repro.plans.patterns import consumed_variables
 
         self._consumed_vars = consumed_variables(plan)
         self.fix_breakdowns = {}
-        rows: List[Tuple[str, float]] = []
-        io, cpu = self._cost(plan, dict(delta_env or {}), rows)
-        return CostReport(io + cpu, io, cpu, rows)
+        with self.memo_scope():
+            return self._cost(plan, dict(delta_env or {}), rows)
 
     def annotated_report(
         self,
@@ -166,11 +219,23 @@ class DetailedCostModel:
         self,
         node: PlanNode,
         env: Dict[str, Tuple[float, TupleShape]],
-        rows: List[Tuple[str, float]],
+        rows: Optional[List[Tuple[str, float]]],
     ) -> Tuple[float, float]:
-        io, cpu = self._dispatch(node, env, rows)
-        rows.append((node.label(), io + cpu))
+        """(io, cpu) of the subtree; ``rows`` (when wanted) receives a
+        ``(label, cost)`` line per visited node."""
         capture = self._capture
+        memo = self._memo
+        key = None
+        if memo is not None and rows is None and capture is None:
+            key = self._memo_key(node, env)
+        if key is not None:
+            known = memo.get(key)
+            if known is None:
+                known = memo[key] = self._dispatch(node, env, None)
+            return known
+        io, cpu = self._dispatch(node, env, rows)
+        if rows is not None:
+            rows.append((node.label(), io + cpu))
         if capture is not None:
             entry = capture.get(id(node))
             if entry is None:
@@ -182,6 +247,21 @@ class DetailedCostModel:
             except CostModelError:
                 pass
         return io, cpu
+
+    def _memo_key(
+        self, node: PlanNode, env: Dict[str, Tuple[float, TupleShape]]
+    ) -> Optional[tuple]:
+        """Everything ``node``'s (io, cpu) can depend on inside a memo
+        scope, or None where a hit would skip a side effect."""
+        _recursions, pij_vars, has_fix = node.memo_traits()
+        if has_fix and self.params.shards > 1:
+            return None  # _cost_fix must run: it fills fix_breakdowns
+        consumed = self._consumed_vars
+        return (
+            node,
+            visible_env(node, env),
+            tuple(var in consumed for var in pij_vars),
+        )
 
     def _batch_cost(self, tuples: float) -> float:
         """Per-batch pipeline overhead of emitting ``tuples`` bindings:
@@ -555,9 +635,9 @@ class DetailedCostModel:
         io = child_est.tuples * per_lookup * self.params.index_page
         # Fetch only the referenced objects somebody consumes (the
         # engine skips unconsumed intermediates the same way).
-        consumed = getattr(self, "_consumed_vars", None)
+        consumed = self._consumed_vars
         for target, out_var in zip(node.targets, node.out_vars):
-            if consumed is not None and out_var not in consumed:
+            if out_var not in consumed:
                 continue
             io += self._miss_io(out_est.tuples, target.entity)
         cpu = out_est.tuples * self.params.tuple_cpu
@@ -592,8 +672,7 @@ class DetailedCostModel:
         # (the engine behaves the same way), so the physical charge is
         # one full inner scan when it fits and a full re-scan per outer
         # tuple when it does not.
-        inner_rows: List[Tuple[str, float]] = []
-        inner_io, inner_cpu = self._cost(node.right, env, inner_rows)
+        inner_io, inner_cpu = self._cost(node.right, env, None)
         outer_tuples = max(0.0, left_est.tuples)
         buffer_pages = max(1, self.params.buffer_pages)
         if right_est.pages <= buffer_pages:
@@ -665,8 +744,8 @@ class DetailedCostModel:
         from repro.engine.fixpoint import partition_parts
 
         base_parts, recursive_parts = partition_parts(node)
-        fix_est = self.estimator.estimate_fix(node, env)
-        shape = self.estimator._fix_shape(node, env)
+        fix_est = self.estimator.estimate(node, env)
+        shape = fix_est.varmap[node.out_var]
         body_shape = TupleShape(
             dict(shape.fields), frozenset(node.invariant_fields)
         )
@@ -711,8 +790,7 @@ class DetailedCostModel:
             inner_env[node.name] = (delta, body_shape)
             round_io, round_cpu = 0.0, 0.0
             for part in recursive_parts:
-                part_rows: List[Tuple[str, float]] = []
-                part_io, part_cpu = self._cost(part, inner_env, part_rows)
+                part_io, part_cpu = self._cost(part, inner_env, None)
                 round_io += part_io
                 round_cpu += part_cpu
             if distributed:

@@ -379,7 +379,7 @@ class _TableBuilder:
             # Sketch discipline: the delta keeps the base size forever.
             inner[node.name] = Size(base_pages, base_tuples)
         else:
-            estimate = self.model.estimator.estimate_fix(node, {})
+            estimate = self.model.estimator.estimate(node)
             deltas = estimate.deltas or [0.0]
             mean_delta = sum(deltas) / len(deltas)
             inner[node.name] = Size(_pages_of(mean_delta), mean_delta)
@@ -405,7 +405,7 @@ class _TableBuilder:
                 iterations_n = max(1, iterations_n)
                 tuples = _as_number(base_tuples) * iterations_n
             else:
-                estimate = self.model.estimator.estimate_fix(node, {})
+                estimate = self.model.estimator.estimate(node)
                 iterations_n = max(1, len(estimate.deltas or [1]))
                 tuples = estimate.tuples
             formula = base_total + (iterations_n - 1) * recursive_total

@@ -25,6 +25,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 import threading
 import time
 from collections import OrderedDict, deque
@@ -100,7 +101,12 @@ class OperatorEstimate:
         }
 
 
-@dataclass
+#: ``slots=True`` (3.10+): one of these per plan node is retained for
+#: every observation in every plan's ring.
+_SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
+
+
+@dataclass(**_SLOTS)
 class OperatorActual:
     """One execution's measured counters for one node (profiled runs
     carry everything; unprofiled runs carry cardinalities only)."""

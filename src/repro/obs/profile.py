@@ -22,6 +22,7 @@ unwrapped and the hot path pays nothing.
 
 from __future__ import annotations
 
+import sys
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -56,7 +57,8 @@ def assign_node_ids(plan) -> Dict[int, str]:
     """Map ``id(node) -> "n<preorder-index>"`` over a plan.
 
     A subtree object shared between two positions keeps its first
-    (pre-order) id; its profile merges both occurrences.
+    (pre-order) id; its profile merges both occurrences.  Ids are
+    interned: every retained observation keys its operators by them.
     """
     global _node_ids_memo
     cached_plan, cached_ids = _node_ids_memo
@@ -64,7 +66,7 @@ def assign_node_ids(plan) -> Dict[int, str]:
         return cached_ids
     ids: Dict[int, str] = {}
     for index, node in enumerate(plan.walk()):
-        ids.setdefault(id(node), f"n{index}")
+        ids.setdefault(id(node), sys.intern(f"n{index}"))
     _node_ids_memo = (plan, ids)
     return ids
 

@@ -98,7 +98,10 @@ class PhysicalSchema:
         self._entities[info.name] = info
         if info.conceptual_name is not None:
             self._implements.setdefault(info.conceptual_name, []).append(info.name)
-        self._statistics = None  # invalidate
+        if info.kind != "temp":
+            # A temporary cannot change what is known about durable
+            # entities; its own statistics are collected lazily.
+            self._statistics = None
 
     def drop_temp(self, name: str) -> None:
         info = self.entity(name)
@@ -108,7 +111,8 @@ class PhysicalSchema:
         del self._entities[name]
         if info.conceptual_name is not None:
             self._implements[info.conceptual_name].remove(name)
-        self._statistics = None
+        if self._statistics is not None:
+            self._statistics.forget(name)
 
     # -- lookup ---------------------------------------------------------------
 

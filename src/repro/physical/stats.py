@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.errors import OidError
 from repro.physical.storage import ObjectStore, Oid
 
 __all__ = ["EntityStatistics", "Statistics"]
@@ -93,12 +94,14 @@ class Statistics:
         self._store = store
         self._entities: Dict[str, EntityStatistics] = {}
         self._chain_depth_cache: Dict[Tuple[str, str], List[int]] = {}
+        self._clustered_cache: Dict[Tuple[str, str], float] = {}
         self.refresh()
 
     def refresh(self) -> None:
         """Recollect statistics for every extent."""
         self._entities.clear()
         self._chain_depth_cache.clear()
+        self._clustered_cache.clear()
         weights = self._reference_weights()
         for name in self._store.extent_names():
             self._entities[name] = self._collect(name, weights)
@@ -196,6 +199,15 @@ class Statistics:
             self._entities[name] = self._collect(name)
         return self._entities[name]
 
+    def forget(self, name: str) -> None:
+        """Evict everything collected for ``name`` — called when a
+        temporary is dropped, so lazily collected temp entries do not
+        accumulate across queries."""
+        self._entities.pop(name, None)
+        for cache in (self._chain_depth_cache, self._clustered_cache):
+            for key in [key for key in cache if key[0] == name]:
+                del cache[key]
+
     def pages(self, name: str) -> int:
         """``|C|`` — pages the entity occupies (at least 1 when non-empty)."""
         return self.entity(name).pages
@@ -214,7 +226,18 @@ class Statistics:
     def clustered_fraction(self, owner: str, attribute: str) -> float:
         """Fraction of ``owner.attribute`` references whose target sits on
         the owner's own page — the clustering payoff ``access_cost(Ci, Cj)``
-        depends on (Section 3.2)."""
+        depends on (Section 3.2).  Collected once per (owner,
+        attribute) and kept until :meth:`refresh`, like every other
+        statistic."""
+        key = (owner, attribute)
+        cached = self._clustered_cache.get(key)
+        if cached is None:
+            cached = self._clustered_cache[key] = self._scan_clustered_fraction(
+                owner, attribute
+            )
+        return cached
+
+    def _scan_clustered_fraction(self, owner: str, attribute: str) -> float:
         extent = self._store.extent(owner)
         total = 0
         colocated = 0
@@ -231,8 +254,8 @@ class Statistics:
                 total += 1
                 try:
                     target = self._store.peek(oid)
-                except Exception:
-                    continue
+                except OidError:
+                    continue  # dangling reference: not colocated
                 if target.page_id == record.page_id:
                     colocated += 1
         if total == 0:

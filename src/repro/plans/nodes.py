@@ -37,7 +37,7 @@ to stored records, temp tuples or atomic values.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import PlanError
 from repro.querygraph.graph import OutputSpec
@@ -63,11 +63,21 @@ __all__ = [
 NESTED_LOOP = "nested_loop"
 INDEX_JOIN = "index_join"
 
+#: Traits of a subtree with no free RecLeaf, no PIJ and no Fix.
+_PLAIN_TRAITS: Tuple[FrozenSet[str], Tuple[str, ...], bool] = (
+    frozenset(),
+    (),
+    False,
+)
+
 
 class PlanNode:
     """Abstract base of PT nodes."""
 
-    __slots__ = ()
+    # Lazily filled caches of derived, construction-time-fixed facts
+    # (nodes are immutable terms): the structural key, its hash, and
+    # the memo traits.
+    __slots__ = ("_key_cache", "_hash_cache", "_traits_cache")
 
     @property
     def children(self) -> Tuple["PlanNode", ...]:
@@ -119,14 +129,72 @@ class PlanNode:
     def size(self) -> int:
         return sum(1 for _node in self.walk())
 
-    def _key(self) -> object:
+    def _build_key(self) -> object:
+        """This node's structural identity: a tuple of its tag, its
+        fields and its child *nodes* (not their keys), so hashing and
+        comparing a key reuse each child's cached hash and stop at the
+        first shared (identical) subtree."""
         raise NotImplementedError
 
+    def _key(self) -> object:
+        try:
+            return self._key_cache
+        except AttributeError:
+            key = self._key_cache = self._build_key()
+            return key
+
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, PlanNode) and other._key() == self._key()
+        if self is other:
+            return True
+        return (
+            isinstance(other, PlanNode)
+            and hash(other) == hash(self)
+            and other._key() == self._key()
+        )
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        try:
+            return self._hash_cache
+        except AttributeError:
+            value = self._hash_cache = hash(self._key())
+            return value
+
+    # -- memo traits -----------------------------------------------------------
+
+    def memo_traits(self) -> Tuple[FrozenSet[str], Tuple[str, ...], bool]:
+        """What a per-subtree memo must look at beyond the term itself:
+
+        * the names of the recursions whose :class:`RecLeaf` deltas the
+          subtree reads *from outside* (a ``Fix`` binds its own name) —
+          the only entries of a ``delta_env`` that can change what the
+          subtree estimates or costs to;
+        * the ``out_vars`` of every :class:`PIJ` in it, whose fetch cost
+          depends on whether the *whole plan* consumes them;
+        * whether it contains a :class:`Fix`.
+        """
+        try:
+            return self._traits_cache
+        except AttributeError:
+            pass
+        traits = self._compute_traits()
+        if traits == _PLAIN_TRAITS:
+            traits = _PLAIN_TRAITS  # most nodes: share one tuple
+        self._traits_cache = traits
+        return traits
+
+    def _compute_traits(self) -> Tuple[FrozenSet[str], Tuple[str, ...], bool]:
+        """The union of the children's traits; the three node kinds
+        that contribute (``RecLeaf``, ``PIJ``, ``Fix``) override."""
+        recursions, pij_vars, has_fix = _PLAIN_TRAITS
+        for child in self.children:
+            child_recursions, child_pij_vars, child_has_fix = child.memo_traits()
+            # Reuse the child's set when nothing is added to it.
+            recursions = (
+                recursions | child_recursions if recursions else child_recursions
+            )
+            pij_vars = pij_vars + child_pij_vars
+            has_fix = has_fix or child_has_fix
+        return recursions, pij_vars, has_fix
 
     def __repr__(self) -> str:
         from repro.plans.display import render_functional
@@ -162,7 +230,7 @@ class EntityLeaf(PlanNode):
     def label(self) -> str:
         return self.entity
 
-    def _key(self) -> object:
+    def _build_key(self) -> object:
         return ("entity", self.entity, self.var)
 
 
@@ -190,7 +258,7 @@ class TempLeaf(PlanNode):
     def label(self) -> str:
         return self.entity
 
-    def _key(self) -> object:
+    def _build_key(self) -> object:
         return ("temp", self.entity, self.var)
 
 
@@ -218,8 +286,11 @@ class RecLeaf(PlanNode):
     def label(self) -> str:
         return f"Δ{self.name}"
 
-    def _key(self) -> object:
+    def _build_key(self) -> object:
         return ("rec", self.name, self.var)
+
+    def _compute_traits(self) -> Tuple[FrozenSet[str], Tuple[str, ...], bool]:
+        return frozenset((self.name,)), (), False
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +320,8 @@ class Sel(PlanNode):
     def label(self) -> str:
         return f"Sel[{self.predicate!r}]"
 
-    def _key(self) -> object:
-        return ("sel", self.child._key(), self.predicate)
+    def _build_key(self) -> object:
+        return ("sel", self.child, self.predicate)
 
 
 class Proj(PlanNode):
@@ -276,10 +347,10 @@ class Proj(PlanNode):
     def label(self) -> str:
         return f"Proj[{self.fields!r}]"
 
-    def _key(self) -> object:
+    def _build_key(self) -> object:
         return (
             "proj",
-            self.child._key(),
+            self.child,
             tuple((f.name, f.expr) for f in self.fields.fields),
         )
 
@@ -334,11 +405,11 @@ class IJ(PlanNode):
     def label(self) -> str:
         return f"IJ[{self.source.dotted()}]"
 
-    def _key(self) -> object:
+    def _build_key(self) -> object:
         return (
             "ij",
-            self.child._key(),
-            self.target._key(),
+            self.child,
+            self.target,
             self.source,
             self.out_var,
         )
@@ -386,11 +457,11 @@ class EJ(PlanNode):
     def label(self) -> str:
         return f"EJ[{self.predicate!r}]"
 
-    def _key(self) -> object:
+    def _build_key(self) -> object:
         return (
             "ej",
-            self.left._key(),
-            self.right._key(),
+            self.left,
+            self.right,
             self.predicate,
             self.algorithm,
         )
@@ -419,8 +490,8 @@ class UnionOp(PlanNode):
     def label(self) -> str:
         return "Union"
 
-    def _key(self) -> object:
-        return ("union", self.left._key(), self.right._key())
+    def _build_key(self) -> object:
+        return ("union", self.left, self.right)
 
 
 class Fix(PlanNode):
@@ -496,14 +567,22 @@ class Fix(PlanNode):
     def label(self) -> str:
         return f"Fix[{self.name}]"
 
-    def _key(self) -> object:
+    def _build_key(self) -> object:
         return (
             "fix",
             self.name,
-            self.body._key(),
+            self.body,
             self.out_var,
             self.invariant_fields,
+            # The cardinality model reads the iteration schedule off
+            # these, so two Fix terms that differ here cost differently.
+            self.recursion_entity,
+            self.recursion_attribute,
         )
+
+    def _compute_traits(self) -> Tuple[FrozenSet[str], Tuple[str, ...], bool]:
+        recursions, pij_vars, _has_fix = super()._compute_traits()
+        return recursions - {self.name}, pij_vars, True
 
 
 class Materialize(PlanNode):
@@ -537,8 +616,8 @@ class Materialize(PlanNode):
     def label(self) -> str:
         return f"Materialize[{self.name}]"
 
-    def _key(self) -> object:
-        return ("mat", self.name, self.child._key(), self.out_var)
+    def _build_key(self) -> object:
+        return ("mat", self.name, self.child, self.out_var)
 
 
 class PIJ(PlanNode):
@@ -597,12 +676,16 @@ class PIJ(PlanNode):
     def label(self) -> str:
         return f"PIJ[{self.path_name}]"
 
-    def _key(self) -> object:
+    def _build_key(self) -> object:
         return (
             "pij",
-            self.child._key(),
-            tuple(t._key() for t in self.targets),
+            self.child,
+            self.targets,
             self.attributes,
             self.source,
             self.out_vars,
         )
+
+    def _compute_traits(self) -> Tuple[FrozenSet[str], Tuple[str, ...], bool]:
+        recursions, pij_vars, has_fix = super()._compute_traits()
+        return recursions, self.out_vars + pij_vars, has_fix

@@ -1,0 +1,471 @@
+"""The optimization-scoped cost memo: exact, scoped, and doing each
+piece of work once.
+
+The exactness oracle throughout is *a fresh ``DetailedCostModel`` built
+for one plan*, with its memo scope switched off (``_Unmemoised``) —
+``src/`` keeps no unmemoised costing path, so every value a search saw
+is re-derived here by a model that has seen nothing else and remembers
+nothing.  Comparisons are ``==`` on floats, never ``approx``: the memo
+must return the very number the arithmetic would have produced.
+"""
+
+import contextlib
+import dataclasses
+import random
+
+import pytest
+
+from repro.core import naive_optimizer
+from repro.core.moves import neighbors
+from repro.core.optimizer import Optimizer, OptimizerConfig
+from repro.cost import CostParameters, DetailedCostModel
+from repro.cost.cardinality import (
+    DEFAULT_EQ_SELECTIVITY,
+    CardinalityEstimator,
+)
+from repro.physical.stats import Statistics
+from repro.plans.canonical import alpha_rename, canonical_fingerprint
+from repro.plans.nodes import PIJ, Fix, Sel
+from repro.plans.patterns import consumed_variables
+from repro.querygraph.predicates import Comparison, Const, PathRef
+from repro.service import QueryService, ServiceConfig
+from repro.workloads import (
+    MusicConfig,
+    fig2_query,
+    fig3_query,
+    generate_music_database,
+    join_push_query,
+)
+from repro.workloads.parts import (
+    PartsConfig,
+    components_of_query,
+    generate_parts_database,
+)
+
+PARAMS = {
+    "serial": CostParameters(),
+    "parallel": CostParameters(parallelism=4),
+    "shards": CostParameters(shards=4),
+}
+STRATEGIES = ("ii", "sa", "2po", "enum")
+
+
+@pytest.fixture(scope="module")
+def music_db():
+    """The ``cold_optimize`` database of the macro benchmark."""
+    db = generate_music_database(MusicConfig(lineages=4, generations=7))
+    db.build_paper_indexes()
+    return db
+
+
+@pytest.fixture(scope="module")
+def parts_db():
+    return generate_parts_database(
+        PartsConfig(assemblies=4, depth=3, fanout=3, sharing=0.2, seed=7)
+    )
+
+
+def _fig3_selective(db):
+    instrument = min(
+        record.values["name"] for record in db.store.extent("Instrument").records
+    )
+    return fig3_query(instrument, 3)
+
+
+@pytest.fixture(scope="module")
+def workloads(music_db, parts_db):
+    return {
+        "fig3": (music_db, _fig3_selective(music_db)),
+        "joinpush": (music_db, join_push_query()),
+        "parts": (parts_db, components_of_query()),
+    }
+
+
+class _Unmemoised(DetailedCostModel):
+    """The oracle: Figure 5 re-derived from nothing at every node."""
+
+    @contextlib.contextmanager
+    def memo_scope(self):
+        yield
+
+
+def _fresh(physical, params):
+    return _Unmemoised(physical, dataclasses.replace(params))
+
+
+def _fresh_report(physical, params, plan, delta_env=None):
+    return _fresh(physical, params).report(plan, delta_env)
+
+
+def _record_costed_plans(model):
+    """Make ``model.cost`` remember every (plan, delta_env, value) it is
+    asked for — the optimizer's generatePT and every strategy's
+    ``cost_fn`` go through this attribute."""
+    seen = []
+    original = model.cost
+
+    def recording_cost(plan, delta_env=None):
+        value = original(plan, delta_env)
+        seen.append((plan, delta_env, value))
+        return value
+
+    model.cost = recording_cost
+    return seen
+
+
+# -- exactness ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("params_name", sorted(PARAMS))
+@pytest.mark.parametrize("workload", ["fig3", "joinpush", "parts"])
+def test_every_plan_a_search_costs_equals_a_fresh_model(
+    workloads, workload, params_name, strategy
+):
+    db, graph = workloads[workload]
+    params = PARAMS[params_name]
+    model = DetailedCostModel(db.physical, dataclasses.replace(params))
+    seen = _record_costed_plans(model)
+    optimizer = Optimizer(db.physical, model, OptimizerConfig(strategy=strategy))
+    result = optimizer.optimize(graph)
+
+    assert len(seen) >= result.plans_costed > 0
+    checked = set()
+    for plan, delta_env, value in seen:
+        env_key = None if delta_env is None else tuple(
+            (name, tuples, shape.memo_key())
+            for name, (tuples, shape) in sorted(delta_env.items())
+        )
+        if (plan, env_key) in checked:
+            continue
+        checked.add((plan, env_key))
+        fresh = _fresh_report(db.physical, params, plan, delta_env)
+        assert value == fresh.total
+    assert result.cost == _fresh_report(db.physical, params, result.plan).total
+
+
+@pytest.mark.parametrize("params_name", sorted(PARAMS))
+def test_io_and_cpu_are_exact_inside_one_scope(workloads, params_name):
+    """One scope shared by every plan of a move neighbourhood: each
+    plan's (io, cpu) — served from the memo wherever a subplan repeats —
+    equals a fresh model's, component for component."""
+    params = PARAMS[params_name]
+    for db, graph in workloads.values():
+        start = naive_optimizer(db.physical).optimize(graph).plan
+        plans = [start] + [plan for _d, plan in neighbors(start, db.physical)]
+        model = DetailedCostModel(db.physical, dataclasses.replace(params))
+        with model.memo_scope():
+            for _repeat in range(2):  # the second pass is all root hits
+                for plan in plans:
+                    io, cpu = model._cost_plan(plan, None, None)
+                    fresh = _fresh_report(db.physical, params, plan)
+                    assert (io, cpu) == (fresh.io, fresh.cpu)
+                    assert model.cost(plan) == fresh.total
+
+
+@pytest.mark.parametrize("query_name", ["fig2", "fig3", "joinpush"])
+@pytest.mark.parametrize("seed", [11, 222, 3333])
+def test_random_move_walks_cost_exactly(seed, query_name):
+    """The plan population of ``test_property_moves``: random walks over
+    the extended move graph from the naive plan, all costed in one
+    scope."""
+    queries = {
+        "fig2": fig2_query,
+        "fig3": fig3_query,
+        "joinpush": join_push_query,
+    }
+    db = generate_music_database(
+        MusicConfig(lineages=2, generations=5, works_per_composer=2, seed=seed)
+    )
+    db.build_paper_indexes()
+    start = naive_optimizer(db.physical).optimize(queries[query_name]()).plan
+    rng = random.Random(seed)
+    model = DetailedCostModel(db.physical)
+    with model.memo_scope():
+        for extended in (False, True):
+            current = start
+            for _step in range(5):
+                options = neighbors(current, db.physical, extended=extended)
+                if not options:
+                    break
+                _description, current = rng.choice(options)
+                fresh = _fresh_report(db.physical, CostParameters(), current)
+                assert model.cost(current) == fresh.total
+
+
+def test_report_and_annotated_report_are_unchanged_inside_a_scope(workloads):
+    for db, graph in workloads.values():
+        plan = Optimizer(db.physical).optimize(graph).plan
+        fresh = _fresh(db.physical, CostParameters())
+        want_report = fresh.report(plan)
+        want_annotated, want_captured = fresh.annotated_report(plan)
+
+        model = DetailedCostModel(db.physical)
+        with model.memo_scope():
+            model.cost(plan)  # fill the memo first: every node is a hit now
+            got_report = model.report(plan)
+            got_annotated, got_captured = model.annotated_report(plan)
+        for got, want in ((got_report, want_report), (got_annotated, want_annotated)):
+            assert (got.total, got.io, got.cpu) == (want.total, want.io, want.cpu)
+            assert got.rows == want.rows
+        assert want_report.rows, "report() still builds the per-node table"
+        assert set(got_captured) == set(want_captured)
+        for node_id, want_entry in want_captured.items():
+            got_entry = got_captured[node_id]
+            assert (got_entry.cost, got_entry.tuples, got_entry.visits) == (
+                want_entry.cost,
+                want_entry.tuples,
+                want_entry.visits,
+            )
+
+
+def test_fix_breakdowns_are_filled_on_a_memo_hit_when_sharded(workloads):
+    params = PARAMS["shards"]
+    for db, graph in workloads.values():
+        plan = Optimizer(db.physical).optimize(graph).plan
+        fixes = [node for node in plan.walk() if isinstance(node, Fix)]
+        assert fixes
+        fresh = _fresh(db.physical, params)
+        fresh.cost(plan)
+        model = DetailedCostModel(db.physical, dataclasses.replace(params))
+        with model.memo_scope():
+            first = model.cost(plan)
+            second = model.cost(plan)  # cost() resets fix_breakdowns
+            assert first == second
+            for fix in fixes:
+                assert model.fix_breakdowns[id(fix)] == fresh.fix_breakdowns[id(fix)]
+
+
+def test_alpha_variants_get_their_own_entries(workloads):
+    """Entries are keyed on the term itself, not on its canonical
+    fingerprint: a renamed twin is costed on its own (and, renaming
+    being cost-neutral, to the same number)."""
+    db, graph = workloads["fig3"]
+    plan = Optimizer(db.physical).optimize(graph).plan
+    names = sorted(consumed_variables(plan))
+    twin = alpha_rename(plan, {name: f"{name}_p0" for name in names})
+    assert twin != plan
+    assert canonical_fingerprint(twin) == canonical_fingerprint(plan)
+    model = DetailedCostModel(db.physical)
+    with model.memo_scope():
+        assert model.cost(plan) == model.cost(twin)
+        roots = [key for key in model._memo if key[0] in (plan, twin)]
+        assert len(roots) == 2
+    assert model.cost(twin) == _fresh_report(db.physical, CostParameters(), twin).total
+
+
+def test_pij_entries_depend_on_what_the_whole_plan_consumes(music_db):
+    """The same PIJ subterm under two roots, only one of which reads
+    the intermediate variable: one scope must keep the two apart."""
+    physical = music_db.physical
+    plan = Optimizer(physical).optimize(_fig3_selective(music_db)).plan
+    pij = next(
+        node
+        for description, neighbor in neighbors(plan, physical)
+        if description.startswith("collapse")
+        for node in neighbor.walk()
+        if isinstance(node, PIJ) and not node.memo_traits()[0]
+    )
+    intermediate = pij.out_vars[0]
+    assert intermediate not in consumed_variables(pij)
+    reader = Sel(
+        pij, Comparison("=", PathRef(intermediate, ("title",)), Const("nothing"))
+    )
+    model = DetailedCostModel(physical)
+    with model.memo_scope():
+        unread_cost = model.cost(pij)
+        read_cost = model.cost(reader)
+        again = model.cost(pij)
+    assert unread_cost == again == _fresh_report(physical, CostParameters(), pij).total
+    assert read_cost == _fresh_report(physical, CostParameters(), reader).total
+
+
+# -- scope -------------------------------------------------------------------
+
+
+def test_nothing_outlives_the_scope(workloads):
+    db, graph = workloads["fig3"]
+    model = DetailedCostModel(db.physical)
+    optimizer = Optimizer(db.physical, model)
+    first = optimizer.optimize(graph)
+    assert model._memo is None and model.estimator._memo is None
+
+    # A params change between two optimize() calls is seen.
+    model.params.page_read *= 3.0
+    second = optimizer.optimize(graph)
+    assert model._memo is None and model.estimator._memo is None
+    expected = Optimizer(
+        db.physical,
+        DetailedCostModel(db.physical, dataclasses.replace(model.params)),
+    ).optimize(graph)
+    assert second.cost == expected.cost != first.cost
+    assert second.candidates == expected.candidates
+
+
+def test_the_scope_is_dropped_when_optimize_raises(workloads, monkeypatch):
+    db, graph = workloads["fig3"]
+    model = DetailedCostModel(db.physical)
+    optimizer = Optimizer(db.physical, model)
+
+    def boom(plan):
+        raise RuntimeError("transformPT failed")
+
+    monkeypatch.setattr(optimizer, "_transform_pt", boom)
+    with pytest.raises(RuntimeError):
+        optimizer.optimize(graph)
+    assert model._memo is None and model.estimator._memo is None
+
+
+def test_refreshed_statistics_are_seen():
+    db = generate_music_database(MusicConfig(lineages=4, generations=7))
+    db.build_paper_indexes()
+    graph = _fig3_selective(db)
+    before = Optimizer(db.physical).optimize(graph)
+    stats = db.physical.statistics
+    for index in range(200):
+        db.store.insert(
+            "Composer",
+            {"name": f"grown_{index:04d}", "birthyear": 1900, "master": None, "works": ()},
+        )
+    db.physical.refresh_statistics()
+    assert db.physical.statistics is not stats
+    after = Optimizer(db.physical).optimize(graph)
+    assert after.cost != before.cost
+    assert after.cost == _fresh_report(
+        db.physical, CostParameters(), after.plan
+    ).total
+
+
+def test_clustered_fraction_cache_is_cleared_by_refresh(music_db, monkeypatch):
+    stats = Statistics(music_db.store)
+    scans = []
+    original = Statistics._scan_clustered_fraction
+
+    def counting(self, owner, attribute):
+        scans.append((owner, attribute))
+        return original(self, owner, attribute)
+
+    monkeypatch.setattr(Statistics, "_scan_clustered_fraction", counting)
+    first = stats.clustered_fraction("Composer", "works")
+    assert stats.clustered_fraction("Composer", "works") == first
+    assert scans == [("Composer", "works")]
+    stats.refresh()
+    assert stats.clustered_fraction("Composer", "works") == first
+    assert len(scans) == 2
+
+
+# -- exception hygiene ---------------------------------------------------------
+
+
+def test_an_unexpected_catalog_error_propagates_out_of_cost(workloads, monkeypatch):
+    db, graph = workloads["fig3"]
+    plan = Optimizer(db.physical).optimize(graph).plan
+
+    def broken(owner, name):
+        raise RuntimeError("catalog is on fire")
+
+    monkeypatch.setattr(db.physical.catalog, "attribute", broken)
+    with pytest.raises(RuntimeError, match="on fire"):
+        DetailedCostModel(db.physical).cost(plan)
+
+
+def test_unknown_attributes_still_fall_back_to_the_defaults(music_db):
+    estimator = CardinalityEstimator(music_db.physical)
+    varmap = {"x": "Composer"}
+    typo = Comparison("=", PathRef("x", ("no_such_attribute",)), Const(1))
+    # A typo'd terminal is treated as a possible method: resolved to
+    # (entity, attr) and estimated from (absent) statistics, as before.
+    assert estimator._resolve_path(typo.left, varmap) == (
+        "Composer",
+        "no_such_attribute",
+        1.0,
+    )
+    assert estimator.predicate_selectivity(typo, varmap) == 1.0
+    # An unbound variable has nothing to resolve against.
+    unbound = Comparison("=", PathRef("y", ("name",)), Const("Bach"))
+    assert estimator.predicate_selectivity(unbound, varmap) == DEFAULT_EQ_SELECTIVITY
+    # A class with no extent degrades to "no entity", not an error.
+    assert estimator._entity_for_class("NoSuchClass") is None
+    assert estimator._expr_entity(PathRef("x", ("no_such_attribute",)), varmap) is None
+
+
+# -- the work itself, counted ----------------------------------------------------
+
+
+def test_one_optimize_derives_each_number_once(monkeypatch):
+    """The CI guard of the memo (no timing): one fig3-selective optimize
+    on the ``cold_optimize`` database.  Before the memo: 12–14k
+    ``estimate`` bodies, 1.2–1.3k ``_cost`` bodies and 160–190 extent
+    scans, depending on the text; with it 176 / 188 / 3."""
+    db = generate_music_database(MusicConfig(lineages=4, generations=7))
+    db.build_paper_indexes()
+    db.physical.refresh_statistics()
+    graph = _fig3_selective(db)
+    counts = {"estimate": 0, "cost": 0}
+    scans = []
+
+    def counted(cls, name, note):
+        original = getattr(cls, name)
+
+        def wrapper(self, *args):
+            note(*args)
+            return original(self, *args)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    def bump(name):
+        return lambda *_args: counts.__setitem__(name, counts[name] + 1)
+
+    counted(CardinalityEstimator, "_estimate", bump("estimate"))
+    counted(DetailedCostModel, "_dispatch", bump("cost"))
+    counted(Statistics, "_scan_clustered_fraction", lambda *pair: scans.append(pair))
+
+    result = Optimizer(db.physical, DetailedCostModel(db.physical)).optimize(graph)
+    assert result.plans_costed == 32
+    assert 0 < counts["estimate"] <= 250
+    assert 0 < counts["cost"] <= 600
+    assert len(scans) == len(set(scans))
+
+
+def test_temporaries_do_not_dirty_durable_statistics(monkeypatch):
+    db = generate_music_database(
+        MusicConfig(lineages=3, generations=5, works_per_composer=2, seed=42)
+    )
+    db.build_paper_indexes()
+    db.physical.refresh_statistics()
+    refreshes = []
+    original = Statistics.refresh
+
+    def counting_refresh(self):
+        refreshes.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Statistics, "refresh", counting_refresh)
+    closure = (
+        "view Influencer as "
+        "select [master: x.master, disciple: x, gen: 1] from x in Composer "
+        "union "
+        "select [master: i.master, disciple: x, gen: i.gen + 1] "
+        "from i in Influencer, x in Composer where i.disciple = x.master; "
+        "select [name: i.disciple.name, gen: i.gen] "
+        "from i in Influencer where i.gen >= {gen};"
+    )
+    service = QueryService(db, ServiceConfig())
+    try:
+        stats = db.physical.statistics
+        entities = len(stats._entities)
+        extents = len(db.store.extent_names())
+        for index in range(50):
+            response = service.run_query(closure.format(gen=1 + index % 4))
+            assert response["row_count"] > 0
+        assert db.physical.statistics is stats
+        assert refreshes == []
+        assert len(stats._entities) == entities
+        assert len(db.store.extent_names()) == extents
+
+        # A refresh is still a new object, and the plan cache sees it.
+        service.refresh_statistics()
+        assert db.physical.statistics is not stats
+        assert len(refreshes) == 1
+    finally:
+        service.close()
