@@ -17,7 +17,7 @@ import pytest
 from repro.core import Optimizer, OptimizerConfig, cost_controlled_optimizer
 from repro.core.moves import neighbors
 from repro.core.strategies import IterativeImprovement
-from repro.cost import CostParameters, DetailedCostModel
+from repro.cost import DetailedCostModel
 from repro.engine import Engine
 from repro.physical import ClusterTree, apply_clustering
 from repro.plans import (
@@ -159,9 +159,7 @@ def test_ablation_clustering(benchmark, report, table):
             )
             db.store.buffer.clear()
             run_result = Engine(db.physical).execute(plan)
-            model = DetailedCostModel(
-                db.physical, CostParameters(buffer_pages=2)
-            )
+            model = DetailedCostModel(db.physical)
             results[clustered] = (
                 run_result.metrics.buffer.physical_reads,
                 model.cost(plan),
@@ -204,7 +202,7 @@ def test_ablation_union_distribution(benchmark, report, table):
         MusicConfig(lineages=10, generations=8, buffer_pages=2, seed=73)
     )
     db.build_paper_indexes()
-    model = DetailedCostModel(db.physical, CostParameters(buffer_pages=2))
+    model = DetailedCostModel(db.physical)
     start = Proj(
         EJ(
             UnionOp(

@@ -13,7 +13,7 @@ from probe executions (`repro.cost.calibrate`) and checks:
 import pytest
 
 from repro.core import deductive_optimizer, naive_optimizer
-from repro.cost import CostParameters, DetailedCostModel, calibrate
+from repro.cost import DetailedCostModel, calibrate
 from repro.plans import EJ, IJ, PIJ, EntityLeaf, Proj, Sel
 from repro.querygraph.builder import const, eq, ge, out, path, var
 from repro.workloads import MusicConfig, fig3_query, generate_music_database
@@ -73,7 +73,7 @@ def test_calibration_fit_and_ranking(benchmark, report, table):
     assert fitted.residual < 0.2, f"poor fit: residual {fitted.residual:.3f}"
 
     # Held-out ranking check: the push decision on Figure 3.
-    params = fitted.to_parameters(CostParameters(buffer_pages=4))
+    params = fitted.to_parameters()
     model = DetailedCostModel(db.physical, params)
     graph = fig3_query(min_generations=4)
     unpushed = naive_optimizer(db.physical, model).optimize(graph)

@@ -26,7 +26,7 @@ from repro.core import (
     deductive_optimizer,
     naive_optimizer,
 )
-from repro.cost import CostParameters, DetailedCostModel
+from repro.cost import DetailedCostModel
 from repro.engine import Engine, ReferenceEvaluator
 from repro.querygraph.builder import and_, arc, const, eq, out, path, query, rule, spj
 from repro.querygraph.graph import QueryGraph
@@ -78,7 +78,7 @@ def sweep():
     points = []
     for lineages in SIZES:
         db = build_db(lineages)
-        model = DetailedCostModel(db.physical, CostParameters(buffer_pages=4))
+        model = DetailedCostModel(db.physical)
         for variant, graph in (
             ("selective", join_push_query()),
             ("unselective", unselective_join_query()),

@@ -20,7 +20,7 @@ optimizer picks the measured winner at both extremes.
 import pytest
 
 from repro.core import deductive_optimizer, naive_optimizer
-from repro.cost import CostParameters, DetailedCostModel
+from repro.cost import DetailedCostModel
 from repro.engine import Engine
 from repro.workloads import MusicConfig, fig3_query, generate_music_database
 
@@ -48,8 +48,7 @@ def sweep():
     points = []
     for fraction in FRACTIONS:
         db = build_db(fraction)
-        params = CostParameters(buffer_pages=4)
-        model = DetailedCostModel(db.physical, params)
+        model = DetailedCostModel(db.physical)
         graph = fig3_query(min_generations=4)
         unpushed = naive_optimizer(db.physical, model).optimize(graph)
         pushed = deductive_optimizer(db.physical, model).optimize(graph)

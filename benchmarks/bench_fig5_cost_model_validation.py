@@ -17,7 +17,7 @@ must grow monotonically with database size.
 import pytest
 from scipy import stats as scipy_stats
 
-from repro.cost import CostParameters, DetailedCostModel
+from repro.cost import DetailedCostModel
 from repro.engine import Engine
 from repro.plans import EJ, IJ, PIJ, EntityLeaf, Fix, Proj, RecLeaf, Sel, UnionOp
 from repro.querygraph.builder import add, const, eq, ge, out, path, var
@@ -117,9 +117,7 @@ def measurements():
     rows = []
     for lineages in SIZES:
         db = build_db(lineages)
-        model = DetailedCostModel(
-            db.physical, CostParameters(buffer_pages=8)
-        )
+        model = DetailedCostModel(db.physical)
         engine = Engine(db.physical)
         for name, plan in corpus():
             estimated = model.cost(plan)

@@ -17,7 +17,7 @@ be re-based on measured machine constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy
@@ -89,18 +89,12 @@ class CalibratedWeights:
     def to_parameters(self, base: Optional[CostParameters] = None) -> CostParameters:
         """Project the fitted weights onto detailed-model parameters."""
         base = base or CostParameters()
-        return CostParameters(
+        return replace(
+            base,
             page_read=max(self.weights["physical_reads"], 1e-9),
             eval_per_tuple=max(self.weights["predicate_evals"], 1e-9),
             tuple_cpu=max(self.weights["tuples"], 1e-9),
             index_page=max(self.weights["index_page_reads"], 1e-9),
-            buffer_pages=base.buffer_pages,
-            temp_records_per_page=base.temp_records_per_page,
-            default_fix_iterations=base.default_fix_iterations,
-            default_delta_decay=base.default_delta_decay,
-            parallelism=base.parallelism,
-            parallel_overhead=base.parallel_overhead,
-            batch_size=base.batch_size,
             # Weights fitted before the batches event existed fall back
             # to the reference per-batch charge.
             batch_overhead=max(
@@ -112,8 +106,6 @@ class CalibratedWeights:
             column_touch=max(
                 self.weights.get("column_touches", base.column_touch), 1e-9
             ),
-            shards=base.shards,
-            shard_skew=base.shard_skew,
             # Network weights: a workload that never ran sharded leaves
             # the exchange columns zero — keep the base charges rather
             # than zeroing the distributed model's network terms.

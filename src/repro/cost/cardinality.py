@@ -144,7 +144,7 @@ class CardinalityEstimator:
         self, physical: PhysicalSchema, params: Optional[CostParameters] = None
     ) -> None:
         self.physical = physical
-        self.params = params or CostParameters()
+        self.params = (params or CostParameters()).resolved(physical.store)
         self.stats = physical.statistics
         #: (node, visible env) -> NodeEstimate, inside a memo scope.
         self._memo: Optional[Dict[tuple, NodeEstimate]] = None

@@ -128,7 +128,9 @@ class DetailedCostModel:
         params: Optional[CostParameters] = None,
     ) -> None:
         self.physical = physical
-        self.params = params or CostParameters()
+        #: Resolved once against the live store: ``buffer_pages`` and
+        #: ``temp_records_per_page`` are plain ints from here on.
+        self.params = (params or CostParameters()).resolved(physical.store)
         self.estimator = CardinalityEstimator(physical, self.params)
         self.stats = physical.statistics
         #: When set (by :meth:`annotated_report`), ``_cost`` records a

@@ -11,7 +11,8 @@ the same weights).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Optional
 
 __all__ = ["CostParameters", "SimplifiedParameters"]
 
@@ -31,10 +32,13 @@ class CostParameters:
     #: Buffer capacity assumed by the model, in pages.  The model uses
     #: it to discount repeated accesses to small entities ("some of the
     #: needed data are already in main memory", Section 3.2 footnote).
-    buffer_pages: int = 256
+    #: ``None`` (the default) means the capacity of the buffer pool of
+    #: the store being priced; a number is a what-if override.
+    buffer_pages: Optional[int] = None
     #: Records per page assumed for temporaries whose layout is not yet
-    #: known.
-    temp_records_per_page: int = 20
+    #: known.  ``None`` (the default) means the page size the store
+    #: gives a new extent; a number is a what-if override.
+    temp_records_per_page: Optional[int] = None
     #: Default iteration count for fixpoints whose recursion statistics
     #: are unavailable.
     default_fix_iterations: int = 8
@@ -91,6 +95,26 @@ class CostParameters:
     #: >= 1.0); the ``gamma`` term — a barrier round is gated by its
     #: most loaded shard.
     shard_skew: float = 1.0
+
+    def resolved(self, store) -> "CostParameters":
+        """These parameters with the two machine facts concrete: a
+        field left ``None`` takes the value of ``store`` (an
+        :class:`~repro.physical.storage.ObjectStore`).  Returns
+        ``self`` when both are already numbers, so a caller's explicit
+        parameter object stays the one the model reads."""
+        buffer_pages = self.buffer_pages
+        records_per_page = self.temp_records_per_page
+        if buffer_pages is not None and records_per_page is not None:
+            return self
+        if buffer_pages is None:
+            buffer_pages = store.buffer.capacity
+        if records_per_page is None:
+            records_per_page = store.default_records_per_page
+        return replace(
+            self,
+            buffer_pages=buffer_pages,
+            temp_records_per_page=records_per_page,
+        )
 
 
 @dataclass

@@ -17,8 +17,10 @@ and *re-execute* the request on another machine into one JSON bundle:
     plan                {fingerprint, rendered, estimated_cost}
     knobs               {parallelism, batch_size, shards,
                          max_fix_iterations}
-    cost_parameters     the CostParameters the optimizer priced with
-                        (null = stock defaults)
+    cost_parameters     the CostParameters the optimizer priced with,
+                        buffer_pages / temp_records_per_page resolved
+                        against the recorded store, so replay prices
+                        the recorded machine
     database            the seeded generator recipe the store was
                         built from ({db, seed, lineages, generations,
                         selectivity, buffer_pages}) — replay rebuilds
@@ -152,6 +154,7 @@ def build_bundle(
     # in the import graph (the service imports the recorder).
     from dataclasses import asdict
 
+    from repro.cost.params import CostParameters
     from repro.plans import render_tree
     from repro.service.plan_cache import schema_fingerprint, stats_fingerprint
 
@@ -173,8 +176,8 @@ def build_bundle(
             "estimated_cost": round(estimated_cost, 4),
         },
         "knobs": dict(knobs),
-        "cost_parameters": (
-            asdict(cost_parameters) if cost_parameters is not None else None
+        "cost_parameters": asdict(
+            (cost_parameters or CostParameters()).resolved(physical.store)
         ),
         "database": dict(database) if database else None,
         "store": {

@@ -378,7 +378,8 @@ class QueryService:
         """Built-in unit costs, at the service's default parallelism —
         the parallel-Fix cost variant must see the worker count the
         engine will actually use, or transformPT's push comparison
-        would be priced for the wrong machine."""
+        would be priced for the wrong machine.  Pool capacity and page
+        size stay unset: the model takes them from the store."""
         params = CostParameters()
         params.parallelism = max(1, self.config.parallelism)
         params.batch_size = self.config.batch_size or default_batch_size()

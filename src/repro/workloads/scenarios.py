@@ -69,12 +69,9 @@ def compare_push_policies(
     plans, cold, under model and measurement."""
     db = generate_music_database(config)
     db.build_paper_indexes()
-    params = CostParameters(
-        buffer_pages=buffer_pages
-        if buffer_pages is not None
-        else config.buffer_pages
+    model = DetailedCostModel(
+        db.physical, CostParameters(buffer_pages=buffer_pages)
     )
-    model = DetailedCostModel(db.physical, params)
     graph = graph_factory()
     unpushed = naive_optimizer(db.physical, model).optimize(graph)
     pushed = deductive_optimizer(db.physical, model).optimize(graph)

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import io
+import re
 
 import pytest
 
@@ -132,6 +133,28 @@ class TestExplain:
         assert code == 0
         assert "Section 4.6" in output
         assert "T1" in output
+
+    def test_buffer_pages_reaches_the_cost_model(self, recursive_file):
+        # 128 composers at 20 records/page: a 7-page extent, which a
+        # 4-page pool cannot hold and a 256-page pool can.
+        def estimated_io(buffer_pages):
+            code, output = run_cli(
+                [
+                    "explain",
+                    recursive_file,
+                    "--lineages",
+                    "16",
+                    "--generations",
+                    "8",
+                    "--buffer-pages",
+                    str(buffer_pages),
+                ]
+            )
+            assert code == 0
+            match = re.search(r"^total \S+ \(io ([\d.]+),", output, re.M)
+            return float(match.group(1))
+
+        assert estimated_io(4) > estimated_io(256)
 
 
 class TestDemoAndParts:

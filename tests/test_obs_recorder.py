@@ -21,6 +21,7 @@ from repro.obs.recorder import (
     load_bundle,
     replay_bundle,
 )
+from repro.workloads import MusicConfig, generate_music_database
 
 RECIPE = {"db": "music", "seed": 21, "lineages": 3, "generations": 6}
 
@@ -182,6 +183,37 @@ class TestReplay:
         bundle["database"] = None
         report = replay_bundle(bundle, database=db)
         assert report["matched"]
+
+    def test_replay_prices_the_recorded_machine(self):
+        # Same data, two machines: under the recorded 6-page pool the
+        # closure's Fix-body EJ keeps Composer (8 pages) as the outer
+        # operand; a 256-page pool holds the extent and flips it.
+        def database(buffer_pages):
+            db = generate_music_database(
+                MusicConfig(
+                    lineages=8,
+                    generations=8,
+                    works_per_composer=2,
+                    records_per_page=8,
+                    buffer_pages=buffer_pages,
+                    seed=0,
+                )
+            )
+            db.build_paper_indexes()
+            return db
+
+        bundle = run_and_bundle(FIG3, database(6))
+        assert bundle["cost_parameters"]["buffer_pages"] == 6
+        assert bundle["cost_parameters"]["temp_records_per_page"] == 8
+        bundle = json.loads(json.dumps(bundle, default=str))
+        bundle["database"] = None
+
+        roomy = database(256)
+        graph = compile_text(FIG3, roomy.catalog)
+        unaided = cost_controlled_optimizer(roomy.physical).optimize(graph)
+        assert plan_fingerprint(unaided.plan) != bundle["plan"]["fingerprint"]
+        report = replay_bundle(bundle, database=roomy)
+        assert report["plan_match"] and report["matched"]
 
     def test_replay_without_recipe_or_database_fails(self):
         db = database_from_config(RECIPE)
