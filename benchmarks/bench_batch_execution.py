@@ -94,8 +94,8 @@ def spj_plan():
 
 def contains_plan():
     """The ``Contains`` closure of one assembly as a pointer-join PT
-    (same shape as the parallel-fixpoint bench: index-selected base
-    part, one IJ hop ``r.component.subparts`` per delta tuple)."""
+    (index-selected base part, one IJ hop ``r.component.subparts`` per
+    delta tuple)."""
     base = Proj(
         IJ(
             Sel(

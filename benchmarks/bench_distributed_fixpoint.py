@@ -4,10 +4,10 @@ The distributed fixpoint (``repro.dist``) hash-partitions each round's
 delta across shard workers, each a zero-copy replica of the store
 behind its **own buffer pool**; a physical page miss sleeps outside
 the pool lock, so misses on different shards overlap.  This benchmark
-makes the paper's Figure 3 ``Influencer`` closure I/O-bound the same
-way the parallel-fixpoint bench does — one record per page, a buffer
-pool far smaller than the working set, a fixed per-miss device
-latency — and runs the optimizer's plan for a roomy pool (see
+makes the paper's Figure 3 ``Influencer`` closure I/O-bound — one
+record per page, a buffer pool far smaller than the working set, a
+fixed per-miss device latency — and runs the optimizer's plan for a
+roomy pool (see
 ``PLAN_MACHINE``) at shard widths 1, 2 and 4.
 
 Width 1 is the serial engine (the shards knob bypasses the dist layer

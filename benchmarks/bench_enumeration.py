@@ -4,8 +4,8 @@ The transformation-based enumerator (``--strategy enum``) explores the
 same move graph as II/SA/2PO but deterministically, costing each
 canonical subplan once (memo table) and pruning against the incumbent.
 The claim this benchmark gates, per fig7 configuration (fig3 recursive
-query and the join-push query, under the serial / parallel-4 /
-shards-4 cost variants):
+query and the join-push query, under the serial / shards-4 cost
+variants):
 
   * **optimality** — the enum plan costs no more than the best plan
     any randomized strategy finds on the same configuration, and
@@ -39,7 +39,6 @@ QUERIES = {
 
 CONFIGS = {
     "serial": {},
-    "parallel4": {"parallelism": 4},
     "shards4": {"shards": 4},
 }
 

@@ -163,23 +163,6 @@ def check_feedback_calibration(gate, fresh, baseline):
     )
 
 
-def check_parallel_fixpoint(gate, fresh, baseline):
-    floor = fresh.get("required_speedup@4", 1.5)
-    gate.absolute(
-        "parallel_fixpoint",
-        "speedup@4 claim",
-        fresh.get("speedup@4", 0.0),
-        floor,
-    )
-    for metric in ("speedup@2", "speedup@4"):
-        gate.check(
-            "parallel_fixpoint",
-            metric,
-            fresh.get(metric, 0.0),
-            baseline.get(metric, 0.0),
-        )
-
-
 def check_distributed_fixpoint(gate, fresh, baseline):
     floor = fresh.get("required_speedup@4", 1.5)
     gate.absolute(
@@ -291,7 +274,6 @@ CHECKERS = {
     "BENCH_obs_overhead.json": check_obs_overhead,
     "BENCH_claim_strategy_time.json": check_strategy_time,
     "BENCH_feedback_calibration.json": check_feedback_calibration,
-    "BENCH_parallel_fixpoint.json": check_parallel_fixpoint,
     "BENCH_distributed_fixpoint.json": check_distributed_fixpoint,
     "BENCH_batch_execution.json": check_batch_execution,
 }

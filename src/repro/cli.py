@@ -112,13 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--limit", type=int, default=20, help="max rows to print"
     )
     run_parser.add_argument(
-        "--parallelism",
-        type=int,
-        default=1,
-        help="worker threads for fixpoint evaluation (1 = serial "
-        "semi-naive loop)",
-    )
-    run_parser.add_argument(
         "--batch-size",
         type=int,
         default=None,
@@ -236,13 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=4,
         help="execution slots before requests queue",
-    )
-    serve_parser.add_argument(
-        "--parallelism",
-        type=int,
-        default=1,
-        help="default fixpoint parallelism per query (requests may "
-        "override; a parallelism-N query reserves N execution slots)",
     )
     serve_parser.add_argument(
         "--batch-size",
@@ -543,7 +529,6 @@ def cmd_run(args, out) -> int:
         cluster = ShardCluster(db.physical, shards)
     engine = Engine(
         db.physical,
-        parallelism=max(1, getattr(args, "parallelism", 1)),
         batch_size=getattr(args, "batch_size", None),
         shards=shards,
         cluster=cluster,
@@ -760,7 +745,6 @@ def cmd_serve(args, out, server_box=None) -> int:
             cost_budget=args.budget,
             default_timeout=args.timeout,
             max_concurrent=args.max_concurrent,
-            parallelism=max(1, args.parallelism),
             batch_size=args.batch_size,
             shards=max(1, args.shards),
             strategy=args.strategy if args.strategy != "ii" else None,

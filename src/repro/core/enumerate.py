@@ -28,10 +28,9 @@ arXiv 2605.05044):
   (:func:`repro.core.baselines.brute_force_enumerate`).
 
 The strategy is cost-model-aware by construction: it only ever calls
-the ``cost_fn`` it is handed, so the serial, parallel
-(``CostParameters.parallelism``) and distributed
+the ``cost_fn`` it is handed, so the serial and distributed
 (``CostParameters.shards``, :mod:`repro.cost.distributed`) Fix
-variants all steer the search.  Search effort is observable: every
+variants both steer the search.  Search effort is observable: every
 costed candidate emits the standard ``strategy.candidate`` tracer
 event, and a final ``enumeration.memo`` event (plus
 :attr:`MemoizedEnumeration.last_stats`) carries the memo statistics

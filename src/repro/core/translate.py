@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import OptimizationError, UnknownAttributeError
+from repro.errors import OptimizationError, UnknownAttributeError, UnknownEntityError
 from repro.physical.schema import PhysicalSchema
 from repro.querygraph.graph import Arc, OutputField, OutputSpec, SPJNode
 from repro.querygraph.predicates import (
@@ -287,7 +287,7 @@ class Translator:
     ) -> Optional[Hop]:
         try:
             target_entity = self.physical.primary_entity(target_class).name
-        except Exception:
+        except UnknownEntityError:
             return None
         out_var = self.fresh_var(source_attrs[-1][:4])
         hop = Hop(
@@ -355,7 +355,7 @@ class Translator:
             return None
         try:
             target_entity = self.physical.primary_entity(target_class).name
-        except Exception:
+        except UnknownEntityError:
             return None
         out_var = self.fresh_var(attr[:4])
         hop = Hop(PathRef(var, (attr,)), target_class, target_entity, out_var, multivalued)

@@ -721,15 +721,6 @@ class DetailedCostModel:
         once per estimated semi-naive iteration against that
         iteration's delta size.
 
-        With ``params.parallelism > 1`` each round's cost is divided by
-        the effective worker count for that round (workers cannot
-        exceed the number of base parts in the base round, nor the
-        delta tuples available to partition in a recursive round) plus
-        a per-delta-tuple partition/merge term — keeping transformPT's
-        push-vs-no-push comparison honest under a parallel engine: a
-        pushed selection shrinks the deltas, which shrinks both the
-        divided per-round cost *and* the partition overhead.
-
         With ``params.shards > 1`` the distributed-Fix variant applies
         instead: each round's serial cost is priced both shard-local
         (no exchange, pay the configured skew) and repartitioned
@@ -737,7 +728,7 @@ class DetailedCostModel:
         is charged, plus the gather leg's network cost for the tuples
         the round produces (see :mod:`repro.cost.distributed`).  Every
         distributed term is gated behind ``shards > 1``, so at one
-        shard this is bit-for-bit the serial (or parallel) formula.
+        shard this is bit-for-bit the serial formula.
         """
         from repro.cost.distributed import (
             exchange_cost,
@@ -751,7 +742,6 @@ class DetailedCostModel:
         body_shape = TupleShape(
             dict(shape.fields), frozenset(node.invariant_fields)
         )
-        parallelism = max(1, self.params.parallelism)
         shards = max(1, self.params.shards)
         distributed = shards > 1
 
@@ -782,9 +772,8 @@ class DetailedCostModel:
                 "skew": max(1.0, self.params.shard_skew),
             }
         else:
-            base_workers = min(parallelism, len(base_parts))
-            io += base_io / base_workers
-            cpu += base_cpu / base_workers
+            io += base_io
+            cpu += base_cpu
 
         def round_cost(delta: float, produced: float) -> None:
             nonlocal io, cpu
@@ -813,11 +802,8 @@ class DetailedCostModel:
                 breakdown["network"] += dist["network"] + gather
                 breakdown["disk_base"] += dist["scan_io"]
                 return
-            workers = min(parallelism, max(1.0, delta))
-            io += round_io / workers
-            cpu += round_cpu / workers
-            if parallelism > 1:
-                cpu += delta * self.params.parallel_overhead
+            io += round_io
+            cpu += round_cpu
 
         for index, delta in enumerate(
             deltas[:-1] if len(deltas) > 1 else deltas[:0]
@@ -829,12 +815,11 @@ class DetailedCostModel:
         if len(deltas) > 1:
             round_cost(deltas[-1], 0.0)
         # Materializing and deduplicating the accumulated result (the
-        # striped seen-set merge under parallelism, the coordinator
-        # seen-set under sharding), plus re-emitting it in batches from
-        # the temporary.
+        # coordinator seen-set under sharding), plus re-emitting it in
+        # batches from the temporary.
         cpu += fix_est.tuples * self.params.tuple_cpu
         cpu += self._batch_cost(fix_est.tuples)
-        if distributed or parallelism > 1:
+        if distributed:
             cpu += fix_est.tuples * self.params.parallel_overhead
         if breakdown is not None:
             breakdown["disk"] = breakdown["disk_base"] * breakdown["skew"]

@@ -45,14 +45,9 @@ class CostParameters:
     #: Default per-iteration delta decay when chain statistics are
     #: unavailable (fraction of the frontier surviving one iteration).
     default_delta_decay: float = 0.8
-    #: Worker threads the engine devotes to one fixpoint.  At 1 (the
-    #: default) the Fix formula is the paper's serial sum; above 1 the
-    #: parallel-Fix variant divides each iteration's cost by the
-    #: effective worker count (capped by that iteration's delta size)
-    #: and adds the partition/merge term below.
-    parallelism: int = 1
-    #: CPU cost per delta tuple for hash-partitioning the delta and
-    #: merging worker results through the striped seen-set.
+    #: CPU cost per tuple of the distributed coordinator's merge: the
+    #: gathered shard results deduplicated through its seen-set (only
+    #: charged at ``shards > 1``).
     parallel_overhead: float = 0.001
     #: Bindings per batch the engine's operators exchange.  Every
     #: operator pays the per-batch overhead below once per
@@ -80,7 +75,7 @@ class CostParameters:
     column_touch: float = 0.0002
     #: Shard fan-out the engine devotes to one fixpoint.  At 1 (the
     #: default) every distributed term below is inert and the Fix
-    #: formula is exactly the serial (or parallel) sum; above 1 the
+    #: formula is exactly the paper's serial sum; above 1 the
     #: distributed-Fix variant divides each round across shards, adds
     #: the network terms for both exchange legs and applies the skew
     #: multiplier (see :mod:`repro.cost.distributed`).

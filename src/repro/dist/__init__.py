@@ -3,8 +3,8 @@ scatter-gather semi-naive fixpoint.
 
 Layout:
 
-* :mod:`repro.dist.partition` — placement metadata (:class:`ShardMap`)
-  and the hash/range shard-of functions;
+* :mod:`repro.dist.partition` — placement metadata (:class:`ShardMap`),
+  hash/range shard-of functions and the delta partitioner;
 * :mod:`repro.dist.exchange` — tuples as line-JSON frames (the service
   protocol's framing) plus exchange-volume accounting and the
   per-shard telemetry sink;

@@ -2,10 +2,9 @@
 
 :class:`ShardCluster` owns N :class:`~repro.dist.shard.ShardWorker`
 replicas of a physical schema plus the pool their tasks run on.
-:func:`run_fixpoint_distributed` is the distributed twin of
-:func:`repro.engine.parallel.run_fixpoint_parallel`: the same
-semi-naive structure, but each round is a **scatter-gather exchange**
-instead of an in-process fan-out —
+:func:`run_fixpoint_distributed` is the distributed twin of the
+serial loop in :mod:`repro.engine.fixpoint`: the same semi-naive
+structure, but each round is a **scatter-gather exchange** —
 
 1. *partition*: the coordinator hash-partitions the round's delta on
    the recursion-binding columns (one slice per shard; parts whose
@@ -22,12 +21,12 @@ instead of an in-process fan-out —
    and materializes the fresh tuples as the next delta.
 
 Rounds are barriers and slices are disjoint, so answer sets and
-per-node tuple counts match the serial evaluator exactly (the same
-additivity argument as the parallel path).  The first shard error
-aborts the remaining work of the round and re-raises in the
-coordinator; ``Engine.execute``'s cleanup then drops the coordinator
-temp, and each session's ``close()`` drops its shard-local staging
-extents — failure semantics are documented in
+per-node tuple counts match the serial evaluator exactly (the
+additivity argument is :func:`repro.dist.partition.partitionable`'s).
+The first shard error aborts the remaining work of the round and
+re-raises in the coordinator; ``Engine.execute``'s cleanup then drops
+the coordinator temp, and each session's ``close()`` drops its
+shard-local staging extents — failure semantics are documented in
 ``docs/architecture.md``.
 """
 
@@ -39,14 +38,14 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.dist import exchange
-from repro.dist.partition import ShardMap
-from repro.dist.shard import ShardSession, ShardWorker
-from repro.engine.fixpoint import key_of_normalized, partition_parts
-from repro.engine.parallel import (
+from repro.dist.partition import (
+    ShardMap,
     _rebinding_fields,
     partition_delta,
     partitionable,
 )
+from repro.dist.shard import ShardSession, ShardWorker
+from repro.engine.fixpoint import key_of_normalized, partition_parts
 from repro.errors import FixpointLimitError
 from repro.obs.log import get_logger
 from repro.obs.trace import NULL_TRACER
@@ -153,8 +152,8 @@ def run_fixpoint_distributed(
     shards: int,
 ) -> str:
     """Evaluate ``fix`` as distributed scatter-gather rounds; returns
-    the coordinator temp entity name (same contract as the serial and
-    parallel paths)."""
+    the coordinator temp entity name (same contract as the serial
+    path)."""
     width = max(1, min(shards, cluster.shards))
     if width <= 1:
         from repro.engine.fixpoint import run_fixpoint_serial

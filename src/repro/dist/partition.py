@@ -11,10 +11,10 @@ Two placement kinds, mirroring the classical distributed-query split:
 * **partitioned** — tuples are divided across shards by a hash (or
   range) of a key.  The recursion's tuple space is partitioned this
   way at runtime: each semi-naive round hashes the delta on the
-  recursion-binding columns, so each shard owns a disjoint slice of
-  new-tuple discovery (the same partition function as
-  :func:`repro.engine.parallel.partition_delta`, so the distributed
-  rounds inherit the parallel path's count-additivity argument).
+  recursion-binding columns (:func:`partition_delta`), so each shard
+  owns a disjoint slice of new-tuple discovery.  Only parts where that
+  split keeps per-node tuple counts additive over the slices are
+  partitioned (:func:`partitionable`); the rest take the whole delta.
 
 :class:`ShardMap` records these placements; the shard-key-aware cost
 mode (:mod:`repro.cost.distributed`) consults the same notions to
@@ -26,16 +26,35 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["hash_shard", "range_shard", "ShardMap"]
+from repro.physical.storage import StoredRecord
+from repro.plans.nodes import (
+    EJ,
+    IJ,
+    PIJ,
+    Fix,
+    Materialize,
+    PlanNode,
+    Proj,
+    RecLeaf,
+    Sel,
+)
+
+__all__ = [
+    "hash_shard",
+    "range_shard",
+    "ShardMap",
+    "parallel_safe",
+    "partitionable",
+    "partition_delta",
+]
 
 REPLICATED = "replicated"
 PARTITIONED = "partitioned"
 
 
 def hash_shard(key: Tuple[object, ...], shards: int) -> int:
-    """Deterministic shard index of a partition-key tuple; identical
-    hashing semantics to the parallel fixpoint's delta partitioner
-    (including the unhashable-value fallback)."""
+    """Deterministic shard index of a partition-key tuple (an
+    unhashable field value falls back to hashing the key's repr)."""
     try:
         return hash(key) % shards
     except TypeError:  # an unhashable field value; rare but legal
@@ -47,6 +66,77 @@ def range_shard(value, boundaries: Sequence[object]) -> int:
     is the sorted list of split points; values below the first boundary
     go to shard 0, between boundary ``i-1`` and ``i`` to shard ``i``."""
     return bisect_right(list(boundaries), value)
+
+
+def parallel_safe(fix: Fix) -> bool:
+    """Whether a Fix body may be evaluated by concurrent workers.
+
+    A nested ``Fix`` or ``Materialize`` inside a part registers
+    temporaries and consults the per-execution fix cache — shared
+    mutable state whose dedup-by-caching makes tuple counts depend on
+    evaluation order.  Such bodies take the serial path.
+    """
+    return not any(
+        isinstance(node, (Fix, Materialize)) for node in fix.body.walk()
+    )
+
+
+def partitionable(part: PlanNode, name: str) -> bool:
+    """Whether hash-partitioning the delta preserves ``part``'s
+    semantics and per-node tuple counts.
+
+    True when the part contains exactly one recursion reference and it
+    sits on the driving (outer) chain — ``Sel``/``Proj``/``IJ``/``PIJ``
+    descend to their child, ``EJ`` to its left operand.  Every other
+    operator's work is then a function of the delta tuples flowing
+    past it, so counts are additive over disjoint slices.  A recursion
+    reference on an inner (re-scanned) side would instead be rescanned
+    per slice, multiplying the outer side's work.
+    """
+    references = [
+        node
+        for node in part.walk()
+        if isinstance(node, RecLeaf) and node.name == name
+    ]
+    if len(references) != 1:
+        return False
+    node = part
+    while True:
+        if isinstance(node, RecLeaf):
+            return node.name == name
+        if isinstance(node, (Sel, Proj, IJ, PIJ)):
+            node = node.child
+        elif isinstance(node, EJ):
+            node = node.left
+        else:
+            return False
+
+
+def _rebinding_fields(fix: Fix, delta: Sequence[StoredRecord]) -> List[str]:
+    """The recursion-binding columns: the tuple fields rewritten from
+    one iteration to the next (everything but the invariant fields).
+    Falls back to the full field set when all fields are invariant."""
+    if not delta:
+        return []
+    fields = sorted(delta[0].values)
+    rebinding = [f for f in fields if f not in fix.invariant_fields]
+    return rebinding or fields
+
+
+def partition_delta(
+    delta: Sequence[StoredRecord],
+    workers: int,
+    fields: Sequence[str],
+) -> List[List[StoredRecord]]:
+    """Hash-partition delta records on their recursion-binding columns
+    into ``workers`` (possibly empty) disjoint slices; deterministic
+    for a given delta content."""
+    slices: List[List[StoredRecord]] = [[] for _ in range(workers)]
+    for record in delta:
+        values = record.values
+        key = tuple(values.get(field) for field in fields)
+        slices[hash_shard(key, workers)].append(record)
+    return slices
 
 
 class ShardMap:

@@ -1,6 +1,5 @@
-"""Execution engine: plan evaluator, semi-naive fixpoint (serial and
-hash-partitioned parallel), reference (ground-truth) evaluator and
-runtime metrics."""
+"""Execution engine: plan evaluator, semi-naive fixpoint, reference
+(ground-truth) evaluator and runtime metrics."""
 
 from repro.engine.batch import Batch, DEFAULT_BATCH_SIZE, default_batch_size
 from repro.engine.cancel import CancellationToken
@@ -14,12 +13,6 @@ from repro.engine.eval_expr import (
 from repro.engine.evaluator import Engine, ExecutionResult
 from repro.engine.fixpoint import flatten_union, partition_parts
 from repro.engine.metrics import RuntimeMetrics
-from repro.engine.parallel import (
-    parallel_safe,
-    partition_delta,
-    partitionable,
-    run_fixpoint_parallel,
-)
 from repro.engine.reference import ReferenceEvaluator
 
 __all__ = [
@@ -36,10 +29,6 @@ __all__ = [
     "ExecutionResult",
     "flatten_union",
     "partition_parts",
-    "parallel_safe",
-    "partition_delta",
-    "partitionable",
-    "run_fixpoint_parallel",
     "RuntimeMetrics",
     "ReferenceEvaluator",
 ]

@@ -2,8 +2,8 @@
 
 :class:`ExecutionContext` bundles everything that varies per run of a
 plan — the cancellation token, the optional profiler and the
-``parallelism`` / ``batch_size`` / ``shards`` knobs — so callers (CLI,
-service, tests) thread one object instead of a growing keyword list.
+``batch_size`` / ``shards`` knobs — so callers (CLI, service, tests)
+thread one object instead of a growing keyword list.
 ``Engine.execute`` still accepts the individual keywords for
 convenience; an explicit context wins over them.
 
@@ -57,10 +57,6 @@ class ExecutionContext:
     cancel: Optional[CancellationToken] = None
     #: Per-node runtime profiler (EXPLAIN ANALYZE); None = no metering.
     profiler: Optional[PlanProfiler] = None
-    #: Worker threads a fixpoint may use; 1 = serial semi-naive loop,
-    #: >1 = hash-partitioned parallel evaluation
-    #: (:mod:`repro.engine.parallel`).
-    parallelism: int = 1
     #: Bindings per batch exchanged between operators; None keeps the
     #: engine's configured size, 1 pins the exact tuple-at-a-time
     #: compatibility semantics.
@@ -71,6 +67,5 @@ class ExecutionContext:
     shards: int = 1
 
     def __post_init__(self) -> None:
-        validate_knob("parallelism", self.parallelism)
         validate_knob("batch_size", self.batch_size)
         validate_knob("shards", self.shards)

@@ -111,7 +111,6 @@ class Engine:
         physical: PhysicalSchema,
         max_fix_iterations: int = 256,
         keep_temps: bool = False,
-        parallelism: int = 1,
         batch_size: Optional[int] = None,
         shards: int = 1,
         cluster=None,
@@ -123,10 +122,6 @@ class Engine:
         #: looping unbounded on pathological cyclic data.
         self.max_fix_iterations = max_fix_iterations
         self.keep_temps = keep_temps
-        validate_knob("parallelism", parallelism)
-        #: Worker threads a fixpoint may use; >1 routes Fix evaluation
-        #: through :mod:`repro.engine.parallel`.
-        self.parallelism = parallelism
         if batch_size is None:
             batch_size = default_batch_size()
         validate_knob("batch_size", batch_size)
@@ -200,14 +195,12 @@ class Engine:
         ``context`` is an optional
         :class:`~repro.engine.context.ExecutionContext` bundling the
         per-run knobs; its fields win over the individual keywords
-        (and its ``parallelism``/``batch_size`` over the engine
-        defaults).
+        (and its ``batch_size``/``shards`` over the engine defaults).
         """
         if context is not None:
             cancel = context.cancel if context.cancel is not None else cancel
             if context.profiler is not None:
                 profiler = context.profiler
-            self.parallelism = context.parallelism
             if context.batch_size is not None:
                 self.batch_size = context.batch_size
             self.shards = context.shards
@@ -250,54 +243,20 @@ class Engine:
             local.evictions + shard.evictions,
         )
         if profiler is not None:
-            # Includes worker/shard views merged during the fixpoint —
+            # Includes shard views merged during the fixpoint —
             # the overhead governor charges its budget against this.
             self.metrics.obs_probes = profiler.probe_count()
         return ExecutionResult(rows, self.metrics)
 
     # -- engine services used by the fixpoint modules -------------------------------
 
-    def worker_clone(self) -> "Engine":
-        """A thread-confined view of this engine for parallel fixpoint
-        workers: shares the store, schema, plan metadata, temp ledger
-        and cancellation token, but owns its metrics, expression
-        evaluator and profiler view so counter updates never race.
-        The owned counters are flushed back via :meth:`absorb_worker`.
-        """
-        clone = Engine.__new__(Engine)
-        clone.physical = self.physical
-        clone.store = self.store
-        clone.max_fix_iterations = self.max_fix_iterations
-        clone.keep_temps = self.keep_temps
-        clone.parallelism = 1  # workers never nest pools
-        clone.batch_size = self.batch_size
-        clone.shards = 1
-        clone.cluster = None
-        clone.cancel_token = self.cancel_token
-        clone.metrics = RuntimeMetrics()
-        clone._node_ids = self._node_ids
-        clone._temps_created = self._temps_created
-        clone._consumed_vars = self._consumed_vars
-        clone._fix_cache = {}
-        clone._shard_buffer = BufferStats()
-        clone.tracer = NULL_TRACER  # worker spans would race; lanes are
-        clone.request_id = self.request_id  # a shard-session concept
-        clone.progress = None
-        clone.profiler = (
-            self.profiler.worker_view(clone.metrics)
-            if self.profiler is not None
-            else None
-        )
-        clone._evaluator = ExpressionEvaluator(
-            self.store, clone.metrics, clone._resolve_method, charged=True
-        )
-        return clone
-
     def shard_view(self, physical: PhysicalSchema) -> "Engine":
         """A shard-session view of this engine for distributed fixpoint
-        evaluation: like :meth:`worker_clone`, but bound to a *shard's*
-        replica schema/store (``physical``), so every scan, fetch and
-        index probe it makes reads through the shard's own buffer pool.
+        evaluation: shares the plan metadata and cancellation token but
+        is bound to a *shard's* replica schema/store (``physical``), so
+        every scan, fetch and index probe it makes reads through the
+        shard's own buffer pool, and owns its metrics, expression
+        evaluator and profiler view so counter updates never race.
         Temps it registers (delta staging extents) land in the session's
         private ledger — the session, not the coordinator's execute,
         cleans them up.  Counters flush back via :meth:`absorb_shard`.
@@ -307,7 +266,6 @@ class Engine:
         clone.store = physical.store
         clone.max_fix_iterations = self.max_fix_iterations
         clone.keep_temps = self.keep_temps
-        clone.parallelism = 1  # shard-local evaluation is serial
         clone.batch_size = self.batch_size
         clone.shards = 1
         clone.cluster = None
@@ -331,16 +289,6 @@ class Engine:
         )
         return clone
 
-    def absorb_worker(self, worker: "Engine") -> None:
-        """Flush a worker clone's thread-confined counters into this
-        engine (called from the coordinating thread after the pool has
-        quiesced)."""
-        self.metrics.merge(worker.metrics)
-        worker.metrics = RuntimeMetrics()
-        if self.profiler is not None and worker.profiler is not None:
-            self.profiler.merge_from(worker.profiler)
-            worker.profiler = None
-
     def absorb_shard(
         self, shard_index: int, session_engine: "Engine", io: "BufferStats"
     ) -> None:
@@ -350,7 +298,11 @@ class Engine:
         and the reads are folded into this execution's I/O totals
         (the coordinator-store delta cannot see them)."""
         tuples = session_engine.metrics.total_tuples
-        self.absorb_worker(session_engine)
+        self.metrics.merge(session_engine.metrics)
+        session_engine.metrics = RuntimeMetrics()
+        if self.profiler is not None and session_engine.profiler is not None:
+            self.profiler.merge_from(session_engine.profiler)
+            session_engine.profiler = None
         self.metrics.tuples_by_shard[shard_index] = (
             self.metrics.tuples_by_shard.get(shard_index, 0) + tuples
         )

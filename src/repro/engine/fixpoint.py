@@ -10,11 +10,11 @@ into a temporary extent (the paper's temporary file, e.g.
 termination on acyclic data and bounds work on cyclic data together
 with the engine's iteration cap.
 
-When the engine carries ``parallelism > 1`` the per-iteration work is
-handed to :mod:`repro.engine.parallel`, which hash-partitions the
-delta across a worker pool; this module remains the serial reference
-path (and the fallback for bodies the parallel evaluator must not
-reorder — see :func:`repro.engine.parallel.parallel_safe`).
+When the engine carries ``shards > 1`` and a shard cluster the rounds
+are handed to :mod:`repro.dist.coordinator`, which hash-partitions the
+delta across shards; this module remains the in-process evaluator (and
+the fallback for bodies the distributed rounds must not reorder — see
+:func:`repro.dist.partition.parallel_safe`).
 """
 
 from __future__ import annotations
@@ -143,27 +143,19 @@ def run_fixpoint(engine, fix: Fix, delta_env: Dict[str, List[StoredRecord]]) -> 
     enclosing delta environment (supporting nested fixpoints).
 
     Dispatches to the distributed scatter-gather evaluator when the
-    engine carries ``shards > 1`` *and* a shard cluster, else to the
-    hash-partitioned parallel evaluator when the engine's
-    ``parallelism`` knob exceeds 1 — in both cases only if the body is
-    safe to evaluate concurrently (same :func:`parallel_safe` contract:
-    slices of the delta are disjoint and rounds are barriers).
+    engine carries ``shards > 1`` *and* a shard cluster, and the body
+    is safe to evaluate concurrently (:func:`parallel_safe`: slices of
+    the delta are disjoint and rounds are barriers); otherwise runs the
+    serial loop.
     """
     cluster = getattr(engine, "cluster", None)
     if getattr(engine, "shards", 1) > 1 and cluster is not None:
         from repro.dist.coordinator import run_fixpoint_distributed
-        from repro.engine.parallel import parallel_safe
+        from repro.dist.partition import parallel_safe
 
         if parallel_safe(fix):
             return run_fixpoint_distributed(
                 engine, fix, delta_env, cluster, engine.shards
-            )
-    if getattr(engine, "parallelism", 1) > 1:
-        from repro.engine.parallel import parallel_safe, run_fixpoint_parallel
-
-        if parallel_safe(fix):
-            return run_fixpoint_parallel(
-                engine, fix, delta_env, engine.parallelism
             )
     return run_fixpoint_serial(engine, fix, delta_env)
 
@@ -171,7 +163,7 @@ def run_fixpoint(engine, fix: Fix, delta_env: Dict[str, List[StoredRecord]]) -> 
 def run_fixpoint_serial(
     engine, fix: Fix, delta_env: Dict[str, List[StoredRecord]]
 ) -> str:
-    """The serial semi-naive loop (also the parallel path's oracle)."""
+    """The serial semi-naive loop (also the distributed path's oracle)."""
     temp_info = engine.physical.register_temp(fix.name)
     temp_name = temp_info.name
     engine.note_temp(temp_name)

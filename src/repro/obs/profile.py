@@ -207,23 +207,19 @@ class PlanProfiler:
         node_id = self._ids.get(id(node))
         return self.profiles.get(node_id) if node_id is not None else None
 
-    def worker_view(self, metrics, buffer=None) -> "PlanProfiler":
-        """A thread-confined profiler for one parallel-fixpoint worker
-        or one distributed-fixpoint shard session.
+    def worker_view(self, metrics, buffer) -> "PlanProfiler":
+        """A thread-confined profiler for one distributed-fixpoint
+        shard session.
 
         Shares the node-id map and children topology (read-only) but
         owns fresh :class:`NodeProfile` records, and reads its counter
-        deltas from the worker's own ``metrics``.  By default the
-        buffer counters stay shared, so per-node *page-read*
-        attribution is approximate under concurrency (a worker may
-        observe a peer's miss) while tuples, wall time, index reads and
-        predicate evals stay exact; a shard session passes its private
-        ``buffer`` stats so its page reads are attributed exactly.
+        deltas from the session's own ``metrics`` and private
+        ``buffer`` stats, so its page reads are attributed exactly.
         Flushed back with :meth:`merge_from`.
         """
         clone = PlanProfiler()
         clone._ids = self._ids
-        clone._buffer = buffer if buffer is not None else self._buffer
+        clone._buffer = buffer
         clone._metrics = metrics
         clone.children = self.children
         clone.profiles = {

@@ -15,8 +15,7 @@ and *re-execute* the request on another machine into one JSON bundle:
     sampling            the governor's decision for the run
     query               {text, canonical, class}
     plan                {fingerprint, rendered, estimated_cost}
-    knobs               {parallelism, batch_size, shards,
-                         max_fix_iterations}
+    knobs               {batch_size, shards, max_fix_iterations}
     cost_parameters     the CostParameters the optimizer priced with,
                         buffer_pages / temp_records_per_page resolved
                         against the recorded store, so replay prices
@@ -328,6 +327,8 @@ def replay_bundle(bundle: Dict[str, Any], database=None) -> Dict[str, Any]:
     if params_dict is not None:
         import dataclasses
 
+        # Fields of retired knobs (here and in ``knobs`` below) are
+        # dropped: an older bundle replays on the current engine.
         known = {f.name for f in dataclasses.fields(CostParameters)}
         params = CostParameters(
             **{k: v for k, v in params_dict.items() if k in known}
@@ -348,7 +349,6 @@ def replay_bundle(bundle: Dict[str, Any], database=None) -> Dict[str, Any]:
     engine = Engine(
         physical,
         max_fix_iterations=int(knobs.get("max_fix_iterations", 256)),
-        parallelism=max(1, int(knobs.get("parallelism", 1))),
         batch_size=knobs.get("batch_size") or None,
         shards=shards,
         cluster=cluster,

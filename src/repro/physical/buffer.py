@@ -66,14 +66,13 @@ class BufferPool:
         self.capacity = capacity
         self.stats = BufferStats()
         #: Simulated device latency per physical read, in seconds.  0.0
-        #: (the default) keeps the simulator purely analytic; the
-        #: parallel-fixpoint benchmark sets it so the workload becomes
-        #: I/O-bound and worker threads genuinely overlap their waits
+        #: (the default) keeps the simulator purely analytic; I/O-bound
+        #: benchmarks set it, and shard threads overlap their waits
         #: (the sleep happens outside the pool lock).
         self.io_latency = io_latency
         self._resident: "OrderedDict[PageId, None]" = OrderedDict()
-        #: Residency and counters are shared across parallel-fixpoint
-        #: workers; one lock keeps the LRU bookkeeping consistent.
+        #: Residency and counters are shared by every thread reading
+        #: through this pool; one lock keeps the LRU bookkeeping consistent.
         self._lock = threading.Lock()
 
     def touch(self, page_id: PageId) -> bool:

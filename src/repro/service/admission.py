@@ -10,8 +10,8 @@ Two gates, both cost-controlled:
 * **slots** — at most ``max_concurrent`` units of execution run at
   once; excess requests queue for ``queue_timeout`` seconds and are
   then rejected, bounding tail latency instead of letting the queue
-  grow without limit.  A request running the fixpoint at parallelism
-  ``N`` reserves ``N`` slots (capped at ``max_concurrent``) — parallel
+  grow without limit.  A request running the fixpoint across ``N``
+  shards reserves ``N`` slots (capped at ``max_concurrent``) — wide
   queries consume proportionally more of the concurrency budget, and a
   timeout or cancellation releases every slot the request held.
 
@@ -79,11 +79,11 @@ class AdmissionController:
         with self._lock:
             self.admitted += 1
 
-    def slot_weight(self, parallelism: int = 1) -> int:
-        """Execution slots a request at ``parallelism`` reserves: one
-        per worker, capped at ``max_concurrent`` (a wider ask could
+    def slot_weight(self, width: int = 1) -> int:
+        """Execution slots a request ``width`` shards wide reserves: one
+        per shard, capped at ``max_concurrent`` (a wider ask could
         never be granted)."""
-        return max(1, min(parallelism, self.policy.max_concurrent))
+        return max(1, min(width, self.policy.max_concurrent))
 
     @contextmanager
     def slot(self, weight: int = 1):

@@ -90,7 +90,6 @@ class ServiceClient:
         text: str,
         params: Optional[Dict[str, object]] = None,
         timeout: Optional[float] = None,
-        parallelism: Optional[int] = None,
         batch_size: Optional[int] = None,
         shards: Optional[int] = None,
     ) -> dict:
@@ -99,8 +98,6 @@ class ServiceClient:
             payload["params"] = params
         if timeout is not None:
             payload["timeout"] = timeout
-        if parallelism is not None:
-            payload["parallelism"] = parallelism
         if batch_size is not None:
             payload["batch_size"] = batch_size
         if shards is not None:
@@ -116,7 +113,6 @@ class ServiceClient:
         statement: str,
         params: Optional[Dict[str, object]] = None,
         timeout: Optional[float] = None,
-        parallelism: Optional[int] = None,
         batch_size: Optional[int] = None,
         shards: Optional[int] = None,
     ) -> dict:
@@ -125,8 +121,6 @@ class ServiceClient:
             payload["params"] = params
         if timeout is not None:
             payload["timeout"] = timeout
-        if parallelism is not None:
-            payload["parallelism"] = parallelism
         if batch_size is not None:
             payload["batch_size"] = batch_size
         if shards is not None:

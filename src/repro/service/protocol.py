@@ -7,8 +7,8 @@ plus payload, or ``ok: false`` plus ``error: {code, message}``.
 
 Operations
     ``hello``                             → ``{session}``
-    ``query {text, params?, timeout?, parallelism?, batch_size?,
-    shards?, strategy?}``                 → ``{rows, cache, ...}``
+    ``query {text, params?, timeout?, batch_size?, shards?,
+    strategy?}``                          → ``{rows, cache, ...}``
                                             (``strategy``: transformPT
                                             search — ``ii``/``sa``/
                                             ``2po``/``enum``/

@@ -85,20 +85,16 @@ class ServiceConfig:
     default_timeout: Optional[float] = None
     max_timeout: Optional[float] = None
     max_fix_iterations: int = 256
-    #: Default fixpoint parallelism for requests that do not override
-    #: it; the per-request ``parallelism`` field wins, and either way
-    #: the grant is capped by ``max_concurrent`` (a parallel query
-    #: reserves one admission slot per worker).
-    parallelism: int = 1
     #: Default engine batch size for requests that do not override it
     #: (the per-request ``batch_size`` field wins); ``None`` defers to
     #: the engine default (``REPRO_BATCH_SIZE`` or 256).
     batch_size: Optional[int] = None
     #: Default shard fan-out for requests that do not override it (the
     #: per-request ``shards`` field wins); at 1 no shard cluster is
-    #: built and execution has exact single-process semantics.  Like
-    #: parallelism, a shards-N request reserves N admission slots — a
-    #: distributed query occupies N workers' worth of machine.
+    #: built and execution has exact single-process semantics.  A
+    #: shards-N request reserves N admission slots (capped by
+    #: ``max_concurrent``) — a distributed query occupies N workers'
+    #: worth of machine.
     shards: int = 1
     metrics_window: int = 256
     max_rows: Optional[int] = None
@@ -334,25 +330,21 @@ class QueryService:
         text: str,
         params: Optional[dict] = None,
         timeout: Optional[float] = None,
-        parallelism: Optional[int] = None,
         batch_size: Optional[int] = None,
         shards: Optional[int] = None,
         strategy: Optional[str] = None,
     ) -> dict:
         """Serve one query text end to end; raises ReproError subclasses
         on failure (the protocol layer maps them to error codes).
-        ``parallelism`` overrides the service default for this request
-        (the grant is capped by the admission controller's slot count);
         ``batch_size`` overrides the engine batch size; ``shards``
-        overrides the shard fan-out (capped by the same slot count —
-        admission weighs a request by max(parallelism, shards));
+        overrides the shard fan-out (a shards-N request reserves N
+        admission slots, and the grant is capped by the slot count);
         ``strategy`` overrides the transformPT search strategy used on
         a plan-cache miss."""
         self.metrics.record_request()
         try:
             return self._run_query(
-                text, params, timeout, parallelism, batch_size, shards,
-                strategy,
+                text, params, timeout, batch_size, shards, strategy
             )
         except ReproError as error:
             self._count_failure(error)
@@ -375,13 +367,12 @@ class QueryService:
             self.metrics.record_error()
 
     def _default_params(self) -> CostParameters:
-        """Built-in unit costs, at the service's default parallelism —
-        the parallel-Fix cost variant must see the worker count the
-        engine will actually use, or transformPT's push comparison
-        would be priced for the wrong machine.  Pool capacity and page
-        size stay unset: the model takes them from the store."""
+        """Built-in unit costs, at the service's default shard fan-out —
+        the distributed-Fix cost variant must see the width the engine
+        will actually use, or transformPT's push comparison would be
+        priced for the wrong machine.  Pool capacity and page size stay
+        unset: the model takes them from the store."""
         params = CostParameters()
-        params.parallelism = max(1, self.config.parallelism)
         params.batch_size = self.config.batch_size or default_batch_size()
         params.shards = max(1, self.config.shards)
         return params
@@ -390,7 +381,7 @@ class QueryService:
         """The recalibrated cost model, or ``None`` for the defaults
         (callees build a default model lazily when they need one)."""
         if self._cost_params is None:
-            if self.config.parallelism <= 1 and self.config.shards <= 1:
+            if self.config.shards <= 1:
                 return None
             return DetailedCostModel(self.physical, self._default_params())
         return DetailedCostModel(self.physical, self._cost_params)
@@ -444,7 +435,6 @@ class QueryService:
         text: str,
         params: Optional[dict],
         timeout: Optional[float],
-        parallelism: Optional[int] = None,
         batch_size: Optional[int] = None,
         shards: Optional[int] = None,
         strategy: Optional[str] = None,
@@ -527,25 +517,18 @@ class QueryService:
                 )
         elif feedback is not None and feedback.should_profile():
             profiler = PlanProfiler()
-        requested = (
-            parallelism if parallelism is not None else self.config.parallelism
-        )
         requested_shards = (
             shards if shards is not None else self.config.shards
         )
-        # A parallelism-N (or shards-N) request reserves N slots —
-        # whichever dimension is wider — capped by the slot pool, and
-        # the engine runs with exactly the granted widths.
-        weight = max(requested, requested_shards)
-        with self.admission.slot(weight=weight) as granted:
-            granted_parallelism = min(requested, granted)
+        # A shards-N request reserves N slots, capped by the slot pool,
+        # and the engine runs with exactly the granted width.
+        with self.admission.slot(weight=requested_shards) as granted:
             granted_shards = min(requested_shards, granted)
             execute_started = time.perf_counter()
             with self._store_lock:
                 engine = Engine(
                     self.physical,
                     max_fix_iterations=self.config.max_fix_iterations,
-                    parallelism=granted_parallelism,
                     batch_size=(
                         batch_size
                         if batch_size is not None
@@ -599,7 +582,6 @@ class QueryService:
             fingerprint=fingerprint,
             query_text=substituted,
             knobs={
-                "parallelism": granted_parallelism,
                 "batch_size": engine.batch_size,
                 "shards": granted_shards,
                 "max_fix_iterations": self.config.max_fix_iterations,
@@ -635,7 +617,6 @@ class QueryService:
             "optimize_ms": round(optimize_elapsed * 1000, 3),
             "execute_ms": round(execute_elapsed * 1000, 3),
             "fix_iterations": execution.metrics.fix_iterations,
-            "parallelism": granted_parallelism,
             "batch_size": engine.batch_size,
             "shards": granted_shards,
         }
@@ -857,7 +838,6 @@ class QueryService:
         statement_id: str,
         params: Optional[dict] = None,
         timeout: Optional[float] = None,
-        parallelism: Optional[int] = None,
         batch_size: Optional[int] = None,
         shards: Optional[int] = None,
         strategy: Optional[str] = None,
@@ -867,8 +847,7 @@ class QueryService:
         if template is None:
             raise ProtocolError(f"unknown statement {statement_id!r}")
         return self.run_query(
-            template, params, timeout, parallelism, batch_size, shards,
-            strategy,
+            template, params, timeout, batch_size, shards, strategy
         )
 
     # -- maintenance / observability ---------------------------------------
@@ -1134,7 +1113,6 @@ class QueryService:
             execute_seconds=elapsed,
             fix_iterations=execution.metrics.fix_iterations,
             knobs={
-                "parallelism": 1,
                 "batch_size": engine.batch_size,
                 "shards": width,
                 "max_fix_iterations": self.config.max_fix_iterations,
@@ -1357,7 +1335,6 @@ class QueryService:
             text,
             request.get("params"),
             _timeout_field(request),
-            _positive_int_field(request, "parallelism"),
             _positive_int_field(request, "batch_size"),
             _positive_int_field(request, "shards"),
             _strategy_field(request),
@@ -1378,7 +1355,6 @@ class QueryService:
             statement,
             request.get("params"),
             _timeout_field(request),
-            _positive_int_field(request, "parallelism"),
             _positive_int_field(request, "batch_size"),
             _positive_int_field(request, "shards"),
             _strategy_field(request),

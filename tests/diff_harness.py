@@ -9,8 +9,8 @@ per-node tuple counts — a lost or duplicated tuple anywhere in the
 pipeline fails the run even when dedup would hide it from the answer
 set.
 
-``test_differential_parallel.py`` sweeps the batch-size × parallelism
-grid; ``test_differential_shards.py`` adds the shards dimension,
+``test_differential_batch.py`` sweeps the serial engine's batch size;
+``test_differential_shards.py`` adds the shards dimension,
 running the same queries through the distributed scatter-gather
 fixpoint, plus the kernel-parity sweep (column kernels {on, off}
 crossed into the grid via ``kernels=``, with per-point metering
@@ -196,8 +196,8 @@ def kernels_declined():
     operator takes the per-row closure that is the kernel's reference:
     ``Sel`` filters a batch row by row, the nested-loop ``EJ`` judges
     each pair, ``Proj`` builds each output row through the compiled
-    field closures.  (Patched on the classes: parallel workers and
-    shard sessions build their own evaluators mid-execution.)"""
+    field closures.  (Patched on the classes: shard sessions build
+    their own evaluators mid-execution.)"""
     with mock.patch.object(
         ExpressionEvaluator, "_build_column_pass", return_value=None
     ), mock.patch.object(
@@ -213,8 +213,8 @@ def run_differential(
     assert every run matches the reference evaluator's answer set and
     the grid's first configuration's per-node tuple counts.
 
-    ``grid`` is an iterable of ``(batch_size, parallelism, shards)``
-    triples; configurations with ``shards > 1`` run through
+    ``grid`` is an iterable of ``(batch_size, shards)`` pairs;
+    configurations with ``shards > 1`` run through
     ``cluster`` (a :class:`repro.dist.ShardCluster` at least that
     wide).  ``optimizer`` is a factory from a physical schema to an
     optimizer (default: the paper's cost-controlled II optimizer) —
@@ -226,7 +226,7 @@ def run_differential(
     do what its row closure does, so on top of the tuple-count
     invariants the harness requires ``predicate_evals``, ``expr_evals``
     and ``logical_reads`` to be *identical with kernels on and off* at
-    every ``(batch, parallelism, shards)`` point — a columnar kernel
+    every ``(batch, shards)`` point — a columnar kernel
     that skipped or repeated a predicate evaluation fails here even
     when the answers agree.
     """
@@ -244,22 +244,20 @@ def run_differential(
     counts = {}
     by_node = {}
     metering = {}
-    for batch_size, level, shards in grid:
+    for batch_size, shards in grid:
         for kernel in kernels:
             engine = Engine(
                 db.physical,
-                parallelism=level,
                 batch_size=batch_size,
                 shards=shards,
                 cluster=cluster if shards > 1 else None,
             )
             with contextlib.nullcontext() if kernel else kernels_declined():
                 result = engine.execute(plan)
-            config = (kernel, batch_size, level, shards)
+            config = (kernel, batch_size, shards)
             assert result.answer_set() == want, (
                 f"kernels={kernel} batch_size={batch_size} "
-                f"parallelism={level} shards={shards} diverged from "
-                f"the reference evaluator"
+                f"shards={shards} diverged from the reference evaluator"
             )
             counts[config] = result.metrics.total_tuples
             by_node[config] = dict(result.metrics.tuples_by_node)
@@ -276,20 +274,20 @@ def run_differential(
     for config, nodes in by_node.items():
         assert nodes == reference_nodes, (
             f"per-node tuple counts at kernels={config[0]} "
-            f"batch_size={config[1]} parallelism={config[2]} "
-            f"shards={config[3]} diverged from the {reference_config} "
-            f"reference: {nodes} != {reference_nodes}"
+            f"batch_size={config[1]} shards={config[2]} diverged from "
+            f"the {reference_config} reference: {nodes} != "
+            f"{reference_nodes}"
         )
     # Kernel parity of the metering counters, per grid point: the
     # kernel axis must be invisible to them (the other axes may
     # legitimately change them).
-    for batch_size, level, shards in grid:
+    for batch_size, shards in grid:
         point = {
-            kernel: metering[(kernel, batch_size, level, shards)]
+            kernel: metering[(kernel, batch_size, shards)]
             for kernel in kernels
         }
         assert len(set(point.values())) == 1, (
             f"metering (predicate_evals, expr_evals, logical_reads) "
             f"diverged with kernels on/off at batch_size={batch_size} "
-            f"parallelism={level} shards={shards}: {point}"
+            f"shards={shards}: {point}"
         )

@@ -96,9 +96,9 @@ class TestConfigurationPlumbing:
         count = small_db.config.composer_count
         assert result.metrics.batches == math.ceil(count / 4)
 
-    def test_worker_clone_inherits_batch_size(self, small_db):
+    def test_shard_view_inherits_batch_size(self, small_db):
         engine = Engine(small_db.physical, batch_size=9)
-        assert engine.worker_clone().batch_size == 9
+        assert engine.shard_view(small_db.physical).batch_size == 9
 
 
 class TestBatchMetering:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.rewrite import rewrite
 from repro.core.translate import Translator, produced_shape
+from repro.errors import UnknownEntityError
 from repro.querygraph.builder import (
     and_,
     arc,
@@ -150,6 +151,67 @@ class TestPathExpansion:
         assert hop.target_entity == "Composer"
         residual = translated.predicate.paths()[0]
         assert residual == PathRef(hop.out_var, ("name",))
+
+
+class TestHopResolutionErrors:
+    """``primary_entity`` raises ``UnknownEntityError`` by design when a
+    class has no extent, and only that drops the hop; anything else is
+    a bug and must surface instead of silently shortening a path."""
+
+    DEEP = spj(
+        [arc("Influencer", i=".")],
+        where=eq(
+            path("i", "master", "works", "instruments", "name"),
+            const("harpsichord"),
+        ),
+        select=out(g=path("i", "gen")),
+    )
+
+    def _patch(self, monkeypatch, translator, target, error):
+        """Make the first ``primary_entity`` lookup of ``target`` raise
+        ``error``; every other lookup answers normally, so a swallowed
+        failure cannot be masked by a later hop raising the same
+        error."""
+        real = translator.physical.primary_entity
+        raised = []
+
+        def primary_entity(conceptual_name):
+            if conceptual_name == target and not raised:
+                raised.append(conceptual_name)
+                raise error
+            return real(conceptual_name)
+
+        monkeypatch.setattr(
+            translator.physical, "primary_entity", primary_entity
+        )
+
+    def test_unknown_entity_drops_the_hop(self, translator, monkeypatch):
+        self._patch(
+            monkeypatch, translator, "Composer", UnknownEntityError("Composer")
+        )
+        translated = translator.translate_node(self.DEEP)
+        # The unresolvable first hop (``master``) is dropped and the
+        # rest of the path is left as a dotted residual.
+        assert translated.arcs[0].hops == []
+
+    def test_unexpected_error_propagates_from_path_expansion(
+        self, translator, monkeypatch
+    ):
+        self._patch(
+            monkeypatch, translator, "Composer", AttributeError("injected")
+        )
+        with pytest.raises(AttributeError, match="injected"):
+            translator.translate_node(self.DEEP)
+
+    def test_unexpected_error_propagates_from_tree_label_hops(
+        self, translator, monkeypatch
+    ):
+        self._patch(
+            monkeypatch, translator, "Composition", AttributeError("injected")
+        )
+        node = fig2_query().producers_of("Answer")[0].node
+        with pytest.raises(AttributeError, match="injected"):
+            translator.translate_node(node)
 
 
 class TestProducedShape:

@@ -4,8 +4,8 @@ distributed-Fix variant of the detailed model.
 The acceptance properties:
 
 * at ``shards=1`` every distributed term is inert — the Fix formula is
-  bit-for-bit the serial (or parallel) sum, no matter how extreme the
-  network and skew parameters are;
+  bit-for-bit the serial sum, no matter how extreme the network and
+  skew parameters are;
 * on an I/O-heavy recursive plan, adding shards lowers the estimated
   cost (the rounds divide across shards faster than the exchange legs
   charge);

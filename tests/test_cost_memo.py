@@ -44,7 +44,6 @@ from repro.workloads.parts import (
 
 PARAMS = {
     "serial": CostParameters(),
-    "parallel": CostParameters(parallelism=4),
     "shards": CostParameters(shards=4),
 }
 STRATEGIES = ("ii", "sa", "2po", "enum")

@@ -21,7 +21,7 @@ from repro.core.baselines import (
     naive_optimizer,
 )
 from repro.cost import CardinalityEstimator, CostParameters, DetailedCostModel
-from repro.engine import Engine
+from repro.engine import DEFAULT_BATCH_SIZE, Engine
 from repro.lang import compile_text
 from repro.plans.nodes import EJ, EntityLeaf, Fix, RecLeaf
 from repro.service import QueryService, ServiceConfig
@@ -63,8 +63,13 @@ def fix_body_join(plan) -> EJ:
 
 
 def measure(db, plan):
+    # The counts pinned below are the macro harness's, taken at the
+    # default batch size: under a 6-page LRU pool the batch size moves
+    # the eviction order, so it is fixed here rather than read from
+    # REPRO_BATCH_SIZE.
     db.store.buffer.clear()
-    return Engine(db.physical).execute(plan).metrics
+    engine = Engine(db.physical, batch_size=DEFAULT_BATCH_SIZE)
+    return engine.execute(plan).metrics
 
 
 class TestParametersMirrorTheStore:

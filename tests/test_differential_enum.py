@@ -1,7 +1,7 @@
 """Differential harness, enumeration dimension: plans chosen by the
 memoized enumerator (``--strategy enum``) run through the answer-set
-equality sweep — batch size {1, 256} × parallelism {1, 4} ×
-shards {1, 2} — against the reference evaluator.
+equality sweep — batch size {1, 256} × shards {1, 2} — against the
+reference evaluator.
 
 The enumerator applies every move in the transformation graph
 (selection pushes in/out of Fix, join pushes, join/operator reorders),
@@ -29,20 +29,18 @@ from tests.diff_harness import (
 )
 
 BATCH_SIZES = (1, 256)
-PARALLELISM_LEVELS = (1, 4)
 SHARD_WIDTHS = (1, 2)
 
-#: (batch_size, parallelism, shards) — serial baseline first.
+#: (batch_size, shards) — serial baseline first.
 GRID = [
-    (batch_size, level, shards)
+    (batch_size, shards)
     for shards in SHARD_WIDTHS
-    for level in PARALLELISM_LEVELS
     for batch_size in BATCH_SIZES
 ]
-assert GRID[0] == (1, 1, 1)
+assert GRID[0] == (1, 1)
 
-# Each example optimizes with the full enumerator and executes an
-# 8-configuration grid; cap the sweep so tier-1 stays fast
+# Each example optimizes with the full enumerator and executes a
+# 4-configuration grid; cap the sweep so tier-1 stays fast
 # (REPRO_DIFF_EXAMPLES still scales it up in CI).
 ENUM_SETTINGS = dict(DIFF_SETTINGS, max_examples=min(MAX_EXAMPLES, 10))
 

@@ -1,10 +1,10 @@
 """Differential harness, shards dimension: the distributed
 scatter-gather fixpoint vs. the serial engine vs. the reference
 evaluator, over the same randomized queries as
-``test_differential_parallel.py``.
+``test_differential_batch.py``.
 
-The grid sweeps shards {1, 2, 4} × parallelism {1, 4} × batch size
-{1, 256}; the serial single-shard configuration comes first so the
+The grid sweeps shards {1, 2, 4} × batch size {1, 256}; the serial
+single-shard configuration comes first so the
 per-node tuple counts of every sharded run are compared against it.
 A dedicated test pins the stronger shards=1 guarantee: the knob alone
 (no cluster dispatch) must reproduce the serial engine's execution
@@ -32,29 +32,24 @@ from tests.diff_harness import (
 )
 
 BATCH_SIZES = (1, 256)
-PARALLELISM_LEVELS = (1, 4)
 SHARD_WIDTHS = (1, 2, 4)
 
-#: (batch_size, parallelism, shards) — serial baseline first.
+#: (batch_size, shards) — serial baseline first.
 GRID = [
-    (batch_size, level, shards)
+    (batch_size, shards)
     for shards in SHARD_WIDTHS
-    for level in PARALLELISM_LEVELS
     for batch_size in BATCH_SIZES
 ]
-assert GRID[0] == (1, 1, 1)
+assert GRID[0] == (1, 1)
 
 #: The kernel-parity sweep crosses column kernels {on, off} into a
-#: batch {1, 256} × parallelism {1, 4} × shards {1, 2} grid; the
+#: batch {1, 256} × shards {1, 2} grid; the
 #: harness additionally requires predicate_evals, expr_evals and
 #: logical_reads to be identical with kernels on and off at every grid
 #: point.
 KERNELS = (True, False)
 LAYOUT_GRID = [
-    (batch_size, level, shards)
-    for shards in (1, 2)
-    for level in PARALLELISM_LEVELS
-    for batch_size in BATCH_SIZES
+    (batch_size, shards) for shards in (1, 2) for batch_size in BATCH_SIZES
 ]
 
 

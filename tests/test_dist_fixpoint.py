@@ -1,7 +1,8 @@
 """Unit tests for the distribution subsystem: the exchange codec, the
-shard map, the scatter-gather fixpoint's semantics, failure/cleanup
-behaviour, observability (EXPLAIN ANALYZE, runtime metrics, per-shard
-telemetry) and the cluster snapshot."""
+shard map, delta partitioning (disjointness, determinism, which parts
+may be partitioned), the scatter-gather fixpoint's semantics,
+failure/cleanup behaviour, observability (EXPLAIN ANALYZE, runtime
+metrics, per-shard telemetry) and the cluster snapshot."""
 
 import json
 import threading
@@ -18,12 +19,17 @@ from repro.dist import (
     range_shard,
 )
 from repro.dist import exchange
+from repro.dist.partition import partition_delta, partitionable
 from repro.dist.shard import ShardSession
-from repro.engine import Engine
+from repro.engine import Engine, ReferenceEvaluator
 from repro.errors import FixpointLimitError, ProtocolError
+from repro.lang import compile_text
 from repro.obs import PlanProfiler, build_explain, render_explain
 from repro.service import protocol
-from repro.physical.storage import Oid
+from repro.physical.storage import Oid, StoredRecord
+from repro.plans.nodes import EJ, EntityLeaf, Proj, RecLeaf, Sel
+from repro.querygraph.graph import OutputField, OutputSpec
+from repro.querygraph.predicates import Comparison, PathRef
 from repro.workloads import MusicConfig, generate_music_database
 from repro.workloads.queries import fig3_query
 
@@ -155,6 +161,79 @@ def test_shard_map_range_placement_validates_shape():
     assert shard_map.shard_of("X", {"a": 15}) == 1
 
 
+# -- delta partitioning -------------------------------------------------------
+
+
+def _records(count, fields):
+    records = []
+    for index in range(count):
+        values = {name: f"{name}-{index % 7}" for name in fields}
+        values["n"] = index
+        records.append(StoredRecord(Oid(index), "T", values))
+    return records
+
+
+class TestPartitioning:
+    def test_slices_are_disjoint_and_complete(self):
+        delta = _records(100, ["master", "disciple"])
+        slices = partition_delta(delta, 4, ["disciple"])
+        assert len(slices) == 4
+        flattened = [record for piece in slices for record in piece]
+        assert len(flattened) == len(delta)
+        assert {id(r) for r in flattened} == {id(r) for r in delta}
+
+    def test_partition_is_deterministic(self):
+        delta = _records(64, ["master", "disciple"])
+        first = partition_delta(delta, 8, ["disciple"])
+        second = partition_delta(delta, 8, ["disciple"])
+        assert [[r.oid for r in piece] for piece in first] == [
+            [r.oid for r in piece] for piece in second
+        ]
+
+    def test_same_binding_key_lands_in_same_slice(self):
+        delta = _records(50, ["master", "disciple"])
+        slices = partition_delta(delta, 4, ["disciple"])
+        owner = {}
+        for index, piece in enumerate(slices):
+            for record in piece:
+                key = record.values["disciple"]
+                assert owner.setdefault(key, index) == index
+
+    def test_unhashable_field_value_falls_back(self):
+        delta = _records(10, ["master"])
+        for record in delta:
+            record.values["master"] = [record.values["master"]]  # a list
+        slices = partition_delta(delta, 4, ["master"])
+        assert sum(len(piece) for piece in slices) == len(delta)
+
+
+class TestPartitionability:
+    def _eq(self):
+        return Comparison("=", PathRef("r", ("a",)), PathRef("x", ("b",)))
+
+    def test_driving_chain_is_partitionable(self):
+        rec = RecLeaf("R", "r")
+        spec = OutputSpec([OutputField("a", PathRef("r", ("a",)))])
+        part = Proj(Sel(rec, self._eq()), spec)
+        assert partitionable(part, "R")
+
+    def test_recleaf_on_inner_join_side_is_not(self):
+        part = EJ(EntityLeaf("Composer", "x"), RecLeaf("R", "r"), self._eq())
+        assert not partitionable(part, "R")
+
+    def test_recleaf_on_outer_join_side_is(self):
+        part = EJ(RecLeaf("R", "r"), EntityLeaf("Composer", "x"), self._eq())
+        assert partitionable(part, "R")
+
+    def test_two_recursion_references_are_not(self):
+        part = EJ(RecLeaf("R", "r"), RecLeaf("R", "s"), self._eq())
+        assert not partitionable(part, "R")
+
+    def test_other_recursions_reference_does_not_count(self):
+        part = EJ(RecLeaf("R", "r"), RecLeaf("Outer", "s"), self._eq())
+        assert partitionable(part, "R")
+
+
 # -- distributed fixpoint semantics ------------------------------------------
 
 
@@ -179,6 +258,39 @@ def test_distributed_fixpoint_matches_serial(music_db, fig3_plan):
             assert dist.metrics.tuples_by_shard
             assert set(dist.metrics.tuples_by_shard) <= set(range(width))
             assert sum(dist.metrics.reads_by_shard.values()) > 0
+
+
+# Converges even on cyclic data: no generation counter, so the tuple
+# space is bounded by Composer x Composer.
+CYCLIC_SAFE = """
+view Reach as
+  select [master: x.master, disciple: x] from x in Composer
+  union
+  select [master: r.master, disciple: x]
+  from r in Reach, x in Composer where r.disciple = x.master;
+select [m: r.disciple.name, d: r.master.name] from r in Reach;
+"""
+
+
+def test_no_lost_tuples_on_cyclic_data():
+    db = generate_music_database(
+        MusicConfig(lineages=2, generations=5, works_per_composer=1, seed=5)
+    )
+    # Close each master chain into a cycle: the founder's master is the
+    # chain's youngest composer.
+    chain = db.composer_oids[:5]
+    db.store.peek(chain[0]).values["master"] = chain[-1]
+    db.physical.refresh_statistics()
+    graph = compile_text(CYCLIC_SAFE, db.catalog)
+    plan = cost_controlled_optimizer(db.physical).optimize(graph).plan
+    reference = ReferenceEvaluator(db.physical).answer_set(graph)
+    serial = Engine(db.physical).execute(plan)
+    with ShardCluster(db.physical, 4) as cluster:
+        sharded = Engine(db.physical, shards=4, cluster=cluster).execute(plan)
+    assert serial.answer_set() == reference
+    assert sharded.answer_set() == reference
+    assert sharded.metrics.total_tuples == serial.metrics.total_tuples
+    assert sharded.metrics.shards_used == 4
 
 
 def test_shards_without_cluster_falls_back_to_serial(music_db, fig3_plan):

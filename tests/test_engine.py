@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.core.baselines import cost_controlled_optimizer
 from repro.errors import ExecutionError, PlanError
-from repro.engine import Engine, ReferenceEvaluator, canonical_row
+from repro.engine import Batch, Engine, ReferenceEvaluator, canonical_row
+from repro.engine import fixpoint as fixpoint_mod
 from repro.engine.fixpoint import flatten_union, partition_parts
+from repro.lang import compile_text
 from repro.plans import (
     EJ,
     IJ,
@@ -19,7 +22,7 @@ from repro.plans import (
     UnionOp,
 )
 from repro.querygraph.builder import add, and_, const, eq, ge, out, path, var
-from repro.workloads import fig3_query
+from repro.workloads import MusicConfig, fig3_query, generate_music_database
 
 
 def make_fix():
@@ -311,3 +314,91 @@ class TestMetricsAndEquivalence:
         )
         engine = Engine(indexed_db.physical)
         assert engine.execute(plan).answer_set() == want
+
+
+RECURSIVE = """
+view Influencer as
+  select [master: x.master, disciple: x, gen: 1] from x in Composer
+  union
+  select [master: i.master, disciple: x, gen: i.gen + 1]
+  from i in Influencer, x in Composer where i.disciple = x.master;
+select [name: i.disciple.name, gen: i.gen] from i in Influencer;
+"""
+
+
+def _recursive_plan():
+    db = generate_music_database(
+        MusicConfig(lineages=3, generations=6, works_per_composer=2, seed=3)
+    )
+    db.build_paper_indexes()
+    graph = compile_text(RECURSIVE, db.catalog)
+    return db, cost_controlled_optimizer(db.physical).optimize(graph).plan
+
+
+class TestSeenProbeNormalization:
+    def test_normalize_runs_once_per_field_at_insertion(self, monkeypatch):
+        """Regression: the seen-set probe used to re-normalize every
+        value of every produced binding (2x per field); normalization
+        now happens exactly once per field, at insertion time.  Pinned
+        to the row probe (every batch declared row-constructed) — the
+        columnar dedup path assembles its keys straight from normalized
+        columns and never routes through ``key_of_normalized``, so this
+        accounting is row-specific."""
+        monkeypatch.setattr(Batch, "is_columnar", False)
+        db, plan = _recursive_plan()
+
+        normalize_calls = [0]
+        real_normalize = fixpoint_mod.normalize_value
+
+        def counting_normalize(value):
+            normalize_calls[0] += 1
+            return real_normalize(value)
+
+        key_calls = [0]
+        real_key = fixpoint_mod.key_of_normalized
+
+        def counting_key(values):
+            key_calls[0] += 1
+            return real_key(values)
+
+        monkeypatch.setattr(
+            fixpoint_mod, "normalize_value", counting_normalize
+        )
+        monkeypatch.setattr(fixpoint_mod, "key_of_normalized", counting_key)
+        Engine(db.physical).execute(plan)
+        assert key_calls[0] > 0
+        # Influencer tuples carry exactly 3 scalar fields (master,
+        # disciple, gen): one normalize call per field per probed
+        # binding — the old probe path would have doubled this.
+        assert normalize_calls[0] == 3 * key_calls[0]
+
+    def test_columnar_dedup_never_normalizes_more_than_row(self, monkeypatch):
+        """The columnar dedup path normalizes column-wise (at most once
+        per field per produced binding, and not at all for all-atomic
+        columns) — so it can only ever call ``normalize_value`` fewer
+        times than the row probe — the path row-constructed batches
+        take — does for the same plan."""
+        db, plan = _recursive_plan()
+
+        real_normalize = fixpoint_mod.normalize_value
+
+        def run(row_probe):
+            calls = [0]
+
+            def counting_normalize(value):
+                calls[0] += 1
+                return real_normalize(value)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    fixpoint_mod, "normalize_value", counting_normalize
+                )
+                if row_probe:
+                    patch.setattr(Batch, "is_columnar", False)
+                result = Engine(db.physical).execute(plan)
+            return result.answer_set(), calls[0]
+
+        row_answers, row_calls = run(row_probe=True)
+        col_answers, col_calls = run(row_probe=False)
+        assert col_answers == row_answers
+        assert 0 < col_calls <= row_calls

@@ -1,7 +1,7 @@
 """Golden fig7 regression for the enumeration strategy.
 
-Pins, per fig7 configuration (the serial, parallel-4 and shards-4 cost
-variants of the Figure-3 recursive query and the join-push query on
+Pins, per fig7 configuration (the serial and shards-4 cost variants
+of the Figure-3 recursive query and the join-push query on
 the fig7 database), the plan the enumerator chooses — by fingerprint —
 and its estimated cost, against ``tests/golden/enumeration_fig7.json``.
 Also asserts the headline claim behind ``--strategy enum``: its plan
@@ -56,12 +56,10 @@ QUERIES = {
     "join_push": join_push_query,
 }
 
-#: The fig7 cost-model configurations: the serial Fix, the
-#: parallel-worker Fix variant, and the distributed scatter-gather
-#: variant (:mod:`repro.cost.distributed`).
+#: The fig7 cost-model configurations: the serial Fix and the
+#: distributed scatter-gather variant (:mod:`repro.cost.distributed`).
 CONFIGS = {
     "serial": {},
-    "parallel4": {"parallelism": 4},
     "shards4": {"shards": 4},
 }
 

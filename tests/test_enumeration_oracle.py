@@ -142,11 +142,10 @@ def test_enum_matches_oracle_parts(parts_db, graph):
 @settings(**ORACLE_SETTINGS)
 @given(graph=recursive_queries())
 def test_enum_matches_oracle_distributed_costs(music_db, graph):
-    """The oracle agreement holds under the parallel and distributed
-    Fix cost variants too — the enumerator optimizes whatever cost
-    function it is handed."""
+    """The oracle agreement holds under the distributed Fix cost
+    variant too — the enumerator optimizes whatever cost function it
+    is handed."""
     params = CostParameters()
-    params.parallelism = 4
     params.shards = 4
     model = DetailedCostModel(music_db.physical, params)
     _assert_enum_matches_oracle(music_db, graph, "distributed", model)

@@ -1,6 +1,6 @@
-"""Centralized execution-knob validation (satellite of the sharding
-PR): every integer knob — ``parallelism``, ``batch_size``, ``shards``
-— is validated by one shared path (:func:`validate_knob`, called from
+"""Centralized execution-knob validation: every integer knob —
+``batch_size``, ``shards`` — is validated by one shared path
+(:func:`validate_knob`, called from
 ``ExecutionContext.__post_init__`` and the ``Engine`` constructor), and
 the enumerated knob — the service ``strategy`` — by
 :func:`validate_choice`, so every entry point rejects the same bad
@@ -18,7 +18,7 @@ from repro.engine.context import (
 )
 from repro.workloads import MusicConfig, generate_music_database
 
-KNOBS = ("parallelism", "batch_size", "shards")
+KNOBS = ("batch_size", "shards")
 
 
 @pytest.fixture(scope="module")
@@ -71,14 +71,6 @@ def test_validate_choice_rejects_non_members(bad):
 # -- one test per knob through ExecutionContext -------------------------------
 
 
-def test_context_validates_parallelism():
-    assert ExecutionContext(parallelism=4).parallelism == 4
-    with pytest.raises(ValueError, match="parallelism must be >= 1"):
-        ExecutionContext(parallelism=0)
-    with pytest.raises(ValueError, match="parallelism must be an integer"):
-        ExecutionContext(parallelism=2.5)
-
-
 def test_context_validates_batch_size():
     assert ExecutionContext(batch_size=None).batch_size is None
     assert ExecutionContext(batch_size=256).batch_size == 256
@@ -108,7 +100,13 @@ def test_engine_constructor_rejects_bad_knobs(physical, knob):
 
 
 def test_engine_constructor_accepts_good_knobs(physical):
-    engine = Engine(physical, parallelism=2, batch_size=64, shards=2)
-    assert engine.parallelism == 2
+    engine = Engine(physical, batch_size=64, shards=2)
     assert engine.batch_size == 64
     assert engine.shards == 2
+
+
+def test_retired_parallelism_knob_is_not_accepted(physical):
+    with pytest.raises(TypeError):
+        Engine(physical, parallelism=2)
+    with pytest.raises(TypeError):
+        ExecutionContext(parallelism=2)

@@ -58,7 +58,7 @@ def run_and_bundle(text, database, tmp_path=None, reason="diagnose"):
         measured_cost=execution.metrics.measured_cost(),
         execute_seconds=0.01,
         fix_iterations=execution.metrics.fix_iterations,
-        knobs={"parallelism": 1, "shards": 1, "max_fix_iterations": 256},
+        knobs={"shards": 1, "max_fix_iterations": 256},
         physical=physical,
         database=RECIPE,
     )
@@ -157,6 +157,22 @@ class TestReplay:
         db = database_from_config(RECIPE)
         bundle = run_and_bundle(FIG3, db)
         bundle["knobs"]["batch_layout"] = "row"
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(bundle, default=str))
+        out = io.StringIO()
+        assert main(["replay", str(path)], out=out) == 0
+        assert "REPLAY OK" in out.getvalue()
+
+    def test_replay_accepts_retired_parallelism_knob(self, tmp_path):
+        # Bundles recorded while the engine still had a thread-parallel
+        # fixpoint carry its width in both the knobs and the cost
+        # parameters; replay drops it and runs serially (same
+        # bundle_version).
+        db = database_from_config(RECIPE)
+        bundle = run_and_bundle(FIG3, db)
+        bundle["knobs"]["parallelism"] = 4
+        bundle["cost_parameters"]["parallelism"] = 4
+        assert bundle["bundle_version"] == BUNDLE_VERSION == 1
         path = tmp_path / "bundle.json"
         path.write_text(json.dumps(bundle, default=str))
         out = io.StringIO()

@@ -91,9 +91,9 @@ class TestSlots:
         with controller.slot():
             pass
 
-    def test_parallel_request_reserves_proportional_slots(self):
-        """A parallelism-8 request takes all eight slots of an
-        8-concurrent controller: a second request queues behind it."""
+    def test_sharded_request_reserves_proportional_slots(self):
+        """A shards-8 request takes all eight slots of an 8-concurrent
+        controller: a second request queues behind it."""
         controller = AdmissionController(
             AdmissionPolicy(max_concurrent=8, queue_timeout=0.05)
         )
@@ -132,8 +132,9 @@ class TestSlots:
         assert controller.snapshot()["slots_in_use"] == 0
 
     def test_wide_request_queues_until_slots_free(self):
-        """parallelism-4 waits for a narrow request to finish instead
-        of being rejected outright when the queue timeout allows it."""
+        """A shards-4 request waits for a narrow request to finish
+        instead of being rejected outright when the queue timeout
+        allows it."""
         controller = AdmissionController(
             AdmissionPolicy(max_concurrent=4, queue_timeout=5.0)
         )
@@ -271,42 +272,15 @@ class TestFixpointLimit:
         assert "8" in response["error"]["message"]
 
 
-class TestServiceParallelism:
-    def test_request_parallelism_is_granted_and_reported(self, db):
-        service = QueryService(db, ServiceConfig(max_concurrent=8))
-        response = service.run_query(RECURSIVE, parallelism=4)
-        assert response["parallelism"] == 4
-        assert response["row_count"] > 0
-
-    def test_grant_is_capped_by_admission(self, db):
-        service = QueryService(db, ServiceConfig(max_concurrent=4))
-        response = service.run_query(RECURSIVE, parallelism=16)
-        assert response["parallelism"] == 4
-
-    def test_wire_protocol_carries_parallelism(self, db):
-        service = QueryService(db, ServiceConfig(max_concurrent=8))
-        response = service.handle(
-            {"op": "query", "text": RECURSIVE, "parallelism": 2}
-        )
-        assert response["ok"] is True
-        assert response["parallelism"] == 2
-
-    def test_invalid_parallelism_is_a_protocol_error(self, db):
-        service = QueryService(db, ServiceConfig())
-        for bad in (0, -1, 1.5, "two", True):
-            response = service.handle(
-                {"op": "query", "text": RECURSIVE, "parallelism": bad}
-            )
-            assert response["ok"] is False
-            assert response["error"]["code"] == "protocol_error"
-
+class TestServiceShards:
     def test_timeout_releases_every_reserved_slot(self, db):
-        """A parallel query that times out must give back all its
+        """A sharded query that times out must give back all its
         slots, not just one — otherwise the service leaks capacity."""
         service = QueryService(db, ServiceConfig(max_concurrent=8))
         with pytest.raises(ExecutionTimeout):
-            service.run_query(RECURSIVE, timeout=1e-9, parallelism=8)
+            service.run_query(RECURSIVE, timeout=1e-9, shards=8)
         assert service.admission.snapshot()["slots_in_use"] == 0
         # Capacity intact: the next wide query is admitted and runs.
-        ok = service.run_query(RECURSIVE, parallelism=8)
+        ok = service.run_query(RECURSIVE, shards=8)
+        assert ok["shards"] == 8
         assert ok["row_count"] > 0

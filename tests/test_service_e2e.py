@@ -207,6 +207,28 @@ class TestProtocolEdges:
         assert canonical_rows(legacy["rows"]) == canonical_rows(plain["rows"])
         assert "batch_layout" not in legacy
 
+    def test_retired_parallelism_field_is_ignored(self, served):
+        # Clients written against the thread-parallel fixpoint still
+        # send a width; the query runs serially and nothing echoes it.
+        _db, service, client = served
+        plain = client.query(FIG3)
+        legacy = client.request(
+            {"op": "query", "text": FIG3, "parallelism": 4}
+        )
+        client.hello()
+        statement = client.prepare(FIG3)
+        prepared = client.request(
+            {"op": "execute", "statement": statement, "parallelism": 4}
+        )
+        for response in (legacy, prepared):
+            assert "parallelism" not in response
+            assert response["shards"] == 1
+            assert response["fix_iterations"] == plain["fix_iterations"]
+            assert canonical_rows(response["rows"]) == canonical_rows(
+                plain["rows"]
+            )
+        assert service.admission.snapshot()["slots_in_use"] == 0
+
     def test_malformed_json(self, served):
         _db, _service, client = served
         client._socket.sendall(b"this is not json\n")

@@ -104,7 +104,6 @@ def test_response_echoes_shards_and_matches_serial(db):
     assert serial["shards"] == 1
     sharded = service.run_query(FIG3, shards=4)
     assert sharded["shards"] == 4
-    assert sharded["parallelism"] == 1
     assert rows_key(sharded["rows"]) == rows_key(serial["rows"])
     assert sharded["row_count"] == serial["row_count"]
 
@@ -125,7 +124,7 @@ def test_shards_request_over_the_wire(db):
 
 def test_admission_caps_the_shard_grant(db):
     # A shards-N request reserves N slots; the grant is capped by the
-    # slot pool exactly like parallelism.
+    # slot pool.
     service = QueryService(db, ServiceConfig(max_concurrent=2))
     response = service.run_query(FIG3, shards=16)
     assert response["shards"] == 2
