@@ -3,7 +3,6 @@
 
 from repro.engine.batch import Batch, DEFAULT_BATCH_SIZE, default_batch_size
 from repro.engine.cancel import CancellationToken
-from repro.engine.context import ExecutionContext
 from repro.engine.eval_expr import (
     Binding,
     ExpressionEvaluator,
@@ -21,7 +20,6 @@ __all__ = [
     "default_batch_size",
     "Binding",
     "CancellationToken",
-    "ExecutionContext",
     "ExpressionEvaluator",
     "canonical_row",
     "normalize_value",

@@ -1,27 +1,17 @@
-"""Per-execution settings for the engine.
+"""Shared validation for the engine's execution knobs.
 
-:class:`ExecutionContext` bundles everything that varies per run of a
-plan — the cancellation token, the optional profiler and the
-``batch_size`` / ``shards`` knobs — so callers (CLI, service, tests)
-thread one object instead of a growing keyword list.
-``Engine.execute`` still accepts the individual keywords for
-convenience; an explicit context wins over them.
-
-All integer knobs are validated in one place
-(:func:`validate_knob`, called from ``__post_init__``), so every
-entry point — the context, the engine constructor, the service's
-protocol fields — rejects a bad value with the same message.
+All integer knobs (``batch_size``, ``shards``) are validated in one
+place (:func:`validate_knob`) and enumerated ones (the optimizer
+``strategy``) in another (:func:`validate_choice`), so every entry
+point — the engine constructor, the service config, the protocol
+fields — rejects a bad value with the same message.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.engine.cancel import CancellationToken
-from repro.obs.profile import PlanProfiler
-
-__all__ = ["ExecutionContext", "validate_choice", "validate_knob"]
+__all__ = ["validate_choice", "validate_knob"]
 
 
 def validate_knob(name: str, value: Optional[int], minimum: int = 1) -> None:
@@ -47,25 +37,3 @@ def validate_choice(
     if not isinstance(value, str) or value not in choices:
         accepted = ", ".join(choices)
         raise ValueError(f"{name} must be one of: {accepted}")
-
-
-@dataclass
-class ExecutionContext:
-    """Knobs for one ``Engine.execute`` call."""
-
-    #: Cooperative cancellation/timeout token, polled at safe points.
-    cancel: Optional[CancellationToken] = None
-    #: Per-node runtime profiler (EXPLAIN ANALYZE); None = no metering.
-    profiler: Optional[PlanProfiler] = None
-    #: Bindings per batch exchanged between operators; None keeps the
-    #: engine's configured size, 1 pins the exact tuple-at-a-time
-    #: compatibility semantics.
-    batch_size: Optional[int] = None
-    #: Shard workers a fixpoint may scatter delta partitions across;
-    #: 1 = single-store evaluation, >1 = the distributed scatter-gather
-    #: rounds of :mod:`repro.dist` (requires a cluster on the engine).
-    shards: int = 1
-
-    def __post_init__(self) -> None:
-        validate_knob("batch_size", self.batch_size)
-        validate_knob("shards", self.shards)

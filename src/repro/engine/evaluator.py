@@ -38,7 +38,7 @@ from repro.engine.columns import (
     gather_columns,
     has_structured_kinds,
 )
-from repro.engine.context import ExecutionContext, validate_knob
+from repro.engine.context import validate_knob
 from repro.engine.eval_expr import (
     Binding,
     ExpressionEvaluator,
@@ -177,7 +177,6 @@ class Engine:
         validate: bool = True,
         cancel: Optional["CancellationToken"] = None,
         profiler: Optional[PlanProfiler] = None,
-        context: Optional["ExecutionContext"] = None,
     ) -> ExecutionResult:
         """Evaluate a plan; returns rows plus runtime metrics.
 
@@ -191,19 +190,7 @@ class Engine:
         :class:`~repro.obs.profile.PlanProfiler`; when given, every
         node's batch stream is metered (per-node tuples, wall time,
         page reads, predicate evals, per-Fix-iteration deltas).
-
-        ``context`` is an optional
-        :class:`~repro.engine.context.ExecutionContext` bundling the
-        per-run knobs; its fields win over the individual keywords
-        (and its ``batch_size``/``shards`` over the engine defaults).
         """
-        if context is not None:
-            cancel = context.cancel if context.cancel is not None else cancel
-            if context.profiler is not None:
-                profiler = context.profiler
-            if context.batch_size is not None:
-                self.batch_size = context.batch_size
-            self.shards = context.shards
         if validate:
             validate_plan(plan, self.physical)
         self.cancel_token = cancel

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.errors import CostModelError
 from repro.obs.profile import PlanProfiler, assign_node_ids
 from repro.plans.display import render_tree
 from repro.plans.nodes import PlanNode
@@ -236,9 +237,10 @@ def build_explain(
         else:
             # Not separately costed (e.g. the leaf under an
             # index-assisted selection); fall back to a bare estimate.
+            # A recursion reference has none outside its fixpoint.
             try:
                 explain.est_rows = cost_model.estimator.estimate(node).tuples
-            except Exception:
+            except CostModelError:
                 pass
         if profiler is not None:
             profile = profiler.profiles.get(node_id)

@@ -152,13 +152,12 @@ def plan_diff(old_plan, new_plan) -> dict:
 
 def operator_estimates(plan, cost_model) -> Dict[str, OperatorEstimate]:
     """Per-node estimates keyed by the stable pre-order node ids —
-    computed once per plan registration, not per query."""
+    computed once per plan registration, not per query.  The model is
+    the one that just priced ``plan``, so costing it again cannot fail:
+    an error here is a bug and propagates."""
     if cost_model is None:
         return {}
-    try:
-        _report, captured = cost_model.annotated_report(plan)
-    except Exception:
-        return {}
+    _report, captured = cost_model.annotated_report(plan)
     node_ids = assign_node_ids(plan)
     estimates: Dict[str, OperatorEstimate] = {}
     for node in plan.walk():

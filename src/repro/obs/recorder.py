@@ -15,7 +15,8 @@ and *re-execute* the request on another machine into one JSON bundle:
     sampling            the governor's decision for the run
     query               {text, canonical, class}
     plan                {fingerprint, rendered, estimated_cost}
-    knobs               {batch_size, shards, max_fix_iterations}
+    knobs               {batch_size, shards, max_fix_iterations,
+                        strategy} (no ``strategy``: the default "ii")
     cost_parameters     the CostParameters the optimizer priced with,
                         buffer_pages / temp_records_per_page resolved
                         against the recorded store, so replay prices
@@ -34,9 +35,9 @@ and *re-execute* the request on another machine into one JSON bundle:
     environment         python/platform strings
 
 Everything in the bundle is derived from *seeded* inputs — the
-generator recipe rebuilds a bit-identical store, and the
-cost-controlled optimizer's randomized reoptimization is itself seeded
-— so :func:`replay_bundle` re-optimizes and re-executes
+generator recipe rebuilds a bit-identical store, and every transformPT
+strategy is deterministic or seeded — so :func:`replay_bundle`
+re-optimizes with the recorded strategy and re-executes
 deterministically and asserts both the plan fingerprint and the
 answer-set fingerprint match the originals.
 """
@@ -294,13 +295,13 @@ def replay_bundle(bundle: Dict[str, Any], database=None) -> Dict[str, Any]:
 
     Rebuilds the store from the bundle's generator recipe (unless a
     prebuilt *database* is supplied), re-optimizes the recorded query
-    under the recorded cost parameters — the optimizer's randomized
-    reoptimization is seeded, so this is deterministic — re-executes
-    under the recorded knobs, and compares plan fingerprint and
-    answer-set fingerprint against the originals.
+    with the recorded strategy under the recorded cost parameters — the
+    randomized strategies are seeded, so this is deterministic —
+    re-executes under the recorded knobs, and compares plan fingerprint
+    and answer-set fingerprint against the originals.
     """
 
-    from repro.core.baselines import cost_controlled_optimizer
+    from repro.core.optimizer import Optimizer, OptimizerConfig
     from repro.cost.model import DetailedCostModel
     from repro.cost.params import CostParameters
     from repro.engine.evaluator import Engine
@@ -335,11 +336,14 @@ def replay_bundle(bundle: Dict[str, Any], database=None) -> Dict[str, Any]:
         )
         model = DetailedCostModel(physical, params)
 
+    knobs = bundle.get("knobs", {})
     graph = compile_text(bundle["query"]["text"], database.catalog)
-    result = cost_controlled_optimizer(physical, model).optimize(graph)
+    optimizer = Optimizer(
+        physical, model, OptimizerConfig(strategy=knobs.get("strategy", "ii"))
+    )
+    result = optimizer.optimize(graph)
     replayed_fp = plan_fingerprint(result.plan)
 
-    knobs = bundle.get("knobs", {})
     shards = max(1, int(knobs.get("shards", 1)))
     cluster = None
     if shards > 1:

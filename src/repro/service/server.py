@@ -1,13 +1,15 @@
 """The query service: an in-process core plus a socket front-end.
 
 :class:`QueryService` wraps the existing :class:`~repro.core.Optimizer`
-/ :class:`~repro.engine.Engine` stack into a long-running server loop:
-canonicalize → plan-cache probe (with cost-drift invalidation) →
-optimize on miss → admission control → execute under a cancellation
-token → record metrics.  It is fully usable in-process (tests,
-benchmarks, embedding); :class:`QueryServer` exposes it over TCP with
-the line-JSON protocol of :mod:`repro.service.protocol`, one thread per
-request via a ``ThreadPoolExecutor``.
+/ :class:`~repro.engine.Engine` stack into a long-running server loop
+of three stages — ``_plan`` (plan-cache probe with cost-drift
+invalidation, optimize on miss), ``_execute`` (admission control,
+execute under a cancellation token) and ``_settle`` (metrics,
+observability, feedback) — which ``explain``, ``trace`` and
+``diagnose`` share.  It is fully usable in-process (tests, benchmarks,
+embedding); :class:`QueryServer` exposes it over TCP with the line-JSON
+protocol of :mod:`repro.service.protocol`, one thread per request via a
+``ThreadPoolExecutor``.
 
 Concurrency model: the simulated object store (pages, buffer pool,
 temp registration) is a single shared mutable structure, so plan
@@ -26,11 +28,10 @@ import threading
 import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Tuple
 
-from repro.core.baselines import cost_controlled_optimizer
-from repro.core.optimizer import Optimizer, OptimizerConfig
+from repro.core.optimizer import OptimizationResult, Optimizer, OptimizerConfig
 from repro.core.strategies import STRATEGY_NAMES
 from repro.cost.model import DetailedCostModel
 from repro.cost.params import CostParameters
@@ -38,8 +39,15 @@ from repro.cost.recost import recost_plan
 from repro.engine.batch import default_batch_size
 from repro.engine.cancel import CancellationToken
 from repro.engine.context import validate_choice
-from repro.engine.evaluator import Engine
-from repro.errors import ProtocolError, ReproError, ServiceError
+from repro.engine.evaluator import Engine, ExecutionResult
+from repro.errors import (
+    AdmissionError,
+    ExecutionCancelled,
+    ExecutionTimeout,
+    ProtocolError,
+    ReproError,
+    ServiceError,
+)
 from repro.lang.compile import compile_text
 from repro.obs.anomaly import AnomalyConfig, AnomalyDetector
 from repro.obs.explain import build_explain, render_explain
@@ -55,8 +63,9 @@ from repro.obs.profile import PlanProfiler
 from repro.obs.progress import ProgressTracker
 from repro.obs.recorder import FlightRecorder, build_bundle
 from repro.obs.sampler import FULL_DETAIL, SamplingDecision
-from repro.obs.trace import Tracer
+from repro.obs.trace import NULL_TRACER, Tracer
 from repro.physical.storage import Oid, StoredRecord
+from repro.plans.nodes import PlanNode
 from repro.service import protocol
 from repro.service.admission import AdmissionController, AdmissionPolicy
 from repro.service.metrics import QueryRecord, ServiceMetrics
@@ -189,6 +198,38 @@ class Session:
         return statement_id
 
 
+@dataclass
+class _Planned:
+    """A request's plan as ``_plan`` leaves it; ``status`` (the cache's
+    verdict) is ``None`` for a fresh plan, ``result`` and
+    ``cost_model`` are set only when this request ran the optimizer."""
+
+    text: str
+    key: CacheKey
+    strategy: str
+    status: Optional[str] = None
+    plan: Optional[PlanNode] = None
+    estimated: float = 0.0
+    plans_costed: int = 0
+    fingerprint: Optional[str] = None
+    optimize_seconds: float = 0.0
+    result: Optional[OptimizationResult] = None
+    cost_model: Optional[DetailedCostModel] = None
+
+
+@dataclass
+class _Executed:
+    """One run as ``_execute`` leaves it; the engine's ``request_id``,
+    ``batch_size`` and ``shards`` (the granted width) describe it."""
+
+    execution: ExecutionResult
+    engine: Engine
+    seconds: float
+    decision: SamplingDecision
+    profiler: Optional[PlanProfiler]
+    tracer: Optional[Tracer]
+
+
 class QueryService:
     """The serving core: cache, admission, metrics, sessions."""
 
@@ -247,8 +288,14 @@ class QueryService:
             max_bundles=self.config.bundle_limit,
             per_class=self.config.bundle_per_class,
         )
+        #: Built-in unit costs at the service's batch size and fan-out
+        #: (pool capacity and page size come from the store).
+        self._base_params = CostParameters(
+            batch_size=self.config.batch_size or default_batch_size(),
+            shards=max(1, self.config.shards),
+        )
         #: Recalibrated unit costs, hot-swapped by ``recalibrate(apply)``;
-        #: ``None`` means the defaults the optimizer was built with.
+        #: ``None`` means ``_base_params``.
         self._cost_params: Optional[CostParameters] = None
         #: Entries evicted by a recalibration recost pass, awaiting
         #: their replacement plan (consumed on the next cache miss so
@@ -318,10 +365,7 @@ class QueryService:
     def prepare(self, session_id: Optional[str], text: str) -> dict:
         session = self._session(session_id)
         statement_id = session.prepare(text)
-        return {
-            "statement": statement_id,
-            "parameters": placeholder_names(text),
-        }
+        return {"statement": statement_id, "parameters": placeholder_names(text)}
 
     # -- the serving path ---------------------------------------------------
 
@@ -334,29 +378,46 @@ class QueryService:
         shards: Optional[int] = None,
         strategy: Optional[str] = None,
     ) -> dict:
-        """Serve one query text end to end; raises ReproError subclasses
-        on failure (the protocol layer maps them to error codes).
-        ``batch_size`` overrides the engine batch size; ``shards``
-        overrides the shard fan-out (a shards-N request reserves N
-        admission slots, and the grant is capped by the slot count);
-        ``strategy`` overrides the transformPT search strategy used on
-        a plan-cache miss."""
+        """Serve one query end to end (``_plan`` → ``_execute`` →
+        ``_settle``); failures raise ReproError subclasses, which the
+        protocol layer maps to error codes.  ``batch_size``, ``shards``
+        and ``strategy`` override the configured defaults."""
         self.metrics.record_request()
         try:
-            return self._run_query(
-                text, params, timeout, batch_size, shards, strategy
+            planned = self._plan(text, params, strategy)
+            # Minted before execution so the running query is
+            # addressable: shard-worker thread names, exchange frames,
+            # dist log lines and the live progress view carry this id.
+            request_id = self._next_request_id()
+            run = self._execute(
+                planned, request_id, timeout, batch_size, shards, sample=True
             )
+            record, obs_echo = self._settle(planned, run)
         except ReproError as error:
             self._count_failure(error)
             raise
+        rows, cap = run.execution.rows, self.config.max_rows
+        truncated = cap is not None and len(rows) > cap
+        response = {
+            "request_id": request_id,
+            "rows": [_jsonable_row(row) for row in rows[:cap]],
+            "row_count": record.rows,
+            "truncated": truncated,
+            "cache": planned.status,
+            "estimated_cost": round(planned.estimated, 2),
+            "measured_cost": round(record.measured_cost, 2),
+            "plans_costed": planned.plans_costed,
+            "optimize_ms": round(planned.optimize_seconds * 1000, 3),
+            "execute_ms": round(run.seconds * 1000, 3),
+            "fix_iterations": run.execution.metrics.fix_iterations,
+            "batch_size": run.engine.batch_size,
+            "shards": run.engine.shards,
+        }
+        if obs_echo is not None:
+            response["obs"] = obs_echo
+        return response
 
     def _count_failure(self, error: ReproError) -> None:
-        from repro.errors import (
-            AdmissionError,
-            ExecutionCancelled,
-            ExecutionTimeout,
-        )
-
         if isinstance(error, ExecutionTimeout):
             self.metrics.record_timeout()
         elif isinstance(error, ExecutionCancelled):
@@ -366,52 +427,26 @@ class QueryService:
         else:
             self.metrics.record_error()
 
-    def _default_params(self) -> CostParameters:
-        """Built-in unit costs, at the service's default shard fan-out —
-        the distributed-Fix cost variant must see the width the engine
-        will actually use, or transformPT's push comparison would be
-        priced for the wrong machine.  Pool capacity and page size stay
-        unset: the model takes them from the store."""
-        params = CostParameters()
-        params.batch_size = self.config.batch_size or default_batch_size()
-        params.shards = max(1, self.config.shards)
-        return params
+    def _model(self, width: int) -> Optional[DetailedCostModel]:
+        """The cost model at ``width`` shards — the distributed-Fix
+        variant must see the width the engine will use — with the
+        recalibrated unit costs when applied.  ``None`` on the default,
+        uncalibrated serial path: callees build a default model lazily,
+        so a cache hit builds none."""
+        if self._cost_params is None and width <= 1:
+            return None
+        params = self._cost_params or self._base_params
+        return DetailedCostModel(self.physical, replace(params, shards=max(1, width)))
 
-    def _current_model(self) -> Optional[DetailedCostModel]:
-        """The recalibrated cost model, or ``None`` for the defaults
-        (callees build a default model lazily when they need one)."""
-        if self._cost_params is None:
-            if self.config.shards <= 1:
-                return None
-            return DetailedCostModel(self.physical, self._default_params())
-        return DetailedCostModel(self.physical, self._cost_params)
-
-    def _optimizer(self, strategy: Optional[str] = None):
-        """A fresh optimizer honouring the hot-swapped parameters.
-
-        ``strategy`` (a :data:`STRATEGY_NAMES` name) overrides the
-        configured default; ``"ii"``/``None`` keep the paper's
-        cost-controlled II optimizer."""
-        name = strategy or self.config.strategy
-        if name is not None and name != "ii":
-            return Optimizer(
-                self.physical,
-                self._current_model(),
-                OptimizerConfig(strategy=name),
-            )
-        return cost_controlled_optimizer(self.physical, self._current_model())
-
-    def _model_for(self, width: int) -> Optional[DetailedCostModel]:
-        """A cost model priced for ``width`` shards (per-request
-        EXPLAIN/trace fan-out), falling back to the serving default."""
-        if width <= 1:
-            return self._current_model()
-        from dataclasses import replace
-
-        params = replace(
-            self._cost_params or self._default_params(), shards=width
-        )
-        return DetailedCostModel(self.physical, params)
+    def _optimizer(
+        self, strategy: Optional[str] = None, width: Optional[int] = None
+    ) -> Optimizer:
+        """A fresh optimizer priced at ``width`` shards (default: the
+        configured fan-out) with the configured strategy unless
+        ``strategy`` overrides it; unset, the paper's II."""
+        model = self._model(self.config.shards if width is None else width)
+        config = OptimizerConfig(strategy=strategy or self.config.strategy)
+        return Optimizer(self.physical, model, config)
 
     def _cluster_for(self, width: int):
         """The shared shard cluster for ``width`` shards, built lazily
@@ -421,90 +456,113 @@ class QueryService:
             return None
         cluster = self._clusters.get(width)
         if cluster is None:
-            # Imported here, not at module top: repro.dist uses the
-            # service protocol's framing, so a top-level import would
-            # be circular.
+            # Imported here: repro.dist uses the service protocol's
+            # framing, so a top-level import would be circular.
             from repro.dist import ShardCluster
 
             cluster = ShardCluster(self.physical, width)
             self._clusters[width] = cluster
         return cluster
 
-    def _run_query(
+    # -- the request pipeline: _plan → _execute → _settle -------------------
+
+    def _plan(
         self,
         text: str,
-        params: Optional[dict],
-        timeout: Optional[float],
-        batch_size: Optional[int] = None,
-        shards: Optional[int] = None,
+        params: Optional[dict] = None,
         strategy: Optional[str] = None,
-    ) -> dict:
+        *,
+        width: Optional[int] = None,
+        fresh: bool = False,
+        tracer: Tracer = NULL_TRACER,
+    ) -> _Planned:
+        """Substitute → cache key → lookup, or compile → optimize →
+        store.  ``fresh`` (explain, trace, diagnose) optimizes from
+        scratch, priced at ``width`` shards, and neither reads nor fills
+        the cache: the point is to audit the optimizer.  Cached plans
+        are priced at the configured fan-out, never at one request's."""
         substituted = substitute_params(text, params)
         validate_choice("strategy", strategy, STRATEGY_NAMES)
-        feedback = self.feedback
-        fingerprint: Optional[str] = None
-        optimize_started = time.perf_counter()
+        default = self.config.strategy or "ii"
+        started = time.perf_counter()
         with self._store_lock:
             key = self.cache.key_for(substituted, self.physical)
-            if strategy is not None and strategy != (
-                self.config.strategy or "ii"
-            ):
+            if strategy not in (None, default):
                 # A strategy override must not collide with plans
                 # cached under the default (or another) strategy:
                 # suffix the canonical text, like a different query.
                 key = (f"{key[0]}\n-- strategy={strategy}", key[1])
-            lookup = self.cache.lookup(key, self.physical, self._current_model())
-            if lookup.entry is not None:
-                plan, estimated = lookup.entry.plan, lookup.entry.cost
-                plans_costed = 0
-                fingerprint = lookup.entry.fingerprint
-                if feedback is not None and fingerprint is None:
-                    fingerprint = feedback.register_plan(
-                        key[0], plan, estimated
+            planned = _Planned(substituted, key, strategy or default)
+            lookup = None
+            if not fresh:
+                model = self._model(self.config.shards)
+                lookup = self.cache.lookup(key, self.physical, model)
+            entry = lookup.entry if lookup is not None else None
+            if entry is not None:
+                planned.plan, planned.estimated = entry.plan, entry.cost
+                if self.feedback is not None and entry.fingerprint is None:
+                    entry.fingerprint = self.feedback.register_plan(
+                        key[0], entry.plan, entry.cost
                     )
-                    lookup.entry.fingerprint = fingerprint
+                planned.fingerprint = entry.fingerprint
             else:
                 graph = compile_text(substituted, self.database.catalog)
-                optimizer = self._optimizer(strategy)
-                result = optimizer.optimize(graph)
-                plan, estimated = result.plan, result.cost
-                plans_costed = result.plans_costed
-                entry = self.cache.store(key, plan, estimated, self.physical)
-                if feedback is not None:
-                    fingerprint = feedback.register_plan(
-                        key[0], plan, estimated, optimizer.cost_model
-                    )
-                    entry.fingerprint = fingerprint
-                    # A drift eviction (this lookup) or a recalibration
-                    # recost pass (earlier) replaced a cached plan: put
-                    # the replacement on regression watch.
-                    old = lookup.evicted or self._replanned.pop(key, None)
-                    if old is not None:
-                        feedback.plan_changed(
-                            key[0],
-                            old.plan,
-                            old.cost,
-                            plan,
-                            estimated,
-                            lookup.reason or RECALIBRATION,
-                        )
-        optimize_elapsed = time.perf_counter() - optimize_started
-        self.metrics.count(f"cache_{lookup.status}")
+                optimizer = self._optimizer(strategy, width)
+                with tracer.span("optimize"):
+                    result = optimizer.optimize(graph, tracer=tracer)
+                planned.result, planned.cost_model = result, optimizer.cost_model
+                planned.plan, planned.estimated = result.plan, result.cost
+                planned.plans_costed = result.plans_costed
+                if lookup is not None:
+                    self._store(planned, lookup)
+        planned.optimize_seconds = time.perf_counter() - started
+        if lookup is not None:
+            planned.status = lookup.status
+            self.metrics.count(f"cache_{lookup.status}")
+        return planned
 
-        self.admission.admit(estimated)
-        effective_timeout = self.admission.effective_timeout(timeout)
-        token = CancellationToken(effective_timeout)
-        # Minted before execution so the running query is addressable:
-        # shard-worker thread names, exchange frames, dist log lines and
-        # the live progress view all carry this id while the query runs.
-        request_id = self._next_request_id()
-        query_cls = query_class(key[0])
+    def _store(self, planned: _Planned, lookup) -> None:
+        """Cache a freshly optimized plan and register it with the
+        feedback loop (callers hold ``_store_lock``)."""
+        key, plan, estimated = planned.key, planned.plan, planned.estimated
+        entry = self.cache.store(key, plan, estimated, self.physical)
+        feedback = self.feedback
+        if feedback is None:
+            return
+        planned.fingerprint = entry.fingerprint = feedback.register_plan(
+            key[0], plan, estimated, planned.cost_model
+        )
+        # A drift eviction (this lookup) or a recalibration recost pass
+        # (earlier) replaced a cached plan: put the replacement on
+        # regression watch.
+        old = lookup.evicted or self._replanned.pop(key, None)
+        if old is not None:
+            reason = lookup.reason or RECALIBRATION
+            feedback.plan_changed(
+                key[0], old.plan, old.cost, plan, estimated, reason
+            )
+
+    def _execute(
+        self,
+        planned: _Planned,
+        request_id: str,
+        timeout: Optional[float] = None,
+        batch_size: Optional[int] = None,
+        shards: Optional[int] = None,
+        *,
+        sample: bool = False,
+        profiler: Optional[PlanProfiler] = None,
+        tracer: Optional[Tracer] = None,
+    ) -> _Executed:
+        """Cost-budget admission → slots weighted by the shard fan-out →
+        cancellation token → engine → progress → execute.  ``sample``
+        (the serving path) picks the observability detail once the
+        budget has admitted the request; otherwise the caller's
+        ``profiler``/``tracer`` run at full detail."""
+        self.admission.admit(planned.estimated)
         decision = FULL_DETAIL
-        if self.governor is not None:
-            decision = self.governor.decide(query_cls)
-        profiler: Optional[PlanProfiler] = None
-        tracer: Optional[Tracer] = None
-        if self.governor is not None:
+        if sample and self.governor is not None:
+            decision = self.governor.decide(query_class(planned.key[0]))
             if decision.sampled:
                 # Buffered observability: the trace and profile
                 # accumulate in memory and are committed or dropped at
@@ -512,129 +570,77 @@ class QueryService:
                 # only known once the query has run.
                 profiler = PlanProfiler()
                 tracer = Tracer(
-                    trace_id=request_id,
-                    max_spans=self.config.trace_max_spans,
+                    trace_id=request_id, max_spans=self.config.trace_max_spans
                 )
-        elif feedback is not None and feedback.should_profile():
+        elif sample and self.feedback is not None and self.feedback.should_profile():
             profiler = PlanProfiler()
-        requested_shards = (
-            shards if shards is not None else self.config.shards
-        )
+        requested = self.config.shards if shards is None else shards
+        if batch_size is None:
+            batch_size = self.config.batch_size
         # A shards-N request reserves N slots, capped by the slot pool,
-        # and the engine runs with exactly the granted width.
-        with self.admission.slot(weight=requested_shards) as granted:
-            granted_shards = min(requested_shards, granted)
-            execute_started = time.perf_counter()
+        # and the engine runs with exactly the granted width.  Slots are
+        # taken before the store lock, so queued requests never hold it.
+        with self.admission.slot(weight=requested) as granted:
+            width = min(requested, granted)
+            token = CancellationToken(self.admission.effective_timeout(timeout))
+            started = time.perf_counter()
             with self._store_lock:
                 engine = Engine(
                     self.physical,
                     max_fix_iterations=self.config.max_fix_iterations,
-                    batch_size=(
-                        batch_size
-                        if batch_size is not None
-                        else self.config.batch_size
-                    ),
-                    shards=granted_shards,
-                    cluster=self._cluster_for(granted_shards),
+                    batch_size=batch_size,
+                    shards=width,
+                    cluster=self._cluster_for(width),
                 )
                 engine.request_id = request_id
-                if tracer is not None:
-                    engine.tracer = tracer
-                handle = self.progress.begin(
-                    request_id, query=key[0], shards=granted_shards
+                engine.tracer = tracer or NULL_TRACER
+                engine.progress = self.progress.begin(
+                    request_id, query=planned.key[0], shards=width
                 )
-                engine.progress = handle
                 try:
-                    execution = engine.execute(
-                        plan, cancel=token, profiler=profiler
-                    )
+                    with engine.tracer.span("execute"):
+                        execution = engine.execute(
+                            planned.plan, cancel=token, profiler=profiler
+                        )
                 finally:
-                    self.progress.finish(handle)
-            execute_elapsed = time.perf_counter() - execute_started
+                    self.progress.finish(engine.progress)
+            seconds = time.perf_counter() - started
+        return _Executed(execution, engine, seconds, decision, profiler, tracer)
 
-        measured = execution.metrics.measured_cost()
+    def _settle(
+        self, planned: _Planned, run: _Executed
+    ) -> Tuple[QueryRecord, Optional[dict]]:
+        """The query record, the slow-query log, observability and
+        feedback; returns the record and the ``obs`` echo."""
+        metrics = run.execution.metrics
         record = QueryRecord(
-            canonical=key[0],
-            cache_status=lookup.status,
-            estimated_cost=estimated,
-            measured_cost=measured,
-            optimize_seconds=optimize_elapsed,
-            execute_seconds=execute_elapsed,
-            rows=len(execution.rows),
-            request_id=request_id,
-            batch_size=engine.batch_size,
-            shards=granted_shards,
-            exchange_tuples=execution.metrics.exchange_tuples,
-            exchange_bytes=execution.metrics.exchange_bytes,
-            reads_by_shard=dict(execution.metrics.reads_by_shard),
+            canonical=planned.key[0],
+            cache_status=planned.status,
+            estimated_cost=planned.estimated,
+            measured_cost=metrics.measured_cost(),
+            optimize_seconds=planned.optimize_seconds,
+            execute_seconds=run.seconds,
+            rows=len(run.execution.rows),
+            request_id=run.engine.request_id,
+            batch_size=run.engine.batch_size,
+            shards=run.engine.shards,
+            exchange_tuples=metrics.exchange_tuples,
+            exchange_bytes=metrics.exchange_bytes,
+            reads_by_shard=dict(metrics.reads_by_shard),
         )
-        self.metrics.record_execution(record, execution.metrics)
+        self.metrics.record_execution(record, metrics)
         slow_reasons = self._slow_reasons(record)
-        obs_echo = self._settle_observability(
-            decision,
-            query_cls,
-            record,
-            execution,
-            profiler,
-            tracer,
-            slow_reasons,
-            plan=plan,
-            fingerprint=fingerprint,
-            query_text=substituted,
-            knobs={
-                "batch_size": engine.batch_size,
-                "shards": granted_shards,
-                "max_fix_iterations": self.config.max_fix_iterations,
-            },
-        )
+        obs_echo = self._settle_observability(planned, run, record, slow_reasons)
         if slow_reasons:
             self.metrics.record_slow(record, slow_reasons)
-        if feedback is not None and fingerprint is not None:
-            self._feed_back(
-                key,
-                fingerprint,
-                record,
-                execution,
-                profiler,
-                weight=decision.weight,
-                committed=decision.sampled,
-            )
-
-        rows = execution.rows
-        truncated = False
-        if self.config.max_rows is not None and len(rows) > self.config.max_rows:
-            rows = rows[: self.config.max_rows]
-            truncated = True
-        response = {
-            "request_id": record.request_id,
-            "rows": [_jsonable_row(row) for row in rows],
-            "row_count": len(execution.rows),
-            "truncated": truncated,
-            "cache": lookup.status,
-            "estimated_cost": round(estimated, 2),
-            "measured_cost": round(measured, 2),
-            "plans_costed": plans_costed,
-            "optimize_ms": round(optimize_elapsed * 1000, 3),
-            "execute_ms": round(execute_elapsed * 1000, 3),
-            "fix_iterations": execution.metrics.fix_iterations,
-            "batch_size": engine.batch_size,
-            "shards": granted_shards,
-        }
-        if obs_echo is not None:
-            response["obs"] = obs_echo
-        return response
-
-    def _check_slow(self, record: QueryRecord) -> None:
-        """Route latency outliers and cost misestimates to the slow log."""
-        reasons = self._slow_reasons(record)
-        if reasons:
-            self.metrics.record_slow(record, reasons)
+        if self.feedback is not None and planned.fingerprint is not None:
+            self._feed_back(planned, run, record)
+        return record, obs_echo
 
     def _slow_reasons(self, record: QueryRecord) -> List[str]:
-        """Why (if at all) this query belongs in the slow-query log.
-
-        Returned as a mutable list so the observability settlement can
-        append anomaly verdicts before the single ``record_slow`` call."""
+        """Why (if at all) this query belongs in the slow-query log; a
+        list, so observability can append anomaly verdicts before the
+        single ``record_slow`` call."""
         reasons: List[str] = []
         threshold = self.config.slow_query_seconds
         if threshold is not None and record.execute_seconds > threshold:
@@ -642,84 +648,61 @@ class QueryService:
                 f"execute took {record.execute_seconds * 1000:.1f}ms "
                 f"(threshold {threshold * 1000:.0f}ms)"
             )
-        ratio_cap = self.config.misestimate_ratio
-        if (
-            ratio_cap is not None
-            and record.estimated_cost > 0
-            and record.measured_cost > 0
-        ):
+        cap = self.config.misestimate_ratio
+        if cap is not None and record.estimated_cost > 0 and record.measured_cost > 0:
             ratio = record.measured_cost / record.estimated_cost
-            if ratio > ratio_cap or ratio < 1.0 / ratio_cap:
+            if ratio > cap or ratio < 1.0 / cap:
                 reasons.append(
                     f"measured/estimated cost ratio {ratio:.2f} "
-                    f"outside [1/{ratio_cap:g}, {ratio_cap:g}]"
+                    f"outside [1/{cap:g}, {cap:g}]"
                 )
         return reasons
 
     def _settle_observability(
         self,
-        decision: SamplingDecision,
-        query_cls: str,
+        planned: _Planned,
+        run: _Executed,
         record: QueryRecord,
-        execution,
-        profiler: Optional[PlanProfiler],
-        tracer: Optional[Tracer],
         slow_reasons: List[str],
-        *,
-        plan,
-        fingerprint: Optional[str],
-        query_text: str,
-        knobs: dict,
     ) -> Optional[dict]:
-        """Close the observability loop for one completed query.
-
-        Scores the run against its class baselines, commits or drops
-        the buffered trace/profile (tail sampling: keep full detail
-        only for anomalous, slow, or head-sampled runs), charges the
-        governor for the detail actually spent, and — on anomaly —
-        snapshots a flight-recorder bundle.  Returns the ``obs`` echo
-        for the response, or ``None`` when the governor is off (legacy
-        payload shape)."""
+        """Close the observability loop for one completed query: score
+        it against its class baselines, commit or drop the buffered
+        trace/profile (tail sampling keeps anomalous, slow or
+        head-sampled runs), charge the governor for the detail spent
+        and, on anomaly, record a flight-recorder bundle.  Returns the
+        ``obs`` echo, or ``None`` when the governor is off."""
         if self.governor is None:
             return None
-        metrics = execution.metrics
-        misestimate = None
+        decision, metrics = run.decision, run.execution.metrics
+        query_cls, seconds = decision.query_class, record.execute_seconds
+        misestimate = skew = barrier = None
         if record.estimated_cost > 0 and record.measured_cost > 0:
             misestimate = q_error(record.estimated_cost, record.measured_cost)
-        skew = metrics.observed_skew() if metrics.shards_used > 1 else None
-        barrier = None
-        if metrics.shards_used > 1 and record.execute_seconds > 0:
-            barrier = min(
-                1.0, metrics.barrier_wait_seconds / record.execute_seconds
-            )
+        if metrics.shards_used > 1:
+            skew = metrics.observed_skew()
+            if seconds > 0:
+                barrier = min(1.0, metrics.barrier_wait_seconds / seconds)
         anomalies = self.anomalies.observe(
-            query_cls,
-            record.execute_seconds,
-            misestimate=misestimate,
-            skew=skew,
-            barrier_wait=barrier,
+            query_cls, seconds, misestimate=misestimate, skew=skew, barrier_wait=barrier
         )
+        found = [anomaly.to_dict() for anomaly in anomalies]
         # Tail-sampling verdict: anomaly beats slow beats the head
         # sample the run was admitted under.
-        commit_reason: Optional[str] = None
+        commit_reason = bundle_path = None
         if decision.sampled:
-            if anomalies:
-                commit_reason = "anomaly"
-            elif slow_reasons:
-                commit_reason = "slow"
-            else:
-                commit_reason = decision.reason
-        bundle_path: Optional[str] = None
-        if anomalies:
+            commit_reason = (
+                "anomaly" if found else "slow" if slow_reasons else decision.reason
+            )
+        if found:
             self.governor.note_anomaly(query_cls)
-            self.metrics.count("anomalies", len(anomalies))
+            self.metrics.count("anomalies", len(found))
             slow_reasons.extend(anomaly.describe() for anomaly in anomalies)
             if self.feedback is not None:
                 self.feedback.store.record_event(
                     "anomaly",
                     request_id=record.request_id,
                     query_class=query_cls,
-                    anomalies=[anomaly.to_dict() for anomaly in anomalies],
+                    anomalies=found,
                 )
             _LOG.warning(
                 "anomaly detected",
@@ -730,88 +713,107 @@ class QueryService:
                 },
             )
             if decision.sampled and self.recorder.admit(query_cls):
-                bundle = build_bundle(
-                    reason="anomaly",
-                    query_text=query_text,
-                    canonical=record.canonical,
-                    query_cls=query_cls,
-                    plan=plan,
-                    fingerprint=fingerprint or plan_fingerprint(plan),
-                    estimated_cost=record.estimated_cost,
-                    rows=execution.rows,
-                    measured_cost=record.measured_cost,
-                    execute_seconds=record.execute_seconds,
-                    fix_iterations=metrics.fix_iterations,
-                    knobs=knobs,
-                    physical=self.physical,
-                    database=self.config.database_config,
-                    cost_parameters=self._cost_params,
-                    request_id=record.request_id,
-                    anomalies=[anomaly.to_dict() for anomaly in anomalies],
-                    sampling=decision.to_dict(),
-                    trace=tracer.to_dict() if tracer is not None else None,
-                    profile=profiler.to_dict() if profiler is not None else None,
-                    telemetry=(
-                        self.feedback.store.snapshot(record.canonical, 1)
-                        if self.feedback is not None
-                        else None
-                    ),
-                    baselines=self.anomalies.snapshot().get("classes", {}).get(
-                        query_cls
-                    ),
+                bundle_path, _bundle = self._record_bundle(
+                    "anomaly", planned, run, decision.to_dict(), found
                 )
-                recorded_before = self.recorder.written
-                bundle_path = self.recorder.record(bundle)
-                if self.recorder.written > recorded_before:
-                    self.metrics.count("flight_bundles")
         # Charge what this run's detail actually cost, then settle the
         # commit-or-drop so the spent fraction steers later decisions.
-        probes = metrics.obs_probes if profiler is not None else 0
-        spans = tracer.span_count() if tracer is not None else 0
-        self.governor.charge(
-            query_cls, record.execute_seconds, probes=probes, spans=spans
-        )
+        probes = metrics.obs_probes if run.profiler is not None else 0
+        spans = run.tracer.span_count() if run.tracer is not None else 0
+        self.governor.charge(query_cls, seconds, probes=probes, spans=spans)
         committed = commit_reason is not None
         self.governor.settle(committed)
         self.metrics.count("obs_committed" if committed else "obs_dropped")
-        echo = decision.to_dict()
-        echo["committed"] = committed
+        echo = {**decision.to_dict(), "committed": committed}
         if commit_reason is not None:
             echo["commit_reason"] = commit_reason
-        if anomalies:
-            echo["anomalies"] = [anomaly.to_dict() for anomaly in anomalies]
+        if found:
+            echo["anomalies"] = found
         if bundle_path is not None:
             echo["bundle"] = bundle_path
         return echo
 
-    def _feed_back(
+    def _record_bundle(
         self,
-        key: CacheKey,
-        fingerprint: str,
-        record: QueryRecord,
-        execution,
-        profiler: Optional[PlanProfiler],
-        weight: float = 1.0,
-        committed: bool = True,
+        reason: str,
+        planned: _Planned,
+        run: _Executed,
+        sampling: dict,
+        anomalies: Optional[List[dict]] = None,
+    ) -> Tuple[Optional[str], dict]:
+        """Snapshot one executed request into a flight-recorder bundle
+        (an anomaly's or a ``diagnose``); returns its path (``None``
+        when memory-only or capped) and the bundle.  It records the
+        parameters the plan was priced with, so replay prices the same
+        machine."""
+        canonical = planned.key[0]
+        query_cls = query_class(canonical)
+        model = planned.cost_model or self._model(self.config.shards)
+        bundle = build_bundle(
+            reason=reason,
+            query_text=planned.text,
+            canonical=canonical,
+            query_cls=query_cls,
+            plan=planned.plan,
+            fingerprint=planned.fingerprint or plan_fingerprint(planned.plan),
+            estimated_cost=planned.estimated,
+            rows=run.execution.rows,
+            measured_cost=run.execution.metrics.measured_cost(),
+            execute_seconds=run.seconds,
+            fix_iterations=run.execution.metrics.fix_iterations,
+            knobs={
+                "batch_size": run.engine.batch_size,
+                "shards": run.engine.shards,
+                "max_fix_iterations": self.config.max_fix_iterations,
+                "strategy": planned.strategy,
+            },
+            physical=self.physical,
+            database=self.config.database_config,
+            cost_parameters=model.params if model is not None else None,
+            request_id=run.engine.request_id,
+            anomalies=anomalies,
+            sampling=sampling,
+            trace=run.tracer.to_dict() if run.tracer is not None else None,
+            profile=run.profiler.to_dict() if run.profiler is not None else None,
+            telemetry=(
+                self.feedback.store.snapshot(canonical, 1)
+                if self.feedback is not None
+                else None
+            ),
+            baselines=(
+                self.anomalies.snapshot().get("classes", {}).get(query_cls)
+                if self.anomalies is not None
+                else None
+            ),
+        )
+        recorded_before = self.recorder.written
+        path = self.recorder.record(bundle)
+        if self.recorder.written > recorded_before:
+            self.metrics.count("flight_bundles")
+        return path, bundle
+
+    def _feed_back(
+        self, planned: _Planned, run: _Executed, record: QueryRecord
     ) -> None:
         """Record one execution into the telemetry store and act on a
         regression verdict (slow-log entry, counters, optional
-        auto-pin).  ``weight``/``committed`` carry the governor's
-        sampling design into the observation so recalibration can
-        weight head-sampled runs back to an unbiased estimate and skip
-        unobserved ones."""
+        auto-pin).  The sampling ``weight``/``committed`` ride along so
+        recalibration can unbias head-sampled runs and skip unobserved
+        ones."""
         observation = build_observation(
             record.request_id,
             record.estimated_cost,
             record.measured_cost,
             record.execute_seconds,
             record.rows,
-            execution.metrics,
-            profiler,
-            weight=weight,
-            committed=committed,
+            run.execution.metrics,
+            run.profiler,
+            weight=run.decision.weight,
+            committed=run.decision.sampled,
         )
-        regression = self.feedback.observe(key[0], fingerprint, observation)
+        regression = self.feedback.observe(
+            planned.key[0], planned.fingerprint, observation
+        )
         if regression is None:
             return
         self.metrics.count("plan_regressions")
@@ -828,7 +830,7 @@ class QueryService:
         )
         if self.config.auto_pin:
             try:
-                self._pin_locked(key, revert=True)
+                self._pin(planned.key, revert=True)
             except ReproError:
                 pass  # the old plan no longer costs/fits; keep the new one
 
@@ -873,7 +875,7 @@ class QueryService:
         estimate drifts beyond the ratio are re-optimized on their next
         request, under regression watch)."""
         feedback = self._require_feedback()
-        base = self._cost_params or self._default_params()
+        base = self._cost_params or self._base_params
         _weights, params, report = feedback.recalibrate(base)
         self.metrics.count("recalibrations")
         payload = {"applied": False, **report}
@@ -908,16 +910,22 @@ class QueryService:
         substituted = substitute_params(text, params)
         with self._store_lock:
             key = self.cache.key_for(substituted, self.physical)
-            return self._pin_locked(key, revert=revert)
+            return self._pin(key, revert=revert)
 
-    def _pin_locked(self, key: CacheKey, revert: bool) -> dict:
-        # Re-entrant: callers may already hold the (R)lock.
-        with self._store_lock:
-            return self._pin_impl(key, revert)
-
-    def _pin_impl(self, key: CacheKey, revert: bool) -> dict:
+    def _pin(self, key: CacheKey, revert: bool) -> dict:
+        """Pin ``key``'s cached plan; with ``revert``, reinstall and pin
+        the prior plan of its last flagged regression.  Takes the
+        re-entrant store lock, so callers may already hold it."""
         feedback = self.feedback
-        if revert:
+        with self._store_lock:
+            if not revert:
+                if not self.cache.pin(key, True):
+                    raise ServiceError("no cached plan for this query to pin")
+                fingerprint = self.cache.entry(key).fingerprint
+                self.metrics.count("plans_pinned")
+                if feedback is not None:
+                    feedback.record_pin(key[0], fingerprint or "", True)
+                return {"pinned": True, "reverted": False, "fingerprint": fingerprint}
             if feedback is None:
                 raise ServiceError("pin revert requires the feedback loop")
             change = feedback.regression_for(key[0])
@@ -925,16 +933,12 @@ class QueryService:
                 raise ServiceError(
                     "no flagged plan regression to revert for this query"
                 )
-            cost = change.old_cost
+            cost, plan = change.old_cost, change.old_plan
             try:
-                cost = recost_plan(
-                    change.old_plan, self.physical, self._current_model()
-                )
+                cost = recost_plan(plan, self.physical, self._model(self.config.shards))
             except ReproError:
                 pass  # keep the plan-time estimate
-            entry = self.cache.store(
-                key, change.old_plan, cost, self.physical, pinned=True
-            )
+            entry = self.cache.store(key, plan, cost, self.physical, pinned=True)
             entry.fingerprint = change.old_fingerprint
             self.metrics.count("plans_pinned")
             feedback.record_pin(key[0], change.old_fingerprint, True)
@@ -944,14 +948,6 @@ class QueryService:
                 "fingerprint": change.old_fingerprint,
                 "estimated_cost": round(cost, 2),
             }
-        if not self.cache.pin(key, True):
-            raise ServiceError("no cached plan for this query to pin")
-        entry = self.cache.entry(key)
-        fingerprint = entry.fingerprint if entry is not None else None
-        self.metrics.count("plans_pinned")
-        if feedback is not None:
-            feedback.record_pin(key[0], fingerprint or "", True)
-        return {"pinned": True, "reverted": False, "fingerprint": fingerprint}
 
     def unpin_query(self, text: str, params: Optional[dict] = None) -> dict:
         substituted = substitute_params(text, params)
@@ -982,11 +978,9 @@ class QueryService:
     GAUGE_CLASS_CAP = 32
 
     def _refresh_feedback_gauges(self) -> None:
-        """Publish per-query-class misestimate gauges from telemetry
-        (done on scrape, not per request — the summary walks history).
-        The full sample set is replaced each time, so classes that fell
-        out of the telemetry window disappear instead of exposing a
-        stale value forever."""
+        """Publish per-query-class misestimate gauges from telemetry, on
+        scrape (the summary walks history); the sample set is replaced
+        whole, so classes that left the window disappear."""
         if self.feedback is None:
             return
         entries = sorted(
@@ -1063,103 +1057,37 @@ class QueryService:
         timeout: Optional[float] = None,
         shards: Optional[int] = None,
     ) -> dict:
-        """On-demand flight recording: run the query once at full
-        observability detail — bypassing the governor's sampling — and
-        record a ``diagnose`` bundle, exactly as an anomaly would."""
-        substituted = substitute_params(text, params)
+        """On-demand flight recording: plan fresh, run the query once at
+        full observability detail — bypassing the governor's sampling,
+        not admission — and record a ``diagnose`` bundle, exactly as an
+        anomaly would."""
         request_id = self._next_request_id()
         width = max(1, shards or self.config.shards)
-        tracer = Tracer(
-            trace_id=request_id, max_spans=self.config.trace_max_spans
+        tracer = Tracer(trace_id=request_id, max_spans=self.config.trace_max_spans)
+        planned = self._plan(text, params, width=width, fresh=True, tracer=tracer)
+        run = self._execute(
+            planned,
+            request_id,
+            timeout,
+            shards=width,
+            profiler=PlanProfiler(),
+            tracer=tracer,
         )
-        profiler = PlanProfiler()
-        with self._store_lock:
-            key = self.cache.key_for(substituted, self.physical)
-            graph = compile_text(substituted, self.database.catalog)
-            optimizer = cost_controlled_optimizer(
-                self.physical, self._model_for(width)
-            )
-            with tracer.span("optimize"):
-                result = optimizer.optimize(graph)
-            token = CancellationToken(
-                self.admission.effective_timeout(timeout)
-            )
-            engine = Engine(
-                self.physical,
-                max_fix_iterations=self.config.max_fix_iterations,
-                shards=width,
-                cluster=self._cluster_for(width),
-            )
-            engine.request_id = request_id
-            engine.tracer = tracer
-            started = time.perf_counter()
-            with tracer.span("execute"):
-                execution = engine.execute(
-                    result.plan, cancel=token, profiler=profiler
-                )
-            elapsed = time.perf_counter() - started
-        measured = execution.metrics.measured_cost()
-        query_cls = query_class(key[0])
-        bundle = build_bundle(
-            reason="diagnose",
-            query_text=substituted,
-            canonical=key[0],
-            query_cls=query_cls,
-            plan=result.plan,
-            fingerprint=plan_fingerprint(result.plan),
-            estimated_cost=result.cost,
-            rows=execution.rows,
-            measured_cost=measured,
-            execute_seconds=elapsed,
-            fix_iterations=execution.metrics.fix_iterations,
-            knobs={
-                "batch_size": engine.batch_size,
-                "shards": width,
-                "max_fix_iterations": self.config.max_fix_iterations,
-            },
-            physical=self.physical,
-            database=self.config.database_config,
-            cost_parameters=self._cost_params,
-            request_id=request_id,
-            sampling={
-                "mode": "full",
-                "sampled": True,
-                "weight": 1.0,
-                "reason": "diagnose",
-            },
-            trace=tracer.to_dict(),
-            profile=profiler.to_dict(),
-            telemetry=(
-                self.feedback.store.snapshot(key[0], 1)
-                if self.feedback is not None
-                else None
-            ),
-            baselines=(
-                self.anomalies.snapshot().get("classes", {}).get(query_cls)
-                if self.anomalies is not None
-                else None
-            ),
-        )
-        recorded_before = self.recorder.written
-        path = self.recorder.record(bundle)
-        if self.recorder.written > recorded_before:
-            self.metrics.count("flight_bundles")
+        sampling = {**FULL_DETAIL.to_dict(), "reason": "diagnose"}
+        path, bundle = self._record_bundle("diagnose", planned, run, sampling)
+        query_cls = bundle["query"]["class"]
         _LOG.info(
             "diagnose bundle recorded",
-            extra={
-                "request_id": request_id,
-                "query_class": query_cls,
-                "bundle": path,
-            },
+            extra={"request_id": request_id, "query_class": query_cls, "bundle": path},
         )
         return {
             "request_id": request_id,
             "bundle": path,
             "query_class": query_cls,
-            "row_count": len(execution.rows),
-            "estimated_cost": round(result.cost, 2),
-            "measured_cost": round(measured, 2),
-            "execute_ms": round(elapsed * 1000, 3),
+            "row_count": len(run.execution.rows),
+            "estimated_cost": round(planned.estimated, 2),
+            "measured_cost": round(run.execution.metrics.measured_cost(), 2),
+            "execute_ms": round(run.seconds * 1000, 3),
             "plan_fingerprint": bundle["plan"]["fingerprint"],
             "answer_fingerprint": bundle["execution"]["answer_fingerprint"],
             "recorder": self.recorder.snapshot(),
@@ -1178,56 +1106,34 @@ class QueryService:
         timeout: Optional[float] = None,
         shards: Optional[int] = None,
     ) -> dict:
-        """``EXPLAIN [ANALYZE]``: optimize (always from scratch — the
-        point is to audit the optimizer, not the cache) and, when
-        ``analyze`` is set, execute under a profiler so every operator
-        carries actual rows/cost/time next to the estimates.  With
-        ``shards`` > 1 the plan is both costed *and* executed at that
-        fan-out, so sharded Fix nodes carry distributed est-vs-act
-        terms (network/disk/skew)."""
-        substituted = substitute_params(text, params)
+        """``EXPLAIN [ANALYZE]``: plan fresh and, when ``analyze`` is
+        set, execute under a profiler so every operator carries actual
+        rows/cost/time next to the estimates.  The plan is costed *and*
+        executed at ``shards``, so sharded Fix nodes carry distributed
+        est-vs-act terms (network/disk/skew)."""
         request_id = self._next_request_id()
-        width = max(1, shards or 1)
-        with self._store_lock:
-            graph = compile_text(substituted, self.database.catalog)
-            optimizer = cost_controlled_optimizer(
-                self.physical, self._model_for(width)
+        width = max(1, shards or self.config.shards)
+        planned = self._plan(text, params, width=width, fresh=True)
+        payload = {"request_id": request_id, "shards": width, "analyzed": analyze}
+        profiler = PlanProfiler() if analyze else None
+        if analyze:
+            run = self._execute(
+                planned, request_id, timeout, shards=width, profiler=profiler
             )
-            result = optimizer.optimize(graph)
-            profiler: Optional[PlanProfiler] = None
-            rows = None
-            if analyze:
-                token = CancellationToken(
-                    self.admission.effective_timeout(timeout)
-                )
-                profiler = PlanProfiler()
-                engine = Engine(
-                    self.physical,
-                    max_fix_iterations=self.config.max_fix_iterations,
-                    shards=width,
-                    cluster=self._cluster_for(width),
-                )
-                engine.request_id = request_id
-                execution = engine.execute(
-                    result.plan, cancel=token, profiler=profiler
-                )
-                rows = len(execution.rows)
-            tree = build_explain(result.plan, optimizer.cost_model, profiler)
-        payload = {
-            "request_id": request_id,
-            "shards": width,
-            "analyzed": analyze,
-            "estimated_cost": round(result.cost, 2),
-            "plans_costed": result.plans_costed,
-            "plan": render_explain(tree),
-            "tree": tree.to_dict(),
-            "candidates": [
+            payload["shards"] = run.engine.shards
+            payload["row_count"] = len(run.execution.rows)
+        with self._store_lock:
+            tree = build_explain(planned.plan, planned.cost_model, profiler)
+        payload.update(
+            estimated_cost=round(planned.estimated, 2),
+            plans_costed=planned.plans_costed,
+            plan=render_explain(tree),
+            tree=tree.to_dict(),
+            candidates=[
                 {"description": description, "cost": round(cost, 2)}
-                for description, cost in result.candidates
+                for description, cost in planned.result.candidates
             ],
-        }
-        if rows is not None:
-            payload["row_count"] = rows
+        )
         return payload
 
     def trace_query(
@@ -1243,44 +1149,28 @@ class QueryService:
         ``shards`` > 1 the query executes distributed and the tracer is
         handed to the engine, so the exported Chrome trace carries one
         lane per shard next to the coordinator lane."""
-        substituted = substitute_params(text, params)
         request_id = self._next_request_id()
-        width = max(1, shards or 1)
+        width = max(1, shards or self.config.shards)
         tracer = Tracer(trace_id=request_id if width > 1 else None)
-        with self._store_lock:
-            graph = compile_text(substituted, self.database.catalog)
-            optimizer = cost_controlled_optimizer(
-                self.physical, self._model_for(width)
+        planned = self._plan(text, params, width=width, fresh=True, tracer=tracer)
+        payload = {"request_id": request_id, "shards": width}
+        if execute:
+            profiler = PlanProfiler()
+            run = self._execute(
+                planned,
+                request_id,
+                timeout,
+                shards=width,
+                profiler=profiler,
+                tracer=tracer,
             )
-            with tracer.span("optimize"):
-                result = optimizer.optimize(graph, tracer=tracer)
-            profiler: Optional[PlanProfiler] = None
-            if execute:
-                token = CancellationToken(
-                    self.admission.effective_timeout(timeout)
-                )
-                profiler = PlanProfiler()
-                engine = Engine(
-                    self.physical,
-                    max_fix_iterations=self.config.max_fix_iterations,
-                    shards=width,
-                    cluster=self._cluster_for(width),
-                )
-                engine.request_id = request_id
-                engine.tracer = tracer
-                with tracer.span("execute"):
-                    engine.execute(
-                        result.plan, cancel=token, profiler=profiler
-                    )
-        payload = {
-            "request_id": request_id,
-            "shards": width,
-            "estimated_cost": round(result.cost, 2),
-            "trace": tracer.to_dict(),
-            "chrome_trace": tracer.to_chrome_trace(),
-        }
-        if profiler is not None:
+            payload["shards"] = run.engine.shards
             payload["profile"] = profiler.to_dict()
+        payload.update(
+            estimated_cost=round(planned.estimated, 2),
+            trace=tracer.to_dict(),
+            chrome_trace=tracer.to_chrome_trace(),
+        )
         return payload
 
     def metrics_text(self) -> str:
@@ -1328,36 +1218,21 @@ class QueryService:
         return {"closed": self.close_session(request.get("session") or "")}
 
     def _op_query(self, request: dict) -> dict:
-        text = request.get("text")
-        if not isinstance(text, str):
-            raise ProtocolError("query requires a string 'text'")
         return self.run_query(
-            text,
+            _string_field(request, "text"),
             request.get("params"),
-            _timeout_field(request),
-            _positive_int_field(request, "batch_size"),
-            _positive_int_field(request, "shards"),
-            _strategy_field(request),
+            *_execution_fields(request),
         )
 
     def _op_prepare(self, request: dict) -> dict:
-        text = request.get("text")
-        if not isinstance(text, str):
-            raise ProtocolError("prepare requires a string 'text'")
-        return self.prepare(request.get("session"), text)
+        return self.prepare(request.get("session"), _string_field(request, "text"))
 
     def _op_execute(self, request: dict) -> dict:
-        statement = request.get("statement")
-        if not isinstance(statement, str):
-            raise ProtocolError("execute requires a string 'statement'")
         return self.execute_statement(
             request.get("session"),
-            statement,
+            _string_field(request, "statement"),
             request.get("params"),
-            _timeout_field(request),
-            _positive_int_field(request, "batch_size"),
-            _positive_int_field(request, "shards"),
-            _strategy_field(request),
+            *_execution_fields(request),
         )
 
     def _op_stats(self, request: dict) -> dict:
@@ -1367,11 +1242,8 @@ class QueryService:
         return self.refresh_statistics()
 
     def _op_explain(self, request: dict) -> dict:
-        text = request.get("text")
-        if not isinstance(text, str):
-            raise ProtocolError("explain requires a string 'text'")
         return self.explain_query(
-            text,
+            _string_field(request, "text"),
             request.get("params"),
             analyze=bool(request.get("analyze")),
             timeout=_timeout_field(request),
@@ -1379,11 +1251,8 @@ class QueryService:
         )
 
     def _op_trace(self, request: dict) -> dict:
-        text = request.get("text")
-        if not isinstance(text, str):
-            raise ProtocolError("trace requires a string 'text'")
         return self.trace_query(
-            text,
+            _string_field(request, "text"),
             request.get("params"),
             execute=request.get("execute", True) is not False,
             timeout=_timeout_field(request),
@@ -1414,32 +1283,41 @@ class QueryService:
         return self.recalibrate(apply=bool(request.get("apply")))
 
     def _op_pin(self, request: dict) -> dict:
-        text = request.get("text")
-        if not isinstance(text, str):
-            raise ProtocolError("pin requires a string 'text'")
-        return self.pin_query(
-            text, request.get("params"), revert=bool(request.get("revert"))
-        )
+        text = _string_field(request, "text")
+        revert = bool(request.get("revert"))
+        return self.pin_query(text, request.get("params"), revert=revert)
 
     def _op_unpin(self, request: dict) -> dict:
-        text = request.get("text")
-        if not isinstance(text, str):
-            raise ProtocolError("unpin requires a string 'text'")
-        return self.unpin_query(text, request.get("params"))
+        return self.unpin_query(_string_field(request, "text"), request.get("params"))
 
     def _op_governor(self, request: dict) -> dict:
         return self.governor_stats()
 
     def _op_diagnose(self, request: dict) -> dict:
-        text = request.get("text")
-        if not isinstance(text, str):
-            raise ProtocolError("diagnose requires a string 'text'")
         return self.diagnose_query(
-            text,
+            _string_field(request, "text"),
             request.get("params"),
             timeout=_timeout_field(request),
             shards=_positive_int_field(request, "shards"),
         )
+
+
+def _string_field(request: dict, name: str) -> str:
+    value = request.get(name)
+    if not isinstance(value, str):
+        raise ProtocolError(f"{request.get('op')} requires a string {name!r}")
+    return value
+
+
+def _execution_fields(request: dict) -> tuple:
+    """A ``query``/``execute`` request's ``timeout``, ``batch_size``,
+    ``shards`` and ``strategy``."""
+    return (
+        _timeout_field(request),
+        _positive_int_field(request, "batch_size"),
+        _positive_int_field(request, "shards"),
+        _strategy_field(request),
+    )
 
 
 def _positive_int_field(request: dict, name: str) -> Optional[int]:

@@ -16,7 +16,6 @@ import pytest
 from repro.cost.params import CostParameters
 from repro.engine import DEFAULT_BATCH_SIZE, Engine, default_batch_size
 from repro.engine.batch import Batch, rebatch
-from repro.engine.context import ExecutionContext
 from repro.plans import EntityLeaf, Proj, Sel
 from repro.querygraph.builder import and_, const, eq, ge, le, out, path
 from tests.test_engine import make_fix
@@ -83,15 +82,10 @@ class TestConfigurationPlumbing:
     def test_nonpositive_batch_size_rejected(self, small_db):
         with pytest.raises(ValueError):
             Engine(small_db.physical, batch_size=0)
-        with pytest.raises(ValueError):
-            ExecutionContext(batch_size=0)
 
-    def test_context_overrides_engine_batch_size(self, small_db):
-        engine = Engine(small_db.physical, batch_size=256)
-        result = engine.execute(
-            EntityLeaf("Composer", "x"),
-            context=ExecutionContext(batch_size=4),
-        )
+    def test_constructor_batch_size_sets_batches(self, small_db):
+        engine = Engine(small_db.physical, batch_size=4)
+        result = engine.execute(EntityLeaf("Composer", "x"))
         assert engine.batch_size == 4
         count = small_db.config.composer_count
         assert result.metrics.batches == math.ceil(count / 4)

@@ -200,10 +200,10 @@ class TestServiceKeepsTheMachine:
                 service.run_query(CLOSURE)
             assert service.recalibrate(apply=True)["applied"]
             assert service._cost_params is not None
-            params = service._current_model().params
+            params = service._model(1).params
             assert params.buffer_pages == 6
             assert params.temp_records_per_page == 8
-            wide = service._model_for(2).params
+            wide = service._model(2).params
             assert (wide.shards, wide.buffer_pages) == (2, 6)
 
             service.run_query(CLOSURE)

@@ -1,21 +1,17 @@
 """Centralized execution-knob validation: every integer knob —
 ``batch_size``, ``shards`` — is validated by one shared path
-(:func:`validate_knob`, called from
-``ExecutionContext.__post_init__`` and the ``Engine`` constructor), and
+(:func:`validate_knob`, called from the ``Engine`` constructor), and
 the enumerated knob — the service ``strategy`` — by
 :func:`validate_choice`, so every entry point rejects the same bad
-values with the same message.
+values with the same message.  The knobs are fixed at construction:
+``Engine.execute`` takes none of them.
 """
 
 import pytest
 
 from repro.core.strategies import STRATEGY_NAMES
 from repro.engine import Engine
-from repro.engine.context import (
-    ExecutionContext,
-    validate_choice,
-    validate_knob,
-)
+from repro.engine.context import validate_choice, validate_knob
 from repro.workloads import MusicConfig, generate_music_database
 
 KNOBS = ("batch_size", "shards")
@@ -68,27 +64,23 @@ def test_validate_choice_rejects_non_members(bad):
         validate_choice("strategy", bad, STRATEGY_NAMES)
 
 
-# -- one test per knob through ExecutionContext -------------------------------
-
-
-def test_context_validates_batch_size():
-    assert ExecutionContext(batch_size=None).batch_size is None
-    assert ExecutionContext(batch_size=256).batch_size == 256
-    with pytest.raises(ValueError, match="batch_size must be >= 1"):
-        ExecutionContext(batch_size=0)
-    with pytest.raises(ValueError, match="batch_size must be an integer"):
-        ExecutionContext(batch_size=True)
-
-
-def test_context_validates_shards():
-    assert ExecutionContext(shards=4).shards == 4
-    with pytest.raises(ValueError, match="shards must be >= 1"):
-        ExecutionContext(shards=-2)
-    with pytest.raises(ValueError, match="shards must be an integer"):
-        ExecutionContext(shards="4")
-
-
 # -- the engine constructor goes through the same path ------------------------
+
+
+def test_engine_constructor_validates_batch_size(physical):
+    assert Engine(physical, batch_size=256).batch_size == 256
+    with pytest.raises(ValueError, match="batch_size must be >= 1"):
+        Engine(physical, batch_size=0)
+    with pytest.raises(ValueError, match="batch_size must be an integer"):
+        Engine(physical, batch_size=True)
+
+
+def test_engine_constructor_validates_shards(physical):
+    assert Engine(physical, shards=4).shards == 4
+    with pytest.raises(ValueError, match="shards must be >= 1"):
+        Engine(physical, shards=-2)
+    with pytest.raises(ValueError, match="shards must be an integer"):
+        Engine(physical, shards="4")
 
 
 @pytest.mark.parametrize("knob", KNOBS)
@@ -108,5 +100,14 @@ def test_engine_constructor_accepts_good_knobs(physical):
 def test_retired_parallelism_knob_is_not_accepted(physical):
     with pytest.raises(TypeError):
         Engine(physical, parallelism=2)
+
+
+def test_execute_takes_no_per_run_knobs(physical):
+    from repro.plans import EntityLeaf
+
+    engine = Engine(physical, batch_size=4)
     with pytest.raises(TypeError):
-        ExecutionContext(parallelism=2)
+        engine.execute(EntityLeaf("Composer", "x"), context=object())
+    with pytest.raises(TypeError):
+        engine.execute(EntityLeaf("Composer", "x"), batch_size=8)
+    assert engine.batch_size == 4

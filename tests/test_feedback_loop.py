@@ -20,7 +20,9 @@ import pytest
 from repro.core.baselines import naive_optimizer
 from repro.errors import ServiceError
 from repro.lang import compile_text
+from repro.obs.feedback import operator_estimates
 from repro.obs.history import plan_fingerprint
+from repro.plans import EntityLeaf
 from repro.service import QueryService, ServiceConfig
 from repro.workloads import MusicConfig, generate_music_database
 
@@ -363,3 +365,15 @@ class TestProtocolSurface:
             assert "repro_misestimate_ratio" in text
         finally:
             service.close()
+
+
+def test_operator_estimates_propagate_unexpected_errors():
+    """Per-operator estimates re-cost a plan with the model that just
+    priced it; a failure there is a bug, not an empty estimate."""
+
+    class BrokenModel:
+        def annotated_report(self, _plan):
+            raise AttributeError("injected")
+
+    with pytest.raises(AttributeError, match="injected"):
+        operator_estimates(EntityLeaf("Composer", "x"), BrokenModel())

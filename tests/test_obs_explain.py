@@ -8,6 +8,7 @@ import pytest
 from repro.core.baselines import cost_controlled_optimizer
 from repro.cost import DetailedCostModel
 from repro.engine import Engine
+from repro.errors import CostModelError
 from repro.obs import PlanProfiler, build_explain, render_explain
 from repro.obs.profile import assign_node_ids
 from repro.plans import Fix, Sel
@@ -166,3 +167,42 @@ class TestExplain:
         assert any(
             tree.node_for(n).est_visits > 1 for n in recursive_sels
         ), "no recursive-part node was costed across iterations"
+
+
+class TestEstimateFallback:
+    """A node the annotated report did not capture falls back to a bare
+    estimate; only the cost model's own error is absorbed there."""
+
+    def _explain_with(self, optimized, monkeypatch, error):
+        _db, optimizer, result = optimized
+        model = optimizer.cost_model
+        # The report is computed before the injection, so the error can
+        # only come from the per-node fallback estimate.
+        report = model.annotated_report(result.plan)
+        monkeypatch.setattr(model, "annotated_report", lambda _plan: report)
+
+        def estimate(_node):
+            raise error
+
+        monkeypatch.setattr(model.estimator, "estimate", estimate)
+        return result, build_explain(result.plan, model)
+
+    def test_cost_model_error_leaves_rows_unestimated(
+        self, optimized, monkeypatch
+    ):
+        result, tree = self._explain_with(
+            optimized, monkeypatch, CostModelError("injected")
+        )
+        uncaptured = [
+            node
+            for node in result.plan.walk()
+            if tree.node_for(node).est_cost is None
+        ]
+        assert uncaptured
+        assert all(tree.node_for(node).est_rows is None for node in uncaptured)
+
+    def test_unexpected_error_propagates(self, optimized, monkeypatch):
+        with pytest.raises(AttributeError, match="injected"):
+            self._explain_with(
+                optimized, monkeypatch, AttributeError("injected")
+            )
