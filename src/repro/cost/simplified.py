@@ -464,6 +464,10 @@ class _TableBuilder:
         )
 
     def _varmap(self, node: PlanNode, env: Dict[str, Size]):
+        """The estimator's per-variable shapes under ``node``, or ``{}``
+        (default selectivities) when the estimator refuses the subtree
+        with its own typed error — e.g. a recursion reference whose
+        size this table only knows symbolically."""
         delta_env = {
             name: (_as_number(size.tuples), TupleShape())
             for name, size in env.items()
@@ -471,7 +475,7 @@ class _TableBuilder:
         }
         try:
             return self.model.estimator.estimate(node, delta_env).varmap
-        except Exception:
+        except CostModelError:
             return {}
 
 

@@ -63,13 +63,14 @@ logger = get_logger("dist")
 def _annotate(exc: BaseException, context: str) -> None:
     """Prefix an exception's message with request/shard context so
     abort-on-first-error reports name their origin.  Best-effort: an
-    exception whose args resist rewriting propagates unchanged."""
+    exception whose ``args`` setter rejects the rewrite (a TypeError)
+    propagates unchanged."""
     try:
         if exc.args and isinstance(exc.args[0], str):
             exc.args = (f"[{context}] {exc.args[0]}",) + exc.args[1:]
         else:
             exc.args = (f"[{context}]",) + exc.args
-    except Exception:  # pragma: no cover - exotic exception types
+    except TypeError:
         pass
 
 

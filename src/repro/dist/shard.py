@@ -135,4 +135,5 @@ class ShardSession:
                 self.schema.drop_temp(name)
                 dropped += 1
         self._staging.clear()
+        self.engine.drop_replays()
         return dropped

@@ -62,8 +62,10 @@ __all__ = [
 _MISSING = object()
 
 #: Value types the join kernel compares raw.  ``==`` between any two of
-#: them cannot raise, dereference or recurse, so a column pass and the
-#: per-pair ``compare`` closure agree on every pair by construction.
+#: them cannot raise, dereference or recurse, and equal values hash
+#: alike (NaN, equal to nothing, is kept out of the index), so a key
+#: index lookup and the per-pair ``compare`` closure agree on every pair
+#: by construction.
 _JOIN_KEY_KINDS = frozenset({int, float, str, bool, Oid})
 #: An inner key column may also hold nulls: a null never matches (the
 #: per-pair path expands it to no value at all), it does not make the
@@ -768,12 +770,15 @@ class JoinKernel:
     :meth:`ExpressionEvaluator.compile_join_kernel`).
 
     Per outer binding :meth:`outer_key` extracts the raw key once; per
-    inner batch :meth:`matches` compares it against the inner key
-    column.  Both answer None for anything the raw comparison does not
-    provably reproduce, and the join then runs that outer binding (or
-    that whole inner batch) through the per-pair closure — the same
-    whole-batch fallback rule as the ``Sel`` kernels, so evaluation
-    counters and buffer-charge order cannot diverge.
+    inner batch :meth:`matches` looks it up in a key index of the inner
+    key column, built once per chunk list and kept in the calling
+    join's probe memo — the nested loop's re-scans replay the same
+    chunk lists, so every later probe is one dict lookup.  Both answer
+    None for anything the raw comparison does not provably reproduce,
+    and the join then runs that outer binding (or that whole inner
+    batch) through the per-pair closure — the same whole-batch fallback
+    rule as the ``Sel`` kernels, so evaluation counters and
+    buffer-charge order cannot diverge.
 
     :meth:`matches` counts a whole inner batch up front, so counter
     parity with the per-pair loop holds for *drained* streams (the
@@ -817,26 +822,57 @@ class JoinKernel:
                 return raw
         return None
 
-    def matches(self, key: object, batch) -> Optional[List[StoredRecord]]:
+    def matches(
+        self, key: object, batch, probes: list
+    ) -> Optional[List[StoredRecord]]:
         """The inner records of ``batch`` whose key equals ``key``, in
         batch order, or None when the batch is not a single column of
         stored records with plain-or-null keys.  Counts what the
         per-pair path counts for the whole batch: one predicate
-        evaluation and two expression evaluations per pair."""
+        evaluation and two expression evaluations per pair.
+
+        ``probes`` is the calling join's memo slot for this batch:
+        ``[column, key index]`` of the column it last held.  A column
+        seen for the first time is indexed once (:meth:`_key_index`);
+        every later probe of the same list is one dict lookup.  The
+        caller must not mutate the returned list."""
         columns = batch._columns
         if columns is None or len(columns) != 1:
             return None
         column = columns.get(self.inner_var)
         if column is None:
             return None
-        extracted = _stored_attr_column(column, self.inner_attr)
-        if extracted is None or not extracted[1] <= _JOIN_COLUMN_KINDS:
+        if probes[0] is not column:
+            probes[:] = [column, self._key_index(column)]
+        index = probes[1]
+        if index is None:
             return None
-        raws = extracted[0]
         metrics = self._metrics
         metrics.predicate_evals += len(column)
         metrics.expr_evals += 2 * len(column)
-        return [record for record, raw in zip(column, raws) if raw == key]
+        return index.get(key, [])
+
+    def _key_index(
+        self, column: list
+    ) -> Optional[Dict[object, List[StoredRecord]]]:
+        """``{raw key: [records in column order]}`` of an inner column,
+        or None when the column is not all stored records with
+        plain-or-null keys.  Null and NaN keys are left out — they
+        equal nothing — so a lookup finds exactly the records ``==``
+        would (``True``, ``1`` and ``1.0`` share a bucket, as they
+        compare equal)."""
+        extracted = _stored_attr_column(column, self.inner_attr)
+        if extracted is None or not extracted[1] <= _JOIN_COLUMN_KINDS:
+            return None
+        index: Dict[object, List[StoredRecord]] = {}
+        for record, raw in zip(column, extracted[0]):
+            if raw is not None and raw == raw:
+                bucket = index.get(raw)
+                if bucket is None:
+                    index[raw] = [record]
+                else:
+                    bucket.append(record)
+        return index
 
 
 def _conjoin(

@@ -51,6 +51,7 @@ from repro.engine.metrics import RuntimeMetrics
 from repro.obs.profile import PlanProfiler, assign_node_ids
 from repro.obs.trace import NULL_TRACER
 from repro.physical.buffer import BufferStats
+from repro.physical.pages import PageId
 from repro.physical.schema import PhysicalSchema
 from repro.physical.storage import Oid, StoredRecord
 from repro.plans.nodes import (
@@ -152,6 +153,12 @@ class Engine:
         #: evaluated once and share their materialized temporary (a
         #: self-join of a recursion must not recompute the closure).
         self._fix_cache: Dict[object, str] = {}
+        #: Recursion name -> ``(delta, length, batch plan)`` of the
+        #: delta its ``RecLeaf`` scans last replayed (:meth:`_delta_plan`).
+        self._delta_plans: Dict[str, tuple] = {}
+        #: Nested-loop EJ node id -> its probe memo: one ``[chunk, key
+        #: index]`` slot per inner batch position (JoinKernel.matches).
+        self._probe_memos: Dict[int, List[list]] = {}
         #: I/O charged by shard sessions during this execution (their
         #: buffers are private, so the coordinator-store delta misses
         #: them); folded into ``metrics.buffer`` at the end of execute.
@@ -216,6 +223,7 @@ class Engine:
             for batch in self.iterate_batches(plan, {}):
                 rows.extend(batch.rows)
         finally:
+            self.drop_replays()
             if not self.keep_temps:
                 for temp_name in self._temps_created:
                     if self.physical.has_entity(temp_name):
@@ -262,6 +270,8 @@ class Engine:
         clone._temps_created = []  # session-private staging ledger
         clone._consumed_vars = self._consumed_vars
         clone._fix_cache = {}
+        clone._delta_plans = {}
+        clone._probe_memos = {}
         clone._shard_buffer = BufferStats()
         clone.tracer = NULL_TRACER  # shard lanes record via the
         clone.request_id = self.request_id  # coordinator's child tracers
@@ -299,6 +309,12 @@ class Engine:
         self._shard_buffer.logical_reads += io.logical_reads
         self._shard_buffer.physical_reads += io.physical_reads
         self._shard_buffer.evictions += io.evictions
+
+    def drop_replays(self) -> None:
+        """Forget the delta plans and probe memos this engine kept for
+        re-scans (end of an execution, or of a shard session)."""
+        self._delta_plans.clear()
+        self._probe_memos.clear()
 
     def note_temp(self, name: str) -> None:
         """Record a temporary created during this execution so it can
@@ -431,29 +447,33 @@ class Engine:
     def _scan_batches(
         self, entity: str, var: str, kind: str, node_id: Optional[str]
     ) -> Iterator[Batch]:
-        """Scan an extent into batches.  One cancellation poll and one
-        ``batches`` increment per batch; the page-touch order of the
-        underlying scan is untouched: records arrive a page at a time
-        and every batch a page completes is yielded before the next
-        page is asked for (and touched)."""
-        batch_size = self.batch_size
+        """Scan an extent into batches by walking its cached batch plan
+        (:meth:`~repro.physical.storage.Extent.page_batches`): touch a
+        page, then yield every batch that page completes, so the next
+        page is touched only once the consumer is done with them — the
+        touch order of a record-at-a-time scan.  A re-scan (the inner
+        of a nested-loop ``EJ``) replays the same chunk lists, which is
+        what lets the join kernel's probe memo recognise them.  One
+        cancellation poll and one ``batches`` increment per batch."""
         metrics = self.metrics
+        touch = self.store.buffer.touch
         produced = 0
-        records: List[StoredRecord] = []
         try:
-            for page_records in self.store.scan_pages(entity):
-                records.extend(page_records)
-                while len(records) >= batch_size:
-                    full, records = records[:batch_size], records[batch_size:]
+            pages, tail = self.store.extent(entity).page_batches(
+                self.batch_size
+            )
+            for page_id, chunks in pages:
+                touch(page_id)
+                for chunk in chunks:
                     self.check_cancelled()
-                    produced += batch_size
+                    produced += len(chunk)
                     metrics.batches += 1
-                    yield Batch.from_columns({var: full}, node_id)
-            if records:
+                    yield Batch.from_columns({var: chunk}, node_id)
+            if tail:
                 self.check_cancelled()
-                produced += len(records)
+                produced += len(tail)
                 metrics.batches += 1
-                yield Batch.from_columns({var: records}, node_id)
+                yield Batch.from_columns({var: tail}, node_id)
         finally:
             metrics.add_tuples(kind, node_id, produced)
 
@@ -461,32 +481,51 @@ class Engine:
         self, node: RecLeaf, delta: List[StoredRecord], node_id: Optional[str]
     ) -> Iterator[Batch]:
         """Scan the current delta in slices of ``batch_size``, charging
-        each distinct page once."""
-        batch_size = self.batch_size
+        each distinct page once, just before the first slice holding a
+        record on it."""
         metrics = self.metrics
         touch = self.store.buffer.touch
         var = node.var
-        touched = set()
         produced = 0
-        records: List[StoredRecord] = []
         try:
-            for record in delta:
-                page_id = record.page_id
-                if page_id is not None and page_id not in touched:
-                    touched.add(page_id)
+            for pages, chunk in self._delta_plan(node.name, delta):
+                for page_id in pages:
                     touch(page_id)
-                records.append(record)
-                if len(records) >= batch_size:
-                    produced += len(records)
-                    metrics.batches += 1
-                    yield Batch.from_columns({var: records}, node_id)
-                    records = []
-            if records:
-                produced += len(records)
+                produced += len(chunk)
                 metrics.batches += 1
-                yield Batch.from_columns({var: records}, node_id)
+                yield Batch.from_columns({var: chunk}, node_id)
         finally:
             metrics.add_tuples("delta", node_id, produced)
+
+    def _delta_plan(
+        self, name: str, delta: List[StoredRecord]
+    ) -> List[Tuple[List[PageId], List[StoredRecord]]]:
+        """``(pages to touch, chunk)`` per batch of a delta scan.  One
+        plan per recursion name, valid while it is the same delta list
+        at the same length: every re-scan of a round's delta replays
+        it, and the next round's delta replaces it — so the engine
+        never holds more than one delta per name."""
+        cached = self._delta_plans.get(name)
+        if cached is not None and cached[0] is delta and cached[1] == len(delta):
+            return cached[2]
+        batch_size = self.batch_size
+        plan: List[Tuple[List[PageId], List[StoredRecord]]] = []
+        touched: Set[PageId] = set()
+        pages: List[PageId] = []
+        chunk: List[StoredRecord] = []
+        for record in delta:
+            page_id = record.page_id
+            if page_id is not None and page_id not in touched:
+                touched.add(page_id)
+                pages.append(page_id)
+            chunk.append(record)
+            if len(chunk) >= batch_size:
+                plan.append((pages, chunk))
+                pages, chunk = [], []
+        if chunk:
+            plan.append((pages, chunk))
+        self._delta_plans[name] = (delta, len(delta), plan)
+        return plan
 
     def _sel_batches(
         self,
@@ -944,14 +983,22 @@ class Engine:
     def _nested_loop_batches(
         self, node: EJ, delta_env: Dict[str, List[StoredRecord]]
     ) -> Iterator[Batch]:
-        """Nested-loop join: the inner operand is honestly re-scanned
+        """Nested-loop join: the inner operand is honestly re-opened
         for every outer *binding* — not per outer batch — re-charging
         its I/O exactly as the EJ cost formula of Figure 5 prices it
         (rescanning per batch would make measured I/O depend on the
         batch size, which the parity contract forbids).
 
-        An equality join compares each inner batch against the outer
-        key as one column pass (:class:`JoinKernel`); whatever the
+        What a re-scan does not redo is the CPU: an extent or delta
+        scan replays its cached batch plan, handing back the same chunk
+        lists, and an equality join probes each of them through a key
+        index (:class:`JoinKernel`) built the first time the join sees
+        the chunk.  The join's probe memo outlives one Fix round — an
+        extent's chunks are the same lists in every round, and a
+        pushed-down selection leaves a round only an outer binding or
+        two — but has one slot per inner batch position, so it never
+        holds more than one re-scan's chunks (the next round's delta
+        replaces the last), and ``execute`` drops it.  Whatever the
         kernel declines takes the per-pair closure.  Either way the
         pairs are judged lazily, one emission at a time, so the touches
         a predicate makes keep their place among the consumer's."""
@@ -966,6 +1013,7 @@ class Engine:
         metrics = self.metrics
         produced = 0
         rows: List[Binding] = []
+        probes = self._probe_memos.setdefault(id(node), [])
         try:
             for left_batch in self.iterate_batches(node.left, delta_env):
                 for left_binding in left_batch.rows:
@@ -974,14 +1022,16 @@ class Engine:
                         if kernel is not None
                         else None
                     )
-                    for right_batch in self.iterate_batches(
-                        node.right, delta_env
+                    for position, right_batch in enumerate(
+                        self.iterate_batches(node.right, delta_env)
                     ):
-                        matched = (
-                            kernel.matches(key, right_batch)
-                            if key is not None
-                            else None
-                        )
+                        matched = None
+                        if key is not None:
+                            if position == len(probes):
+                                probes.append([None, None])
+                            matched = kernel.matches(
+                                key, right_batch, probes[position]
+                            )
                         if matched is None:
                             joined = _joined_pairs(
                                 left_binding, right_batch.rows, predicate

@@ -21,6 +21,12 @@ from repro.physical.pages import DEFAULT_RECORDS_PER_PAGE, PageId, PagedSegment
 
 __all__ = ["Oid", "StoredRecord", "Extent", "ObjectStore"]
 
+#: ``Extent.page_batches``: ``(page_id, chunks)`` per page, plus the
+#: tail chunk.
+PageBatches = Tuple[
+    List[Tuple[PageId, List[List["StoredRecord"]]]], List["StoredRecord"]
+]
+
 
 class Oid(int):
     """An object identifier.
@@ -70,11 +76,13 @@ class Extent:
         self._page_directory: Optional[
             List[Tuple[PageId, List[StoredRecord]]]
         ] = None
+        self._page_batches: Optional[Tuple[int, PageBatches]] = None
 
     def add(self, record: StoredRecord) -> None:
         self.records.append(record)
         self.by_oid[record.oid] = record
         self._page_directory = None
+        self._page_batches = None
 
     def page_directory(self) -> List[Tuple[PageId, List[StoredRecord]]]:
         """The extent's records grouped by page, in page order — what a
@@ -101,9 +109,46 @@ class Extent:
             self._page_directory = directory
         return directory
 
+    def page_batches(self, batch_size: int) -> PageBatches:
+        """The sequential scan cut into ``batch_size`` chunks:
+        ``(pages, tail)``, where ``pages`` lists ``(page_id, chunks)``
+        in page order — the chunks that page's records complete — and
+        ``tail`` is the last, partial chunk (possibly empty).  A scan
+        touches each page, then hands over its chunks.
+
+        Cached for one batch size (another size rebuilds it) and
+        dropped with the page directory; callers must not mutate it.
+        Published like :meth:`page_directory`: one attribute store of a
+        complete plan, so shard threads sharing the extent never see a
+        partial one.
+        """
+        cached = self._page_batches
+        if cached is not None and cached[0] == batch_size:
+            return cached[1]
+        pages: List[Tuple[PageId, List[List[StoredRecord]]]] = []
+        pending: List[StoredRecord] = []
+        for page_id, records in self.page_directory():
+            pending.extend(records)
+            full = len(pending) - len(pending) % batch_size
+            pages.append(
+                (
+                    page_id,
+                    [
+                        pending[start:start + batch_size]
+                        for start in range(0, full, batch_size)
+                    ],
+                )
+            )
+            pending = pending[full:]
+        plan = (pages, pending)
+        self._page_batches = (batch_size, plan)
+        return plan
+
     def invalidate_placement(self) -> None:
-        """Forget the cached page directory (records changed pages)."""
+        """Forget the cached page directory and batch plan (records
+        changed pages)."""
         self._page_directory = None
+        self._page_batches = None
 
     def __len__(self) -> int:
         return len(self.records)

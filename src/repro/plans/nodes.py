@@ -421,8 +421,9 @@ class EJ(PlanNode):
     ``algorithm`` selects the implementation: ``nested_loop`` re-opens
     (and re-charges the I/O of) the right subtree for every left
     binding, as Figure 5 prices it — the engine never materializes the
-    inner, it only compares an equality's key column batch-at-a-time;
-    ``index_join`` requires an
+    inner; a re-scan replays the extent's or the round delta's cached
+    batches, and an equality is probed through a per-join key index of
+    each replayed batch; ``index_join`` requires an
     equality conjunct whose right side is a direct attribute of a right
     entity leaf carrying a selection index.
     """

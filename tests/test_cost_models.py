@@ -9,6 +9,7 @@ from repro.cost import (
     SimplifiedParameters,
     Sym,
 )
+from repro.errors import CostModelError
 from repro.plans import (
     EJ,
     IJ,
@@ -279,3 +280,44 @@ class TestSimplifiedModel:
             eq(var("n"), const("Bach")),
         )
         assert pricey.cost(plan) > cheap.cost(plan)
+
+
+class TestVarmapFallback:
+    """The numeric table asks the estimator for the variable shapes a
+    selectivity needs; only the estimator's own typed refusal falls
+    back to default selectivities, anything else propagates."""
+
+    def _cost_with(self, indexed_db, monkeypatch, error):
+        model = SimplifiedCostModel(indexed_db.physical)
+        varmaps = []
+        selectivity = model.estimator.predicate_selectivity
+
+        def estimate(node, delta_env=None):
+            raise error
+
+        def recording_selectivity(predicate, varmap):
+            varmaps.append(varmap)
+            return selectivity(predicate, varmap)
+
+        monkeypatch.setattr(model.estimator, "estimate", estimate)
+        monkeypatch.setattr(
+            model.estimator, "predicate_selectivity", recording_selectivity
+        )
+        plan = Sel(
+            Proj(EntityLeaf("Composer", "x"), out(n=path("x", "name"))),
+            eq(var("n"), const("Bach")),
+        )
+        return model.cost(plan), varmaps
+
+    def test_cost_model_error_uses_default_selectivities(
+        self, indexed_db, monkeypatch
+    ):
+        cost, varmaps = self._cost_with(
+            indexed_db, monkeypatch, CostModelError("injected")
+        )
+        assert cost > 0
+        assert varmaps == [{}]
+
+    def test_unexpected_error_propagates(self, indexed_db, monkeypatch):
+        with pytest.raises(AttributeError, match="injected"):
+            self._cost_with(indexed_db, monkeypatch, AttributeError("injected"))

@@ -361,6 +361,62 @@ def test_shard_error_propagates_to_coordinator(music_db, fig3_plan, monkeypatch)
     assert _extent_names(music_db.physical) == before
 
 
+class _ReadOnlyArgs(Exception):
+    """An exception whose ``args`` cannot be reassigned."""
+
+    def __init__(self, message, error):
+        super().__init__(message)
+        self._message = message
+        self._error = error
+
+    @property
+    def args(self):
+        return (self._message,)
+
+    @args.setter
+    def args(self, value):
+        raise self._error
+
+
+class TestShardErrorContext:
+    """A failed shard round re-raises its error prefixed with the
+    request/shard/round it came from; an exception whose ``args``
+    setter rejects the rewrite with a TypeError goes out unprefixed,
+    anything else the rewrite raises propagates."""
+
+    def _fail_round(self, music_db, fig3_plan, monkeypatch, error):
+        def failing_evaluate(self, part, env):
+            raise error
+
+        monkeypatch.setattr(ShardSession, "evaluate", failing_evaluate)
+        with ShardCluster(music_db.physical, 2) as cluster:
+            engine = Engine(music_db.physical, shards=2, cluster=cluster)
+            engine.execute(fig3_plan)
+
+    def test_context_prefixes_the_message(
+        self, music_db, fig3_plan, monkeypatch
+    ):
+        with pytest.raises(RuntimeError, match=r"^\[request .* shard \d round"):
+            self._fail_round(
+                music_db, fig3_plan, monkeypatch, RuntimeError("exploded")
+            )
+
+    def test_rejected_rewrite_keeps_the_original(
+        self, music_db, fig3_plan, monkeypatch
+    ):
+        error = _ReadOnlyArgs("exploded", TypeError("read-only"))
+        with pytest.raises(_ReadOnlyArgs) as raised:
+            self._fail_round(music_db, fig3_plan, monkeypatch, error)
+        assert raised.value.args == ("exploded",)
+
+    def test_unexpected_rewrite_error_propagates(
+        self, music_db, fig3_plan, monkeypatch
+    ):
+        error = _ReadOnlyArgs("exploded", AttributeError("injected"))
+        with pytest.raises(AttributeError, match="injected"):
+            self._fail_round(music_db, fig3_plan, monkeypatch, error)
+
+
 # -- observability ------------------------------------------------------------
 
 

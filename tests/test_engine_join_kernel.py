@@ -2,13 +2,15 @@
 
 The kernel's contract is that nothing but wall time may tell it from
 the loop it replaces: the emitted row *list* (order and duplicates),
-every evaluation counter, the buffer's hit/miss/eviction history and
-the per-node tuple counts must be identical.  The loop is still in
-``src/`` — it is where the join goes whenever the kernel declines — so
-it is the oracle: each generated join runs with the kernel {on, off} x
-``batch_size`` {1, 3, 256} x buffer {6 pages, default}, the off run
-having ``compile_join_kernel`` answer None so every pair takes the
-loop, and at every point the two runs must agree.
+every evaluation counter, the exact sequence of pages the buffer is
+asked for (hence its hit/miss/eviction history) and the per-node tuple
+counts must be identical.  The loop is still in ``src/`` — it is where
+the join goes whenever the kernel declines — so it is the oracle: each
+generated join runs with the kernels {on, declined} x ``batch_size``
+{1, 3, 256} x buffer {6 pages, default}, and at every point the two
+runs must agree.  The inner operand is an extent scan or a ``RecLeaf``
+delta; either way every re-scan replays one cached batch plan, and the
+kernel probes the replayed chunks through the join's key-index memo.
 
 The generated key columns mix what the kernel accepts (ints, strings,
 bools, floats incl. NaN, oids, nulls) with everything that must send a
@@ -17,19 +19,14 @@ record-valued attributes, and attributes computed by a method.
 """
 
 import contextlib
-from unittest import mock
+import re
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import Batch, Engine, RuntimeMetrics
-from repro.engine.eval_expr import (
-    ExpressionEvaluator,
-    JoinKernel,
-    canonical_row,
-)
-from repro.physical.buffer import BufferPool
+from repro.engine.eval_expr import JoinKernel, canonical_row
 from repro.physical.schema import PhysicalSchema
 from repro.physical.storage import ObjectStore, Oid
 from repro.plans import EJ, EntityLeaf, Fix, Proj, RecLeaf, UnionOp
@@ -37,6 +34,8 @@ from repro.querygraph.builder import and_, const, eq, ge, out, path, var
 from repro.schema.catalog import Catalog
 from repro.schema.conceptual import Attribute, ClassDef, Method
 from repro.schema.types import INT
+from tests.diff_harness import kernels_declined
+from tests.test_physical_storage import RecordingPool
 
 BATCH_SIZES = (1, 3, 256)
 BUFFERS = (6, None)  # pages; None = the pool's default capacity
@@ -113,25 +112,30 @@ def build_physical(left_specs, right_specs):
 #: What may depend on the batch size: how many batches there are, and
 #: — emissions being held until a batch fills — where the consumer's
 #: page touches fall among the join's, hence the LRU's verdicts.
-BATCH_DEPENDENT = ("batches", "physical_reads", "evictions")
+BATCH_DEPENDENT = ("batches", "touches", "physical_reads", "evictions")
+
+_TEMP_COUNTER = re.compile(r"__temp\d+_")
 
 
 def observe(physical, plan, kernel, batch_size, buffer_pages):
     """Everything a run may be told apart by, from a cold buffer.
-    ``kernel=False`` is the oracle: no join kernel is ever built, so
+    ``kernel=False`` is the oracle: every column kernel declines, so
     the nested loop judges every pair through the per-pair closure."""
-    physical.store.buffer = (
-        BufferPool() if buffer_pages is None else BufferPool(buffer_pages)
+    pool = (
+        RecordingPool() if buffer_pages is None else RecordingPool(buffer_pages)
     )
-    no_kernel = mock.patch.object(
-        ExpressionEvaluator, "compile_join_kernel", return_value=None
-    )
-    with contextlib.nullcontext() if kernel else no_kernel:
+    physical.store.buffer = pool
+    with contextlib.nullcontext() if kernel else kernels_declined():
         result = Engine(physical, batch_size=batch_size).execute(plan)
     metrics = result.metrics
     return {
         # repr: NaN keys compare unequal to themselves.
         "rows": repr([canonical_row(row) for row in result.rows]),
+        # Each run registers its own temps: compare them by role.
+        "touches": [
+            (_TEMP_COUNTER.sub("__temp_", page.segment), page.number)
+            for page in pool.touched
+        ],
         "predicate_evals": metrics.predicate_evals,
         "expr_evals": metrics.expr_evals,
         "method_eval_weight": metrics.method_eval_weight,
@@ -286,8 +290,8 @@ class TestKernelEngages:
         calls = {"matched": 0, "declined": 0}
         original = JoinKernel.matches
 
-        def spy(self, key, batch):
-            found = original(self, key, batch)
+        def spy(self, key, batch, probes):
+            found = original(self, key, batch, probes)
             calls["declined" if found is None else "matched"] += 1
             return found
 
@@ -342,11 +346,13 @@ class TestKernelEngages:
         metrics = RuntimeMetrics()
         kernel = JoinKernel(metrics, "l", "k", "r", "k", None)
         rows = [{"r": record} for record in records]
-        assert kernel.matches(1, Batch(rows)) is None
+        probes = [None, None]
+        assert kernel.matches(1, Batch(rows), probes) is None
         assert (metrics.predicate_evals, metrics.expr_evals) == (0, 0)
-        assert kernel.matches(1, Batch.from_columns({"r": records})) == [
-            records[0]
-        ]
+        assert probes == [None, None]
+        assert kernel.matches(
+            1, Batch.from_columns({"r": records}), probes
+        ) == [records[0]]
         assert (metrics.predicate_evals, metrics.expr_evals) == (2, 4)
 
     def test_non_equality_has_no_kernel(self, fired):
@@ -366,3 +372,83 @@ class TestKernelEngages:
             for row in result.rows
         )
         assert len(result.rows) == 3
+
+
+class TestProbeMemo:
+    """A re-scan replays the same chunk lists, so the join indexes each
+    inner chunk once and answers every later outer binding's probe of
+    it from the index — for an extent inner and a delta inner alike."""
+
+    @pytest.fixture()
+    def probes(self, monkeypatch):
+        seen = {"builds": [], "probes": []}
+        build, match = JoinKernel._key_index, JoinKernel.matches
+
+        def counting_build(self, column):
+            seen["builds"].append(id(column))
+            return build(self, column)
+
+        def counting_match(self, key, batch, slot):
+            found = match(self, key, batch, slot)
+            if found is not None:
+                seen["probes"].append(id(slot[0]))
+            return found
+
+        monkeypatch.setattr(JoinKernel, "_key_index", counting_build)
+        monkeypatch.setattr(JoinKernel, "matches", counting_match)
+        return seen
+
+    @pytest.mark.parametrize("batch_size", [2, 256])
+    def test_extent_inner(self, probes, batch_size):
+        physical = build_physical(
+            [("value", v) for v in (1, 2, 1, 3)],
+            [("value", v) for v in (1, 1, 2, None, 3)],
+        )
+        plan = EJ(EntityLeaf("L", "l"), EntityLeaf("R", "r"), equality(False))
+        result = Engine(physical, batch_size=batch_size).execute(plan)
+        assert len(result.rows) == 2 + 1 + 2 + 1
+        # Four outer bindings probe every inner chunk; each chunk is
+        # indexed once.
+        chunks = -(-5 // batch_size)
+        assert len(probes["builds"]) == chunks
+        assert len(probes["probes"]) == 4 * chunks
+        for chunk in set(probes["probes"]):
+            assert probes["probes"].count(chunk) == 4
+
+    def test_extent_inner_is_indexed_once_across_rounds(self, probes):
+        """A delta outer probes the same extent chunk in every round:
+        the memo outlives the round, so the chunk is indexed once."""
+        physical = build_physical([], [("value", None)] * 4)
+        records = physical.store.extent("R").records
+        for position, record in enumerate(records):
+            record.values["parent"] = (
+                records[position - 1].oid if position else None
+            )
+        result = Engine(physical, batch_size=256).execute(
+            closure_plan(delta_on_the_right=False)
+        )
+        assert result.metrics.fix_iterations >= 3
+        assert len(probes["builds"]) == 1
+        assert len(probes["probes"]) > result.metrics.fix_iterations
+        assert set(probes["probes"]) == set(probes["builds"])
+
+    def test_delta_inner(self, probes):
+        physical = build_physical([], [("value", None)] * 4)
+        records = physical.store.extent("R").records
+        # A chain 0 <- 1 <- 2 <- 3 plus a second child of 0: round one's
+        # delta is probed by all four outer records.
+        parents = [None, 0, 1, 0]
+        for record, parent in zip(records, parents):
+            record.values["parent"] = (
+                None if parent is None else records[parent].oid
+            )
+        result = Engine(physical, batch_size=256).execute(
+            closure_plan(delta_on_the_right=True)
+        )
+        assert result.rows
+        per_chunk = {
+            chunk: probes["probes"].count(chunk)
+            for chunk in set(probes["probes"])
+        }
+        assert max(per_chunk.values()) >= 2
+        assert len(probes["builds"]) < len(probes["probes"])

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
@@ -11,8 +12,10 @@ from repro.physical.buffer import BufferPool
 from repro.physical.pages import Page, PagedSegment, PageId
 from repro.physical.schema import PhysicalSchema
 from repro.physical.storage import ObjectStore, Oid
-from repro.plans import EntityLeaf, Proj
-from repro.querygraph.builder import out, path
+from repro.plans import EJ, IJ, EntityLeaf, Proj, RecLeaf, Sel, UnionOp
+from repro.querygraph.builder import const, eq, ge, out, path, var
+from repro.service import QueryService, ServiceConfig
+from repro.workloads import MusicConfig, generate_music_database
 
 
 class TestPages:
@@ -304,6 +307,235 @@ class TestPageDirectory:
             for touched, records in runs:
                 assert touched == want_pages
                 assert records == want_records
+
+
+def by_value(plan):
+    """A batch plan as plain data: page ids and each chunk's records."""
+    pages, tail = plan
+    return (
+        [(page_id, [list(chunk) for chunk in chunks]) for page_id, chunks in pages],
+        list(tail),
+    )
+
+
+def chunk_lengths(plan):
+    pages, tail = plan
+    return [len(chunk) for _page, chunks in pages for chunk in chunks], len(tail)
+
+
+class TestPageBatches:
+    """``Extent.page_batches`` caches the scan cut into batches beside
+    the page directory: replayed as the same lists while the extent is
+    unchanged, and dropped by whatever drops the directory."""
+
+    def make_store(self, count=5):
+        store = ObjectStore(RecordingPool(), records_per_page=2)
+        store.create_extent("E")
+        for i in range(count):
+            store.insert("E", {"i": i})
+        return store
+
+    def test_chunks_fall_where_the_scan_completes_them(self):
+        extent = self.make_store().extent("E")
+        r = extent.records
+        pages = [page_id for page_id, _records in extent.page_directory()]
+        plan = extent.page_batches(3)
+        assert by_value(plan) == (
+            [(pages[0], []), (pages[1], [[r[0], r[1], r[2]]]), (pages[2], [])],
+            [r[3], r[4]],
+        )
+        assert extent.page_batches(3) is plan
+
+    def test_another_batch_size_rebuilds(self):
+        extent = self.make_store().extent("E")
+        by_three = extent.page_batches(3)
+        by_two = extent.page_batches(2)
+        assert chunk_lengths(by_two) == ([2, 2], 1)
+        again = extent.page_batches(3)
+        assert again is not by_three
+        assert by_value(again) == by_value(by_three)
+
+    def test_add_drops_the_plan(self):
+        store = self.make_store()
+        extent = store.extent("E")
+        plan = extent.page_batches(2)
+        store.insert("E", {"i": 5})
+        replanned = extent.page_batches(2)
+        assert replanned is not plan
+        assert chunk_lengths(replanned) == ([2, 2, 2], 0)
+
+    def test_invalidate_placement_drops_the_plan(self):
+        extent = self.make_store().extent("E")
+        plan = extent.page_batches(2)
+        extent.invalidate_placement()
+        assert extent.page_batches(2) is not plan
+
+    def test_replace_segment_drops_the_plan(self):
+        store = self.make_store()
+        extent = store.extent("E")
+        plan = extent.page_batches(2)
+        segment = PagedSegment("moved", records_per_page=3)
+        for record in reversed(extent.records):
+            segment.append_record(int(record.oid))
+        store.replace_segment({"E": segment}, {})
+        pages, tail = extent.page_batches(2)
+        assert (pages, tail) != plan
+        assert {page_id.segment for page_id, _chunks in pages} == {"moved"}
+        assert [
+            record.values["i"] for _page, chunks in pages for chunk in chunks
+            for record in chunk
+        ] + [record.values["i"] for record in tail] == [2, 3, 4, 0, 1]
+
+    def test_replica_views_publish_identical_plans(self):
+        store = self.make_store(count=41)
+        want = by_value(store.extent("E").page_batches(3))
+        views = [store.replica_view(RecordingPool()) for _ in range(8)]
+        barrier = threading.Barrier(len(views))
+        results = [None] * len(views)
+
+        def plan(position):
+            extent = views[position].extent("E")
+            barrier.wait(timeout=10)
+            runs = []
+            for _ in range(20):
+                # Drop the shared plan so builds keep racing.
+                extent.invalidate_placement()
+                runs.append(by_value(extent.page_batches(3)))
+            results[position] = runs
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=plan, args=(position,))
+                for position in range(len(views))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for runs in results:
+            assert runs == [want] * 20
+
+
+class TestReplayScope:
+    """The replay caches live exactly as long as the data they mirror:
+    a delta plan until the next round's delta, an extent plan until the
+    extent changes, both engine-held caches no longer than an execution
+    or a shard session — and nothing downstream may grow the chunk
+    lists a scan hands out."""
+
+    def test_delta_plan_replays_one_delta_at_a_time(self):
+        store = ObjectStore(RecordingPool(), records_per_page=2)
+        physical = PhysicalSchema(store)
+        physical.register_extent("D")
+        records = [store.peek(store.insert("D", {"i": i})) for i in range(5)]
+        engine = Engine(physical, batch_size=2)
+        leaf = RecLeaf("Closure", "d")
+
+        def scan(delta):
+            store.buffer.touched.clear()
+            events = []
+            for batch in engine._scan_delta_batches(leaf, delta, None):
+                events.append((list(store.buffer.touched), batch.columns["d"]))
+                store.buffer.touched.clear()
+            return events
+
+        # Out of page order (two records per page): a page is charged
+        # once, just before the first batch holding one of its records.
+        delta = [records[i] for i in (0, 2, 1, 4, 3)]
+        page = [record.page_id for record in records]
+        first = scan(delta)
+        assert [(touched, list(chunk)) for touched, chunk in first] == [
+            ([page[0], page[2]], [records[0], records[2]]),
+            ([page[4]], [records[1], records[4]]),
+            ([], [records[3]]),
+        ]
+        again = scan(delta)
+        assert [chunk for _t, chunk in again] == [chunk for _t, chunk in first]
+        assert all(a is b for (_t, a), (_u, b) in zip(again, first))
+        # The next round's delta replaces the plan, never joins it.
+        following = records[:1]
+        assert [list(chunk) for _t, chunk in scan(following)] == [[records[0]]]
+        assert engine._delta_plans["Closure"][0] is following
+        assert len(engine._delta_plans) == 1
+
+    def test_forwarded_chunks_are_never_extended(self):
+        store = ObjectStore(RecordingPool(), records_per_page=2)
+        physical = PhysicalSchema(store)
+        physical.register_extent("E")
+        physical.register_extent("T")
+        targets = [store.insert("T", {"w": i}) for i in range(3)]
+        for i in range(7):
+            store.insert("E", {"i": i % 3, "ref": targets[i % 3]})
+        # A var-forwarding Proj and an all-pass Sel hand the scan's own
+        # chunk lists downstream: into an IJ, whose output accumulates
+        # across input batches (one scan's whole extent is a short tail
+        # chunk, then the next scan's arrives), and into the join's
+        # probe memo.
+        forwarded = Proj(EntityLeaf("E", "a"), out(a=var("a")))
+        outer = IJ(
+            UnionOp(forwarded, forwarded),
+            EntityLeaf("T", "t"),
+            path("a", "ref"),
+            "t",
+        )
+        inner = Sel(EntityLeaf("E", "e"), ge(path("e", "i"), const(0)))
+        plan = Proj(
+            EJ(outer, inner, eq(path("a", "i"), path("e", "i"))),
+            out(a=var("a"), e=var("e"), w=path("t", "w")),
+        )
+        extent = store.extent("E")
+        for batch_size, want in ((3, ([3, 3], 1)), (8, ([], 7))):
+            plan_before = extent.page_batches(batch_size)
+            assert chunk_lengths(plan_before) == want
+            for _run in range(2):
+                result = Engine(physical, batch_size=batch_size).execute(plan)
+                assert len(result.rows) == 2 * (3 * 3 + 2 * 2 + 2 * 2)
+            assert extent.page_batches(batch_size) is plan_before
+            assert chunk_lengths(plan_before) == want
+
+    def test_sharded_closures_hold_no_execution_scoped_caches(self):
+        """A bound on what the replay may retain: the traced peak over
+        20 shards=2 closures on the 192-composer database stays within
+        4 MB.  It sits at ~2.3 MB, as before the replay existed;
+        keying the delta plans and probe memos by list identity and
+        keeping them past the end of a shard session reads ~5.2 MB."""
+        db = generate_music_database(
+            MusicConfig(
+                lineages=24, generations=8, works_per_composer=2, seed=92
+            )
+        )
+        db.build_paper_indexes()
+        db.physical.refresh_statistics()
+        service = QueryService(db, ServiceConfig())
+        request = {
+            "op": "query",
+            "shards": 2,
+            "text": (
+                "view Influencer as "
+                "select [master: x.master, disciple: x, gen: 1] "
+                "from x in Composer union "
+                "select [master: i.master, disciple: x, gen: i.gen + 1] "
+                "from i in Influencer, x in Composer "
+                "where i.disciple = x.master; "
+                "select [name: i.disciple.name, gen: i.gen] "
+                "from i in Influencer where i.gen >= 3;"
+            ),
+        }
+        assert service.handle(dict(request))["ok"]  # plan + cluster built
+        tracemalloc.start()
+        try:
+            for _ in range(20):
+                response = service.handle(dict(request))
+                assert response["ok"] and response["shards"] == 2
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
 
 
 class TestScanBatchInterleaving:
