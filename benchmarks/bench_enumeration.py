@@ -9,8 +9,9 @@ variants):
 
   * **optimality** — the enum plan costs no more than the best plan
     any randomized strategy finds on the same configuration, and
-  * **comparable optimization time** — enum finishes within 3x the
-    median II optimization time.
+  * **comparable optimization time** — enum's median optimization
+    time is within 1.25x the median II time (both over ``REPEATS``
+    interleaved runs).
 
 Both claims are re-checked from the committed
 ``BENCH_enumeration.json`` by ``check_regression.py``, so a strategy
@@ -23,7 +24,13 @@ import time
 
 import pytest
 
+from repro.core.enumerate import MemoizedEnumeration
 from repro.core.optimizer import Optimizer, OptimizerConfig
+from repro.core.strategies import (
+    IterativeImprovement,
+    SimulatedAnnealing,
+    TwoPhase,
+)
 from repro.cost import CostParameters, DetailedCostModel
 from repro.workloads import (
     MusicConfig,
@@ -42,14 +49,22 @@ CONFIGS = {
     "shards4": {"shards": 4},
 }
 
-RANDOMIZED = ("ii", "sa", "2po")
+#: The randomized strategies, built fresh per optimize with the seed
+#: ``OptimizerConfig(strategy="ii")`` gives II.
+RANDOMIZED = {
+    "ii": lambda: IterativeImprovement(seed=1992),
+    "sa": lambda: SimulatedAnnealing(seed=1992),
+    "2po": lambda: TwoPhase(seed=1992),
+}
 
-#: Acceptance bound: enum must finish within this multiple of the
-#: median II optimization time.
-REQUIRED_TIME_FACTOR = 3.0
+#: Acceptance bound: enum's median optimization time must be within
+#: this multiple of the median II optimization time.
+REQUIRED_TIME_FACTOR = 1.25
 
-#: Randomized-strategy repeats per configuration (median/best over
-#: these — II/SA/2PO are seeded but this keeps the timing stable).
+#: Interleaved repeats per configuration: every strategy, enum
+#: included, is timed this many times and reported by its median
+#: (best cost for the randomized ones — they are seeded, so this only
+#: steadies the timing).
 REPEATS = 5
 
 
@@ -79,9 +94,9 @@ def _model(db, overrides):
     return DetailedCostModel(db.physical, params)
 
 
-def _timed_optimize(db, make_query, strategy, model):
+def _timed_optimize(db, make_query, make_strategy, model):
     optimizer = Optimizer(
-        db.physical, model, OptimizerConfig(strategy=strategy)
+        db.physical, model, OptimizerConfig(strategy=make_strategy())
     )
     start = time.perf_counter()
     result = optimizer.optimize(make_query())
@@ -97,24 +112,29 @@ def test_enumeration_vs_randomized(setup, benchmark, report, table):
         for config_name, overrides in sorted(CONFIGS.items()):
             model = _model(db, overrides)
 
-            enum_result, enum_ms = _timed_optimize(
-                db, make_query, "enum", model
-            )
-            stats = enum_result.strategy_stats or {}
-
-            randomized = {}
-            for strategy in RANDOMIZED:
-                costs, times = [], []
-                for _ in range(REPEATS):
+            enum_times = []
+            costs = {name: [] for name in RANDOMIZED}
+            times = {name: [] for name in RANDOMIZED}
+            for _ in range(REPEATS):
+                enum_result, elapsed = _timed_optimize(
+                    db, make_query, MemoizedEnumeration, model
+                )
+                enum_times.append(elapsed)
+                for name, make_strategy in RANDOMIZED.items():
                     result, elapsed = _timed_optimize(
-                        db, make_query, strategy, model
+                        db, make_query, make_strategy, model
                     )
-                    costs.append(result.cost)
-                    times.append(elapsed)
-                randomized[strategy] = {
-                    "best_cost": min(costs),
-                    "median_ms": statistics.median(times),
+                    costs[name].append(result.cost)
+                    times[name].append(elapsed)
+            enum_ms = statistics.median(enum_times)
+            stats = enum_result.strategy_stats or {}
+            randomized = {
+                name: {
+                    "best_cost": min(costs[name]),
+                    "median_ms": statistics.median(times[name]),
                 }
+                for name in RANDOMIZED
+            }
 
             best_randomized = min(
                 row["best_cost"] for row in randomized.values()
@@ -133,7 +153,7 @@ def test_enumeration_vs_randomized(setup, benchmark, report, table):
                 f"{query_name}/{config_name}"
             )
             assert time_budget_factor >= 1.0, (
-                f"enum took {enum_ms:.1f}ms on {query_name}/"
+                f"enum median {enum_ms:.1f}ms on {query_name}/"
                 f"{config_name}, over {REQUIRED_TIME_FACTOR}x the "
                 f"median II time {ii_median_ms:.1f}ms"
             )
@@ -166,7 +186,9 @@ def test_enumeration_vs_randomized(setup, benchmark, report, table):
     serial_model = _model(db, {})
 
     def optimize_enum():
-        return _timed_optimize(db, fig3_query, "enum", serial_model)[0]
+        return _timed_optimize(
+            db, fig3_query, MemoizedEnumeration, serial_model
+        )[0]
 
     benchmark(optimize_enum)
 
@@ -178,7 +200,7 @@ def test_enumeration_vs_randomized(setup, benchmark, report, table):
                 "config",
                 "enum cost",
                 "best II/SA/2PO",
-                "enum ms",
+                "enum median ms",
                 "II median ms",
                 "memo (size/hits)",
             ],

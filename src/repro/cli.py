@@ -102,8 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
             choices=list(STRATEGY_NAMES),
             default="ii",
             help="transformPT search strategy (only with --policy cost): "
-            "ii/sa/2po randomized, enum = memoized systematic "
-            "enumeration, exhaustive = uncapped closure",
+            "ii = the paper's iterative improvement, enum = memoized "
+            "exact enumeration",
         )
 
     run_parser = sub.add_parser("run", help="optimize and execute a query")
@@ -1064,7 +1064,7 @@ def cmd_diagnose(args, out) -> int:
     print(f"request     : {result['request_id']}", file=out)
     print(f"query class : {result['query_class']}", file=out)
     print(f"rows        : {result['row_count']}", file=out)
-    print(f"plan fp     : {result['plan_fingerprint']}", file=out)
+    print(f"plan fp     : {result['fingerprint']}", file=out)
     print(f"answer fp   : {result['answer_fingerprint']}", file=out)
     bundle = result.get("bundle")
     if bundle:
@@ -1091,8 +1091,8 @@ def cmd_replay(args, out) -> int:
         return 0 if report["matched"] else 1
     print(f"schema match: {report['schema_match']}", file=out)
     print(
-        f"plan        : {report['plan_fingerprint']} vs recorded "
-        f"{report['expected_plan_fingerprint']} -> "
+        f"plan        : {report['fingerprint']} vs recorded "
+        f"{report['expected_fingerprint']} -> "
         f"{'match' if report['plan_match'] else 'MISMATCH'}",
         file=out,
     )

@@ -9,14 +9,17 @@ the same space *systematically*, borrowing the two ideas that make
 transformation-based enumeration affordable (arXiv 2312.02572,
 arXiv 2605.05044):
 
-* a **memo table keyed on canonical subplan fingerprints**
-  (:func:`repro.plans.canonical.canonical_fingerprint`): the move
-  graph is a DAG with massive sharing — independent moves commute, so
-  ``k`` applicable moves reach the same plan along ``k!`` orders, and
-  push renaming makes the duplicates alpha-variants rather than
-  structurally equal.  Fingerprint memoization costs each equivalence
-  class once, collapsing the factorial path count to the polynomial
-  number of distinct plans;
+* a **memo table keyed on the plan term itself**, through
+  :class:`~repro.plans.nodes.PlanNode`'s cached O(1) structural hash
+  and equality: the move graph is a DAG with massive sharing —
+  independent moves commute, so ``k`` applicable moves reach the same
+  plan along ``k!`` orders, and every order builds the *same* term.
+  The push renamer's ``_p{part_index}`` suffix depends on the part,
+  not on the push order, so no two structurally distinct plans of a
+  closure are alpha-variants (the optimality-oracle test re-checks
+  this against :mod:`repro.plans.canonical`).  Memoization costs each
+  distinct plan once, collapsing the factorial path count to the
+  polynomial number of distinct plans;
 * **branch-and-bound pruning against the incumbent**: expansion is
   best-first (cheapest plan next), so the incumbent drops fast; once
   the cheapest open plan costs more than ``prune_factor`` times the
@@ -42,12 +45,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from repro.core.moves import neighbors
 from repro.core.strategies import CostFn, SearchResult, SearchStrategy
 from repro.physical.schema import PhysicalSchema
-from repro.plans.canonical import canonical_fingerprint
 from repro.plans.nodes import PlanNode
 
 __all__ = ["EnumerationStats", "MemoizedEnumeration"]
@@ -57,9 +59,9 @@ __all__ = ["EnumerationStats", "MemoizedEnumeration"]
 class EnumerationStats:
     """Memo-table and pruning counters of one enumeration run."""
 
-    #: Distinct canonical plan classes entered into the memo table.
+    #: Distinct plans entered into the memo table.
     subplans_memoized: int = 0
-    #: Generated candidates whose fingerprint was already memoized
+    #: Generated candidates that were already memoized
     #: (shared subproblems reached along another transformation order).
     memo_hits: int = 0
     #: Frontier plans discarded by the branch-and-bound cutoff.
@@ -78,7 +80,7 @@ class MemoizedEnumeration(SearchStrategy):
 
     ``prune_factor`` bounds how far above the incumbent an open plan
     may sit and still be expanded (``None`` disables pruning — the
-    closure is then exhaustive over canonical plan classes);
+    closure is then exhaustive over distinct plans);
     ``max_plans`` caps the memo table as a terminating backstop.
     """
 
@@ -114,7 +116,7 @@ class MemoizedEnumeration(SearchStrategy):
 
         start_cost = cost_fn(start)
         stats.candidates_costed += 1
-        memo: Dict[str, float] = {canonical_fingerprint(start): start_cost}
+        memo: Set[PlanNode] = {start}
         best_plan, best_cost = start, start_cost
         taken: List[str] = []
         # Heap entries carry an insertion counter so plans (unordered)
@@ -144,13 +146,12 @@ class MemoizedEnumeration(SearchStrategy):
             for description, candidate in neighbors(
                 plan, physical, self.extended_moves
             ):
-                fingerprint = canonical_fingerprint(candidate)
-                if fingerprint in memo:
+                if candidate in memo:
                     stats.memo_hits += 1
                     continue
                 candidate_cost = cost_fn(candidate)
                 stats.candidates_costed += 1
-                memo[fingerprint] = candidate_cost
+                memo.add(candidate)
                 accepted = candidate_cost < best_cost
                 if tracing:
                     tracer.event(

@@ -300,25 +300,23 @@ class ExhaustiveSearch(SearchStrategy):
 
 #: Strategy names accepted anywhere a strategy can be selected by name
 #: (``OptimizerConfig(strategy=...)``, ``repro run --strategy``, the
-#: service protocol's per-request ``strategy`` field).
-STRATEGY_NAMES = ("ii", "sa", "2po", "enum", "exhaustive")
+#: service protocol's per-request ``strategy`` field): the paper's II
+#: and the exact memoized enumerator.  SA, 2PO and the exhaustive
+#: closure are comparison baselines, constructed directly.
+STRATEGY_NAMES = ("ii", "enum")
 
 
 def resolve_strategy(name: str, *, seed: int = 1992) -> SearchStrategy:
     """Build the strategy registered under ``name``.
 
-    ``seed`` feeds the randomized strategies; the deterministic ones
-    (``enum``, ``exhaustive``) ignore it.
+    ``seed`` feeds II; ``enum`` is deterministic and ignores it.
     """
     # Imported here: enumerate.py subclasses SearchStrategy.
     from repro.core.enumerate import MemoizedEnumeration
 
     factories = {
         "ii": lambda: IterativeImprovement(seed=seed),
-        "sa": lambda: SimulatedAnnealing(seed=seed),
-        "2po": lambda: TwoPhase(seed=seed),
         "enum": MemoizedEnumeration,
-        "exhaustive": ExhaustiveSearch,
     }
     try:
         factory = factories[name]

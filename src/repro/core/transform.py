@@ -557,29 +557,21 @@ def transform_candidates(plan: PlanNode) -> List[Tuple[str, PlanNode]]:
 
     (Each application may expose further applicable segments on the
     transformed plan — e.g. a selection behind a join — so we close
-    transitively, bounded by a small depth.  Dedup is by canonical
-    fingerprint, not structural equality: pushing independent segments
-    in different orders yields the same plan up to the ``_pN`` suffixes
-    the renamer minted, and costing such alpha-variants once per push
-    order would make transformPT pay for the same plan repeatedly.)"""
-    from repro.plans.canonical import canonical_fingerprint
-
-    seen: Dict[str, Tuple[str, PlanNode]] = {
-        canonical_fingerprint(plan): ("original", plan)
-    }
+    transitively, bounded by a small depth.  Dedup is on the plan term:
+    pushing independent segments in either order builds the same term,
+    because the renamer's ``_pN`` suffix names the union part, not the
+    push order, so each distinct candidate is costed once.)"""
+    seen: Dict[PlanNode, str] = {plan: "original"}
     frontier: List[PlanNode] = [plan]
     for _depth in range(4):
         next_frontier: List[PlanNode] = []
         for candidate in frontier:
             for application in _filter_applications(candidate):
                 transformed = application.apply()
-                fingerprint = canonical_fingerprint(transformed)
-                if fingerprint not in seen:
-                    seen[fingerprint] = (
-                        application.description, transformed
-                    )
+                if transformed not in seen:
+                    seen[transformed] = application.description
                     next_frontier.append(transformed)
         if not next_frontier:
             break
         frontier = next_frontier
-    return list(seen.values())
+    return [(description, plan) for plan, description in seen.items()]

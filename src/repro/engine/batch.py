@@ -28,7 +28,7 @@ per tuple — the compatibility path CI pins with ``REPRO_BATCH_SIZE=1``.
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 from repro.obs.log import get_logger
 
@@ -36,7 +36,6 @@ __all__ = [
     "Batch",
     "DEFAULT_BATCH_SIZE",
     "default_batch_size",
-    "rebatch",
 ]
 
 _LOG = get_logger("engine")
@@ -188,22 +187,3 @@ class Batch:
             f"Batch({self._length} rows, {layout}, node_id={self.node_id!r})"
         )
 
-
-def rebatch(
-    batches: Iterable[Batch], size: int, node_id: Optional[str] = None
-) -> Iterator[Batch]:
-    """Re-slice a stream of batches to ``size`` rows per batch.
-
-    Used by operators that legitimately change batch granularity (a
-    high-fanout join may hold output rows until a full batch
-    accumulates, a selective filter may merge the survivors of several
-    input batches).  The relative row order is preserved.
-    """
-    pending: List[dict] = []
-    for batch in batches:
-        pending.extend(batch.rows)
-        while len(pending) >= size:
-            yield Batch(pending[:size], node_id)
-            pending = pending[size:]
-    if pending:
-        yield Batch(pending, node_id)

@@ -349,18 +349,6 @@ class ExpressionEvaluator:
             return app_values
         raise ExecutionError(f"unknown expression type {type(expr).__name__}")
 
-    def expr_single(self, binding: Binding, expr: Expr) -> object:
-        """The single value of an expression (None when empty; raises on
-        genuinely multivalued results — output fields must be scalar)."""
-        values = self.expr_values(binding, expr)
-        if not values:
-            return None
-        if len(values) > 1:
-            raise ExecutionError(
-                f"expression {expr!r} is multivalued in an output position"
-            )
-        return values[0]
-
     # -- predicates -----------------------------------------------------------------
 
     def holds(self, binding: Binding, predicate: Predicate) -> bool:

@@ -92,14 +92,6 @@ class ExecutionResult:
         """Canonical set of rows, for plan-equivalence assertions."""
         return frozenset(canonical_row(row) for row in self.rows)
 
-    def answer_bag(self) -> Dict[tuple, int]:
-        """Canonical rows with multiplicities (bag semantics)."""
-        bag: Dict[tuple, int] = {}
-        for row in self.rows:
-            key = canonical_row(row)
-            bag[key] = bag.get(key, 0) + 1
-        return bag
-
     def __len__(self) -> int:
         return len(self.rows)
 
@@ -349,14 +341,6 @@ class Engine:
         if self.profiler is not None:
             return self.profiler.wrap_batches(node, batches)
         return batches
-
-    def iterate(
-        self, node: PlanNode, delta_env: Dict[str, List[StoredRecord]]
-    ) -> Iterator[Binding]:
-        """Tuple-at-a-time view of :meth:`iterate_batches` (flattens
-        each batch); kept for callers that consume single bindings."""
-        for batch in self.iterate_batches(node, delta_env):
-            yield from batch.rows
 
     def _batches(
         self, node: PlanNode, delta_env: Dict[str, List[StoredRecord]]

@@ -51,7 +51,6 @@ from repro.obs.history import (
     OperatorEstimate,
     PlanHistory,
     QueryTelemetryStore,
-    plan_fingerprint,
 )
 from repro.obs.governor import GovernorConfig, ObservabilityGovernor
 from repro.obs.log import configure_logging, get_logger
@@ -82,7 +81,6 @@ __all__ = [
     "Observation",
     "OperatorActual",
     "OperatorEstimate",
-    "plan_fingerprint",
     "ProgressTracker",
     "QueryProgress",
     "FeedbackConfig",

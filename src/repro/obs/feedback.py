@@ -37,9 +37,9 @@ from repro.obs.history import (
     OperatorEstimate,
     PlanHistory,
     QueryTelemetryStore,
-    plan_fingerprint,
 )
 from repro.obs.profile import PlanProfiler, assign_node_ids
+from repro.plans.canonical import canonical_fingerprint
 
 __all__ = [
     "FeedbackConfig",
@@ -319,7 +319,7 @@ class FeedbackManager:
     ) -> str:
         """Fingerprint a (new or re-registered) plan and freeze its
         per-node estimates; returns the fingerprint."""
-        fingerprint = plan_fingerprint(plan)
+        fingerprint = canonical_fingerprint(plan)
         estimates = operator_estimates(plan, cost_model)
         self.store.register_plan(
             canonical,
@@ -344,10 +344,10 @@ class FeedbackManager:
         """A cached query was re-optimized; put the new plan on watch.
 
         Returns the recorded ``plan_change`` event, or ``None`` when
-        the "new" plan is structurally identical to the old one.
+        the "new" plan has the old one's canonical fingerprint.
         """
-        old_fp = plan_fingerprint(old_plan)
-        new_fp = plan_fingerprint(new_plan)
+        old_fp = canonical_fingerprint(old_plan)
+        new_fp = canonical_fingerprint(new_plan)
         if old_fp == new_fp:
             return None
         change = PlanChange(

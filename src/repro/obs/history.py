@@ -4,8 +4,9 @@ operator, across restarts.
 PR 2's ``EXPLAIN ANALYZE`` pairs the cost model's per-node estimates
 with one execution's actuals — and then throws the pairing away.  The
 :class:`QueryTelemetryStore` keeps it: for every executed query it
-records, per **plan fingerprint** (a structural hash of the PT, stable
-across processes) and per **operator** (the stable pre-order node ids
+records, per **plan fingerprint**
+(:func:`repro.plans.canonical.canonical_fingerprint`, stable across
+processes) and per **operator** (the stable pre-order node ids
 of :func:`repro.obs.profile.assign_node_ids`, the same ids that key
 :attr:`~repro.engine.metrics.RuntimeMetrics.tuples_by_node`), the
 estimated vs. measured cardinalities, page reads, predicate
@@ -33,32 +34,12 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional
 
 __all__ = [
-    "plan_fingerprint",
     "OperatorEstimate",
     "OperatorActual",
     "Observation",
     "PlanHistory",
     "QueryTelemetryStore",
 ]
-
-
-def plan_fingerprint(plan) -> str:
-    """A structural hash of a processing tree, stable across processes.
-
-    Hashes the pre-order sequence of ``(kind, label, arity)`` triples,
-    so two PTs with the same operators in the same shape — however they
-    were produced — share a fingerprint, while any re-ordering, push
-    decision, or operator substitution changes it.
-    """
-    hasher = hashlib.sha256()
-    for node in plan.walk():
-        hasher.update(type(node).__name__.encode("utf-8"))
-        hasher.update(b"\x1f")
-        hasher.update(node.label().encode("utf-8"))
-        hasher.update(b"\x1f")
-        hasher.update(str(len(node.children)).encode("utf-8"))
-        hasher.update(b"\x1e")
-    return hasher.hexdigest()[:16]
 
 
 def query_class(canonical: str) -> str:

@@ -1,9 +1,9 @@
 """Per-operator runtime profiling of plan execution.
 
-The engine streams bindings through nested generators — one per PT
-node.  :class:`PlanProfiler` wraps each node's generator and charges
-every ``next()`` call's wall time, physical page reads, index page
-reads and predicate evaluations to that node (*inclusive* of its
+The engine streams batches through nested generators — one per PT
+node.  :class:`PlanProfiler` wraps each node's batch stream and charges
+every batch pull's wall time, physical page reads, index page reads
+and predicate evaluations to that node (*inclusive* of its
 children, since a parent's pull drives its subtree; the *exclusive*
 share is recovered from the tree structure at report time).  ``Fix``
 nodes additionally record one entry per semi-naive iteration: the new
@@ -248,21 +248,11 @@ class PlanProfiler:
 
     # -- recording -----------------------------------------------------------
 
-    def wrap(self, node, iterator: Iterator) -> Iterator:
-        """Meter an engine generator: each ``next()`` charges its wall
-        time and counter deltas (inclusive of children) to ``node``."""
-        profile = self.profile_for(node)
-        if profile is None:  # a node outside the registered plan
-            return iterator
-        return self._metered(profile, iterator)
-
     def wrap_batches(self, node, batches: Iterator) -> Iterator:
         """Meter a batch generator: one probe (clock + counter deltas)
-        per *batch* instead of per tuple — the metering cost is
-        amortized across ``batch_size`` bindings, so profiling a
-        batched pipeline costs roughly ``1/batch_size`` of what
-        per-tuple metering did.  ``tuples_out`` still advances by the
-        exact number of bindings each batch carries."""
+        per *batch*, so the metering cost is amortized across
+        ``batch_size`` bindings.  ``tuples_out`` advances by the exact
+        number of bindings each batch carries."""
         profile = self.profile_for(node)
         if profile is None:  # a node outside the registered plan
             return batches
@@ -293,32 +283,6 @@ class PlanProfiler:
             profile.next_calls += 1
             profile.tuples_out += len(batch)
             yield batch
-
-    def _metered(self, profile: NodeProfile, iterator: Iterator) -> Iterator:
-        buffer = self._buffer
-        metrics = self._metrics
-        clock = time.perf_counter
-        while True:
-            reads0 = buffer.physical_reads
-            index0 = metrics.index_page_reads
-            evals0 = metrics.predicate_evals
-            started = clock()
-            try:
-                item = next(iterator)
-            except StopIteration:
-                profile.wall_seconds += clock() - started
-                profile.page_reads += buffer.physical_reads - reads0
-                profile.index_page_reads += metrics.index_page_reads - index0
-                profile.predicate_evals += metrics.predicate_evals - evals0
-                profile.next_calls += 1
-                return
-            profile.wall_seconds += clock() - started
-            profile.page_reads += buffer.physical_reads - reads0
-            profile.index_page_reads += metrics.index_page_reads - index0
-            profile.predicate_evals += metrics.predicate_evals - evals0
-            profile.next_calls += 1
-            profile.tuples_out += 1
-            yield item
 
     def fix_iteration(
         self,

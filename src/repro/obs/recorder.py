@@ -6,7 +6,7 @@ and *re-execute* the request on another machine into one JSON bundle:
 
 .. code-block:: text
 
-    bundle_version      schema version of this format (currently 1)
+    bundle_version      schema version of this format (currently 2)
     created_at          unix seconds
     reason              "anomaly" | "diagnose"
     request_id          service request id (when recorded in-service)
@@ -14,7 +14,8 @@ and *re-execute* the request on another machine into one JSON bundle:
                         value, baseline, robust z-score)
     sampling            the governor's decision for the run
     query               {text, canonical, class}
-    plan                {fingerprint, rendered, estimated_cost}
+    plan                {fingerprint (canonical), rendered,
+                        estimated_cost}
     knobs               {batch_size, shards, max_fix_iterations,
                         strategy} (no ``strategy``: the default "ii")
     cost_parameters     the CostParameters the optimizer priced with,
@@ -63,7 +64,7 @@ __all__ = [
     "replay_bundle",
 ]
 
-BUNDLE_VERSION = 1
+BUNDLE_VERSION = 2
 
 
 def answer_fingerprint(rows: List[dict]) -> str:
@@ -306,7 +307,7 @@ def replay_bundle(bundle: Dict[str, Any], database=None) -> Dict[str, Any]:
     from repro.cost.params import CostParameters
     from repro.engine.evaluator import Engine
     from repro.lang.compile import compile_text
-    from repro.obs.history import plan_fingerprint
+    from repro.plans.canonical import canonical_fingerprint
     from repro.service.plan_cache import schema_fingerprint
 
     if database is None:
@@ -342,7 +343,7 @@ def replay_bundle(bundle: Dict[str, Any], database=None) -> Dict[str, Any]:
         physical, model, OptimizerConfig(strategy=knobs.get("strategy", "ii"))
     )
     result = optimizer.optimize(graph)
-    replayed_fp = plan_fingerprint(result.plan)
+    replayed_fp = canonical_fingerprint(result.plan)
 
     shards = max(1, int(knobs.get("shards", 1)))
     cluster = None
@@ -364,8 +365,8 @@ def replay_bundle(bundle: Dict[str, Any], database=None) -> Dict[str, Any]:
     expected_answer = bundle["execution"]["answer_fingerprint"]
     report.update(
         {
-            "plan_fingerprint": replayed_fp,
-            "expected_plan_fingerprint": expected_fp,
+            "fingerprint": replayed_fp,
+            "expected_fingerprint": expected_fp,
             "plan_match": replayed_fp == expected_fp,
             "answer_fingerprint": replayed_answer,
             "expected_answer_fingerprint": expected_answer,

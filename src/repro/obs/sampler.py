@@ -140,11 +140,3 @@ class BufferedRun:
 
     def drop(self) -> None:
         self.committed = False
-
-    def obs_units(self) -> Tuple[int, int]:
-        """``(probes, spans)`` recorded so far — the units the governor
-        charges against its budget."""
-
-        probes = self.profiler.probe_count() if self.profiler is not None else 0
-        spans = self.tracer.span_count() if self.tracer is not None else 0
-        return probes, spans

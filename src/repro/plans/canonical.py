@@ -1,24 +1,29 @@
-"""Canonical plan fingerprints: structural identity up to renaming.
+"""Canonical plan fingerprints: the plan id that leaves the process.
 
-Transformation closures reach the same plan along many paths, and the
-paths disagree about *names*: pushing two independent segments through
-a Fix in either order yields plans that differ only in the ``_pN``
-suffixes the push renamer minted.  Structural equality
-(:meth:`PlanNode._key`) keeps such alpha-equivalent duplicates apart,
-so a closure dedup keyed on it costs the same plan twice, and a memo
-table keyed on it misses shared subproblems.
+Inside one process a plan is named by the term itself: ``PlanNode``'s
+cached structural hash and equality key the enumerator's memo, the
+transformPT candidate dedupe and the cost memo.  Wherever a plan id
+crosses a process boundary — the telemetry store and its JSONL, the
+``history`` op, ``plan_change``/``plan_regression`` events, plan-cache
+entries, flight-recorder bundles and their replay, the ``diagnose``
+response, the fig7 golden — it is :func:`canonical_fingerprint`.
 
-:func:`canonical_fingerprint` closes that gap: variables are renamed to
-their first-appearance index in a deterministic pre-order walk
-(``§0``, ``§1``, ...), and the renamed term is hashed over *every*
-cost-relevant field — operator kind, entities, attribute paths,
-predicates, join algorithm, invariant fields — unlike
-:func:`repro.obs.history.plan_fingerprint`, which hashes display labels
-(and therefore conflates, e.g., the two EJ algorithms).  Two plans
-share a canonical fingerprint iff they are identical up to a bijective
-variable renaming; such plans have identical neighbourhoods under the
-move graph and identical costs under every model, which is what makes
-the fingerprint a sound memo key for plan enumeration.
+Variables are renamed to their first-appearance index in a
+deterministic pre-order walk (``§0``, ``§1``, ...), and the renamed
+term is hashed over *every* cost-relevant field — operator kind,
+entities, attribute paths, predicates, join algorithm, invariant
+fields — so the two EJ algorithms, for instance, get different ids.
+Two plans share a canonical fingerprint iff they are identical up to
+a bijective variable renaming, and the digest is stable across
+processes (no reliance on ``hash()`` or set iteration order).
+
+The renaming makes the id independent of how upstream steps happened
+to name variables; it does not merge anything within a search.  Push
+orders do not yield alpha-variants: the push renamer's ``_p{part}``
+suffix depends on the union part, not on the order of pushes, so two
+structurally distinct plans of one transformation closure never share
+a fingerprint (``tests/test_enumeration_oracle.py`` asserts this over
+every brute-force closure it builds).
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from repro.plans.nodes import (
 from repro.querygraph.graph import OutputField, OutputSpec
 from repro.querygraph.predicates import Expr, PathRef, Predicate
 
-__all__ = ["alpha_rename", "canonical_fingerprint", "canonical_key"]
+__all__ = ["alpha_rename", "canonical_fingerprint"]
 
 
 def _node_vars(node: PlanNode) -> List[str]:
@@ -212,16 +217,11 @@ def _serialize(node: PlanNode, out: List[str]) -> None:
     out.append(")")
 
 
-def canonical_key(plan: PlanNode) -> str:
-    """The full canonical serialization (alpha-renamed token stream)."""
+def canonical_fingerprint(plan: PlanNode) -> str:
+    """A 16-hex-digit SHA-256 digest of the plan's alpha-renamed,
+    cost-complete token stream."""
     renamed = alpha_rename(plan, _canonical_names(plan))
     tokens: List[str] = []
     _serialize(renamed, tokens)
-    return "\x1f".join(tokens)
-
-
-def canonical_fingerprint(plan: PlanNode) -> str:
-    """A 16-hex-digit digest of :func:`canonical_key`, stable across
-    processes (no reliance on set/hash iteration order)."""
-    digest = hashlib.sha256(canonical_key(plan).encode("utf-8"))
+    digest = hashlib.sha256("\x1f".join(tokens).encode("utf-8"))
     return digest.hexdigest()[:16]

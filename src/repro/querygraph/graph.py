@@ -143,12 +143,6 @@ class SPJNode:
     def input_names(self) -> List[str]:
         return [arc.name for arc in self.inputs]
 
-    def arc_for(self, name: str) -> Arc:
-        for arc in self.inputs:
-            if arc.name == name:
-                return arc
-        raise QueryModelError(f"no input arc on name node {name!r}")
-
     def arcs_on(self, name: str) -> List[Arc]:
         return [arc for arc in self.inputs if arc.name == name]
 

@@ -185,12 +185,6 @@ class Catalog:
             merged.update(self.get(ancestor).attributes)
         return merged
 
-    def all_methods(self, owner: str) -> Dict[str, Method]:
-        merged: Dict[str, Method] = {}
-        for ancestor in reversed(self.ancestry(owner)):
-            merged.update(self.get(ancestor).methods)
-        return merged
-
     # -- path expressions ---------------------------------------------------
 
     def resolve_path(self, root: str, attributes: Sequence[str]) -> ResolvedPath:

@@ -54,13 +54,6 @@ class Attribute:
     type: Type
     inverse_of: Optional[InversePair] = None
 
-    def is_reference(self) -> bool:
-        """True when the attribute references objects of another class."""
-        target = self.type
-        if is_collection(target):
-            target = element_type(target)
-        return isinstance(target, ClassRef)
-
     def referenced_class(self) -> Optional[str]:
         """Name of the referenced class, or None for value attributes."""
         target = self.type

@@ -125,8 +125,9 @@ class CachedPlan:
     #: for observability, but the entry is never drift-evicted) — the
     #: regression detector's "revert to the prior plan" lever.
     pinned: bool = False
-    #: Structural plan fingerprint (:func:`repro.obs.history.plan_fingerprint`),
-    #: filled in by the service so telemetry lookups skip a tree walk.
+    #: Canonical plan fingerprint
+    #: (:func:`repro.plans.canonical.canonical_fingerprint`), filled in
+    #: by the service so telemetry lookups skip a tree walk.
     fingerprint: Optional[str] = None
 
 

@@ -10,9 +10,8 @@ Operations
     ``query {text, params?, timeout?, batch_size?, shards?,
     strategy?}``                          → ``{rows, cache, ...}``
                                             (``strategy``: transformPT
-                                            search — ``ii``/``sa``/
-                                            ``2po``/``enum``/
-                                            ``exhaustive``; plans are
+                                            search — ``ii`` or
+                                            ``enum``; plans are
                                             cached per strategy)
     ``prepare {text}``                    → ``{statement, parameters}``
     ``execute {statement, params?, ...}`` → like ``query``

@@ -57,7 +57,7 @@ from repro.obs.feedback import (
     build_observation,
 )
 from repro.obs.governor import GovernorConfig, ObservabilityGovernor
-from repro.obs.history import plan_fingerprint, q_error, query_class
+from repro.obs.history import q_error, query_class
 from repro.obs.log import get_logger
 from repro.obs.profile import PlanProfiler
 from repro.obs.progress import ProgressTracker
@@ -65,6 +65,7 @@ from repro.obs.recorder import FlightRecorder, build_bundle
 from repro.obs.sampler import FULL_DETAIL, SamplingDecision
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.physical.storage import Oid, StoredRecord
+from repro.plans.canonical import canonical_fingerprint
 from repro.plans.nodes import PlanNode
 from repro.service import protocol
 from repro.service.admission import AdmissionController, AdmissionPolicy
@@ -755,7 +756,7 @@ class QueryService:
             canonical=canonical,
             query_cls=query_cls,
             plan=planned.plan,
-            fingerprint=planned.fingerprint or plan_fingerprint(planned.plan),
+            fingerprint=planned.fingerprint or canonical_fingerprint(planned.plan),
             estimated_cost=planned.estimated,
             rows=run.execution.rows,
             measured_cost=run.execution.metrics.measured_cost(),
@@ -1088,7 +1089,7 @@ class QueryService:
             "estimated_cost": round(planned.estimated, 2),
             "measured_cost": round(run.execution.metrics.measured_cost(), 2),
             "execute_ms": round(run.seconds * 1000, 3),
-            "plan_fingerprint": bundle["plan"]["fingerprint"],
+            "fingerprint": bundle["plan"]["fingerprint"],
             "answer_fingerprint": bundle["execution"]["answer_fingerprint"],
             "recorder": self.recorder.snapshot(),
         }

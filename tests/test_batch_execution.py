@@ -15,7 +15,6 @@ import pytest
 
 from repro.cost.params import CostParameters
 from repro.engine import DEFAULT_BATCH_SIZE, Engine, default_batch_size
-from repro.engine.batch import Batch, rebatch
 from repro.plans import EntityLeaf, Proj, Sel
 from repro.querygraph.builder import and_, const, eq, ge, le, out, path
 from tests.test_engine import make_fix
@@ -194,19 +193,3 @@ class TestCompileOnceClosures:
         assert first is second
         assert evaluator.predicate_compilations == before
 
-
-class TestRebatch:
-    def test_rebatch_regroups_preserving_order(self):
-        batches = [
-            Batch([{"i": 0}, {"i": 1}, {"i": 2}]),
-            Batch([{"i": 3}]),
-            Batch([{"i": 4}, {"i": 5}]),
-        ]
-        out_batches = list(rebatch(batches, 2, node_id="n"))
-        assert [len(b) for b in out_batches] == [2, 2, 2]
-        assert [row["i"] for b in out_batches for row in b] == list(range(6))
-        assert all(b.node_id == "n" for b in out_batches)
-
-    def test_rebatch_flushes_trailing_partial(self):
-        out_batches = list(rebatch([Batch([{"i": 0}, {"i": 1}, {"i": 2}])], 2))
-        assert [len(b) for b in out_batches] == [2, 1]

@@ -6,6 +6,9 @@ optimizer produces a seed plan, and the memoized branch-and-bound
 enumerator must find exactly the minimal cost that the brute-force
 closure (:func:`repro.core.baselines.brute_force_enumerate` — no memo,
 no pruning, structural dedup only) finds over the same move graph.
+Every closure also re-proves the invariant the enumerator's term-keyed
+memo rests on: no two structurally distinct plans of a closure share a
+canonical fingerprint (push orders never yield alpha-variants).
 ``derandomize=True`` keeps the generated plan spaces fixed, so CI
 checks the same ≥200 spaces every run.
 
@@ -33,6 +36,7 @@ from repro.core.enumerate import MemoizedEnumeration
 from repro.core.optimizer import Optimizer, OptimizerConfig
 from repro.cost import CostParameters, DetailedCostModel
 from repro.errors import OptimizationError
+from repro.plans.canonical import canonical_fingerprint
 
 # 100 examples per @given function x 2 query families = 200 plan
 # spaces checked (REPRO_ENUM_EXAMPLES scales this up in CI).
@@ -101,12 +105,24 @@ def _assert_enum_matches_oracle(db, graph, family, model=None):
     if plan is None:
         assume(False)
     model = model or DetailedCostModel(db.physical)
+    closure = []
+
+    def cost_fn(candidate):
+        closure.append(candidate)
+        return model.cost(candidate)
+
     try:
         _best, oracle_cost, brute_plans = brute_force_enumerate(
-            plan, model.cost, db.physical, max_plans=ORACLE_MAX_PLANS
+            plan, cost_fn, db.physical, max_plans=ORACLE_MAX_PLANS
         )
     except RuntimeError:
         assume(False)  # space too large for the oracle; not a failure
+    assert len(set(closure)) == len(closure) == brute_plans
+    canonical = {canonical_fingerprint(candidate) for candidate in closure}
+    assert len(canonical) == brute_plans, (
+        f"{brute_plans - len(canonical)} alpha-variant pairs in a closure "
+        f"of {brute_plans} plans: a term-keyed memo would cost them twice"
+    )
     strategy = MemoizedEnumeration()  # shipped defaults, pruning on
     result = strategy.search(plan, model.cost, db.physical)
     stats = strategy.last_stats
@@ -115,8 +131,6 @@ def _assert_enum_matches_oracle(db, graph, family, model=None):
         f"enum found {result.cost}, brute force found {oracle_cost} "
         f"over {brute_plans} plans (memo stats: {stats})"
     )
-    # Canonical classes can only merge structural plans, never invent
-    # new ones.
     assert stats.subplans_memoized <= brute_plans
     assert stats.candidates_costed <= brute_plans
 

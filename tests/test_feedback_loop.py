@@ -21,8 +21,8 @@ from repro.core.baselines import naive_optimizer
 from repro.errors import ServiceError
 from repro.lang import compile_text
 from repro.obs.feedback import operator_estimates
-from repro.obs.history import plan_fingerprint
 from repro.plans import EntityLeaf
+from repro.plans.canonical import canonical_fingerprint
 from repro.service import QueryService, ServiceConfig
 from repro.workloads import MusicConfig, generate_music_database
 
@@ -261,7 +261,7 @@ class TestRegressionDetection:
             entry = service.cache.entry(key)
             assert entry.pinned
             assert entry.fingerprint == old_fp
-            assert plan_fingerprint(entry.plan) == old_fp
+            assert canonical_fingerprint(entry.plan) == old_fp
             # Subsequent requests are served from the pinned plan.
             response = service.run_query(RECURSIVE)
             assert response["cache"] in ("hit", "revalidated")

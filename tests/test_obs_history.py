@@ -14,10 +14,10 @@ from repro.obs.history import (
     OperatorEstimate,
     PlanHistory,
     QueryTelemetryStore,
-    plan_fingerprint,
     q_error,
     query_class,
 )
+from repro.plans.canonical import canonical_fingerprint
 from repro.workloads import MusicConfig, generate_music_database
 
 SCAN = "select [name: x.name] from x in Composer where x.birthyear >= 1700;"
@@ -61,17 +61,15 @@ def observation(
 
 class TestFingerprints:
     def test_same_plan_same_fingerprint(self, db):
-        assert plan_fingerprint(plan_of(db, SCAN)) == plan_fingerprint(
-            plan_of(db, SCAN)
-        )
+        first, second = plan_of(db, SCAN), plan_of(db, SCAN)
+        assert canonical_fingerprint(first) == canonical_fingerprint(second)
 
     def test_different_plans_differ(self, db):
-        assert plan_fingerprint(plan_of(db, SCAN)) != plan_fingerprint(
-            plan_of(db, LOOKUP)
-        )
+        scan, lookup = plan_of(db, SCAN), plan_of(db, LOOKUP)
+        assert canonical_fingerprint(scan) != canonical_fingerprint(lookup)
 
     def test_fingerprint_shape(self, db):
-        fp = plan_fingerprint(plan_of(db, SCAN))
+        fp = canonical_fingerprint(plan_of(db, SCAN))
         assert len(fp) == 16
         int(fp, 16)  # hex
 

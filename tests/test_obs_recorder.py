@@ -11,7 +11,6 @@ from repro.cli import main
 from repro.core.baselines import cost_controlled_optimizer
 from repro.engine import Engine
 from repro.lang.compile import compile_text
-from repro.obs.history import plan_fingerprint
 from repro.obs.recorder import (
     BUNDLE_VERSION,
     FlightRecorder,
@@ -21,6 +20,7 @@ from repro.obs.recorder import (
     load_bundle,
     replay_bundle,
 )
+from repro.plans.canonical import canonical_fingerprint
 from repro.workloads import MusicConfig, generate_music_database
 
 RECIPE = {"db": "music", "seed": 21, "lineages": 3, "generations": 6}
@@ -52,7 +52,7 @@ def run_and_bundle(text, database, tmp_path=None, reason="diagnose"):
         canonical=text,
         query_cls="testcls",
         plan=result.plan,
-        fingerprint=plan_fingerprint(result.plan),
+        fingerprint=canonical_fingerprint(result.plan),
         estimated_cost=result.cost,
         rows=execution.rows,
         measured_cost=execution.metrics.measured_cost(),
@@ -153,7 +153,8 @@ class TestReplay:
 
     def test_replay_accepts_retired_batch_layout_knob(self, tmp_path):
         # Bundles recorded while the engine still had a row layout
-        # carry the knob; replay drops it (same bundle_version).
+        # carry the knob; replay drops it (retiring a knob does not
+        # bump bundle_version).
         db = database_from_config(RECIPE)
         bundle = run_and_bundle(FIG3, db)
         bundle["knobs"]["batch_layout"] = "row"
@@ -166,13 +167,13 @@ class TestReplay:
     def test_replay_accepts_retired_parallelism_knob(self, tmp_path):
         # Bundles recorded while the engine still had a thread-parallel
         # fixpoint carry its width in both the knobs and the cost
-        # parameters; replay drops it and runs serially (same
-        # bundle_version).
+        # parameters; replay drops it and runs serially (retiring a
+        # knob does not bump bundle_version).
         db = database_from_config(RECIPE)
         bundle = run_and_bundle(FIG3, db)
         bundle["knobs"]["parallelism"] = 4
         bundle["cost_parameters"]["parallelism"] = 4
-        assert bundle["bundle_version"] == BUNDLE_VERSION == 1
+        assert bundle["bundle_version"] == BUNDLE_VERSION == 2
         path = tmp_path / "bundle.json"
         path.write_text(json.dumps(bundle, default=str))
         out = io.StringIO()
@@ -227,7 +228,7 @@ class TestReplay:
         roomy = database(256)
         graph = compile_text(FIG3, roomy.catalog)
         unaided = cost_controlled_optimizer(roomy.physical).optimize(graph)
-        assert plan_fingerprint(unaided.plan) != bundle["plan"]["fingerprint"]
+        assert canonical_fingerprint(unaided.plan) != bundle["plan"]["fingerprint"]
         report = replay_bundle(bundle, database=roomy)
         assert report["plan_match"] and report["matched"]
 

@@ -15,8 +15,8 @@ from repro.cli import main
 from repro.core.optimizer import Optimizer, OptimizerConfig
 from repro.engine import Engine
 from repro.lang import compile_text
-from repro.obs.history import plan_fingerprint
 from repro.obs.recorder import database_from_config, load_bundle, replay_bundle
+from repro.plans.canonical import canonical_fingerprint
 from repro.service import QueryService, ServiceConfig
 
 RECIPE = {"db": "music", "seed": 21, "lineages": 3, "generations": 6}
@@ -152,7 +152,7 @@ def test_diagnose_records_the_plan_the_configured_strategy_chose(db):
     chosen = Optimizer(
         db.physical, None, OptimizerConfig(strategy="enum")
     ).optimize(compile_text(FIG3, db.catalog))
-    assert response["plan_fingerprint"] == plan_fingerprint(chosen.plan)
+    assert response["fingerprint"] == canonical_fingerprint(chosen.plan)
     assert response["estimated_cost"] == round(chosen.cost, 2)
     bundle = service.recorder.recent[-1]
     assert bundle["knobs"]["strategy"] == "enum"
@@ -184,3 +184,16 @@ def test_bundle_without_a_strategy_replays_with_ii(db, tmp_path):
     bundle = load_bundle(path)
     assert bundle["knobs"].pop("strategy") == "ii"
     assert replay_bundle(bundle, database=db)["matched"]
+
+
+@pytest.mark.parametrize("name", ["sa", "2po", "exhaustive"])
+def test_retired_strategy_names_are_protocol_errors(db, name):
+    """``--strategy`` is two-valued at every surface: the comparison
+    baselines are classes, not names a request can select."""
+    service = _service(db)
+    response = service.handle({"op": "query", "text": FIG3, "strategy": name})
+    assert response["ok"] is False
+    assert response["error"]["code"] == "protocol_error"
+    assert "strategy must be one of: ii, enum" in response["error"]["message"]
+    with pytest.raises(ValueError, match="strategy must be one of: ii, enum"):
+        ServiceConfig(strategy=name)

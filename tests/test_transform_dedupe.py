@@ -1,11 +1,12 @@
-"""transformPT candidate dedup: canonical fingerprints, not structure.
+"""transformPT candidate dedup: on the plan term, one entry per plan.
 
-Equivalent push orders (and pushes applied to differently-named but
-equivalent inputs) yield plans that differ only in the ``_pN``-suffixed
-variables the push renamer mints.  ``transform_candidates`` dedups by
-:func:`repro.plans.canonical.canonical_fingerprint`, so such
-alpha-variants are costed once; these tests pin the candidate counts
-and the name-invariance of the candidate set.
+Pushing independent segments in either order builds the *same* term:
+the push renamer's ``_pN`` suffix names the union part a segment is
+pushed into, not the order of the pushes.  ``transform_candidates``
+therefore dedups on the term's structural hash and equality, and the
+canonical fingerprint (:mod:`repro.plans.canonical`) — the id that
+leaves the process — is what these tests use to pin the candidate
+counts and the name-invariance of the candidate set.
 """
 
 from tests.test_core_transform import (
