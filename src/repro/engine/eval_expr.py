@@ -758,7 +758,7 @@ class JoinKernel:
     :meth:`ExpressionEvaluator.compile_join_kernel`).
 
     Per outer binding :meth:`outer_key` extracts the raw key once; per
-    inner batch :meth:`matches` looks it up in a key index of the inner
+    inner chunk :meth:`matches` looks it up in a key index of the inner
     key column, built once per chunk list and kept in the calling
     join's probe memo — the nested loop's re-scans replay the same
     chunk lists, so every later probe is one dict lookup.  Both answer
@@ -810,26 +810,31 @@ class JoinKernel:
                 return raw
         return None
 
-    def matches(
-        self, key: object, batch, probes: list
-    ) -> Optional[List[StoredRecord]]:
-        """The inner records of ``batch`` whose key equals ``key``, in
-        batch order, or None when the batch is not a single column of
-        stored records with plain-or-null keys.  Counts what the
-        per-pair path counts for the whole batch: one predicate
-        evaluation and two expression evaluations per pair.
-
-        ``probes`` is the calling join's memo slot for this batch:
-        ``[column, key index]`` of the column it last held.  A column
-        seen for the first time is indexed once (:meth:`_key_index`);
-        every later probe of the same list is one dict lookup.  The
-        caller must not mutate the returned list."""
+    def inner_column(self, batch) -> Optional[list]:
+        """The inner batch's column of :attr:`inner_var` when that is
+        the batch's only native column (what a scan of the inner leaf
+        hands over), else None: the join then takes the per-pair loop
+        for the batch, uncounted here."""
         columns = batch._columns
         if columns is None or len(columns) != 1:
             return None
-        column = columns.get(self.inner_var)
-        if column is None:
-            return None
+        return columns.get(self.inner_var)
+
+    def matches(
+        self, key: object, column: list, probes: list
+    ) -> Optional[List[StoredRecord]]:
+        """The records of the inner ``column`` whose key equals
+        ``key``, in column order, or None when the column is not all
+        stored records with plain-or-null keys.  Counts what the
+        per-pair path counts for the whole column: one predicate
+        evaluation and two expression evaluations per pair.
+
+        ``probes`` is the calling join's memo slot for this column's
+        position in the inner scan: ``[column, key index]`` of the
+        column it last held.  A column seen for the first time is
+        indexed once (:meth:`_key_index`); every later probe of the
+        same list is one dict lookup.  The caller must not mutate the
+        returned list."""
         if probes[0] is not column:
             probes[:] = [column, self._key_index(column)]
         index = probes[1]

@@ -48,12 +48,12 @@ from repro.engine.eval_expr import (
 )
 from repro.engine.fixpoint import run_fixpoint
 from repro.engine.metrics import RuntimeMetrics
-from repro.obs.profile import PlanProfiler, assign_node_ids
+from repro.obs.profile import NodeProfile, PlanProfiler, assign_node_ids
 from repro.obs.trace import NULL_TRACER
 from repro.physical.buffer import BufferStats
 from repro.physical.pages import PageId
 from repro.physical.schema import PhysicalSchema
-from repro.physical.storage import Oid, StoredRecord
+from repro.physical.storage import Oid, ScanSteps, StoredRecord
 from repro.plans.nodes import (
     EJ,
     IJ,
@@ -79,6 +79,9 @@ from repro.querygraph.predicates import (
 )
 
 __all__ = ["ExecutionResult", "Engine"]
+
+#: The leaves a scan evaluates: an extent, a temporary, a round delta.
+_SCAN_LEAVES = (EntityLeaf, TempLeaf, RecLeaf)
 
 
 class ExecutionResult:
@@ -145,11 +148,11 @@ class Engine:
         #: evaluated once and share their materialized temporary (a
         #: self-join of a recursion must not recompute the closure).
         self._fix_cache: Dict[object, str] = {}
-        #: Recursion name -> ``(delta, length, batch plan)`` of the
+        #: Recursion name -> ``(delta, length, scan steps)`` of the
         #: delta its ``RecLeaf`` scans last replayed (:meth:`_delta_plan`).
         self._delta_plans: Dict[str, tuple] = {}
         #: Nested-loop EJ node id -> its probe memo: one ``[chunk, key
-        #: index]`` slot per inner batch position (JoinKernel.matches).
+        #: index]`` slot per inner step position (JoinKernel.matches).
         self._probe_memos: Dict[int, List[list]] = {}
         #: I/O charged by shard sessions during this execution (their
         #: buffers are private, so the coordinator-store delta misses
@@ -349,17 +352,9 @@ class Engine:
         if evaluator is None:
             raise ExecutionError("iterate_batches() called outside execute()")
         node_id = self._node_ids.get(id(node))
-        if isinstance(node, (EntityLeaf, TempLeaf)):
-            yield from self._scan_batches(node.entity, node.var, "scan", node_id)
-            return
-        if isinstance(node, RecLeaf):
-            delta = delta_env.get(node.name)
-            if delta is None:
-                raise ExecutionError(
-                    f"recursion reference {node.name!r} evaluated outside "
-                    "its fixpoint"
-                )
-            yield from self._scan_delta_batches(node, delta, node_id)
+        if isinstance(node, _SCAN_LEAVES):
+            steps, kind = self._leaf_steps(node, delta_env)
+            yield from self._scan_batches(steps, node.var, kind, node_id)
             return
         if isinstance(node, Sel):
             indexed = self._indexed_selection_access(node, node_id)
@@ -405,7 +400,9 @@ class Engine:
                 temp_name = run_fixpoint(self, node, delta_env)
                 if cacheable:
                     self._fix_cache[cache_key] = temp_name
-            yield from self._scan_batches(temp_name, node.out_var, "fix", node_id)
+            yield from self._scan_batches(
+                self._extent_steps(temp_name), node.out_var, "fix", node_id
+            )
             return
         if isinstance(node, Materialize):
             temp_info = self.physical.register_temp(node.name)
@@ -421,7 +418,10 @@ class Engine:
                         },
                     )
             yield from self._scan_batches(
-                temp_info.name, node.out_var, "materialize", node_id
+                self._extent_steps(temp_info.name),
+                node.out_var,
+                "materialize",
+                node_id,
             )
             return
         raise ExecutionError(f"unknown plan node {type(node).__name__}")
@@ -429,62 +429,50 @@ class Engine:
     # -- operator implementations ------------------------------------------------------
 
     def _scan_batches(
-        self, entity: str, var: str, kind: str, node_id: Optional[str]
+        self, steps: ScanSteps, var: str, kind: str, node_id: Optional[str]
     ) -> Iterator[Batch]:
-        """Scan an extent into batches by walking its cached batch plan
-        (:meth:`~repro.physical.storage.Extent.page_batches`): touch a
-        page, then yield every batch that page completes, so the next
-        page is touched only once the consumer is done with them — the
-        touch order of a record-at-a-time scan.  A re-scan (the inner
-        of a nested-loop ``EJ``) replays the same chunk lists, which is
-        what lets the join kernel's probe memo recognise them.  One
-        cancellation poll and one ``batches`` increment per batch."""
+        """Walk a scan's ``(pages to touch, chunk)`` steps: touch the
+        step's pages as one run, then hand the chunk over as a batch,
+        so the next pages are touched only once the consumer is done
+        with it — the touch order of a record-at-a-time scan.  One
+        cancellation poll and one ``batches`` increment per batch.  The
+        steps are cached (an extent's batch plan, a round delta's), so
+        every re-scan hands back the same chunk lists — what lets the
+        join kernel's probe memo recognise them."""
         metrics = self.metrics
-        touch = self.store.buffer.touch
+        touch_run = self.store.buffer.touch_run
         produced = 0
         try:
-            pages, tail = self.store.extent(entity).page_batches(
-                self.batch_size
-            )
-            for page_id, chunks in pages:
-                touch(page_id)
-                for chunk in chunks:
-                    self.check_cancelled()
-                    produced += len(chunk)
-                    metrics.batches += 1
-                    yield Batch.from_columns({var: chunk}, node_id)
-            if tail:
+            for pages, chunk in steps:
+                touch_run(pages)
                 self.check_cancelled()
-                produced += len(tail)
-                metrics.batches += 1
-                yield Batch.from_columns({var: tail}, node_id)
-        finally:
-            metrics.add_tuples(kind, node_id, produced)
-
-    def _scan_delta_batches(
-        self, node: RecLeaf, delta: List[StoredRecord], node_id: Optional[str]
-    ) -> Iterator[Batch]:
-        """Scan the current delta in slices of ``batch_size``, charging
-        each distinct page once, just before the first slice holding a
-        record on it."""
-        metrics = self.metrics
-        touch = self.store.buffer.touch
-        var = node.var
-        produced = 0
-        try:
-            for pages, chunk in self._delta_plan(node.name, delta):
-                for page_id in pages:
-                    touch(page_id)
                 produced += len(chunk)
                 metrics.batches += 1
                 yield Batch.from_columns({var: chunk}, node_id)
         finally:
-            metrics.add_tuples("delta", node_id, produced)
+            metrics.add_tuples(kind, node_id, produced)
 
-    def _delta_plan(
-        self, name: str, delta: List[StoredRecord]
-    ) -> List[Tuple[List[PageId], List[StoredRecord]]]:
-        """``(pages to touch, chunk)`` per batch of a delta scan.  One
+    def _leaf_steps(
+        self, node: PlanNode, delta_env: Dict[str, List[StoredRecord]]
+    ) -> Tuple[ScanSteps, str]:
+        """The scan steps of a leaf and the operator kind its tuples
+        are counted under."""
+        if isinstance(node, RecLeaf):
+            delta = delta_env.get(node.name)
+            if delta is None:
+                raise ExecutionError(
+                    f"recursion reference {node.name!r} evaluated outside "
+                    "its fixpoint"
+                )
+            return self._delta_plan(node.name, delta), "delta"
+        return self._extent_steps(node.entity), "scan"
+
+    def _extent_steps(self, entity: str) -> ScanSteps:
+        return self.store.extent(entity).page_batches(self.batch_size)
+
+    def _delta_plan(self, name: str, delta: List[StoredRecord]) -> ScanSteps:
+        """The scan steps of a delta: each distinct page is charged
+        once, just before the first chunk holding a record on it.  One
         plan per recursion name, valid while it is the same delta list
         at the same length: every re-scan of a round's delta replays
         it, and the next round's delta replaces it — so the engine
@@ -493,7 +481,7 @@ class Engine:
         if cached is not None and cached[0] is delta and cached[1] == len(delta):
             return cached[2]
         batch_size = self.batch_size
-        plan: List[Tuple[List[PageId], List[StoredRecord]]] = []
+        plan: ScanSteps = []
         touched: Set[PageId] = set()
         pages: List[PageId] = []
         chunk: List[StoredRecord] = []
@@ -974,25 +962,33 @@ class Engine:
         batch size, which the parity contract forbids).
 
         What a re-scan does not redo is the CPU: an extent or delta
-        scan replays its cached batch plan, handing back the same chunk
+        scan replays its cached steps, handing back the same chunk
         lists, and an equality join probes each of them through a key
         index (:class:`JoinKernel`) built the first time the join sees
-        the chunk.  The join's probe memo outlives one Fix round — an
-        extent's chunks are the same lists in every round, and a
-        pushed-down selection leaves a round only an outer binding or
-        two — but has one slot per inner batch position, so it never
-        holds more than one re-scan's chunks (the next round's delta
-        replaces the last), and ``execute`` drops it.  Whatever the
-        kernel declines takes the per-pair closure.  Either way the
+        the chunk.  When the kernel applies to an outer binding and the
+        inner is a scan leaf, the join replays the leaf's steps itself
+        (built once per join) rather than re-entering
+        :meth:`iterate_batches`: same touches, counters and batches,
+        and under a profiler the same per-node actuals, without the
+        operator dispatch.  The join's probe memo outlives one Fix
+        round — an extent's chunks are the same lists in every round,
+        and a pushed-down selection leaves a round only an outer
+        binding or two — but has one slot per inner batch position, so
+        it never holds more than one re-scan's chunks (the next round's
+        delta replaces the last), and ``execute`` drops it.  Whatever
+        the kernel declines takes the per-pair closure.  Either way the
         pairs are judged lazily, one emission at a time, so the touches
         a predicate makes keep their place among the consumer's."""
         evaluator = self._evaluator
         assert evaluator is not None
         node_id = self._node_ids.get(id(node))
         predicate = evaluator.compile_predicate(node.predicate)
+        inner = node.right
         kernel = evaluator.compile_join_kernel(
-            node.predicate, node.left.output_vars(), node.right.output_vars()
+            node.predicate, node.left.output_vars(), inner.output_vars()
         )
+        replayable = kernel is not None and isinstance(inner, _SCAN_LEAVES)
+        replay = None  # the inner leaf's _replay_of, built on first use
         batch_size = self.batch_size
         metrics = self.metrics
         produced = 0
@@ -1006,24 +1002,18 @@ class Engine:
                         if kernel is not None
                         else None
                     )
-                    for position, right_batch in enumerate(
-                        self.iterate_batches(node.right, delta_env)
-                    ):
-                        matched = None
-                        if key is not None:
-                            if position == len(probes):
-                                probes.append([None, None])
-                            matched = kernel.matches(
-                                key, right_batch, probes[position]
-                            )
-                        if matched is None:
-                            joined = _joined_pairs(
-                                left_binding, right_batch.rows, predicate
-                            )
-                        else:
-                            joined = _joined_matches(
-                                left_binding, kernel, matched
-                            )
+                    if key is not None and replayable:
+                        if replay is None:
+                            replay = self._replay_of(inner, delta_env)
+                        joins = self._replayed_joins(
+                            left_binding, key, kernel, predicate, probes, replay
+                        )
+                    else:
+                        joins = self._rescanned_joins(
+                            left_binding, key, kernel, predicate, probes,
+                            inner, delta_env,
+                        )
+                    for joined in joins:
                         for merged in joined:
                             rows.append(merged)
                             if len(rows) >= batch_size:
@@ -1037,6 +1027,76 @@ class Engine:
                 yield Batch(rows, node_id)
         finally:
             metrics.add_tuples("ej", node_id, produced)
+
+    def _replayed_joins(
+        self, outer: Binding, key, kernel: JoinKernel, predicate, probes, replay
+    ) -> Iterator[Iterator[Binding]]:
+        """One re-scan of a scan-leaf inner for one outer binding, as
+        one lazy iterator of joined bindings per step: the step's pages
+        are touched as one run and its chunk counted exactly as the
+        leaf's own scan would (:meth:`_scan_batches`), then probed."""
+        steps, var, kind, node_id, profile = replay
+        touch_run = self.store.buffer.touch_run
+        metrics = self.metrics
+        scanned = calls = misses = 0
+        try:
+            for position, (pages, chunk) in enumerate(steps):
+                misses += touch_run(pages)
+                self.check_cancelled()
+                scanned += len(chunk)
+                calls += 1
+                metrics.batches += 1
+                if position == len(probes):
+                    probes.append([None, None])
+                matched = kernel.matches(key, chunk, probes[position])
+                if matched is None:
+                    yield _joined_pairs(
+                        outer, Batch.from_columns({var: chunk}).rows, predicate
+                    )
+                else:
+                    yield _joined_matches(outer, kernel, matched)
+            calls += 1  # the exhausting next() the profiler also meters
+        finally:
+            metrics.add_tuples(kind, node_id, scanned)
+            if profile is not None:
+                profile.tuples_out += scanned
+                profile.next_calls += calls
+                profile.page_reads += misses
+
+    def _rescanned_joins(
+        self, outer: Binding, key, kernel, predicate, probes, inner, delta_env
+    ) -> Iterator[Iterator[Binding]]:
+        """One re-scan of any inner through :meth:`iterate_batches`
+        for one outer binding, as one lazy iterator of joined bindings
+        per inner batch: probed through the kernel when the binding has
+        a key and the batch is the inner variable's lone column, judged
+        pair by pair otherwise."""
+        for position, batch in enumerate(self.iterate_batches(inner, delta_env)):
+            matched = None
+            if key is not None:
+                if position == len(probes):
+                    probes.append([None, None])
+                column = kernel.inner_column(batch)
+                if column is not None:
+                    matched = kernel.matches(key, column, probes[position])
+            if matched is None:
+                yield _joined_pairs(outer, batch.rows, predicate)
+            else:
+                yield _joined_matches(outer, kernel, matched)
+
+    def _replay_of(
+        self, leaf: PlanNode, delta_env: Dict[str, List[StoredRecord]]
+    ) -> Tuple[ScanSteps, str, str, Optional[str], Optional[NodeProfile]]:
+        """What a nested-loop join needs to replay its inner scan leaf:
+        its steps, variable and tuple kind, its node id, and the profile
+        the replay credits (None when no profiler is attached)."""
+        steps, kind = self._leaf_steps(leaf, delta_env)
+        profile = (
+            self.profiler.profile_for(leaf)
+            if self.profiler is not None
+            else None
+        )
+        return steps, leaf.var, kind, self._node_ids.get(id(leaf)), profile
 
     def _index_join_batches(
         self, node: EJ, delta_env: Dict[str, List[StoredRecord]]

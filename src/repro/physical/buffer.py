@@ -7,6 +7,15 @@ makes this true in the simulator: every page touch is a *logical* read;
 only misses are *physical* reads.  The engine reports both so cost-model
 validation benchmarks can compare estimated page I/O against measured
 physical reads.
+
+``touch_run(pages)`` is ``touch`` over a run of pages in one call: it
+returns the number of misses, and its effect on the statistics, the
+evictions and the resident LRU order is exactly that of calling
+``touch`` on each page in order.  Without simulated latency the run
+takes the pool's lock once; with ``io_latency > 0`` it is that very
+loop of ``touch`` calls, so each miss still sleeps on its own, outside
+the lock, before the next page is looked at.  ``BufferView`` offers the
+same method and counts the run into its private statistics.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.physical.pages import PageId
 
@@ -96,6 +105,34 @@ class BufferPool:
             time.sleep(self.io_latency)
         return hit
 
+    def touch_run(self, pages: Sequence[PageId]) -> int:
+        """Access ``pages`` in order, as ``touch`` on each would; return
+        the number of misses (see the module docstring)."""
+        if self.io_latency > 0.0:
+            return sum(not self.touch(page_id) for page_id in pages)
+        if not pages:
+            return 0
+        stats = self.stats
+        with self._lock:
+            stats.logical_reads += len(pages)
+            if self.capacity == 0:
+                stats.physical_reads += len(pages)
+                return len(pages)
+            resident = self._resident
+            capacity = self.capacity
+            misses = 0
+            for page_id in pages:
+                if page_id in resident:
+                    resident.move_to_end(page_id)
+                    continue
+                misses += 1
+                resident[page_id] = None
+                if len(resident) > capacity:
+                    resident.popitem(last=False)
+                    stats.evictions += 1
+            stats.physical_reads += misses
+        return misses
+
     def contains(self, page_id: PageId) -> bool:
         return page_id in self._resident
 
@@ -147,6 +184,12 @@ class BufferView:
         if not hit:
             self.stats.physical_reads += 1
         return hit
+
+    def touch_run(self, pages: Sequence[PageId]) -> int:
+        misses = self.parent.touch_run(pages)
+        self.stats.logical_reads += len(pages)
+        self.stats.physical_reads += misses
+        return misses
 
     def contains(self, page_id: PageId) -> bool:
         return self.parent.contains(page_id)

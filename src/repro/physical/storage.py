@@ -21,11 +21,10 @@ from repro.physical.pages import DEFAULT_RECORDS_PER_PAGE, PageId, PagedSegment
 
 __all__ = ["Oid", "StoredRecord", "Extent", "ObjectStore"]
 
-#: ``Extent.page_batches``: ``(page_id, chunks)`` per page, plus the
-#: tail chunk.
-PageBatches = Tuple[
-    List[Tuple[PageId, List[List["StoredRecord"]]]], List["StoredRecord"]
-]
+#: A scan cut into batches: one ``(pages to touch, chunk)`` step per
+#: batch, in scan order (``Extent.page_batches``, and the engine's
+#: delta scans).
+ScanSteps = List[Tuple[List[PageId], List["StoredRecord"]]]
 
 
 class Oid(int):
@@ -76,7 +75,7 @@ class Extent:
         self._page_directory: Optional[
             List[Tuple[PageId, List[StoredRecord]]]
         ] = None
-        self._page_batches: Optional[Tuple[int, PageBatches]] = None
+        self._page_batches: Optional[Tuple[int, ScanSteps]] = None
 
     def add(self, record: StoredRecord) -> None:
         self.records.append(record)
@@ -109,12 +108,12 @@ class Extent:
             self._page_directory = directory
         return directory
 
-    def page_batches(self, batch_size: int) -> PageBatches:
-        """The sequential scan cut into ``batch_size`` chunks:
-        ``(pages, tail)``, where ``pages`` lists ``(page_id, chunks)``
-        in page order — the chunks that page's records complete — and
-        ``tail`` is the last, partial chunk (possibly empty).  A scan
-        touches each page, then hands over its chunks.
+    def page_batches(self, batch_size: int) -> ScanSteps:
+        """The sequential scan cut into ``batch_size`` chunks, one
+        ``(pages, chunk)`` step per chunk: the pages the scan touches
+        before handing the chunk over (those its records complete it
+        on; empty when an earlier chunk already touched them), then the
+        chunk.  The last chunk may be partial.
 
         Cached for one batch size (another size rebuilds it) and
         dropped with the page directory; callers must not mutate it.
@@ -125,24 +124,21 @@ class Extent:
         cached = self._page_batches
         if cached is not None and cached[0] == batch_size:
             return cached[1]
-        pages: List[Tuple[PageId, List[List[StoredRecord]]]] = []
+        steps: ScanSteps = []
+        pages: List[PageId] = []
         pending: List[StoredRecord] = []
         for page_id, records in self.page_directory():
+            pages.append(page_id)
             pending.extend(records)
             full = len(pending) - len(pending) % batch_size
-            pages.append(
-                (
-                    page_id,
-                    [
-                        pending[start:start + batch_size]
-                        for start in range(0, full, batch_size)
-                    ],
-                )
-            )
+            for start in range(0, full, batch_size):
+                steps.append((pages, pending[start:start + batch_size]))
+                pages = []
             pending = pending[full:]
-        plan = (pages, pending)
-        self._page_batches = (batch_size, plan)
-        return plan
+        if pending:
+            steps.append((pages, pending))
+        self._page_batches = (batch_size, steps)
+        return steps
 
     def invalidate_placement(self) -> None:
         """Forget the cached page directory and batch plan (records

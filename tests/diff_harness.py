@@ -224,11 +224,14 @@ def run_differential(
     ``kernels`` crosses a column-kernels {on, off} dimension into the
     grid (off = :func:`kernels_declined`).  A kernel is a faster way to
     do what its row closure does, so on top of the tuple-count
-    invariants the harness requires ``predicate_evals``, ``expr_evals``
-    and ``logical_reads`` to be *identical with kernels on and off* at
-    every ``(batch, shards)`` point — a columnar kernel
-    that skipped or repeated a predicate evaluation fails here even
-    when the answers agree.
+    invariants the harness requires ``predicate_evals``, ``expr_evals``,
+    ``batches`` and the logical reads, physical reads and evictions to
+    be *identical with kernels on and off* at every ``(batch, shards)``
+    point — a columnar kernel that skipped or repeated a predicate
+    evaluation, or a nested-loop replay that touched pages in another
+    order, fails here even when the answers agree.  Every run starts
+    from cold buffers (the coordinator's and every shard's) so the
+    physical reads of two runs are comparable.
     """
     if optimizer is None:
         optimizer = cost_controlled_optimizer
@@ -252,6 +255,9 @@ def run_differential(
                 shards=shards,
                 cluster=cluster if shards > 1 else None,
             )
+            db.physical.store.buffer.clear()
+            for worker in cluster.workers if cluster is not None else ():
+                worker.buffer.clear()
             with contextlib.nullcontext() if kernel else kernels_declined():
                 result = engine.execute(plan)
             config = (kernel, batch_size, shards)
@@ -261,10 +267,14 @@ def run_differential(
             )
             counts[config] = result.metrics.total_tuples
             by_node[config] = dict(result.metrics.tuples_by_node)
+            metrics = result.metrics
             metering[config] = (
-                result.metrics.predicate_evals,
-                result.metrics.expr_evals,
-                result.metrics.buffer.logical_reads,
+                metrics.predicate_evals,
+                metrics.expr_evals,
+                metrics.batches,
+                metrics.buffer.logical_reads,
+                metrics.buffer.physical_reads,
+                metrics.buffer.evictions,
             )
     assert len(set(counts.values())) == 1, (
         f"tuple counts diverged across the configuration grid: {counts}"
@@ -287,7 +297,8 @@ def run_differential(
             for kernel in kernels
         }
         assert len(set(point.values())) == 1, (
-            f"metering (predicate_evals, expr_evals, logical_reads) "
+            f"metering (predicate_evals, expr_evals, batches, "
+            f"logical_reads, physical_reads, evictions) "
             f"diverged with kernels on/off at batch_size={batch_size} "
             f"shards={shards}: {point}"
         )

@@ -43,10 +43,11 @@ GRID = [
 assert GRID[0] == (1, 1)
 
 #: The kernel-parity sweep crosses column kernels {on, off} into a
-#: batch {1, 256} × shards {1, 2} grid; the
-#: harness additionally requires predicate_evals, expr_evals and
-#: logical_reads to be identical with kernels on and off at every grid
-#: point.
+#: batch {1, 256} × shards {1, 2} grid; the harness additionally
+#: requires predicate_evals, expr_evals, batches and the logical reads,
+#: physical reads and evictions of cold-buffer runs to be identical
+#: with kernels on and off at every grid point — kernels on, the
+#: nested-loop EJ replays a scan-leaf inner; declined, it re-opens it.
 KERNELS = (True, False)
 LAYOUT_GRID = [
     (batch_size, shards) for shards in (1, 2) for batch_size in BATCH_SIZES

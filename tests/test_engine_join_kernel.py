@@ -9,8 +9,12 @@ the join goes whenever the kernel declines — so it is the oracle: each
 generated join runs with the kernels {on, declined} x ``batch_size``
 {1, 3, 256} x buffer {6 pages, default}, and at every point the two
 runs must agree.  The inner operand is an extent scan or a ``RecLeaf``
-delta; either way every re-scan replays one cached batch plan, and the
+delta; either way every re-scan walks its cached scan steps, and the
 kernel probes the replayed chunks through the join's key-index memo.
+With the kernels on, a keyed outer binding has the join replay the
+inner leaf itself, one ``touch_run`` per step (``RecordingPool`` logs
+the run's pages in order); declined, the inner is re-opened through
+the operator dispatch.
 
 The generated key columns mix what the kernel accepts (ints, strings,
 bools, floats incl. NaN, oids, nulls) with everything that must send a
@@ -29,7 +33,7 @@ from repro.engine import Batch, Engine, RuntimeMetrics
 from repro.engine.eval_expr import JoinKernel, canonical_row
 from repro.physical.schema import PhysicalSchema
 from repro.physical.storage import ObjectStore, Oid
-from repro.plans import EJ, EntityLeaf, Fix, Proj, RecLeaf, UnionOp
+from repro.plans import EJ, EntityLeaf, Fix, Proj, RecLeaf, Sel, UnionOp
 from repro.querygraph.builder import and_, const, eq, ge, out, path, var
 from repro.schema.catalog import Catalog
 from repro.schema.conceptual import Attribute, ClassDef, Method
@@ -283,20 +287,36 @@ class TestRecursiveJoinParity:
 
 class TestKernelEngages:
     """The parity above would hold vacuously if the kernel never
-    fired; pin where it does and where it must not."""
+    fired; pin where it does and where it must not.  The spy sits on
+    :meth:`JoinKernel.matches`, the one probe routine both the replay
+    of a scan-leaf inner and the generic re-scan loop call."""
 
     @pytest.fixture()
     def fired(self, monkeypatch):
         calls = {"matched": 0, "declined": 0}
         original = JoinKernel.matches
 
-        def spy(self, key, batch, probes):
-            found = original(self, key, batch, probes)
+        def spy(self, key, column, probes):
+            found = original(self, key, column, probes)
             calls["declined" if found is None else "matched"] += 1
             return found
 
         monkeypatch.setattr(JoinKernel, "matches", spy)
         return calls
+
+    @pytest.fixture()
+    def reopened(self, monkeypatch):
+        """The plan nodes handed to ``Engine.iterate_batches``, in
+        order: a replayed inner leaf never shows up here."""
+        opened = []
+        original = Engine.iterate_batches
+
+        def spy(self, node, delta_env):
+            opened.append(node)
+            return original(self, node, delta_env)
+
+        monkeypatch.setattr(Engine, "iterate_batches", spy)
+        return opened
 
     def run(self, left, right, predicate=None):
         physical = build_physical(
@@ -339,21 +359,48 @@ class TestKernelEngages:
 
     def test_row_layout_never_matches(self):
         """An inner batch built from binding dicts has no native
-        columns: ``matches`` declines it, uncounted, and the join takes
-        the loop."""
+        columns: the generic loop finds no inner column to probe, so
+        the batch takes the per-pair loop, uncounted by the kernel."""
         physical = build_physical([], [("value", 1), ("value", 2)])
         records = physical.store.extent("R").records
         metrics = RuntimeMetrics()
         kernel = JoinKernel(metrics, "l", "k", "r", "k", None)
         rows = [{"r": record} for record in records]
+        assert kernel.inner_column(Batch(rows)) is None
+        assert kernel.inner_column(
+            Batch.from_columns({"r": records, "s": records})
+        ) is None
+        column = kernel.inner_column(Batch.from_columns({"r": records}))
+        assert column is records
         probes = [None, None]
-        assert kernel.matches(1, Batch(rows), probes) is None
-        assert (metrics.predicate_evals, metrics.expr_evals) == (0, 0)
-        assert probes == [None, None]
-        assert kernel.matches(
-            1, Batch.from_columns({"r": records}), probes
-        ) == [records[0]]
+        assert kernel.matches(1, column, probes) == [records[0]]
         assert (metrics.predicate_evals, metrics.expr_evals) == (2, 4)
+        assert probes[0] is records
+
+    def test_scan_leaf_inner_is_replayed_not_reopened(
+        self, fired, reopened
+    ):
+        result = self.run([1, None, 2], [2, 1, 1])
+        assert fired == {"matched": 2, "declined": 0}
+        assert len(result.rows) == 3
+        # Only the null-keyed outer binding re-opens the inner leaf
+        # through the operator dispatch; the keyed two replay it.
+        assert [
+            node.entity for node in reopened if isinstance(node, EntityLeaf)
+        ] == ["L", "R"]
+        assert result.metrics.tuples_by_node["n2"] == 3 * 3
+        assert result.metrics.predicate_evals == 3 * 3
+
+    def test_non_leaf_inner_is_reopened_and_probed(self, fired, reopened):
+        physical = build_physical(
+            [("value", v) for v in (1, 2)], [("value", v) for v in (2, 1, 1)]
+        )
+        inner = Sel(EntityLeaf("R", "r"), ge(path("r", "w"), const(0)))
+        plan = EJ(EntityLeaf("L", "l"), inner, equality(False))
+        result = Engine(physical, batch_size=256).execute(plan)
+        assert len(result.rows) == 3
+        assert fired == {"matched": 2, "declined": 0}
+        assert sum(node is inner for node in reopened) == 2
 
     def test_non_equality_has_no_kernel(self, fired):
         self.run([1, 2], [1, 2], predicate=ge(path("l", "k"), path("r", "k")))
@@ -388,10 +435,11 @@ class TestProbeMemo:
             seen["builds"].append(id(column))
             return build(self, column)
 
-        def counting_match(self, key, batch, slot):
-            found = match(self, key, batch, slot)
+        def counting_match(self, key, column, slot):
+            found = match(self, key, column, slot)
             if found is not None:
-                seen["probes"].append(id(slot[0]))
+                assert slot[0] is column
+                seen["probes"].append(id(column))
             return found
 
         monkeypatch.setattr(JoinKernel, "_key_index", counting_build)

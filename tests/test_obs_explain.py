@@ -1,6 +1,7 @@
 """EXPLAIN ANALYZE: the per-operator runtime profiler and the
 estimate-vs-actual plan annotation."""
 
+import contextlib
 import json
 
 import pytest
@@ -11,8 +12,17 @@ from repro.engine import Engine
 from repro.errors import CostModelError
 from repro.obs import PlanProfiler, build_explain, render_explain
 from repro.obs.profile import assign_node_ids
+from repro.physical.buffer import BufferPool
 from repro.plans import Fix, Sel
-from repro.workloads import fig3_query
+from repro.querygraph.builder import arc, const, ge, out, path, query, rule, spj
+from repro.workloads import (
+    MusicConfig,
+    fig3_query,
+    generate_music_database,
+    join_push_query,
+)
+from repro.workloads.queries import influencer_rules
+from tests.diff_harness import kernels_declined
 
 
 @pytest.fixture()
@@ -206,3 +216,86 @@ class TestEstimateFallback:
             self._explain_with(
                 optimized, monkeypatch, AttributeError("injected")
             )
+
+
+def _closure_query():
+    """The unselective ``Influencer`` closure: its Fix body's
+    nested-loop ``EJ`` replays the ``Composer`` leaf per delta tuple."""
+    p1, p2 = influencer_rules()
+    answer = rule(
+        "Answer",
+        spj(
+            [arc("Influencer", i=".")],
+            where=ge(path("i", "gen"), const(3)),
+            select=out(
+                name=path("i", "disciple", "name"), gen=path("i", "gen")
+            ),
+        ),
+    )
+    return query(p1, p2, answer)
+
+
+def _profiled_actuals(db, plan, kernels, batch_size, buffer_pages):
+    """Per-node ``PlanProfiler`` actuals of one cold-buffer run, less
+    wall times, with each node's metered ``next()`` calls, plus the
+    run's ``obs_probes``."""
+    db.store.buffer = BufferPool(buffer_pages)
+    profiler = PlanProfiler()
+    with contextlib.nullcontext() if kernels else kernels_declined():
+        result = Engine(db.physical, batch_size=batch_size).execute(
+            plan, profiler=profiler
+        )
+    nodes = profiler.to_dict()["nodes"]
+    for node in nodes:
+        del node["wall_ms"]
+        for iteration in node.get("fix_iterations", ()):
+            del iteration["ms"]
+        node["next_calls"] = profiler.profiles[node["node_id"]].next_calls
+    return nodes, result.metrics.obs_probes, result.answer_set()
+
+
+class TestReplayProfileParity:
+    """EXPLAIN ANALYZE cannot tell a nested-loop ``EJ`` that replays
+    its scan-leaf inner from one that re-opens it through the operator
+    dispatch: with column kernels on (replay) and declined (re-open),
+    every node's profiled actuals and the probe count are identical."""
+
+    @pytest.fixture(scope="class")
+    def db(self):
+        db = generate_music_database(
+            MusicConfig(lineages=4, generations=6, works_per_composer=2, seed=92)
+        )
+        db.build_paper_indexes()
+        db.physical.refresh_statistics()
+        return db
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 7, 256])
+    @pytest.mark.parametrize("buffer_pages", [4, 256])
+    @pytest.mark.parametrize("graph", ["closure", "join_push"])
+    def test_kernels_on_and_declined_profile_alike(
+        self, db, graph, batch_size, buffer_pages, monkeypatch
+    ):
+        graph = _closure_query() if graph == "closure" else join_push_query()
+        pool = db.store.buffer
+        try:
+            plan = cost_controlled_optimizer(db.physical).optimize(graph).plan
+            declined = _profiled_actuals(
+                db, plan, False, batch_size, buffer_pages
+            )
+            replays = []
+            replayed_joins = Engine._replayed_joins
+
+            def counting(self, *args):
+                replays.append(args)
+                return replayed_joins(self, *args)
+
+            monkeypatch.setattr(Engine, "_replayed_joins", counting)
+            replayed = _profiled_actuals(
+                db, plan, True, batch_size, buffer_pages
+            )
+        finally:
+            db.store.buffer = pool
+        assert replayed == declined
+        # Both plans join the Composer leaf by nested loop (the §4.5
+        # plan also joins selections of it, which are re-opened).
+        assert replays, "the profiled run never replayed its inner"

@@ -3,8 +3,11 @@
 import sys
 import threading
 import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import Engine
 from repro.errors import OidError, StorageError, UnknownEntityError
@@ -102,6 +105,67 @@ class TestBufferPool:
             BufferPool(capacity=-1)
 
 
+def _runs(pages, cuts):
+    """``pages`` split at the (wrapped) ``cuts``: consecutive runs,
+    empty ones included, that concatenate back to ``pages``."""
+    bounds = sorted({cut % (len(pages) + 1) for cut in cuts})
+    runs, start = [], 0
+    for bound in bounds + [len(pages)]:
+        runs.append(pages[start:bound])
+        start = bound
+    return runs
+
+
+class TestTouchRun:
+    """``touch_run`` is ``touch`` over a run of pages: the same misses,
+    statistics, evictions and resident LRU order as the touches one by
+    one — and, with simulated latency, one sleep per miss, right after
+    it and outside the pool's lock — through a pool and through a
+    counting view alike."""
+
+    @given(
+        pages=st.lists(st.integers(min_value=0, max_value=7), max_size=40),
+        cuts=st.lists(st.integers(min_value=0, max_value=40), max_size=8),
+        capacity=st.sampled_from([0, 1, 3, 256]),
+        latency=st.sampled_from([0.0, 1e-4]),
+        through_view=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_a_run_is_its_touches_in_order(
+        self, pages, cuts, capacity, latency, through_view
+    ):
+        runs = _runs([PageId("seg", page) for page in pages], cuts)
+        one_by_one = BufferPool(capacity, latency)
+        as_runs = BufferPool(capacity, latency)
+        sleeps = []
+
+        def sleep(seconds):
+            # When each sleep falls, as read off the pool that slept.
+            sleeps.append(
+                (sleeping_pool.stats.logical_reads, sleeping_pool._lock.locked())
+            )
+            assert seconds == latency
+
+        with mock.patch("repro.physical.buffer.time.sleep", sleep):
+            sleeping_pool = one_by_one
+            reader = one_by_one.view() if through_view else one_by_one
+            expected = [
+                sum(not reader.touch(page_id) for page_id in run)
+                for run in runs
+            ]
+            expected_sleeps, sleeps[:] = list(sleeps), []
+            sleeping_pool = as_runs
+            runner = as_runs.view() if through_view else as_runs
+            got = [runner.touch_run(run) for run in runs]
+        assert got == expected
+        assert reader.stats == runner.stats
+        assert one_by_one.stats == as_runs.stats
+        assert list(one_by_one._resident) == list(as_runs._resident)
+        assert sleeps == expected_sleeps
+        assert len(sleeps) == (sum(expected) if latency else 0)
+        assert not any(locked for _reads, locked in sleeps)
+
+
 class TestObjectStore:
     def make_store(self):
         store = ObjectStore(BufferPool(16), records_per_page=2)
@@ -180,7 +244,9 @@ class TestObjectStore:
 
 
 class RecordingPool(BufferPool):
-    """A buffer pool that logs the page of every touch, in order."""
+    """A (latency-free) buffer pool that logs the page of every touch,
+    in order — a run's pages one by one, as the ``touch`` calls it
+    stands for."""
 
     def __init__(self, capacity=256):
         super().__init__(capacity)
@@ -189,6 +255,10 @@ class RecordingPool(BufferPool):
     def touch(self, page_id):
         self.touched.append(page_id)
         return super().touch(page_id)
+
+    def touch_run(self, pages):
+        self.touched.extend(pages)
+        return super().touch_run(pages)
 
 
 def regrouped(store, entity):
@@ -309,18 +379,13 @@ class TestPageDirectory:
                 assert records == want_records
 
 
-def by_value(plan):
-    """A batch plan as plain data: page ids and each chunk's records."""
-    pages, tail = plan
-    return (
-        [(page_id, [list(chunk) for chunk in chunks]) for page_id, chunks in pages],
-        list(tail),
-    )
+def by_value(steps):
+    """Scan steps as plain data: each step's page ids and records."""
+    return [(list(pages), list(chunk)) for pages, chunk in steps]
 
 
-def chunk_lengths(plan):
-    pages, tail = plan
-    return [len(chunk) for _page, chunks in pages for chunk in chunks], len(tail)
+def chunk_lengths(steps):
+    return [len(chunk) for _pages, chunk in steps]
 
 
 class TestPageBatches:
@@ -340,17 +405,31 @@ class TestPageBatches:
         r = extent.records
         pages = [page_id for page_id, _records in extent.page_directory()]
         plan = extent.page_batches(3)
-        assert by_value(plan) == (
-            [(pages[0], []), (pages[1], [[r[0], r[1], r[2]]]), (pages[2], [])],
-            [r[3], r[4]],
-        )
+        assert by_value(plan) == [
+            ([pages[0], pages[1]], [r[0], r[1], r[2]]),
+            ([pages[2]], [r[3], r[4]]),
+        ]
         assert extent.page_batches(3) is plan
+
+    def test_a_page_completing_several_chunks_is_touched_before_the_first(
+        self,
+    ):
+        extent = self.make_store().extent("E")
+        r = extent.records
+        pages = [page_id for page_id, _records in extent.page_directory()]
+        assert by_value(extent.page_batches(1)) == [
+            ([pages[0]], [r[0]]),
+            ([], [r[1]]),
+            ([pages[1]], [r[2]]),
+            ([], [r[3]]),
+            ([pages[2]], [r[4]]),
+        ]
 
     def test_another_batch_size_rebuilds(self):
         extent = self.make_store().extent("E")
         by_three = extent.page_batches(3)
         by_two = extent.page_batches(2)
-        assert chunk_lengths(by_two) == ([2, 2], 1)
+        assert chunk_lengths(by_two) == [2, 2, 1]
         again = extent.page_batches(3)
         assert again is not by_three
         assert by_value(again) == by_value(by_three)
@@ -362,7 +441,7 @@ class TestPageBatches:
         store.insert("E", {"i": 5})
         replanned = extent.page_batches(2)
         assert replanned is not plan
-        assert chunk_lengths(replanned) == ([2, 2, 2], 0)
+        assert chunk_lengths(replanned) == [2, 2, 2]
 
     def test_invalidate_placement_drops_the_plan(self):
         extent = self.make_store().extent("E")
@@ -378,13 +457,14 @@ class TestPageBatches:
         for record in reversed(extent.records):
             segment.append_record(int(record.oid))
         store.replace_segment({"E": segment}, {})
-        pages, tail = extent.page_batches(2)
-        assert (pages, tail) != plan
-        assert {page_id.segment for page_id, _chunks in pages} == {"moved"}
+        steps = extent.page_batches(2)
+        assert steps != plan
+        assert {
+            page_id.segment for pages, _chunk in steps for page_id in pages
+        } == {"moved"}
         assert [
-            record.values["i"] for _page, chunks in pages for chunk in chunks
-            for record in chunk
-        ] + [record.values["i"] for record in tail] == [2, 3, 4, 0, 1]
+            record.values["i"] for _pages, chunk in steps for record in chunk
+        ] == [2, 3, 4, 0, 1]
 
     def test_replica_views_publish_identical_plans(self):
         store = self.make_store(count=41)
@@ -439,7 +519,8 @@ class TestReplayScope:
         def scan(delta):
             store.buffer.touched.clear()
             events = []
-            for batch in engine._scan_delta_batches(leaf, delta, None):
+            steps = engine._delta_plan(leaf.name, delta)
+            for batch in engine._scan_batches(steps, leaf.var, "delta", None):
                 events.append((list(store.buffer.touched), batch.columns["d"]))
                 store.buffer.touched.clear()
             return events
@@ -489,7 +570,7 @@ class TestReplayScope:
             out(a=var("a"), e=var("e"), w=path("t", "w")),
         )
         extent = store.extent("E")
-        for batch_size, want in ((3, ([3, 3], 1)), (8, ([], 7))):
+        for batch_size, want in ((3, [3, 3, 1]), (8, [7])):
             plan_before = extent.page_batches(batch_size)
             assert chunk_lengths(plan_before) == want
             for _run in range(2):
