@@ -19,7 +19,11 @@ is a pure function of the plan term and of the ``delta_env`` entries
 the term can see (:func:`visible_env`), so within a scope each
 (term, visible env) is derived once — a loop-invariant operand inside a
 ``Fix`` body once, not once per round, and a ``Fix`` once, not once per
-ancestor.  Outside a scope nothing is kept.
+ancestor.  Outside a scope nothing is kept, except the estimates of
+``Fix`` terms that read no temporary: like their prices
+(:mod:`repro.cost.model`), they stay in the physical schema's
+:class:`~repro.physical.schema.EpochMemo` until the statistics, the
+physical design or the parameters change.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import CostModelError, SchemaError, UnknownEntityError
 from repro.cost.params import CostParameters
-from repro.physical.schema import PhysicalSchema
+from repro.physical.schema import EpochMemo, PhysicalSchema
 from repro.plans.nodes import (
     EJ,
     IJ,
@@ -148,22 +152,30 @@ class CardinalityEstimator:
         self.stats = physical.statistics
         #: (node, visible env) -> NodeEstimate, inside a memo scope.
         self._memo: Optional[Dict[tuple, NodeEstimate]] = None
+        #: The statistics epoch's memo and ``params`` by value, inside
+        #: a memo scope.
+        self._epoch: Optional[EpochMemo] = None
+        self._params_key: tuple = ()
 
     # -- entry point ------------------------------------------------------------
 
     @contextmanager
     def memo_scope(self) -> Iterator[None]:
-        """Memoise :meth:`estimate` until the block exits (re-entrant:
-        an inner scope shares the outer one's table).  Physical schema,
-        statistics and ``params`` must not change inside a scope."""
+        """Memoise :meth:`estimate` until the block exits, and ``Fix``
+        estimates per statistics epoch (re-entrant: an inner scope
+        shares the outer one's table).  Physical schema, statistics and
+        ``params`` must not change inside a scope."""
         if self._memo is not None:
             yield
             return
         self._memo = {}
+        self._epoch = self.physical.epoch_memo(self.stats)
+        self._params_key = self.params.memo_key()
         try:
             yield
         finally:
             self._memo = None
+            self._epoch = None
 
     def estimate(
         self,
@@ -181,7 +193,20 @@ class CardinalityEstimator:
         key = (node, visible_env(node, env))
         estimate = memo.get(key)
         if estimate is None:
-            estimate = memo[key] = self._estimate(node, env)
+            estimate = memo[key] = self._retained(node, env, key)
+        return estimate
+
+    def _retained(self, node: PlanNode, env, key: tuple) -> NodeEstimate:
+        """The estimate of a scope-memo miss; a ``Fix`` term reading no
+        temporary is served from, or kept in, the epoch memo."""
+        epoch = self._epoch
+        if epoch is None or not isinstance(node, Fix) or node.memo_traits()[3]:
+            return self._estimate(node, env)
+        epoch_key = ("estimate", key, self._params_key)
+        estimate = epoch.get(epoch_key)
+        if estimate is None:
+            estimate = self._estimate(node, env)
+            epoch.put(epoch_key, estimate)
         return estimate
 
     def _estimate(

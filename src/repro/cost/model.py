@@ -38,7 +38,21 @@ when a per-node ``rows`` table is being built (``report``), when
 ``params.shards > 1`` — for terms containing a ``Fix``, whose
 ``fix_breakdowns[id(node)]`` entry only ``_cost_fix`` fills.
 Cardinality estimates are memoised on the same key and scope by the
-estimator.  Nothing outlives the scope.
+estimator.
+
+**Each recursive view is priced once per statistics epoch.**  The
+scope memo is dropped when the scope exits, with one exception: a
+``Fix``-rooted term that reads no ``TempLeaf`` (temporaries have
+per-execution statistics) is also kept in the physical schema's
+:class:`~repro.physical.schema.EpochMemo`, keyed on the scope key plus
+the resolved :class:`~repro.cost.params.CostParameters` by value.  Texts
+that share a recursive view — the same closure under another outer
+selection — then price its semi-naive rounds once, until the
+statistics or the physical design change (``refresh_statistics``, a
+new durable entity, a new selection or path index drop the memo) or
+the parameters do (a recalibration or another buffer size misses).  The
+estimator keeps ``Fix`` estimates the same way.  Only a model whose
+statistics are still the schema's current ones reads or fills it.
 """
 
 from __future__ import annotations
@@ -57,7 +71,7 @@ from repro.cost.cardinality import (
     visible_env,
 )
 from repro.cost.params import CostParameters
-from repro.physical.schema import PhysicalSchema
+from repro.physical.schema import EpochMemo, PhysicalSchema
 from repro.plans.nodes import (
     EJ,
     IJ,
@@ -146,6 +160,10 @@ class DetailedCostModel:
         #: (term, visible env, consumed PIJ bits) -> (io, cpu), inside
         #: a memo scope.
         self._memo: Optional[Dict[tuple, Tuple[float, float]]] = None
+        #: The statistics epoch's memo and ``params`` by value, inside
+        #: a memo scope (see the module docstring).
+        self._epoch: Optional[EpochMemo] = None
+        self._params_key: tuple = ()
 
     # -- public API ---------------------------------------------------------------
 
@@ -173,7 +191,8 @@ class DetailedCostModel:
 
     @contextmanager
     def memo_scope(self) -> Iterator[None]:
-        """Cost each subplan once until the block exits (see the module
+        """Cost each subplan once until the block exits, and each
+        recursive view once per statistics epoch (see the module
         docstring).  Re-entrant: an inner scope shares the outer one's
         table.  The physical schema, its statistics and ``params`` must
         not change inside a scope."""
@@ -181,11 +200,14 @@ class DetailedCostModel:
             yield
             return
         self._memo = {}
+        self._epoch = self.physical.epoch_memo(self.stats)
+        self._params_key = self.params.memo_key()
         try:
             with self.estimator.memo_scope():
                 yield
         finally:
             self._memo = None
+            self._epoch = None
 
     def _cost_plan(
         self,
@@ -233,7 +255,7 @@ class DetailedCostModel:
         if key is not None:
             known = memo.get(key)
             if known is None:
-                known = memo[key] = self._dispatch(node, env, None)
+                known = memo[key] = self._price(node, env, key)
             return known
         io, cpu = self._dispatch(node, env, rows)
         if rows is not None:
@@ -250,12 +272,25 @@ class DetailedCostModel:
                 pass
         return io, cpu
 
+    def _price(self, node: PlanNode, env, key: tuple) -> Tuple[float, float]:
+        """(io, cpu) of a scope-memo miss; a ``Fix`` term reading no
+        temporary is served from, or kept in, the epoch memo."""
+        epoch = self._epoch
+        if epoch is None or not isinstance(node, Fix) or node.memo_traits()[3]:
+            return self._dispatch(node, env, None)
+        epoch_key = ("cost", key, self._params_key)
+        known = epoch.get(epoch_key)
+        if known is None:
+            known = self._dispatch(node, env, None)
+            epoch.put(epoch_key, known)
+        return known
+
     def _memo_key(
         self, node: PlanNode, env: Dict[str, Tuple[float, TupleShape]]
     ) -> Optional[tuple]:
         """Everything ``node``'s (io, cpu) can depend on inside a memo
         scope, or None where a hit would skip a side effect."""
-        _recursions, pij_vars, has_fix = node.memo_traits()
+        _recursions, pij_vars, has_fix, _has_temp = node.memo_traits()
         if has_fix and self.params.shards > 1:
             return None  # _cost_fix must run: it fills fix_breakdowns
         consumed = self._consumed_vars

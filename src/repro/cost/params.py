@@ -11,7 +11,7 @@ the same weights).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 __all__ = ["CostParameters", "SimplifiedParameters"]
@@ -90,6 +90,12 @@ class CostParameters:
     #: >= 1.0); the ``gamma`` term — a barrier round is gated by its
     #: most loaded shard.
     shard_skew: float = 1.0
+
+    def memo_key(self) -> tuple:
+        """These parameters by value, hashable: the part of a memo key
+        that makes a recalibration, an in-place edit or another buffer
+        size miss."""
+        return tuple(getattr(self, spec.name) for spec in fields(self))
 
     def resolved(self, store) -> "CostParameters":
         """These parameters with the two machine facts concrete: a

@@ -315,20 +315,41 @@ class FeedbackManager:
             return self._sample_counter % every == 0
 
     def register_plan(
-        self, canonical: str, plan, plan_cost: float, cost_model=None
+        self,
+        canonical: str,
+        plan,
+        plan_cost: float,
+        cost_model=None,
+        stats_fp: Optional[str] = None,
     ) -> str:
         """Fingerprint a (new or re-registered) plan and freeze its
-        per-node estimates; returns the fingerprint."""
+        per-node estimates; returns the fingerprint.
+
+        ``stats_fp`` is the plan-cache entry's statistics fingerprint.
+        A re-registration under the same statistics and the same
+        ``cost_model.params`` reuses the estimates the history already
+        holds for the fingerprint instead of re-costing the plan: they
+        are the numbers ``operator_estimates`` would return."""
         fingerprint = canonical_fingerprint(plan)
-        estimates = operator_estimates(plan, cost_model)
+        under = None
+        if cost_model is not None and stats_fp is not None:
+            under = (stats_fp, cost_model.params.memo_key())
+        history = self.store.plan(fingerprint) if under is not None else None
+        if history is not None and history.estimated_under == under:
+            estimates = history.estimates
+            distributed = history.distributed_estimate
+        else:
+            estimates = operator_estimates(plan, cost_model)
+            # annotated_report above refreshed the model's per-Fix
+            # distributed breakdowns for exactly this plan.
+            distributed = distributed_plan_estimate(cost_model)
         self.store.register_plan(
             canonical,
             fingerprint,
             plan_cost,
             estimates,
-            # annotated_report above refreshed the model's per-Fix
-            # distributed breakdowns for exactly this plan.
-            distributed=distributed_plan_estimate(cost_model),
+            distributed=distributed,
+            estimated_under=under,
         )
         return fingerprint
 

@@ -224,6 +224,10 @@ class PlanHistory:
     #: network cost, skew-free disk share and assumed skew.  ``None``
     #: for plans costed at ``shards == 1``.
     distributed_estimate: Optional[Dict[str, float]] = None
+    #: ``(stats_fp, params by value)`` the estimates were captured
+    #: under, or ``None`` (not persisted): a re-registration under the
+    #: same pair reuses them.
+    estimated_under: Optional[tuple] = None
 
     # -- derived -------------------------------------------------------------
 
@@ -448,12 +452,15 @@ class QueryTelemetryStore:
         plan_cost: float,
         estimates: Optional[Dict[str, OperatorEstimate]] = None,
         distributed: Optional[Dict[str, float]] = None,
+        estimated_under: Optional[tuple] = None,
     ) -> PlanHistory:
         """Create (or refresh the estimates of) one plan history."""
         with self._lock:
             history = self._register_locked(
                 canonical, fingerprint, plan_cost, estimates or {}, distributed
             )
+            if estimates:
+                history.estimated_under = estimated_under
             record = {
                 "kind": "plan",
                 "fingerprint": fingerprint,

@@ -10,6 +10,7 @@ indices for the ``collapse`` action.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -26,7 +27,12 @@ from repro.physical.stats import Statistics
 from repro.physical.storage import ObjectStore
 from repro.schema.catalog import Catalog
 
-__all__ = ["EntityInfo", "PhysicalSchema"]
+__all__ = ["EPOCH_MEMO_BOUND", "EntityInfo", "EpochMemo", "PhysicalSchema"]
+
+#: Entries one :class:`EpochMemo` keeps; beyond it the oldest entry is
+#: evicted.  A fixed bound, not a knob: the working set is one price and
+#: one estimate per recursive view and push variant.
+EPOCH_MEMO_BOUND = 512
 
 
 @dataclass
@@ -46,6 +52,35 @@ class EntityInfo:
     fragment: Optional[FragmentInfo] = None
 
 
+class EpochMemo:
+    """What the cost model keeps across optimizations for one
+    statistics epoch: the prices and estimates of recursive views
+    (``Fix`` terms), keyed by the model.  Bounded — beyond
+    :data:`EPOCH_MEMO_BOUND` entries the oldest is evicted — and
+    thread-safe.  A hit does not reorder entries: that would compare
+    the (structural) key a second time.
+
+    :class:`PhysicalSchema` owns it and drops it whenever what the
+    model reads can change: refreshed statistics, a new durable entity,
+    a new selection or path index."""
+
+    def __init__(self) -> None:
+        self._entries: Dict[object, object] = {}
+        self._lock = threading.Lock()
+
+    def get(self, key: object) -> Optional[object]:
+        return self._entries.get(key)
+
+    def put(self, key: object, value: object) -> None:
+        with self._lock:
+            self._entries[key] = value
+            if len(self._entries) > EPOCH_MEMO_BOUND:
+                del self._entries[next(iter(self._entries))]
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
 class PhysicalSchema:
     """Registry of atomic entities, indices and statistics."""
 
@@ -57,6 +92,7 @@ class PhysicalSchema:
         self._selection_indices: Dict[Tuple[str, str], SelectionIndex] = {}
         self._path_indices: Dict[Tuple[str, Tuple[str, ...]], PathIndex] = {}
         self._statistics: Optional[Statistics] = None
+        self._epoch_memo: Optional[EpochMemo] = None
         self._temp_counter = 0
 
     # -- entity registration ------------------------------------------------
@@ -101,7 +137,7 @@ class PhysicalSchema:
         if info.kind != "temp":
             # A temporary cannot change what is known about durable
             # entities; its own statistics are collected lazily.
-            self._statistics = None
+            self._new_epoch(None)
 
     def drop_temp(self, name: str) -> None:
         info = self.entity(name)
@@ -151,6 +187,7 @@ class PhysicalSchema:
         self.entity(entity)
         index = build_selection_index(self.store, entity, attribute)
         self._selection_indices[(entity, attribute)] = index
+        self._epoch_memo = None  # an index can change what a view costs
         return index
 
     def selection_index(self, entity: str, attribute: str) -> Optional[SelectionIndex]:
@@ -174,6 +211,7 @@ class PhysicalSchema:
             self.store, root_entity, attributes, entities, terminal_attribute
         )
         self._path_indices[(root_entity, tuple(attributes))] = index
+        self._epoch_memo = None  # an index can change what a view costs
         return index
 
     def path_index(
@@ -220,6 +258,7 @@ class PhysicalSchema:
         view._selection_indices = dict(self._selection_indices)
         view._path_indices = dict(self._path_indices)
         view._statistics = None
+        view._epoch_memo = None
         view._temp_counter = self._temp_counter
         return view
 
@@ -228,9 +267,26 @@ class PhysicalSchema:
     @property
     def statistics(self) -> Statistics:
         if self._statistics is None:
-            self._statistics = Statistics(self.store)
+            self._new_epoch(Statistics(self.store))
         return self._statistics
 
     def refresh_statistics(self) -> Statistics:
-        self._statistics = Statistics(self.store)
+        self._new_epoch(Statistics(self.store))
         return self._statistics
+
+    def _new_epoch(self, statistics: Optional[Statistics]) -> None:
+        """Install ``statistics`` (``None``: collect on next use) and
+        drop everything the cost model derived from the old ones."""
+        self._statistics = statistics
+        self._epoch_memo = None
+
+    def epoch_memo(self, statistics: Statistics) -> Optional[EpochMemo]:
+        """The :class:`EpochMemo` of the current statistics epoch, for a
+        cost model reading ``statistics``; ``None`` when they are no
+        longer current (the model was built before a refresh), so
+        nothing it derives is kept."""
+        if statistics is not self._statistics:
+            return None
+        if self._epoch_memo is None:
+            self._epoch_memo = EpochMemo()
+        return self._epoch_memo

@@ -63,12 +63,12 @@ __all__ = [
 NESTED_LOOP = "nested_loop"
 INDEX_JOIN = "index_join"
 
-#: Traits of a subtree with no free RecLeaf, no PIJ and no Fix.
-_PLAIN_TRAITS: Tuple[FrozenSet[str], Tuple[str, ...], bool] = (
-    frozenset(),
-    (),
-    False,
-)
+#: What :meth:`PlanNode.memo_traits` returns.
+MemoTraits = Tuple[FrozenSet[str], Tuple[str, ...], bool, bool]
+
+#: Traits of a subtree with no free RecLeaf, no PIJ, no Fix and no
+#: TempLeaf.
+_PLAIN_TRAITS: MemoTraits = (frozenset(), (), False, False)
 
 
 class PlanNode:
@@ -161,7 +161,7 @@ class PlanNode:
 
     # -- memo traits -----------------------------------------------------------
 
-    def memo_traits(self) -> Tuple[FrozenSet[str], Tuple[str, ...], bool]:
+    def memo_traits(self) -> MemoTraits:
         """What a per-subtree memo must look at beyond the term itself:
 
         * the names of the recursions whose :class:`RecLeaf` deltas the
@@ -170,7 +170,9 @@ class PlanNode:
           subtree estimates or costs to;
         * the ``out_vars`` of every :class:`PIJ` in it, whose fetch cost
           depends on whether the *whole plan* consumes them;
-        * whether it contains a :class:`Fix`.
+        * whether it contains a :class:`Fix`;
+        * whether it reads a :class:`TempLeaf`, whose statistics belong
+          to one execution.
         """
         try:
             return self._traits_cache
@@ -182,19 +184,23 @@ class PlanNode:
         self._traits_cache = traits
         return traits
 
-    def _compute_traits(self) -> Tuple[FrozenSet[str], Tuple[str, ...], bool]:
-        """The union of the children's traits; the three node kinds
-        that contribute (``RecLeaf``, ``PIJ``, ``Fix``) override."""
-        recursions, pij_vars, has_fix = _PLAIN_TRAITS
+    def _compute_traits(self) -> MemoTraits:
+        """The union of the children's traits; the four node kinds
+        that contribute (``RecLeaf``, ``PIJ``, ``Fix``, ``TempLeaf``)
+        override."""
+        recursions, pij_vars, has_fix, has_temp = _PLAIN_TRAITS
         for child in self.children:
-            child_recursions, child_pij_vars, child_has_fix = child.memo_traits()
+            child_recursions, child_pij_vars, child_has_fix, child_has_temp = (
+                child.memo_traits()
+            )
             # Reuse the child's set when nothing is added to it.
             recursions = (
                 recursions | child_recursions if recursions else child_recursions
             )
             pij_vars = pij_vars + child_pij_vars
             has_fix = has_fix or child_has_fix
-        return recursions, pij_vars, has_fix
+            has_temp = has_temp or child_has_temp
+        return recursions, pij_vars, has_fix, has_temp
 
     def __repr__(self) -> str:
         from repro.plans.display import render_functional
@@ -261,6 +267,9 @@ class TempLeaf(PlanNode):
     def _build_key(self) -> object:
         return ("temp", self.entity, self.var)
 
+    def _compute_traits(self) -> MemoTraits:
+        return frozenset(), (), False, True
+
 
 class RecLeaf(PlanNode):
     """The recursion placeholder inside a Fix body (the delta stream)."""
@@ -289,8 +298,8 @@ class RecLeaf(PlanNode):
     def _build_key(self) -> object:
         return ("rec", self.name, self.var)
 
-    def _compute_traits(self) -> Tuple[FrozenSet[str], Tuple[str, ...], bool]:
-        return frozenset((self.name,)), (), False
+    def _compute_traits(self) -> MemoTraits:
+        return frozenset((self.name,)), (), False, False
 
 
 # ---------------------------------------------------------------------------
@@ -581,9 +590,9 @@ class Fix(PlanNode):
             self.recursion_attribute,
         )
 
-    def _compute_traits(self) -> Tuple[FrozenSet[str], Tuple[str, ...], bool]:
-        recursions, pij_vars, _has_fix = super()._compute_traits()
-        return recursions - {self.name}, pij_vars, True
+    def _compute_traits(self) -> MemoTraits:
+        recursions, pij_vars, _has_fix, has_temp = super()._compute_traits()
+        return recursions - {self.name}, pij_vars, True, has_temp
 
 
 class Materialize(PlanNode):
@@ -687,6 +696,6 @@ class PIJ(PlanNode):
             self.out_vars,
         )
 
-    def _compute_traits(self) -> Tuple[FrozenSet[str], Tuple[str, ...], bool]:
-        recursions, pij_vars, has_fix = super()._compute_traits()
-        return recursions, self.out_vars + pij_vars, has_fix
+    def _compute_traits(self) -> MemoTraits:
+        recursions, pij_vars, has_fix, has_temp = super()._compute_traits()
+        return recursions, self.out_vars + pij_vars, has_fix, has_temp

@@ -32,7 +32,9 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.cost.recost import recost_plan
 from repro.errors import ReproError
-from repro.lang.canonical import canonical_text
+from repro.lang.ast import ProgramNode
+from repro.lang.canonical import canonical_program
+from repro.lang.parser import parse
 from repro.physical.schema import PhysicalSchema
 from repro.plans.nodes import PlanNode
 
@@ -229,7 +231,14 @@ class PlanCache:
 
     def key_for(self, text: str, physical: PhysicalSchema) -> CacheKey:
         """The cache key of a query text against a physical schema."""
-        return (canonical_text(text), schema_fingerprint(physical))
+        return self.key_for_program(parse(text), physical)
+
+    def key_for_program(
+        self, program: ProgramNode, physical: PhysicalSchema
+    ) -> CacheKey:
+        """The cache key of an already parsed text, so a caller that
+        compiles the text on a miss parses it once."""
+        return (canonical_program(program), schema_fingerprint(physical))
 
     # -- probe / store ------------------------------------------------------
 

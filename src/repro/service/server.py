@@ -48,7 +48,8 @@ from repro.errors import (
     ReproError,
     ServiceError,
 )
-from repro.lang.compile import compile_text
+from repro.lang.compile import compile_program
+from repro.lang.parser import parse
 from repro.obs.anomaly import AnomalyConfig, AnomalyDetector
 from repro.obs.explain import build_explain, render_explain
 from repro.obs.feedback import (
@@ -487,7 +488,8 @@ class QueryService:
         default = self.config.strategy or "ii"
         started = time.perf_counter()
         with self._store_lock:
-            key = self.cache.key_for(substituted, self.physical)
+            program = parse(substituted)
+            key = self.cache.key_for_program(program, self.physical)
             if strategy not in (None, default):
                 # A strategy override must not collide with plans
                 # cached under the default (or another) strategy:
@@ -507,7 +509,7 @@ class QueryService:
                     )
                 planned.fingerprint = entry.fingerprint
             else:
-                graph = compile_text(substituted, self.database.catalog)
+                graph = compile_program(program, self.database.catalog)
                 optimizer = self._optimizer(strategy, width)
                 with tracer.span("optimize"):
                     result = optimizer.optimize(graph, tracer=tracer)
@@ -531,7 +533,7 @@ class QueryService:
         if feedback is None:
             return
         planned.fingerprint = entry.fingerprint = feedback.register_plan(
-            key[0], plan, estimated, planned.cost_model
+            key[0], plan, estimated, planned.cost_model, entry.stats_fp
         )
         # A drift eviction (this lookup) or a recalibration recost pass
         # (earlier) replaced a cached plan: put the replacement on

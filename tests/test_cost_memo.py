@@ -1,17 +1,25 @@
-"""The optimization-scoped cost memo: exact, scoped, and doing each
-piece of work once.
+"""The cost memos: exact, scoped, and doing each piece of work once.
+
+Two memos: the optimization-scoped one (every subterm, dropped when
+``optimize`` returns) and the statistics epoch's (``Fix`` prices and
+estimates only, kept by the physical schema until the statistics, the
+physical design or the parameters change).
 
 The exactness oracle throughout is *a fresh ``DetailedCostModel`` built
 for one plan*, with its memo scope switched off (``_Unmemoised``) —
 ``src/`` keeps no unmemoised costing path, so every value a search saw
 is re-derived here by a model that has seen nothing else and remembers
-nothing.  Comparisons are ``==`` on floats, never ``approx``: the memo
-must return the very number the arithmetic would have produced.
+nothing.  The epoch memo is checked against ``_ScopeOnly``, a model
+that remembers nothing beyond one scope.  Comparisons are ``==`` on
+floats, never ``approx``: a memo must return the very number the
+arithmetic would have produced.
 """
 
 import contextlib
 import dataclasses
 import random
+import sys
+import threading
 
 import pytest
 
@@ -29,10 +37,14 @@ from repro.cost.cardinality import (
     DEFAULT_EQ_SELECTIVITY,
     CardinalityEstimator,
 )
+from repro.lang import compile_text
+from repro.obs.feedback import FeedbackConfig, FeedbackManager, operator_estimates
+from repro.physical import schema as schema_module
 from repro.physical.stats import Statistics
 from repro.plans.canonical import alpha_rename, canonical_fingerprint
-from repro.plans.nodes import PIJ, Fix, Sel
+from repro.plans.nodes import PIJ, EntityLeaf, Fix, Sel, TempLeaf
 from repro.plans.patterns import consumed_variables
+from repro.service.plan_cache import stats_fingerprint
 from repro.querygraph.predicates import Comparison, Const, PathRef
 from repro.service import QueryService, ServiceConfig
 from repro.workloads import (
@@ -101,6 +113,17 @@ class _Unmemoised(DetailedCostModel):
         yield
 
 
+class _ScopeOnly(DetailedCostModel):
+    """The epoch memo's oracle: the scope memo, but nothing read from
+    or kept in the statistics epoch's memo."""
+
+    @contextlib.contextmanager
+    def memo_scope(self):
+        with super().memo_scope():
+            self._epoch = self.estimator._epoch = None
+            yield
+
+
 def _fresh(physical, params):
     return _Unmemoised(physical, dataclasses.replace(params))
 
@@ -123,6 +146,19 @@ def _record_costed_plans(model):
 
     model.cost = recording_cost
     return seen
+
+
+def _count_calls(monkeypatch, cls, name):
+    """``(self, *args)`` of every ``cls.name`` call from now on."""
+    calls = []
+    original = getattr(cls, name)
+
+    def counting(self, *args, **kwargs):
+        calls.append((self, *args))
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counting)
+    return calls
 
 
 # -- exactness ---------------------------------------------------------------
@@ -296,23 +332,54 @@ def test_pij_entries_depend_on_what_the_whole_plan_consumes(music_db):
 # -- scope -------------------------------------------------------------------
 
 
-def test_nothing_outlives_the_scope(workloads):
+def test_the_scope_memo_is_dropped_after_optimize(workloads):
     db, graph = workloads["fig3"]
     model = DetailedCostModel(db.physical)
     optimizer = Optimizer(db.physical, model)
     first = optimizer.optimize(graph)
     assert model._memo is None and model.estimator._memo is None
+    assert model._epoch is None and model.estimator._epoch is None
 
-    # A params change between two optimize() calls is seen.
+    # A params change in place between two optimize() calls is seen,
+    # by the scope memo and by the epoch memo alike.
     model.params.page_read *= 3.0
     second = optimizer.optimize(graph)
     assert model._memo is None and model.estimator._memo is None
     expected = Optimizer(
         db.physical,
-        DetailedCostModel(db.physical, dataclasses.replace(model.params)),
+        _ScopeOnly(db.physical, dataclasses.replace(model.params)),
     ).optimize(graph)
     assert second.cost == expected.cost != first.cost
     assert second.candidates == expected.candidates
+
+
+def test_only_fix_prices_outlive_the_scope(music_db, monkeypatch):
+    """What outlives an optimize is the epoch memo, and it holds only
+    ``Fix``-rooted terms; it lives until the statistics change."""
+    physical = music_db.physical
+    physical.refresh_statistics()
+    assert physical._epoch_memo is None
+    graph = _fig3_selective(music_db)
+    first = Optimizer(physical).optimize(graph)
+    memo = physical._epoch_memo
+    assert len(memo) > 0
+    kinds = set()
+    for kind, key, params_key in memo._entries:
+        kinds.add(kind)
+        assert isinstance(key[0], Fix) and not key[0].memo_traits()[3]
+        assert params_key == CostParameters().resolved(music_db.store).memo_key()
+    assert kinds == {"cost", "estimate"}
+
+    bodies = _count_calls(monkeypatch, DetailedCostModel, "_cost_fix")
+    again = Optimizer(physical).optimize(graph)
+    assert bodies == [] and physical._epoch_memo is memo
+    assert (again.plan, again.cost, again.candidates) == (
+        first.plan,
+        first.cost,
+        first.candidates,
+    )
+    physical.refresh_statistics()
+    assert physical._epoch_memo is None
 
 
 def test_the_scope_is_dropped_when_optimize_raises(workloads, monkeypatch):
@@ -347,6 +414,247 @@ def test_refreshed_statistics_are_seen():
     assert after.cost == _fresh_report(
         db.physical, CostParameters(), after.plan
     ).total
+
+
+# -- the statistics epoch ---------------------------------------------------------
+
+#: The ``cold_optimize`` traffic: this text for 12 instruments x 11
+#: thresholds.
+COLD_TEXT = (
+    "view Influencer as "
+    "select [master: x.master, disciple: x, gen: 1] from x in Composer "
+    "union "
+    "select [master: i.master, disciple: x, gen: i.gen + 1] "
+    "from i in Influencer, x in Composer where i.disciple = x.master; "
+    "select [name: i.disciple.name, gen: i.gen] from i in Influencer "
+    'where i.master.works.instruments.name = "{instrument}" '
+    "and i.gen >= {gen};"
+)
+
+
+def _cold_database(seed=0, indexes=True):
+    db = generate_music_database(MusicConfig(lineages=4, generations=7, seed=seed))
+    if indexes:
+        db.build_paper_indexes()
+    db.physical.refresh_statistics()
+    return db
+
+
+def _cold_texts(db):
+    instruments = sorted(
+        record.values["name"] for record in db.store.extent("Instrument").records
+    )
+    return [
+        COLD_TEXT.format(instrument=instrument, gen=gen)
+        for instrument in instruments
+        for gen in range(1, 12)
+    ]
+
+
+def _warm_and_fresh(physical, graph, params=None):
+    """``graph`` optimized on the epoch memo as it stands (warm) and by
+    a model that remembers nothing beyond one scope (fresh); asserts
+    the two agree and returns ``(warm result, warm model, fresh model)``."""
+    params = params or CostParameters()
+    warm_model = DetailedCostModel(physical, dataclasses.replace(params))
+    fresh_model = _ScopeOnly(physical, dataclasses.replace(params))
+    warm = Optimizer(physical, warm_model).optimize(graph)
+    fresh = Optimizer(physical, fresh_model).optimize(graph)
+    assert warm.plan == fresh.plan
+    assert warm.cost == fresh.cost
+    assert warm.candidates == fresh.candidates
+    assert warm.plans_costed == fresh.plans_costed
+    return warm, warm_model, fresh_model
+
+
+@pytest.mark.parametrize("seed", [7, 92])
+def test_a_warm_epoch_optimizes_every_cold_text_like_a_fresh_model(
+    seed, monkeypatch
+):
+    db = _cold_database(seed)
+    texts = _cold_texts(db)
+    assert len(texts) == 132
+    for text in texts:
+        Optimizer(db.physical).optimize(compile_text(text, db.catalog))
+    bodies = _count_calls(monkeypatch, DetailedCostModel, "_cost_fix")
+    for text in texts:
+        graph = compile_text(text, db.catalog)
+        warm, warm_model, fresh_model = _warm_and_fresh(db.physical, graph)
+        # Every Fix of the warm optimize was served from the epoch.
+        assert not any(call[0] is warm_model for call in bodies)
+        assert operator_estimates(warm.plan, warm_model) == operator_estimates(
+            warm.plan, fresh_model
+        )
+
+
+def _insert_composers(db):
+    for index in range(200):
+        db.store.insert(
+            "Composer",
+            {"name": f"grown_{index:04d}", "birthyear": 1900, "master": None, "works": ()},
+        )
+
+
+def _refresh_after_inserts(db):
+    _insert_composers(db)
+    db.physical.refresh_statistics()
+
+
+def _build_path_index(db):
+    db.physical.build_path_index(
+        "Composer",
+        ["works", "instruments"],
+        ["Composer", "Composition", "Instrument"],
+        terminal_attribute="name",
+    )
+
+
+def _shrink_buffer(db):
+    db.store.buffer.capacity = 2
+
+
+#: change -> (apply it, whether the schema drops the epoch memo).
+CHANGES = {
+    "refresh_statistics": (_refresh_after_inserts, True),
+    "selection_index": (
+        lambda db: db.physical.build_selection_index("Composer", "name"),
+        True,
+    ),
+    "path_index": (_build_path_index, True),
+    "buffer_capacity": (_shrink_buffer, False),
+    "insert_without_refresh": (_insert_composers, False),
+}
+
+
+@pytest.mark.parametrize("change", sorted(CHANGES))
+def test_a_change_under_the_prices_is_seen(change):
+    """After each change that could move a retained price, a warm model
+    still optimizes like a fresh one.  Statistics and design changes
+    drop the memo; a buffer size is part of the key (the parameters are
+    resolved against the store); an insert without a refresh moves no
+    statistic the model reads."""
+    db = _cold_database(indexes=False)
+    graphs = [_fig3_selective(db), join_push_query()]
+    def outcome(result):
+        return result.plan, result.cost, result.candidates, result.plans_costed
+
+    before = [outcome(Optimizer(db.physical).optimize(graph)) for graph in graphs]
+    assert len(db.physical._epoch_memo) > 0
+    apply, drops = CHANGES[change]
+    apply(db)
+    assert (db.physical._epoch_memo is None) == drops
+    after = [outcome(_warm_and_fresh(db.physical, graph)[0]) for graph in graphs]
+    if change != "insert_without_refresh":
+        assert after != before
+
+
+def test_the_services_recalibrated_params_miss_the_epoch():
+    db = _cold_database()
+    texts = _cold_texts(db)
+    service = QueryService(db, ServiceConfig())
+    try:
+        service.run_query(texts[0])  # prices the view at the defaults
+        # What ``recalibrate(apply=True)`` installs.
+        service._cost_params = CostParameters(page_read=3.0, eval_per_tuple=0.05)
+        planned = service._plan(texts[1])  # same view, another threshold
+        graph = compile_text(texts[1], db.catalog)
+        fresh = Optimizer(
+            db.physical,
+            _ScopeOnly(db.physical, dataclasses.replace(service._cost_params)),
+        ).optimize(graph)
+        default = Optimizer(db.physical, _ScopeOnly(db.physical)).optimize(graph)
+    finally:
+        service.close()
+    assert planned.estimated == fresh.cost != default.cost
+    assert planned.result.candidates == fresh.candidates
+
+
+def test_a_fix_reading_a_temporary_is_not_retained(music_db):
+    physical = music_db.physical
+    plan = Optimizer(physical).optimize(_fig3_selective(music_db)).plan
+    fix = next(node for node in plan.walk() if isinstance(node, Fix))
+    leaf = next(
+        node
+        for node in fix.walk()
+        if isinstance(node, EntityLeaf) and node.entity == "Composer"
+    )
+    temp = physical.register_temp("Composer")
+    try:
+        twin = fix.substitute(leaf, TempLeaf(temp.name, leaf.var))
+        assert twin.memo_traits()[3]
+        model = DetailedCostModel(physical)
+        cost = model.cost(twin)
+        retained = [key[1][0] for key in physical._epoch_memo._entries]
+        assert fix in retained and twin not in retained
+        assert cost == _fresh_report(physical, CostParameters(), twin).total
+    finally:
+        physical.drop_temp(temp.name)
+
+
+def test_sharded_fix_prices_are_not_retained(workloads):
+    """At ``shards > 1`` only ``_cost_fix`` fills ``fix_breakdowns``, so a
+    second optimize of the same text must price its Fix again."""
+    db, graph = workloads["fig3"]
+    params = CostParameters(shards=2)
+    plan = Optimizer(
+        db.physical, DetailedCostModel(db.physical, dataclasses.replace(params))
+    ).optimize(graph).plan
+    model = DetailedCostModel(db.physical, dataclasses.replace(params))
+    assert Optimizer(db.physical, model).optimize(graph).plan == plan
+    model.cost(plan)
+    fresh = _fresh(db.physical, params)
+    fresh.cost(plan)
+    fixes = [node for node in plan.walk() if isinstance(node, Fix)]
+    assert fixes
+    for fix in fixes:
+        assert model.fix_breakdowns[id(fix)] == fresh.fix_breakdowns[id(fix)]
+    sharded = model.params.memo_key()
+    assert not any(
+        kind == "cost" and params_key == sharded
+        for kind, _key, params_key in db.physical._epoch_memo._entries
+    )
+
+
+def test_the_epoch_memo_is_bounded(monkeypatch):
+    db = _cold_database()
+    monkeypatch.setattr(schema_module, "EPOCH_MEMO_BOUND", 6)
+    puts = _count_calls(monkeypatch, schema_module.EpochMemo, "put")
+    for text in _cold_texts(db)[::11][:4]:  # four instruments
+        _warm_and_fresh(db.physical, compile_text(text, db.catalog))
+    assert len({call[1] for call in puts}) > 6
+    assert len(db.physical._epoch_memo) == 6
+
+
+def test_the_epoch_memo_stays_bounded_under_threads(monkeypatch):
+    """Eviction is check-then-act: without the memo's lock two writers
+    race on the oldest entry (a KeyError, or a size past the bound)."""
+    monkeypatch.setattr(schema_module, "EPOCH_MEMO_BOUND", 64)
+    memo = schema_module.EpochMemo()
+    errors = []
+
+    def work(worker):
+        try:
+            for index in range(2000):
+                memo.put((worker, index), index)
+                memo.get((worker, index - 1))
+        except Exception as error:  # collected: the assertion reports it
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=work, args=(worker,)) for worker in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(memo) == 64
 
 
 def test_clustered_fraction_cache_is_cleared_by_refresh(music_db, monkeypatch):
@@ -406,10 +714,12 @@ def test_unknown_attributes_still_fall_back_to_the_defaults(music_db):
 
 
 def test_one_optimize_derives_each_number_once(monkeypatch):
-    """The CI guard of the memo (no timing): one fig3-selective optimize
-    on the ``cold_optimize`` database.  Before the memo: 12–14k
+    """The CI guard of the memos (no timing): one fig3-selective optimize
+    on the ``cold_optimize`` database.  Before the scope memo: 12–14k
     ``estimate`` bodies, 1.2–1.3k ``_cost`` bodies and 160–190 extent
-    scans, depending on the text; with it 176 / 188 / 3."""
+    scans, depending on the text; with it 176 / 188 / 3.  A second text
+    on the same database — same instrument, another threshold — shares
+    every recursive view, so with the epoch memo it prices no ``Fix``."""
     db = generate_music_database(MusicConfig(lineages=4, generations=7))
     db.build_paper_indexes()
     db.physical.refresh_statistics()
@@ -438,6 +748,62 @@ def test_one_optimize_derives_each_number_once(monkeypatch):
     assert 0 < counts["estimate"] <= 250
     assert 0 < counts["cost"] <= 600
     assert len(scans) == len(set(scans))
+
+    bodies = _count_calls(monkeypatch, DetailedCostModel, "_cost_fix")
+    instrument = min(
+        record.values["name"] for record in db.store.extent("Instrument").records
+    )
+    second = Optimizer(db.physical, DetailedCostModel(db.physical)).optimize(
+        fig3_query(instrument, 5)
+    )
+    assert second.plans_costed == 32
+    assert bodies == []
+
+
+def test_re_registering_a_plan_reuses_its_estimates(music_db, tmp_path, monkeypatch):
+    """Under the same statistics fingerprint and parameters a plan's
+    per-node estimates are not re-costed, and the persisted record is
+    the one a re-costing would have written."""
+    physical = music_db.physical
+    model = DetailedCostModel(physical)
+    plan = Optimizer(physical, model).optimize(_fig3_selective(music_db)).plan
+    reports = _count_calls(monkeypatch, DetailedCostModel, "annotated_report")
+    path = tmp_path / "history.jsonl"
+    manager = FeedbackManager(FeedbackConfig(persist_path=str(path)))
+    try:
+        stats_fp = stats_fingerprint(physical)
+        fingerprint = manager.register_plan("q", plan, 1.0, model, stats_fp)
+        again = manager.register_plan(
+            "q", plan, 1.0, DetailedCostModel(physical), stats_fp
+        )
+        assert again == fingerprint and len(reports) == 1
+        # Other statistics or other parameters re-cost.
+        manager.register_plan("q", plan, 1.0, model, "another")
+        manager.register_plan(
+            "q", plan, 1.0, DetailedCostModel(physical, CostParameters(page_read=2.0)), "another"
+        )
+        assert len(reports) == 3
+    finally:
+        manager.close()
+    lines = path.read_text().splitlines()
+    assert len(lines) == 4
+    assert lines[0] == lines[1] == lines[2] != lines[3]
+
+
+def test_a_re_optimized_text_registers_without_re_costing(monkeypatch):
+    """The service passes the cache entry's statistics fingerprint: a
+    text evicted from the plan cache and optimized again is registered
+    from the history's estimates."""
+    db = _cold_database()
+    texts = _cold_texts(db)
+    service = QueryService(db, ServiceConfig(cache_capacity=1))
+    try:
+        reports = _count_calls(monkeypatch, DetailedCostModel, "annotated_report")
+        for text in (texts[0], texts[1], texts[0]):
+            assert service.run_query(text)["cache"] == "miss"
+        assert len(reports) == 2
+    finally:
+        service.close()
 
 
 def test_temporaries_do_not_dirty_durable_statistics(monkeypatch):

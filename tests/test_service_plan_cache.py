@@ -278,3 +278,47 @@ class TestValidation:
     def test_bad_drift_rejected(self):
         with pytest.raises(ValueError):
             PlanCache(drift_ratio=-0.1)
+
+
+class TestParseOnce:
+    def test_a_missed_text_is_parsed_once_and_compiles_alike(self, db, monkeypatch):
+        """The service keys the cache and compiles a miss from one parse
+        (``key_for_program``), and the graph equals ``compile_text``'s."""
+        from repro.lang import parser as parser_module
+        from repro.service import QueryService, ServiceConfig
+        from repro.service import server as server_module
+
+        lexed = []
+        tokenize = parser_module.tokenize
+        monkeypatch.setattr(
+            parser_module, "tokenize", lambda text: lexed.append(text) or tokenize(text)
+        )
+        graphs = []
+        compile_program = server_module.compile_program
+
+        def capture(program, catalog):
+            graphs.append(compile_program(program, catalog))
+            return graphs[-1]
+
+        monkeypatch.setattr(server_module, "compile_program", capture)
+        service = QueryService(db, ServiceConfig())
+        try:
+            assert service.run_query(QUERY)["cache"] == "miss"
+            assert len(lexed) == 1 and len(graphs) == 1
+            assert service.run_query(ALIASED)["cache"] == "hit"
+            assert len(lexed) == 2 and len(graphs) == 1
+        finally:
+            service.close()
+        expected = compile_text(QUERY, db.catalog)
+        assert graphs[0].answer == expected.answer
+        assert [repr(rule) for rule in graphs[0].rules] == [
+            repr(rule) for rule in expected.rules
+        ]
+
+    def test_key_for_text_equals_key_for_its_program(self, db):
+        from repro.lang import parse
+
+        cache = PlanCache()
+        assert cache.key_for(QUERY, db.physical) == cache.key_for_program(
+            parse(QUERY), db.physical
+        )
