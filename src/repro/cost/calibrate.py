@@ -148,11 +148,12 @@ def collect_probes(
     """Execute probe plans and record (events, target cost) pairs.
 
     ``target_fn`` maps a run's metrics to the cost to fit against; the
-    default is the simulator's reference weighting (1.0 per page read,
-    0.1 per evaluation), standing in for wall-clock time on a real
+    default is the simulator's reference weighting
+    (:data:`~repro.engine.metrics.PAGE_READ_COST` per page read,
+    :data:`~repro.engine.metrics.EVAL_COST` per evaluation), standing in for wall-clock time on a real
     system."""
     if target_fn is None:
-        target_fn = lambda metrics: metrics.measured_cost(1.0, 0.1)
+        target_fn = lambda metrics: metrics.measured_cost()
     engine = Engine(physical)
     probes: List[ProbeResult] = []
     for label, plan in plans:

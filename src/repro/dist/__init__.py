@@ -1,5 +1,5 @@
-"""Distribution subsystem: sharded store replicas and the distributed
-scatter-gather semi-naive fixpoint.
+"""Distribution subsystem: sharded store replicas and the
+scatter-gather rounds of a sharded semi-naive fixpoint.
 
 Layout:
 
@@ -12,7 +12,9 @@ Layout:
   replica over a private buffer pool) and :class:`ShardSession` (one
   request's private view of a worker);
 * :mod:`repro.dist.coordinator` — :class:`ShardCluster` and
-  :func:`run_fixpoint_distributed`, the scatter-gather rounds.
+  :func:`~repro.dist.coordinator.sharded_rounds`, the scatter-gather
+  round the engine's one semi-naive loop
+  (:func:`repro.engine.fixpoint.run_fixpoint`) runs per round.
 
 Entry points: build a :class:`ShardCluster` over a physical schema,
 hand it to an :class:`~repro.engine.evaluator.Engine` (``cluster=``,
@@ -21,7 +23,7 @@ fixpoint runs distributed, and ``shards=1`` bypasses this package
 entirely (exact single-process semantics).
 """
 
-from repro.dist.coordinator import ShardCluster, run_fixpoint_distributed
+from repro.dist.coordinator import ShardCluster
 from repro.dist.exchange import ExchangeStats, decode_tuples, encode_tuples
 from repro.dist.partition import ShardMap, hash_shard, range_shard
 from repro.dist.shard import ShardSession, ShardWorker
@@ -36,5 +38,4 @@ __all__ = [
     "decode_tuples",
     "hash_shard",
     "range_shard",
-    "run_fixpoint_distributed",
 ]

@@ -1,10 +1,11 @@
-"""The shard cluster and the distributed scatter-gather fixpoint.
+"""The shard cluster and the scatter-gather round of a sharded fixpoint.
 
 :class:`ShardCluster` owns N :class:`~repro.dist.shard.ShardWorker`
 replicas of a physical schema plus the pool their tasks run on.
-:func:`run_fixpoint_distributed` is the distributed twin of the
-serial loop in :mod:`repro.engine.fixpoint`: the same semi-naive
-structure, but each round is a **scatter-gather exchange** —
+:func:`sharded_rounds` is the sharded round evaluator of the one
+semi-naive loop, :func:`repro.engine.fixpoint.run_fixpoint` (which
+keeps the limit, the cancellation poll between rounds and the round
+records): each round it evaluates is a **scatter-gather exchange** —
 
 1. *partition*: the coordinator hash-partitions the round's delta on
    the recursion-binding columns (one slice per shard; parts whose
@@ -17,17 +18,17 @@ structure, but each round is a **scatter-gather exchange** —
    slice with the batch pipeline, reading base extents through its own
    buffer pool;
 4. *gather*: produced tuples come back as ``result`` frames, and the
-   coordinator — sole owner of the seen-set — dedups in shard order
-   and materializes the fresh tuples as the next delta.
+   coordinator dedups them in shard order through the loop's
+   seen-set and materializes the fresh tuples as the next delta.
 
 Rounds are barriers and slices are disjoint, so answer sets and
 per-node tuple counts match the serial evaluator exactly (the
 additivity argument is :func:`repro.dist.partition.partitionable`'s).
 The first shard error aborts the remaining work of the round and
-re-raises in the coordinator; ``Engine.execute``'s cleanup then drops
-the coordinator temp, and each session's ``close()`` drops its
-shard-local staging extents — failure semantics are documented in
-``docs/architecture.md``.
+re-raises in the coordinator; leaving the context closes each
+session (dropping its shard-local staging extents), and
+``Engine.execute``'s cleanup then drops the coordinator temp — failure
+semantics are documented in ``docs/architecture.md``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Set, Tuple
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.dist import exchange
 from repro.dist.partition import (
@@ -45,15 +47,13 @@ from repro.dist.partition import (
     partitionable,
 )
 from repro.dist.shard import ShardSession, ShardWorker
-from repro.engine.fixpoint import key_of_normalized, partition_parts
-from repro.errors import FixpointLimitError
 from repro.obs.log import get_logger
 from repro.obs.trace import NULL_TRACER
 from repro.physical.schema import PhysicalSchema
 from repro.physical.storage import StoredRecord
 from repro.plans.nodes import Fix, PlanNode
 
-__all__ = ["ShardCluster", "run_fixpoint_distributed"]
+__all__ = ["ShardCluster", "sharded_rounds"]
 
 #: Structured logger: request id / shard / round travel as fields (see
 #: :mod:`repro.obs.log`), so JSON log pipelines can filter on them.
@@ -145,36 +145,28 @@ class ShardCluster:
         }
 
 
-def run_fixpoint_distributed(
+@contextmanager
+def sharded_rounds(
     engine,
     fix: Fix,
     delta_env: Dict[str, List[StoredRecord]],
-    cluster: ShardCluster,
-    shards: int,
-) -> str:
-    """Evaluate ``fix`` as distributed scatter-gather rounds; returns
-    the coordinator temp entity name (same contract as the serial
-    path)."""
-    width = max(1, min(shards, cluster.shards))
-    if width <= 1:
-        from repro.engine.fixpoint import run_fixpoint_serial
-
-        return run_fixpoint_serial(engine, fix, delta_env)
-
-    temp_info = engine.physical.register_temp(fix.name)
-    temp_name = temp_info.name
-    engine.note_temp(temp_name)
-    base_parts, recursive_parts = partition_parts(fix)
-
-    seen: Set[tuple] = set()  # coordinator-side; coordinator thread only
+    width: int,
+    keep_rows: Callable[[Iterable[Dict[str, object]], List[StoredRecord]], None],
+) -> Iterator[Callable]:
+    """The sharded round evaluator of
+    :func:`repro.engine.fixpoint.run_fixpoint`, as a context: entering
+    opens one session per shard, the shard trace lanes and the ``fix``
+    span; leaving drops every session's staging and folds its counters
+    into the coordinator engine.  The context yields
+    ``evaluate(round_index, parts, delta)``, one scatter-gather round;
+    the gather dedups through the loop's ``keep_rows``."""
+    cluster = engine.cluster
     abort = threading.Event()
     sessions = cluster.open_sessions(engine, width)
     metrics = engine.metrics
     metrics.shards_used = max(metrics.shards_used, width)
-    profiler = getattr(engine, "profiler", None)
-    progress = getattr(engine, "progress", None)
-    rid = getattr(engine, "request_id", "") or "local"
-    tracer = getattr(engine, "tracer", NULL_TRACER)
+    rid = engine.request_id or "local"
+    tracer = engine.tracer
     if tracer.enabled and tracer.trace_id is None:
         tracer.trace_id = rid
     trace_id = getattr(tracer, "trace_id", "") or ""
@@ -186,8 +178,9 @@ def run_fixpoint_distributed(
         ]
     else:
         shard_tracers = [NULL_TRACER for _ in sessions]
-    insert = engine.store.insert
-    peek = engine.store.peek
+    #: The recursion-binding columns the delta is partitioned on, read
+    #: off the base round's output by the first delta round.
+    rebinding: List[str] = []
 
     def shard_task(
         session: ShardSession,
@@ -273,12 +266,92 @@ def run_fixpoint_distributed(
         finally:
             thread.name = saved_name
 
-    def run_round(
+    def assign(
         round_index: int,
-        assignments: Dict[int, List[Tuple[PlanNode, Optional[object]]]],
-        payloads: Dict[object, List[bytes]],
-        scatter_by_shard: Dict[int, exchange.ExchangeStats],
+        parts: List[PlanNode],
+        delta: Optional[List[StoredRecord]],
+    ):
+        """Which shard evaluates which part on which payload, plus the
+        scatter leg: ``(assignments, payloads, scatter volume by
+        shard)``."""
+        assignments: Dict[int, List[Tuple[PlanNode, Optional[object]]]] = {
+            shard: [] for shard in range(width)
+        }
+        payloads: Dict[object, List[bytes]] = {}
+        scatter_by_shard: Dict[int, exchange.ExchangeStats] = {}
+        if delta is None:
+            # Base round: non-recursive parts fan out round-robin; only
+            # the gather leg carries tuples.
+            for index, part in enumerate(parts):
+                assignments[index % width].append((part, None))
+            return assignments, payloads, scatter_by_shard
+        if round_index == 1:
+            rebinding[:] = _rebinding_fields(fix, delta)
+            if rebinding:
+                cluster.shard_map.place_partitioned(fix.name, rebinding)
+        slices: Optional[List[List[StoredRecord]]] = None
+        with tracer.span(
+            "partition", round=round_index, delta=len(delta), request=rid
+        ):
+            for part_index, part in enumerate(parts):
+                if partitionable(part, fix.name) and len(delta) > 1:
+                    if slices is None:
+                        slices = partition_delta(delta, width, rebinding)
+                        for shard, piece in enumerate(slices):
+                            if not piece:
+                                continue
+                            frames = exchange.encode_tuples(
+                                "delta",
+                                fix.name,
+                                round_index,
+                                shard,
+                                [record.values for record in piece],
+                                trace_id=trace_id,
+                                layout="columnar",
+                            )
+                            payloads[("slice", shard)] = frames
+                            stats = scatter_by_shard.setdefault(
+                                shard, exchange.ExchangeStats()
+                            )
+                            stats.count(frames, len(piece))
+                    for shard, piece in enumerate(slices):
+                        if piece:
+                            assignments[shard].append((part, ("slice", shard)))
+                else:
+                    # Unpartitionable part: the whole delta travels to
+                    # one shard, rotating per round for balance.
+                    # Payloads are keyed (and their volume counted) per
+                    # target so the frame headers name the shard that
+                    # really receives them.
+                    target = (round_index + part_index) % width
+                    payload_key = ("full", target)
+                    if payload_key not in payloads:
+                        payloads[payload_key] = exchange.encode_tuples(
+                            "delta",
+                            fix.name,
+                            round_index,
+                            target,
+                            [record.values for record in delta],
+                            trace_id=trace_id,
+                            layout="columnar",
+                        )
+                        stats = scatter_by_shard.setdefault(
+                            target, exchange.ExchangeStats()
+                        )
+                        stats.count(payloads[payload_key], len(delta))
+                    assignments[target].append((part, payload_key))
+        return assignments, payloads, scatter_by_shard
+
+    def evaluate(
+        round_index: int,
+        parts: List[PlanNode],
+        delta: Optional[List[StoredRecord]],
     ) -> Tuple[List[StoredRecord], dict]:
+        """One scatter-gather round; returns the fresh records and the
+        round record's exchange fields."""
+        assignments, payloads, scatter_by_shard = assign(
+            round_index, parts, delta
+        )
         futures = {
             shard: cluster.submit(
                 shard_task, sessions[shard], round_index, tasks, payloads
@@ -315,14 +388,8 @@ def run_fixpoint_distributed(
                 metrics.shard_busy_seconds += outcome["busy"]
                 loads[shard] = float(outcome["reads"] + outcome["tuples"])
                 produced_by_shard[shard] = outcome["tuples"]
-                arrived = 0
-                for values in exchange.decode_tuples(outcome["frames"]):
-                    arrived += 1
-                    key = key_of_normalized(values)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    fresh.append(peek(insert(temp_name, values)))
+                arrived = exchange.decode_tuples(outcome["frames"])
+                keep_rows(arrived, fresh)
                 scatter = scatter_by_shard.get(shard)
                 exchange.write_shard_telemetry(
                     {
@@ -332,7 +399,7 @@ def run_fixpoint_distributed(
                         "shard": shard,
                         "scatter_tuples": scatter.tuples if scatter else 0,
                         "scatter_bytes": scatter.bytes if scatter else 0,
-                        "gather_tuples": arrived,
+                        "gather_tuples": len(arrived),
                         "gather_bytes": sum(len(f) for f in outcome["frames"]),
                         "logical_reads": outcome["reads"],
                         "busy_seconds": round(outcome["busy"], 6),
@@ -348,137 +415,18 @@ def run_fixpoint_distributed(
         metrics.exchange_bytes += volume.bytes
         metrics.exchange_frames += volume.frames
         return fresh, {
-            "volume": volume,
-            "barrier_wait": barrier_wait,
+            "shards": width,
+            "exchange_tuples": volume.tuples,
+            "exchange_bytes": volume.bytes,
+            "exchange_frames": volume.frames,
             "skew": max(1.0, skew),
-            "loads": loads,
-            "produced_by_shard": produced_by_shard,
+            "barrier_wait_s": barrier_wait,
+            "per_shard": produced_by_shard,
         }
 
-    def note_round(round_index, fresh, info, seconds):
-        volume = info["volume"]
-        if profiler is not None:
-            profiler.fix_iteration(
-                fix,
-                round_index,
-                len(fresh),
-                seconds,
-                shards=width,
-                exchange_tuples=volume.tuples,
-                exchange_bytes=volume.bytes,
-                exchange_frames=volume.frames,
-                skew=info["skew"],
-                barrier_wait_s=info["barrier_wait"],
-                per_shard=info["produced_by_shard"],
-            )
-        if progress is not None:
-            progress.round_update(
-                fix=fix.name,
-                round_index=round_index,
-                delta=len(fresh),
-                delta_by_shard=info["produced_by_shard"],
-                skew=info["skew"],
-                exchange_tuples=volume.tuples,
-                exchange_bytes=volume.bytes,
-                barrier_wait_s=info["barrier_wait"],
-                seconds=seconds,
-            )
-
-    with tracer.span(
-        "fix", fix=fix.name, shards=width, request=rid
-    ) as fix_span:
+    with tracer.span("fix", fix=fix.name, shards=width, request=rid) as fix_span:
         try:
-            # Base round: non-recursive parts fan out round-robin; only
-            # the gather leg carries tuples.
-            round_start = time.perf_counter()
-            assignments: Dict[int, List[Tuple[PlanNode, Optional[object]]]] = {
-                shard: [] for shard in range(width)
-            }
-            for index, part in enumerate(base_parts):
-                assignments[index % width].append((part, None))
-            delta, info = run_round(0, assignments, {}, {})
-            note_round(0, delta, info, time.perf_counter() - round_start)
-
-            rebinding = _rebinding_fields(fix, delta)
-            if rebinding:
-                cluster.shard_map.place_partitioned(fix.name, rebinding)
-            iterations = 0
-            while delta:
-                iterations += 1
-                if iterations > engine.max_fix_iterations:
-                    raise FixpointLimitError(
-                        fix.name, engine.max_fix_iterations
-                    )
-                engine.check_cancelled()
-                metrics.fix_iterations += 1
-                round_start = time.perf_counter()
-
-                assignments = {shard: [] for shard in range(width)}
-                payloads: Dict[object, List[bytes]] = {}
-                scatter_by_shard: Dict[int, exchange.ExchangeStats] = {}
-                slices: Optional[List[List[StoredRecord]]] = None
-                with tracer.span(
-                    "partition", round=iterations, delta=len(delta), request=rid
-                ):
-                    for part_index, part in enumerate(recursive_parts):
-                        if partitionable(part, fix.name) and len(delta) > 1:
-                            if slices is None:
-                                slices = partition_delta(
-                                    delta, width, rebinding
-                                )
-                                for shard, piece in enumerate(slices):
-                                    if not piece:
-                                        continue
-                                    frames = exchange.encode_tuples(
-                                        "delta",
-                                        fix.name,
-                                        iterations,
-                                        shard,
-                                        [record.values for record in piece],
-                                        trace_id=trace_id,
-                                        layout="columnar",
-                                    )
-                                    payloads[("slice", shard)] = frames
-                                    stats = scatter_by_shard.setdefault(
-                                        shard, exchange.ExchangeStats()
-                                    )
-                                    stats.count(frames, len(piece))
-                            for shard, piece in enumerate(slices):
-                                if piece:
-                                    assignments[shard].append(
-                                        (part, ("slice", shard))
-                                    )
-                        else:
-                            # Unpartitionable part: the whole delta
-                            # travels to one shard, rotating per round
-                            # for balance.  Payloads are keyed (and
-                            # their volume counted) per target so the
-                            # frame headers name the shard that really
-                            # receives them.
-                            target = (iterations + part_index) % width
-                            payload_key = ("full", target)
-                            if payload_key not in payloads:
-                                payloads[payload_key] = exchange.encode_tuples(
-                                    "delta",
-                                    fix.name,
-                                    iterations,
-                                    target,
-                                    [record.values for record in delta],
-                                    trace_id=trace_id,
-                                    layout="columnar",
-                                )
-                                stats = scatter_by_shard.setdefault(
-                                    target, exchange.ExchangeStats()
-                                )
-                                stats.count(payloads[payload_key], len(delta))
-                            assignments[target].append((part, payload_key))
-
-                delta, info = run_round(
-                    iterations, assignments, payloads, scatter_by_shard
-                )
-                note_round(
-                    iterations, delta, info, time.perf_counter() - round_start
-                )
+            yield evaluate
             fix_span.set(rounds=metrics.exchange_rounds)
         finally:
             abort.set()
@@ -495,4 +443,3 @@ def run_fixpoint_distributed(
                     engine.absorb_shard(
                         session.shard, session.engine, session.io.stats
                     )
-    return temp_name

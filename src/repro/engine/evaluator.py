@@ -126,8 +126,8 @@ class Engine:
         self.batch_size = batch_size
         validate_knob("shards", shards)
         #: Shard fan-out for distributed fixpoints; >1 (with a
-        #: ``cluster``) routes Fix evaluation through
-        #: :mod:`repro.dist.coordinator`.
+        #: ``cluster``) has the semi-naive loop evaluate each round
+        #: through :func:`repro.dist.coordinator.sharded_rounds`.
         self.shards = shards
         #: A :class:`repro.dist.ShardCluster` (or None).  ``shards > 1``
         #: without a cluster silently falls back to single-store
@@ -168,7 +168,7 @@ class Engine:
         self.request_id = ""
         #: Optional live-progress handle
         #: (:class:`repro.obs.progress.QueryProgress`): fixpoints call
-        #: ``round_update`` per semi-naive round when set.
+        #: ``record_fix_iteration`` per semi-naive round when set.
         self.progress = None
 
     # -- public API -------------------------------------------------------------

@@ -10,23 +10,26 @@ into a temporary extent (the paper's temporary file, e.g.
 termination on acyclic data and bounds work on cyclic data together
 with the engine's iteration cap.
 
-When the engine carries ``shards > 1`` and a shard cluster the rounds
-are handed to :mod:`repro.dist.coordinator`, which hash-partitions the
-delta across shards; this module remains the in-process evaluator (and
-the fallback for bodies the distributed rounds must not reorder — see
-:func:`repro.dist.partition.parallel_safe`).
+:func:`run_fixpoint` is the one semi-naive loop for serial and sharded
+runs alike.  When the engine carries ``shards > 1`` and a shard
+cluster, and the body is :func:`repro.dist.partition.parallel_safe`,
+each round's evaluation is handed to
+:func:`repro.dist.coordinator.sharded_rounds`, which hash-partitions
+the delta across shards and gathers their output back through this
+loop's dedup-and-insert; otherwise rounds evaluate in process.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.errors import ExecutionError, FixpointLimitError
-from repro.engine.batch import Batch
 from repro.engine.columns import column_kinds
 from repro.engine.eval_expr import Binding, normalize_value
 from repro.obs.log import get_logger
+from repro.obs.profile import FixIterationProfile
 from repro.physical.storage import StoredRecord
 from repro.plans.nodes import Fix, PlanNode, RecLeaf, UnionOp
 
@@ -130,11 +133,6 @@ def normalized_columns(columns: Dict[str, list]):
     return names, cols, sorted_names, sorted_cols
 
 
-def _tuple_key(binding: Binding) -> tuple:
-    """Backward-compatible key of a raw binding (normalizes first)."""
-    return key_of_normalized(normalize_binding(binding))
-
-
 def run_fixpoint(engine, fix: Fix, delta_env: Dict[str, List[StoredRecord]]) -> str:
     """Evaluate ``fix`` semi-naively; returns the temp entity name.
 
@@ -142,126 +140,127 @@ def run_fixpoint(engine, fix: Fix, delta_env: Dict[str, List[StoredRecord]]) -> 
     plan (passed in to avoid a circular import); ``delta_env`` is the
     enclosing delta environment (supporting nested fixpoints).
 
-    Dispatches to the distributed scatter-gather evaluator when the
-    engine carries ``shards > 1`` *and* a shard cluster, and the body
-    is safe to evaluate concurrently (:func:`parallel_safe`: slices of
-    the delta are disjoint and rounds are barriers); otherwise runs the
-    serial loop.
+    This is the only semi-naive loop.  It owns the temp, the seen-set
+    and the dedup-and-insert, the iteration limit, the cancellation
+    poll between rounds, ``metrics.fix_iterations`` and the one
+    :class:`~repro.obs.profile.FixIterationProfile` per round that the
+    profiler and the progress handle both receive.  What varies is the
+    round evaluator — ``evaluate(round_index, parts, delta)`` runs the
+    parts against ``delta`` (``None`` for the base round) and returns
+    ``(fresh records, extra round-record fields)``: in process below, or
+    :func:`repro.dist.coordinator.sharded_rounds`' scatter-gather when
+    :func:`_shard_width` grants more than one shard.
     """
-    cluster = getattr(engine, "cluster", None)
-    if getattr(engine, "shards", 1) > 1 and cluster is not None:
-        from repro.dist.coordinator import run_fixpoint_distributed
-        from repro.dist.partition import parallel_safe
-
-        if parallel_safe(fix):
-            return run_fixpoint_distributed(
-                engine, fix, delta_env, cluster, engine.shards
-            )
-    return run_fixpoint_serial(engine, fix, delta_env)
-
-
-def run_fixpoint_serial(
-    engine, fix: Fix, delta_env: Dict[str, List[StoredRecord]]
-) -> str:
-    """The serial semi-naive loop (also the distributed path's oracle)."""
-    temp_info = engine.physical.register_temp(fix.name)
-    temp_name = temp_info.name
+    temp_name = engine.physical.register_temp(fix.name).name
     engine.note_temp(temp_name)
     base_parts, recursive_parts = partition_parts(fix)
 
     seen: Set[tuple] = set()
+    insert = engine.store.insert
+    peek = engine.store.peek
 
-    def materialize(batches: Iterable[Batch]) -> List[StoredRecord]:
-        """Dedup + insert a part's output, one batch at a time: a
-        single cancellation poll covers the whole batch, and the
-        seen-set probes run over a local slice of bindings instead of
-        interleaving with generator resumptions."""
-        fresh: List[StoredRecord] = []
-        insert = engine.store.insert
-        peek = engine.store.peek
-        for batch in batches:
-            engine.check_cancelled()
-            if batch.is_columnar:
-                # Column form: normalize column-wise, probe the seen
-                # set with keys assembled from the sorted columns, and
-                # build a binding dict only for the fresh tuples.
-                names, cols, sorted_names, sorted_cols = normalized_columns(
-                    batch.columns
-                )
-                for index, key_values in enumerate(zip(*sorted_cols)):
-                    key = tuple(zip(sorted_names, key_values))
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    values = {name: col[index] for name, col in zip(names, cols)}
-                    fresh.append(peek(insert(temp_name, values)))
+    def keep_rows(
+        rows: Iterable[Dict[str, object]], fresh: List[StoredRecord]
+    ) -> None:
+        """Dedup + insert normalized tuples, appending the new ones'
+        stored records to ``fresh``."""
+        for values in rows:
+            key = key_of_normalized(values)
+            if key in seen:
                 continue
-            for binding in batch.rows:
-                values = normalize_binding(binding)
-                key = key_of_normalized(values)
-                if key in seen:
-                    continue
-                seen.add(key)
-                fresh.append(peek(insert(temp_name, values)))
-        return fresh
+            seen.add(key)
+            fresh.append(peek(insert(temp_name, values)))
 
-    profiler = getattr(engine, "profiler", None)
-    progress = getattr(engine, "progress", None)
+    def keep_columns(
+        columns: Dict[str, list], fresh: List[StoredRecord]
+    ) -> None:
+        """Column form of :func:`keep_rows`: normalize column-wise,
+        probe the seen set with keys assembled from the sorted columns,
+        and build a binding dict only for the fresh tuples."""
+        names, cols, sorted_names, sorted_cols = normalized_columns(columns)
+        for index, key_values in enumerate(zip(*sorted_cols)):
+            key = tuple(zip(sorted_names, key_values))
+            if key in seen:
+                continue
+            seen.add(key)
+            values = {name: col[index] for name, col in zip(names, cols)}
+            fresh.append(peek(insert(temp_name, values)))
 
-    # Base round: evaluate every non-recursive part once.
-    round_start = time.perf_counter()
-    delta: List[StoredRecord] = []
-    for part in base_parts:
-        delta.extend(materialize(engine.iterate_batches(part, delta_env)))
-    if profiler is not None:
-        profiler.fix_iteration(
-            fix, 0, len(delta), time.perf_counter() - round_start
-        )
-    if progress is not None:
-        progress.round_update(
-            fix=fix.name,
-            round_index=0,
-            delta=len(delta),
-            seconds=time.perf_counter() - round_start,
-        )
+    def evaluate_locally(round_index, parts, delta):
+        """One round in process: a single cancellation poll covers each
+        batch, and the seen-set probes run over a batch at a time."""
+        env = delta_env
+        if delta is not None:
+            env = dict(delta_env)
+            env[fix.name] = delta
+        fresh: List[StoredRecord] = []
+        for part in parts:
+            for batch in engine.iterate_batches(part, env):
+                engine.check_cancelled()
+                if batch.is_columnar:
+                    keep_columns(batch.columns, fresh)
+                else:
+                    keep_rows(map(normalize_binding, batch.rows), fresh)
+        return fresh, {}
 
-    # Semi-naive rounds: feed only the last round's new tuples back in.
-    iterations = 0
-    while delta:
-        iterations += 1
-        if iterations > engine.max_fix_iterations:
-            _LOG.warning(
-                "fixpoint iteration limit hit",
-                extra={
-                    "request_id": getattr(engine, "request_id", None),
-                    "fix": fix.name,
-                    "limit": engine.max_fix_iterations,
-                },
-            )
-            raise FixpointLimitError(fix.name, engine.max_fix_iterations)
-        engine.check_cancelled()
-        engine.metrics.fix_iterations += 1
-        round_start = time.perf_counter()
-        next_delta: List[StoredRecord] = []
-        inner_env = dict(delta_env)
-        inner_env[fix.name] = delta
-        for part in recursive_parts:
-            next_delta.extend(
-                materialize(engine.iterate_batches(part, inner_env))
-            )
-        if profiler is not None:
-            profiler.fix_iteration(
-                fix,
-                iterations,
-                len(next_delta),
-                time.perf_counter() - round_start,
-            )
+    width = _shard_width(engine, fix)
+    if width > 1:
+        from repro.dist.coordinator import sharded_rounds
+
+        rounds = sharded_rounds(engine, fix, delta_env, width, keep_rows)
+    else:
+        rounds = nullcontext(evaluate_locally)
+
+    profile = engine.profiler.profile_for(fix) if engine.profiler else None
+    progress = engine.progress
+
+    def record(round_index, fresh, fields) -> None:
+        """Read the clock once and hand the round's one record to the
+        profiler and the progress handle."""
+        nonlocal mark
+        now = time.perf_counter()
+        entry = FixIterationProfile(round_index, len(fresh), now - mark, **fields)
+        mark = now
+        if profile is not None:
+            profile.record_fix_iteration(entry)
         if progress is not None:
-            progress.round_update(
-                fix=fix.name,
-                round_index=iterations,
-                delta=len(next_delta),
-                seconds=time.perf_counter() - round_start,
-            )
-        delta = next_delta
+            progress.record_fix_iteration(fix.name, entry)
+
+    with rounds as evaluate:
+        mark = time.perf_counter()
+        delta, fields = evaluate(0, base_parts, None)
+        record(0, delta, fields)
+        # Semi-naive rounds: feed only the last round's new tuples back in.
+        iterations = 0
+        while delta:
+            iterations += 1
+            if iterations > engine.max_fix_iterations:
+                _LOG.warning(
+                    "fixpoint iteration limit hit",
+                    extra={
+                        "request_id": engine.request_id,
+                        "fix": fix.name,
+                        "limit": engine.max_fix_iterations,
+                    },
+                )
+                raise FixpointLimitError(fix.name, engine.max_fix_iterations)
+            engine.check_cancelled()
+            engine.metrics.fix_iterations += 1
+            delta, fields = evaluate(iterations, recursive_parts, delta)
+            record(iterations, delta, fields)
     return temp_name
+
+
+def _shard_width(engine, fix: Fix) -> int:
+    """Shards the fixpoint's rounds fan out over: more than one only
+    when the engine asks for ``shards > 1``, carries a cluster, and the
+    body is safe to evaluate concurrently (:func:`parallel_safe`: slices
+    of the delta are disjoint and rounds are barriers)."""
+    cluster = engine.cluster
+    if engine.shards <= 1 or cluster is None:
+        return 1
+    from repro.dist.partition import parallel_safe
+
+    if not parallel_safe(fix):
+        return 1
+    return min(engine.shards, cluster.shards)

@@ -15,7 +15,43 @@ from typing import Dict, Optional
 
 from repro.physical.buffer import BufferStats
 
-__all__ = ["RuntimeMetrics"]
+__all__ = [
+    "EVAL_COST",
+    "NETWORK_FRAME_COST",
+    "NETWORK_TUPLE_COST",
+    "PAGE_READ_COST",
+    "RuntimeMetrics",
+    "network_cost",
+    "node_cost",
+]
+
+#: The unit weights of measured cost, defined once: ``pr`` per
+#: (physical or index) page read and ``ev`` per predicate evaluation,
+#: as in the paper's simplified model, plus the network weights of the
+#: ``CostParameters`` defaults per exchanged tuple and per frame
+#: (literals here because ``cost/`` already imports the engine
+#: package).  :meth:`RuntimeMetrics.measured_cost`, EXPLAIN ANALYZE's
+#: per-node actual cost and telemetry's ``OperatorActual.cost`` all
+#: price with them.
+PAGE_READ_COST = 1.0
+EVAL_COST = 0.1
+NETWORK_TUPLE_COST = 0.005
+NETWORK_FRAME_COST = 0.05
+
+
+def node_cost(profile) -> float:
+    """One plan node's measured cost from its
+    :class:`~repro.obs.profile.NodeProfile` counters — EXPLAIN
+    ANALYZE's ``actual_cost`` and telemetry's ``OperatorActual.cost``
+    are both this number."""
+    return (
+        profile.page_reads + profile.index_page_reads
+    ) * PAGE_READ_COST + profile.predicate_evals * EVAL_COST
+
+
+def network_cost(tuples: float, frames: float) -> float:
+    """Measured cost of exchanged tuples and frames."""
+    return tuples * NETWORK_TUPLE_COST + frames * NETWORK_FRAME_COST
 
 
 #: ``slots=True`` (3.10+) because the counter increments are the
@@ -122,23 +158,20 @@ class RuntimeMetrics:
         return sum(self.tuples_by_operator.values())
 
     def measured_cost(
-        self, page_read_cost: float = 1.0, eval_cost: float = 0.1
+        self, page_read_cost: float = PAGE_READ_COST, eval_cost: float = EVAL_COST
     ) -> float:
         """Combine the counters into one cost figure.
 
         Uses the same two unit weights as the paper's simplified model:
         ``pr`` per (physical or index) page read and ``ev`` per
         predicate evaluation; method invocations are weighted
-        evaluations.
+        evaluations.  Sharded runs add :func:`network_cost`.
         """
         io = self.buffer.physical_reads + self.index_page_reads
         cpu = self.predicate_evals + self.method_eval_weight
         cost = io * page_read_cost + cpu * eval_cost
         if self.shards_used > 1:
-            # Unit network weights mirror CostParameters' defaults
-            # (network_per_tuple/network_per_round); literals here
-            # because cost/ already imports the engine package.
-            cost += self.exchange_tuples * 0.005 + self.exchange_frames * 0.05
+            cost += network_cost(self.exchange_tuples, self.exchange_frames)
         return cost
 
     def to_dict(self) -> dict:

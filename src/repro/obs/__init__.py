@@ -62,7 +62,7 @@ from repro.obs.recorder import (
     load_bundle,
     replay_bundle,
 )
-from repro.obs.sampler import BufferedRun, SamplingDecision
+from repro.obs.sampler import SamplingDecision
 from repro.obs.trace import NULL_TRACER, Span, SpanEvent, Tracer
 
 __all__ = [
@@ -92,7 +92,6 @@ __all__ = [
     "GovernorConfig",
     "ObservabilityGovernor",
     "SamplingDecision",
-    "BufferedRun",
     "Anomaly",
     "AnomalyConfig",
     "AnomalyDetector",

@@ -43,9 +43,6 @@ __all__ = ["AnomalyConfig", "Anomaly", "AnomalyDetector", "MAD_SCALE"]
 #: deviation under normality.
 MAD_SCALE = 1.4826
 
-#: Metrics the detector scores, in reporting order.
-METRICS = ("latency", "misestimate", "skew", "barrier_wait")
-
 
 @dataclass
 class AnomalyConfig:

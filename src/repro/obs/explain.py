@@ -21,24 +21,15 @@ inclusive per-node wall time, loadable in ``chrome://tracing``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
+from repro.engine.metrics import PAGE_READ_COST, network_cost, node_cost
 from repro.errors import CostModelError
-from repro.obs.profile import PlanProfiler, assign_node_ids
+from repro.obs.profile import FixIterationProfile, PlanProfiler, assign_node_ids
 from repro.plans.display import render_tree
 from repro.plans.nodes import PlanNode
 
 __all__ = ["ExplainNode", "ExplainTree", "build_explain", "render_explain"]
-
-#: Unit weights mirroring RuntimeMetrics.measured_cost, so per-node
-#: actual cost is in the same currency as the model's estimate.
-PAGE_READ_COST = 1.0
-EVAL_COST = 0.1
-#: Network unit weights mirroring RuntimeMetrics.measured_cost (the
-#: CostParameters defaults), so the measured wire volumes price into
-#: the same currency as the distributed model's network estimate.
-NETWORK_TUPLE_COST = 0.005
-NETWORK_FRAME_COST = 0.05
 
 
 @dataclass
@@ -251,18 +242,17 @@ def build_explain(
                 explain.page_reads = profile.page_reads
                 explain.index_page_reads = profile.index_page_reads
                 explain.predicate_evals = profile.predicate_evals
-                explain.actual_cost = (
-                    (profile.page_reads + profile.index_page_reads)
-                    * PAGE_READ_COST
-                    + profile.predicate_evals * EVAL_COST
-                )
+                explain.actual_cost = node_cost(profile)
                 explain.fix_iterations = [
                     it.to_dict() for it in profile.fix_iterations
                 ]
         breakdown = getattr(cost_model, "fix_breakdowns", {}).get(id(node))
         if breakdown is not None:
             explain.distributed = {"est": dict(breakdown)}
-            actual = _distributed_actuals(explain.fix_iterations)
+            profile = profiler.profiles.get(node_id) if profiler else None
+            actual = _distributed_actuals(
+                profile.fix_iterations if profile is not None else ()
+            )
             if actual is not None:
                 if explain.page_reads is not None:
                     actual["disk"] = float(explain.page_reads) * PAGE_READ_COST
@@ -285,30 +275,30 @@ def render_explain(tree: ExplainTree) -> str:
     return render_tree(tree.plan, annotate=annotate)
 
 
-def _distributed_actuals(iterations: List[dict]) -> Optional[Dict[str, float]]:
-    """Aggregate a Fix node's sharded per-round actuals into the same
+def _distributed_actuals(
+    iterations: Iterable[FixIterationProfile],
+) -> Optional[Dict[str, float]]:
+    """Aggregate a Fix node's sharded round records into the same
     network/disk/skew terms the distributed cost model estimates."""
-    sharded = [entry for entry in iterations if entry.get("shards") is not None]
+    sharded = [entry for entry in iterations if entry.shards is not None]
     if not sharded:
         return None
-    tuples = float(sum(entry.get("exchange_tuples", 0) for entry in sharded))
-    frames = float(sum(entry.get("exchange_frames", 0) for entry in sharded))
-    skews = [entry["skew"] for entry in sharded if entry.get("skew") is not None]
-    actual: Dict[str, float] = {
-        "shards": float(max(entry["shards"] for entry in sharded)),
+    tuples = float(sum(entry.exchange_tuples or 0 for entry in sharded))
+    frames = float(sum(entry.exchange_frames or 0 for entry in sharded))
+    skews = [entry.skew for entry in sharded if entry.skew is not None]
+    return {
+        "shards": float(max(entry.shards for entry in sharded)),
         "rounds": float(len(sharded)),
         "exchange_tuples": tuples,
         "exchange_frames": frames,
         "exchange_bytes": float(
-            sum(entry.get("exchange_bytes", 0) for entry in sharded)
+            sum(entry.exchange_bytes or 0 for entry in sharded)
         ),
-        "network": tuples * NETWORK_TUPLE_COST + frames * NETWORK_FRAME_COST,
+        "network": network_cost(tuples, frames),
         "skew": (sum(skews) / len(skews)) if skews else 1.0,
-        "barrier_wait_ms": float(
-            sum(entry.get("barrier_wait_ms", 0.0) for entry in sharded)
-        ),
+        "barrier_wait_ms": 1000.0
+        * sum(entry.barrier_wait_s or 0.0 for entry in sharded),
     }
-    return actual
 
 
 def _round(value: Optional[float]) -> Optional[float]:

@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.cost.params import CostParameters
+from repro.engine.metrics import node_cost
 from repro.errors import ServiceError
-from repro.obs.explain import EVAL_COST, PAGE_READ_COST
 from repro.obs.history import (
     Observation,
     OperatorActual,
@@ -238,13 +238,11 @@ def build_observation(
     operators: Dict[str, OperatorActual] = {}
     if profiler is not None:
         for node_id, profile in profiler.profiles.items():
-            reads = profile.page_reads + profile.index_page_reads
             operators[node_id] = OperatorActual(
                 rows=profile.tuples_out,
-                cost=reads * PAGE_READ_COST
-                + profile.predicate_evals * EVAL_COST,
+                cost=node_cost(profile),
                 seconds=profile.wall_seconds,
-                page_reads=reads,
+                page_reads=profile.page_reads + profile.index_page_reads,
                 predicate_evals=profile.predicate_evals,
             )
     else:

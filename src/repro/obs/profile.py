@@ -6,8 +6,9 @@ every batch pull's wall time, physical page reads, index page reads
 and predicate evaluations to that node (*inclusive* of its
 children, since a parent's pull drives its subtree; the *exclusive*
 share is recovered from the tree structure at report time).  ``Fix``
-nodes additionally record one entry per semi-naive iteration: the new
-tuples the round produced and how long it took.
+nodes additionally keep the semi-naive loop's round records
+(:class:`FixIterationProfile`: the new tuples the round produced and
+how long it took), the same objects the live progress handle gets.
 
 Node identity: :func:`assign_node_ids` numbers the plan's nodes in
 pre-order (``n0``, ``n1``, ...).  These ids are stable for a given
@@ -73,7 +74,12 @@ def assign_node_ids(plan) -> Dict[int, str]:
 
 @dataclass
 class FixIterationProfile:
-    """One semi-naive round of a ``Fix`` node.
+    """One semi-naive round of a ``Fix`` node — the round's one record.
+
+    :func:`repro.engine.fixpoint.run_fixpoint` builds it once per round
+    (one clock read) and hands the same object to the Fix node's
+    :class:`NodeProfile` and to the live progress handle
+    (:meth:`repro.obs.progress.QueryProgress.record_fix_iteration`).
 
     When the round ran as a distributed scatter-gather exchange
     (:mod:`repro.dist`), the optional fields record the shard fan-out
@@ -283,40 +289,6 @@ class PlanProfiler:
             profile.next_calls += 1
             profile.tuples_out += len(batch)
             yield batch
-
-    def fix_iteration(
-        self,
-        node,
-        iteration: int,
-        new_tuples: int,
-        seconds: float,
-        shards: Optional[int] = None,
-        exchange_tuples: Optional[int] = None,
-        exchange_bytes: Optional[int] = None,
-        exchange_frames: Optional[int] = None,
-        skew: Optional[float] = None,
-        barrier_wait_s: Optional[float] = None,
-        per_shard: Optional[Dict[int, int]] = None,
-    ) -> None:
-        """Record one semi-naive round of a ``Fix`` node; distributed
-        rounds also pass their shard width, exchange volume, observed
-        skew, barrier wait and per-shard production."""
-        profile = self.profile_for(node)
-        if profile is not None:
-            profile.record_fix_iteration(
-                FixIterationProfile(
-                    iteration,
-                    new_tuples,
-                    seconds,
-                    shards=shards,
-                    exchange_tuples=exchange_tuples,
-                    exchange_bytes=exchange_bytes,
-                    exchange_frames=exchange_frames,
-                    skew=skew,
-                    barrier_wait_s=barrier_wait_s,
-                    per_shard=per_shard,
-                )
-            )
 
     # -- reporting -----------------------------------------------------------
 

@@ -5,15 +5,17 @@ finished.  A long recursive query on a sharded store deserves a live
 view: which semi-naive round it is on, how fast the frontier is
 shrinking, which shard is the straggler.  This module provides the
 plumbing: the engine exposes a ``progress`` attribute (``None`` by
-default, zero hot-path cost) that both fixpoint drivers call once per
-round; the service points it at a :class:`QueryProgress` handle minted
-from the shared :class:`ProgressTracker`, whose :meth:`snapshot` the
-``progress`` service op serializes for ``repro top``.
+default, zero hot-path cost) that the semi-naive loop hands each
+round's :class:`~repro.obs.profile.FixIterationProfile` — the record
+the profiler keeps too; the service points it at a
+:class:`QueryProgress` handle minted from the shared
+:class:`ProgressTracker`, whose :meth:`snapshot` the ``progress``
+service op serializes for ``repro top``.
 
-Thread safety: ``round_update`` is called from the coordinating thread
-of one query while ``snapshot`` is called from service threads; both
-sides take the tracker/handle lock, and each round record is an
-immutable dict once appended.
+Thread safety: ``record_fix_iteration`` is called from the
+coordinating thread of one query while ``snapshot`` is called from
+service threads; both sides take the tracker/handle lock, and each
+round record is an immutable dict once appended.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ import threading
 import time
 from collections import deque
 from typing import Callable, Dict, List, Optional
+
+from repro.obs.profile import FixIterationProfile
 
 __all__ = ["QueryProgress", "ProgressTracker", "ROUND_RING_SIZE"]
 
@@ -33,11 +37,11 @@ ROUND_RING_SIZE = 32
 class QueryProgress:
     """Live per-round state of one running query.
 
-    The fixpoint drivers call :meth:`round_update` once per completed
-    round; ``repro top`` reads :meth:`snapshot`.  Serial rounds pass
-    ``fix``/``round_index``/``delta``/``seconds``; distributed rounds
-    additionally pass ``delta_by_shard``, ``skew``, ``exchange_tuples``,
-    ``exchange_bytes`` and ``barrier_wait_s``.
+    The semi-naive loop calls :meth:`record_fix_iteration` once per
+    completed round; ``repro top`` reads :meth:`snapshot`.  Sharded
+    rounds' records also carry the per-shard delta, skew, exchange
+    volume and barrier wait.  ``on_round(entry, shards)`` sees every
+    record with this query's shard width.
     """
 
     def __init__(
@@ -45,7 +49,7 @@ class QueryProgress:
         request_id: str,
         query: str = "",
         shards: int = 1,
-        on_round: Optional[Callable[[dict], None]] = None,
+        on_round: Optional[Callable[[FixIterationProfile, int], None]] = None,
     ) -> None:
         self.request_id = request_id
         self.query = query
@@ -58,49 +62,41 @@ class QueryProgress:
         self._on_round = on_round
         self.finished: Optional[float] = None
 
-    def round_update(
-        self,
-        fix: str,
-        round_index: int,
-        delta: int,
-        seconds: float,
-        delta_by_shard: Optional[Dict[int, int]] = None,
-        skew: Optional[float] = None,
-        exchange_tuples: Optional[int] = None,
-        exchange_bytes: Optional[int] = None,
-        barrier_wait_s: Optional[float] = None,
-    ) -> None:
+    def record_fix_iteration(self, fix: str, entry: FixIterationProfile) -> None:
+        """Append one round record of the ``fix`` loop (the object the
+        profiler also keeps) as the ``progress`` payload's round dict."""
+        seconds = entry.seconds
         record: Dict[str, object] = {
             "fix": fix,
-            "round": round_index,
-            "delta": delta,
+            "round": entry.iteration,
+            "delta": entry.new_tuples,
             "ms": round(seconds * 1000, 3),
         }
-        if delta_by_shard is not None:
+        if entry.per_shard is not None:
             record["delta_by_shard"] = {
                 str(shard): count
-                for shard, count in sorted(delta_by_shard.items())
+                for shard, count in sorted(entry.per_shard.items())
             }
-        if skew is not None:
-            record["skew"] = round(skew, 4)
-        if exchange_tuples is not None:
-            record["exchange_tuples"] = exchange_tuples
+        if entry.skew is not None:
+            record["skew"] = round(entry.skew, 4)
+        if entry.exchange_tuples is not None:
+            record["exchange_tuples"] = entry.exchange_tuples
             # Exchange throughput: wire tuples over the round's wall
             # time (tuples/s, 0 when the round was too fast to time).
             if seconds > 0:
                 record["exchange_tuples_per_s"] = round(
-                    exchange_tuples / seconds, 1
+                    entry.exchange_tuples / seconds, 1
                 )
-        if exchange_bytes is not None:
-            record["exchange_bytes"] = exchange_bytes
-        if barrier_wait_s is not None:
-            record["barrier_wait_ms"] = round(barrier_wait_s * 1000, 3)
+        if entry.exchange_bytes is not None:
+            record["exchange_bytes"] = entry.exchange_bytes
+        if entry.barrier_wait_s is not None:
+            record["barrier_wait_ms"] = round(entry.barrier_wait_s * 1000, 3)
         with self._lock:
             self._rounds.append(record)
             self._round_count += 1
-            self._total_delta += max(0, delta)
+            self._total_delta += max(0, entry.new_tuples)
         if self._on_round is not None:
-            self._on_round(dict(record, shards=self.shards))
+            self._on_round(entry, self.shards)
 
     def snapshot(self) -> dict:
         """A JSON-safe view of the query's live state."""
@@ -130,7 +126,7 @@ class ProgressTracker:
     threads; ``begin`` mints a handle, ``finish`` retires it."""
 
     def __init__(
-        self, on_round: Optional[Callable[[dict], None]] = None
+        self, on_round: Optional[Callable[[FixIterationProfile, int], None]] = None
     ) -> None:
         self._lock = threading.Lock()
         self._active: Dict[str, QueryProgress] = {}

@@ -1,4 +1,4 @@
-"""Sampling decisions and tail-committable observability buffers.
+"""Sampling decisions for the overhead governor.
 
 The overhead governor (:mod:`repro.obs.governor`) answers *whether* a
 request gets detailed observability; this module holds the vocabulary it
@@ -15,27 +15,17 @@ answers in:
     Deterministic head sampling.  Every ``round(1/p)``-th call per key
     is admitted — no RNG, so replays and tests are exactly reproducible
     and the admitted fraction converges to ``p`` without variance.
-
-:class:`BufferedRun`
-    The tail-sampling buffer for one execution: a capped
-    :class:`~repro.obs.trace.Tracer` and a
-    :class:`~repro.obs.profile.PlanProfiler` record during the run, and
-    at completion the service either *commits* the artifacts (the run
-    turned out slow, misestimated, or anomalous — they go to the slow
-    log / flight recorder) or *drops* them (the common fast case; the
-    buffers are simply garbage-collected).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 __all__ = [
     "SamplingDecision",
     "StrideSampler",
     "stride_for",
-    "BufferedRun",
     "FULL_DETAIL",
 ]
 
@@ -105,38 +95,3 @@ class StrideSampler:
 
     def forget(self, key: str) -> None:
         self._counters.pop(key, None)
-
-
-class BufferedRun:
-    """Buffered (tail-committable) observability for one execution.
-
-    The tracer and profiler record during the run exactly as in
-    always-on mode — but nothing downstream (slow log, flight recorder,
-    telemetry artifacts) sees them until :meth:`commit`.  A
-    :meth:`drop` simply abandons the buffers.  The commit/drop call is
-    made by the service *after* execution, when latency, misestimate
-    and anomaly verdicts are known — that is what makes the sampling
-    "tail-based".
-    """
-
-    __slots__ = ("decision", "tracer", "profiler", "committed", "commit_reason")
-
-    def __init__(
-        self,
-        decision: SamplingDecision,
-        tracer: Optional[Any] = None,
-        profiler: Optional[Any] = None,
-    ) -> None:
-        self.decision = decision
-        self.tracer = tracer
-        self.profiler = profiler
-        #: None while undecided; True/False after commit()/drop().
-        self.committed: Optional[bool] = None
-        self.commit_reason: Optional[str] = None
-
-    def commit(self, reason: str) -> None:
-        self.committed = True
-        self.commit_reason = reason
-
-    def drop(self) -> None:
-        self.committed = False

@@ -54,12 +54,6 @@ class EntityStatistics:
         non_null_fraction = self.non_null.get(attribute, 0) / self.instances
         return non_null_fraction / distinct
 
-    def range_selectivity(self, attribute: str) -> float:
-        """Default selectivity of an inequality predicate (System R's 1/3)."""
-        if self.instances == 0:
-            return 1.0
-        return 1.0 / 3.0
-
     def value_selectivity(self, attribute: str, value: object) -> Optional[float]:
         """Fraction of *extent* records with ``attribute = value``
         (None when frequencies were not trackable)."""

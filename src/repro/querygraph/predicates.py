@@ -286,9 +286,6 @@ class Comparison(Predicate):
             self.op, self.left.substitute(mapping), self.right.substitute(mapping)
         )
 
-    def is_equality(self) -> bool:
-        return self.op == "="
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Comparison)

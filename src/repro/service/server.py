@@ -60,7 +60,7 @@ from repro.obs.feedback import (
 from repro.obs.governor import GovernorConfig, ObservabilityGovernor
 from repro.obs.history import q_error, query_class
 from repro.obs.log import get_logger
-from repro.obs.profile import PlanProfiler
+from repro.obs.profile import FixIterationProfile, PlanProfiler
 from repro.obs.progress import ProgressTracker
 from repro.obs.recorder import FlightRecorder, build_bundle
 from repro.obs.sampler import FULL_DETAIL, SamplingDecision
@@ -80,6 +80,12 @@ __all__ = ["ServiceConfig", "QueryService", "QueryServer", "MetricsServer"]
 #: ``repro.obs.log.configure_logging``); records carry request ids and
 #: query classes as fields, not formatted into the message.
 _LOG = get_logger("service")
+
+#: Span cap for the per-request buffered tracer.  Tail sampling buffers
+#: spans in memory until the query completes, so the buffer must be
+#: bounded or a runaway fixpoint would trade the overhead budget for
+#: memory instead.
+TRACE_MAX_SPANS = 4096
 
 
 @dataclass
@@ -107,7 +113,6 @@ class ServiceConfig:
     #: ``max_concurrent``) — a distributed query occupies N workers'
     #: worth of machine.
     shards: int = 1
-    metrics_window: int = 256
     max_rows: Optional[int] = None
     #: A query slower than this (seconds) enters the slow-query log;
     #: ``None`` disables latency-based logging.
@@ -125,8 +130,6 @@ class ServiceConfig:
     feedback_enabled: bool = True
     #: Per-plan telemetry ring size.
     history_window: int = 128
-    #: Bound on the number of tracked plan fingerprints.
-    history_max_plans: int = 256
     #: JSONL file telemetry persists to (and is reloaded from on
     #: startup); ``None`` keeps history in memory only.
     history_path: Optional[str] = None
@@ -148,23 +151,12 @@ class ServiceConfig:
     #: ``profile_sample_every`` path decides profiling instead, and
     #: responses carry no ``obs`` echo (pre-governor payload shape).
     obs_budget: Optional[float] = None
-    #: Span cap for the per-request buffered tracer.  Tail sampling
-    #: buffers spans in memory until the query completes, so the
-    #: buffer must be bounded or a runaway fixpoint would trade the
-    #: overhead budget for memory instead.
-    trace_max_spans: int = 4096
-    #: Robust z-score above which a per-class metric is anomalous.
-    anomaly_threshold: float = 4.0
     #: Baseline samples required before a class can raise anomalies.
     anomaly_min_samples: int = 8
     #: Directory flight-recorder bundles are written to; ``None``
     #: keeps the most recent bundles in memory for the ``diagnose``
     #: op only.
     bundle_dir: Optional[str] = None
-    #: Total and per-query-class caps on recorded bundles (an anomaly
-    #: storm must not fill the disk or drown out other classes).
-    bundle_limit: int = 64
-    bundle_per_class: int = 4
     #: Size cap in bytes for the telemetry JSONL sink; on overflow the
     #: file is compacted oldest-first.  ``None`` leaves it unbounded.
     history_max_bytes: Optional[int] = None
@@ -252,13 +244,12 @@ class QueryService:
                 max_timeout=self.config.max_timeout,
             )
         )
-        self.metrics = ServiceMetrics(window=self.config.metrics_window)
+        self.metrics = ServiceMetrics()
         self.feedback: Optional[FeedbackManager] = None
         if self.config.feedback_enabled:
             self.feedback = FeedbackManager(
                 FeedbackConfig(
                     history_window=self.config.history_window,
-                    max_plans=self.config.history_max_plans,
                     persist_path=self.config.history_path,
                     regression_ratio=self.config.regression_ratio,
                     regression_min_runs=self.config.regression_min_runs,
@@ -278,18 +269,11 @@ class QueryService:
                 GovernorConfig(budget=self.config.obs_budget)
             )
             self.anomalies = AnomalyDetector(
-                AnomalyConfig(
-                    threshold=self.config.anomaly_threshold,
-                    min_samples=self.config.anomaly_min_samples,
-                )
+                AnomalyConfig(min_samples=self.config.anomaly_min_samples)
             )
         #: Flight recorder: always constructed (memory-only without a
         #: bundle directory) so the ``diagnose`` op works everywhere.
-        self.recorder = FlightRecorder(
-            directory=self.config.bundle_dir,
-            max_bundles=self.config.bundle_limit,
-            per_class=self.config.bundle_per_class,
-        )
+        self.recorder = FlightRecorder(directory=self.config.bundle_dir)
         #: Built-in unit costs at the service's batch size and fan-out
         #: (pool capacity and page size come from the store).
         self._base_params = CostParameters(
@@ -323,19 +307,17 @@ class QueryService:
         self.progress = ProgressTracker(on_round=self._observe_round)
         self.started_at = time.time()
 
-    def _observe_round(self, record: dict) -> None:
-        """Progress-tracker callback: fold one fixpoint round into the
-        service metrics (histogram + gauges)."""
-        seconds = float(record.get("ms", 0.0)) / 1000.0
-        barrier_ms = record.get("barrier_wait_ms")
+    def _observe_round(self, entry: FixIterationProfile, shards: int) -> None:
+        """Progress-tracker callback: fold one fixpoint round record
+        into the service metrics (histogram + gauges)."""
         barrier_fraction = None
-        if barrier_ms is not None and seconds > 0:
-            barrier_fraction = (float(barrier_ms) / 1000.0) / seconds
+        if entry.barrier_wait_s is not None and entry.seconds > 0:
+            barrier_fraction = entry.barrier_wait_s / entry.seconds
         self.metrics.observe_round(
-            seconds,
+            entry.seconds,
             barrier_fraction=barrier_fraction,
-            skew=record.get("skew"),
-            shards=int(record.get("shards", 1)),
+            skew=entry.skew,
+            shards=shards,
         )
 
     def _next_request_id(self) -> str:
@@ -573,7 +555,7 @@ class QueryService:
                 # only known once the query has run.
                 profiler = PlanProfiler()
                 tracer = Tracer(
-                    trace_id=request_id, max_spans=self.config.trace_max_spans
+                    trace_id=request_id, max_spans=TRACE_MAX_SPANS
                 )
         elif sample and self.feedback is not None and self.feedback.should_profile():
             profiler = PlanProfiler()
@@ -1066,7 +1048,7 @@ class QueryService:
         anomaly would."""
         request_id = self._next_request_id()
         width = max(1, shards or self.config.shards)
-        tracer = Tracer(trace_id=request_id, max_spans=self.config.trace_max_spans)
+        tracer = Tracer(trace_id=request_id, max_spans=TRACE_MAX_SPANS)
         planned = self._plan(text, params, width=width, fresh=True, tracer=tracer)
         run = self._execute(
             planned,

@@ -19,6 +19,7 @@ from repro.engine import Engine
 from repro.obs import (
     FeedbackConfig,
     FeedbackManager,
+    FixIterationProfile,
     PlanProfiler,
     ProgressTracker,
     Tracer,
@@ -340,20 +341,24 @@ def test_runtime_metrics_observed_skew_and_merge():
 
 def test_progress_tracker_rounds_and_snapshot():
     observed = []
-    tracker = ProgressTracker(on_round=observed.append)
+    tracker = ProgressTracker(
+        on_round=lambda entry, shards: observed.append((entry, shards))
+    )
     handle = tracker.begin("req1", query="select ...", shards=2)
-    handle.round_update(
-        fix="Influencer",
-        round_index=0,
-        delta=40,
-        seconds=0.01,
-        delta_by_shard={0: 30, 1: 10},
-        skew=1.5,
+    first_round = FixIterationProfile(
+        0,
+        40,
+        0.01,
+        shards=2,
         exchange_tuples=40,
         exchange_bytes=2000,
+        exchange_frames=2,
+        skew=1.5,
         barrier_wait_s=0.004,
+        per_shard={0: 30, 1: 10},
     )
-    handle.round_update(fix="Influencer", round_index=1, delta=5, seconds=0.002)
+    handle.record_fix_iteration("Influencer", first_round)
+    handle.record_fix_iteration("Influencer", FixIterationProfile(1, 5, 0.002))
     snapshot = tracker.snapshot()
     assert len(snapshot["active"]) == 1
     live = snapshot["active"][0]
@@ -366,9 +371,11 @@ def test_progress_tracker_rounds_and_snapshot():
     assert first["exchange_tuples_per_s"] == 4000.0
     assert first["barrier_wait_ms"] == 4.0
     assert live["last_round"]["round"] == 1
-    # The per-round callback saw both rounds, annotated with the width.
+    # The per-round callback saw both round records — the very objects
+    # handed in — with the query's width.
     assert len(observed) == 2
-    assert all(record["shards"] == 2 for record in observed)
+    assert observed[0][0] is first_round
+    assert all(shards == 2 for _, shards in observed)
     tracker.finish(handle)
     snapshot = tracker.snapshot()
     assert snapshot["active"] == []
@@ -381,7 +388,7 @@ def test_progress_ring_is_bounded():
     tracker = ProgressTracker()
     handle = tracker.begin("req2")
     for index in range(ROUND_RING_SIZE + 10):
-        handle.round_update(fix="f", round_index=index, delta=1, seconds=0.0)
+        handle.record_fix_iteration("f", FixIterationProfile(index, 1, 0.0))
     snapshot = handle.snapshot()
     assert snapshot["rounds"] == ROUND_RING_SIZE + 10
     assert snapshot["total_delta"] == ROUND_RING_SIZE + 10

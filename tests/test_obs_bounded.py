@@ -67,8 +67,8 @@ class TestProgressRing:
     def test_round_ring_is_bounded(self):
         progress = QueryProgress("req-1", query="fix hammer")
         for index in range(ROUNDS):
-            progress.round_update(
-                fix="Influencer", round_index=index, delta=3, seconds=0.0001
+            progress.record_fix_iteration(
+                "Influencer", FixIterationProfile(index, 3, 0.0001)
             )
         snap = progress.snapshot()
         assert len(snap["recent_rounds"]) == ROUND_RING_SIZE
