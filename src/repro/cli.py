@@ -26,25 +26,22 @@ Subcommands:
 
 The database is synthetic and parameterized from the command line
 (``--db music`` or ``--db parts``); queries are written in the OQL-like
-language of :mod:`repro.lang`.
+language of :mod:`repro.lang`.  ``run``, ``explain``, ``trace`` and
+``demo`` plan and execute through the ``plan`` and ``execute`` stages
+of one in-process :class:`~repro.service.QueryService`, so a printed
+estimate is priced for the batch size and fan-out the plan runs at.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import closing
 from typing import List, Optional
 
-from repro.core import STRATEGY_NAMES, Optimizer, OptimizerConfig
-from repro.core.baselines import (
-    cost_controlled_optimizer,
-    deductive_optimizer,
-    naive_optimizer,
-)
-from repro.cost import DetailedCostModel, SimplifiedCostModel
-from repro.engine import Engine
-from repro.errors import ReproError
-from repro.lang import compile_text
+from repro.core import STRATEGY_NAMES
+from repro.cost import SimplifiedCostModel
+from repro.errors import ReproError, ServiceError
 from repro.plans import render_tree
 
 __all__ = ["main", "build_parser"]
@@ -74,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, policy=True):
         p.add_argument(
             "--db",
             choices=["music", "parts"],
@@ -91,12 +88,13 @@ def build_parser() -> argparse.ArgumentParser:
             help="fraction of works using the selective instrument",
         )
         p.add_argument("--buffer-pages", type=int, default=64)
-        p.add_argument(
-            "--policy",
-            choices=["cost", "always", "never"],
-            default="cost",
-            help="push-through-recursion policy",
-        )
+        if policy:
+            p.add_argument(
+                "--policy",
+                choices=["cost", "always", "never"],
+                default="cost",
+                help="push-through-recursion policy",
+            )
         p.add_argument(
             "--strategy",
             choices=list(STRATEGY_NAMES),
@@ -106,8 +104,19 @@ def build_parser() -> argparse.ArgumentParser:
             "exact enumeration",
         )
 
+    def add_query(p):
+        p.add_argument("query_file")
+        p.add_argument(
+            "--shards",
+            type=int,
+            default=1,
+            help="price and execute the plan at this shard fan-out, "
+            "fixpoints running as distributed scatter-gather rounds "
+            "(1 = single process)",
+        )
+
     run_parser = sub.add_parser("run", help="optimize and execute a query")
-    run_parser.add_argument("query_file")
+    add_query(run_parser)
     run_parser.add_argument(
         "--limit", type=int, default=20, help="max rows to print"
     )
@@ -118,17 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="bindings per batch exchanged between operators "
         "(default: REPRO_BATCH_SIZE or 256; 1 = tuple-at-a-time)",
     )
-    run_parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="shard the store across N workers and run fixpoints as "
-        "distributed scatter-gather rounds (1 = single process)",
-    )
     add_common(run_parser)
 
     explain_parser = sub.add_parser("explain", help="optimize only")
-    explain_parser.add_argument("query_file")
+    add_query(explain_parser)
     explain_parser.add_argument(
         "--simplified",
         action="store_true",
@@ -146,14 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="also write the explain tree as JSON ('-' for stdout)",
     )
-    explain_parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="cost and (with --analyze) execute the plan at this shard "
-        "fan-out; sharded Fix nodes then carry distributed est-vs-act "
-        "rows (network/disk/skew)",
-    )
     add_common(explain_parser)
 
     trace_parser = sub.add_parser(
@@ -161,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="optimize and execute under the span tracer, writing the "
         "trace to a file",
     )
-    trace_parser.add_argument("query_file")
+    add_query(trace_parser)
     trace_parser.add_argument(
         "-o",
         "--output",
@@ -178,13 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-execute",
         action="store_true",
         help="trace optimization only, skip plan execution",
-    )
-    trace_parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="execute the plan distributed across N shards; the Chrome "
-        "trace then carries one lane per shard plus a coordinator lane",
     )
     add_common(trace_parser)
 
@@ -328,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="size cap for the telemetry JSONL file; the oldest "
         "observations are compacted away on overflow",
     )
-    add_common(serve_parser)
+    add_common(serve_parser, policy=False)
 
     def add_client(p):
         p.add_argument("--host", default="127.0.0.1")
@@ -461,25 +448,35 @@ def _build_database(args):
     return database_from_config(_database_config(args))
 
 
-def _optimizer(args, physical):
-    if args.policy == "always":
-        return deductive_optimizer(physical)
-    if args.policy == "never":
-        return naive_optimizer(physical)
-    model = None
-    shards = max(1, getattr(args, "shards", 1))
-    if shards > 1:
-        from repro.cost import CostParameters
+def _service_config(args, **knobs):
+    """The :class:`~repro.service.ServiceConfig` of the CLI's database,
+    strategy, batch-size and shard flags plus ``knobs``; a knob out of
+    range is a one-line error, not a traceback."""
+    from repro.service import ServiceConfig
 
-        params = CostParameters()
-        params.shards = shards
-        model = DetailedCostModel(physical, params)
-    strategy = getattr(args, "strategy", "ii") or "ii"
-    if strategy != "ii":
-        return Optimizer(
-            physical, model, OptimizerConfig(strategy=strategy)
+    try:
+        return ServiceConfig(
+            batch_size=getattr(args, "batch_size", None),
+            shards=getattr(args, "shards", 1),
+            strategy=args.strategy if args.strategy != "ii" else None,
+            database_config=_database_config(args),
+            **knobs,
         )
-    return cost_controlled_optimizer(physical, model)
+    except ValueError as error:
+        raise ServiceError(str(error)) from None
+
+
+def _service(args):
+    """One in-process query service over the CLI's database: ``run``,
+    ``explain`` and ``trace`` go through its ``plan`` and ``execute``
+    stages, so their plans are priced by the service's model at the
+    batch size and fan-out they execute at.  One slot per shard, so
+    admission grants the width asked for."""
+    from repro.service import QueryService
+
+    shards = getattr(args, "shards", 1)
+    config = _service_config(args, max_concurrent=shards, feedback_enabled=False)
+    return QueryService(_build_database(args), config)
 
 
 def _read_query(args) -> str:
@@ -487,59 +484,38 @@ def _read_query(args) -> str:
         return handle.read()
 
 
-def _print_strategy_stats(result, out) -> None:
-    stats = result.strategy_stats
-    if not stats:
-        return
-    print(
-        "enumeration: {subplans_memoized} subplans memoized, "
-        "{memo_hits} memo hits, {pruned_branches} branches pruned, "
-        "{candidates_costed} candidates costed".format(**stats),
-        file=out,
-    )
-
-
-def _optimize(args, text: str, out):
-    db = _build_database(args)
-    graph = compile_text(text, db.catalog)
-    result = _optimizer(args, db.physical).optimize(graph)
-    print("=== plan ===", file=out)
-    print(render_tree(result.plan), file=out)
+def _print_plan(title: str, tree: str, planned, out) -> None:
+    """The chosen plan and the optimizer's decision (shared by ``run``
+    and ``explain``)."""
+    result = planned.result
+    print(title, file=out)
+    print(tree, file=out)
     print(file=out)
-    print(f"estimated cost : {result.cost:.1f}", file=out)
-    print(f"plans costed   : {result.plans_costed}", file=out)
+    print(f"estimated cost : {planned.estimated:.1f}", file=out)
+    print(f"plans costed   : {planned.plans_costed}", file=out)
     print(f"pushed through recursion: {result.chose_push()}", file=out)
     if result.candidates:
         print("candidates:", file=out)
         for description, cost in result.candidates:
             print(f"  {cost:10.1f}  {description}", file=out)
-    _print_strategy_stats(result, out)
-    return db, result
+    if result.strategy_stats:
+        print(
+            "enumeration: {subplans_memoized} subplans memoized, "
+            "{memo_hits} memo hits, {pruned_branches} branches pruned, "
+            "{candidates_costed} candidates costed".format(
+                **result.strategy_stats
+            ),
+            file=out,
+        )
 
 
 def cmd_run(args, out) -> int:
-    import time
-
-    db, result = _optimize(args, _read_query(args), out)
-    shards = max(1, getattr(args, "shards", 1))
-    cluster = None
-    if shards > 1:
-        from repro.dist import ShardCluster
-
-        cluster = ShardCluster(db.physical, shards)
-    engine = Engine(
-        db.physical,
-        batch_size=getattr(args, "batch_size", None),
-        shards=shards,
-        cluster=cluster,
-    )
-    started = time.perf_counter()
-    try:
-        execution = engine.execute(result.plan)
-    finally:
-        if cluster is not None:
-            cluster.close()
-    elapsed = time.perf_counter() - started
+    text = _read_query(args)
+    with closing(_service(args)) as service:
+        planned = service.plan(text, fresh=True, policy=args.policy)
+        _print_plan("=== plan ===", render_tree(planned.plan), planned, out)
+        run = service.execute(planned)
+    execution, elapsed = run.execution, run.seconds
     print(file=out)
     print(f"=== {len(execution.rows)} rows ===", file=out)
     for row in execution.rows[: args.limit]:
@@ -564,8 +540,8 @@ def cmd_run(args, out) -> int:
     )
     print(
         f"throughput: {rows_per_sec:,.0f} rows/sec "
-        f"({elapsed * 1000:.1f} ms execute, batch size {engine.batch_size}, "
-        f"effective {effective:.1f})",
+        f"({elapsed * 1000:.1f} ms execute, "
+        f"batch size {run.engine.batch_size}, effective {effective:.1f})",
         file=out,
     )
     if metrics.shards_used:
@@ -588,41 +564,17 @@ def cmd_explain(args, out) -> int:
 
     from repro.obs import PlanProfiler, build_explain, render_explain
 
-    db = _build_database(args)
-    graph = compile_text(_read_query(args), db.catalog)
-    optimizer = _optimizer(args, db.physical)
-    result = optimizer.optimize(graph)
-    model = optimizer.cost_model
-    shards = max(1, getattr(args, "shards", 1))
-    profiler = None
-    execution = None
-    if args.analyze:
-        profiler = PlanProfiler()
-        cluster = None
-        if shards > 1:
-            from repro.dist import ShardCluster
-
-            cluster = ShardCluster(db.physical, shards)
-        try:
-            execution = Engine(
-                db.physical, shards=shards, cluster=cluster
-            ).execute(result.plan, profiler=profiler)
-        finally:
-            if cluster is not None:
-                cluster.close()
-    tree = build_explain(result.plan, model, profiler)
+    text = _read_query(args)
+    with closing(_service(args)) as service:
+        planned = service.plan(text, fresh=True, policy=args.policy)
+        profiler = execution = None
+        if args.analyze:
+            profiler = PlanProfiler()
+            execution = service.execute(planned, profiler=profiler).execution
+    model = planned.cost_model
+    tree = build_explain(planned.plan, model, profiler)
     title = "=== plan (EXPLAIN ANALYZE) ===" if args.analyze else "=== plan ==="
-    print(title, file=out)
-    print(render_explain(tree), file=out)
-    print(file=out)
-    print(f"estimated cost : {result.cost:.1f}", file=out)
-    print(f"plans costed   : {result.plans_costed}", file=out)
-    print(f"pushed through recursion: {result.chose_push()}", file=out)
-    if result.candidates:
-        print("candidates:", file=out)
-        for description, cost in result.candidates:
-            print(f"  {cost:10.1f}  {description}", file=out)
-    _print_strategy_stats(result, out)
+    _print_plan(title, render_explain(tree), planned, out)
     if execution is not None:
         metrics = execution.metrics
         print(file=out)
@@ -644,7 +596,7 @@ def cmd_explain(args, out) -> int:
                 f"barrier wait {metrics.barrier_wait_seconds * 1000:.1f}ms",
                 file=out,
             )
-    report = model.report(result.plan)
+    report = model.report(planned.plan)
     print(file=out)
     print("=== cost breakdown (detailed model) ===", file=out)
     print(
@@ -654,8 +606,8 @@ def cmd_explain(args, out) -> int:
     if args.simplified:
         print(file=out)
         print("=== simplified model (Section 4.6) ===", file=out)
-        simplified = SimplifiedCostModel(db.physical)
-        for row in simplified.table(result.plan, symbolic=True):
+        simplified = SimplifiedCostModel(service.physical)
+        for row in simplified.table(planned.plan, symbolic=True):
             print(f"  {row.label:>4} [{row.section:>8}] {row.formula!r}", file=out)
     if args.json:
         payload = json.dumps(tree.to_dict(), indent=2)
@@ -673,30 +625,15 @@ def cmd_trace(args, out) -> int:
 
     from repro.obs import PlanProfiler, Tracer
 
-    db = _build_database(args)
-    graph = compile_text(_read_query(args), db.catalog)
-    optimizer = _optimizer(args, db.physical)
-    shards = max(1, getattr(args, "shards", 1))
-    tracer = Tracer(trace_id="cli" if shards > 1 else None)
-    with tracer.span("optimize"):
-        result = optimizer.optimize(graph, tracer=tracer)
-    profiler = None
-    if not args.no_execute:
-        profiler = PlanProfiler()
-        cluster = None
-        if shards > 1:
-            from repro.dist import ShardCluster
-
-            cluster = ShardCluster(db.physical, shards)
-        engine = Engine(db.physical, shards=shards, cluster=cluster)
-        engine.tracer = tracer
-        try:
-            with tracer.span("execute"):
-                execution = engine.execute(result.plan, profiler=profiler)
-        finally:
-            if cluster is not None:
-                cluster.close()
-        print(f"{len(execution.rows)} rows", file=out)
+    text = _read_query(args)
+    with closing(_service(args)) as service:
+        tracer = Tracer(trace_id="cli" if service.config.shards > 1 else None)
+        planned = service.plan(text, fresh=True, tracer=tracer, policy=args.policy)
+        profiler = None
+        if not args.no_execute:
+            profiler = PlanProfiler()
+            run = service.execute(planned, profiler=profiler, tracer=tracer)
+            print(f"{len(run.execution.rows)} rows", file=out)
     if args.format == "chrome":
         payload = tracer.to_chrome_trace()
     else:
@@ -728,41 +665,30 @@ def cmd_serve(args, out, server_box=None) -> int:
     is appended to it so the caller can reach the bound ports and stop
     the servers."""
     from repro.obs.log import configure_logging
-    from repro.service import (
-        MetricsServer,
-        QueryServer,
-        QueryService,
-        ServiceConfig,
-    )
+    from repro.service import MetricsServer, QueryServer, QueryService
 
-    configure_logging(args.log_format)
-    db = _build_database(args)
-    service = QueryService(
-        db,
-        ServiceConfig(
-            cache_capacity=args.cache_size,
-            drift_ratio=args.drift_ratio,
-            cost_budget=args.budget,
-            default_timeout=args.timeout,
-            max_concurrent=args.max_concurrent,
-            batch_size=args.batch_size,
-            shards=max(1, args.shards),
-            strategy=args.strategy if args.strategy != "ii" else None,
-            slow_query_seconds=(
-                args.slow_query_ms / 1000.0 if args.slow_query_ms else None
-            ),
-            misestimate_ratio=args.misestimate_ratio or None,
-            feedback_enabled=not args.no_feedback,
-            history_path=args.history_file,
-            regression_ratio=args.regression_ratio,
-            profile_sample_every=args.profile_sample_every,
-            auto_pin=args.auto_pin,
-            obs_budget=args.obs_budget or None,
-            bundle_dir=args.bundle_dir,
-            history_max_bytes=args.history_max_bytes,
-            database_config=_database_config(args),
+    config = _service_config(
+        args,
+        cache_capacity=args.cache_size,
+        drift_ratio=args.drift_ratio,
+        cost_budget=args.budget,
+        default_timeout=args.timeout,
+        max_concurrent=args.max_concurrent,
+        slow_query_seconds=(
+            args.slow_query_ms / 1000.0 if args.slow_query_ms else None
         ),
+        misestimate_ratio=args.misestimate_ratio or None,
+        feedback_enabled=not args.no_feedback,
+        history_path=args.history_file,
+        regression_ratio=args.regression_ratio,
+        profile_sample_every=args.profile_sample_every,
+        auto_pin=args.auto_pin,
+        obs_budget=args.obs_budget or None,
+        bundle_dir=args.bundle_dir,
+        history_max_bytes=args.history_max_bytes,
     )
+    configure_logging(args.log_format)
+    service = QueryService(_build_database(args), config)
     server = QueryServer(
         service, host=args.host, port=args.port, max_workers=args.workers
     )

@@ -79,7 +79,7 @@ class CalibratedWeights:
 
     def cost_of(self, metrics: RuntimeMetrics) -> float:
         """Cost of a measured run under the fitted weights."""
-        events = _events_of(metrics)
+        events = events_of(metrics)
         # Weights fitted before an event existed price it at zero.
         return sum(
             self.weights.get(name, 0.0) * value
@@ -135,10 +135,6 @@ def events_of(metrics: RuntimeMetrics) -> Dict[str, float]:
     }
 
 
-#: Backward-compatible alias (pre-feedback-loop internal name).
-_events_of = events_of
-
-
 def collect_probes(
     physical: PhysicalSchema,
     plans: Sequence[Tuple[str, PlanNode]],
@@ -163,7 +159,7 @@ def collect_probes(
         probes.append(
             ProbeResult(
                 label,
-                _events_of(result.metrics),
+                events_of(result.metrics),
                 target_fn(result.metrics),
             )
         )

@@ -1,63 +1,45 @@
-"""Shard-aware cost terms: network, disk and skew.
+"""Shard-aware cost terms of the distributed-Fix variant: network and
+skew.
 
 Follows the decomposition of the mongodb-d4 cost model —
 ``cost = alpha * networkCost + beta * diskCost + gamma * skewCost`` —
 mapped onto this model's units: the network term charges
 ``network_per_tuple`` per exchanged tuple plus ``network_per_round``
-per shard per exchange (frame latency), the disk term is the ordinary
-page-read cost divided across the shards that actually scan, and the
-skew term is a multiplier — the *most loaded* shard gates a barrier
-round, so a round's wall cost is its mean per-shard cost times
-``max/mean`` partition imbalance.
+per shard per exchange (frame latency), the disk term is a round's
+serial page-read cost divided across the shards that work on its
+delta, and the skew term is a multiplier — the *most loaded* shard
+gates a barrier round, so a round's wall cost is its mean per-shard
+cost times the configured ``shard_skew``.
 
-Two join strategies are costed for a partitioned probe side:
+Each semi-naive round of a sharded Fix is priced two ways
+(:func:`choose_round_strategy`) and the cheaper is taken:
 
-* **shard-local** — tuples are already placed where their join
-  partners live (the build side is replicated or co-hashed), so no
-  tuples move; the round pays the observed (or assumed) skew.
-* **repartition** — every probe tuple is re-hashed across the wire
-  first; the exchange is paid once per tuple, after which the load is
-  balanced (skew 1).
+* **shard-local** — the delta stays where the previous round's hash
+  put it, so no tuples move; the round pays the skew.
+* **repartition** — the delta is re-hashed across the wire first; the
+  exchange is paid once per tuple, after which the load is balanced
+  (skew 1).
 
-The distributed-Fix variant in :mod:`repro.cost.model` prices every
-semi-naive round both ways and takes the cheaper — the cost-controlled
-optimizer therefore picks shard-local plans when partitions are
-balanced and repartitioning plans when skew would dominate.  Every
-term in this module is gated behind ``shards > 1``; at one shard the
-Fix formula reduces to the paper's exact serial sum.
+:mod:`repro.cost.model` calls :func:`exchange_cost` and
+:func:`round_strategy_breakdown`.  Every term is gated behind
+``shards > 1``; at one shard the Fix formula reduces to the paper's
+exact serial sum.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from repro.cost.params import CostParameters
 
 __all__ = [
-    "skew_factor",
     "exchange_cost",
-    "sharded_scan_cost",
-    "shard_local_join_cost",
-    "repartition_join_cost",
-    "choose_join_strategy",
     "choose_round_strategy",
     "round_strategy_breakdown",
 ]
 
 SHARD_LOCAL = "shard_local"
 REPARTITION = "repartition"
-
-
-def skew_factor(partition_sizes: Sequence[float]) -> float:
-    """Partition imbalance as ``max / mean`` (>= 1.0; 1.0 means
-    perfectly balanced or no data)."""
-    sizes = [max(0.0, float(size)) for size in partition_sizes]
-    if not sizes:
-        return 1.0
-    mean = sum(sizes) / len(sizes)
-    if mean <= 0.0:
-        return 1.0
-    return max(1.0, max(sizes) / mean)
 
 
 def exchange_cost(tuples: float, shards: int, params: CostParameters) -> float:
@@ -68,77 +50,6 @@ def exchange_cost(tuples: float, shards: int, params: CostParameters) -> float:
         max(0.0, tuples) * params.network_per_tuple
         + max(1, shards) * params.network_per_round
     )
-
-
-def sharded_scan_cost(
-    pages: float,
-    shards: int,
-    params: CostParameters,
-    partitioned: bool = False,
-    key_match: bool = False,
-    partition_sizes: Sequence[float] = (),
-) -> float:
-    """Shard-key-aware scan cost.
-
-    * replicated extent (``partitioned=False``): one shard scans it in
-      full — replication buys locality, not scan division;
-    * partitioned + equality on the shard key (``key_match=True``):
-      the scan routes to the single owning shard (``pages / shards``
-      plus one frame);
-    * partitioned, no usable key: scatter to all shards and wait for
-      the slowest — divided pages times the partition skew, plus one
-      frame per shard.
-    """
-    shards = max(1, shards)
-    disk = max(0.0, pages) * params.page_read
-    if shards == 1 or not partitioned:
-        return disk
-    if key_match:
-        return disk / shards + params.network_per_round
-    skew = (
-        skew_factor(partition_sizes)
-        if partition_sizes
-        else max(1.0, params.shard_skew)
-    )
-    return disk * skew / shards + shards * params.network_per_round
-
-
-def shard_local_join_cost(
-    partition_sizes: Sequence[float],
-    per_tuple_cost: float,
-    params: CostParameters,
-) -> float:
-    """Cost of probing where the tuples already live: no exchange, but
-    the barrier waits for the most loaded shard."""
-    total = sum(max(0.0, size) for size in partition_sizes)
-    shards = max(1, len(partition_sizes))
-    return (total / shards) * skew_factor(partition_sizes) * per_tuple_cost
-
-
-def repartition_join_cost(
-    partition_sizes: Sequence[float],
-    per_tuple_cost: float,
-    params: CostParameters,
-) -> float:
-    """Cost of re-hashing the probe side first: every tuple crosses the
-    exchange once, then the load is balanced."""
-    total = sum(max(0.0, size) for size in partition_sizes)
-    shards = max(1, len(partition_sizes))
-    return exchange_cost(total, shards, params) + (total / shards) * per_tuple_cost
-
-
-def choose_join_strategy(
-    partition_sizes: Sequence[float],
-    per_tuple_cost: float,
-    params: CostParameters,
-) -> Tuple[str, float]:
-    """The cheaper of shard-local and repartition for a probe side with
-    the given per-shard partition sizes; returns ``(strategy, cost)``."""
-    local = shard_local_join_cost(partition_sizes, per_tuple_cost, params)
-    shipped = repartition_join_cost(partition_sizes, per_tuple_cost, params)
-    if shipped < local:
-        return REPARTITION, shipped
-    return SHARD_LOCAL, local
 
 
 def choose_round_strategy(

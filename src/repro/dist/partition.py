@@ -16,9 +16,9 @@ Two placement kinds, mirroring the classical distributed-query split:
   split keeps per-node tuple counts additive over the slices are
   partitioned (:func:`partitionable`); the rest take the whole delta.
 
-:class:`ShardMap` records these placements; the shard-key-aware cost
-mode (:mod:`repro.cost.distributed`) consults the same notions to
-decide shard-local vs repartitioning joins.
+:class:`ShardMap` records these placements; the distributed-Fix cost
+terms (:mod:`repro.cost.distributed`) price a round's delta kept in
+place (shard-local) or re-hashed (repartitioned).
 """
 
 from __future__ import annotations

@@ -59,10 +59,6 @@ class InvalidPredicateError(QueryModelError):
     """A Boolean predicate is structurally invalid for its context."""
 
 
-class RecursionError_(QueryModelError):
-    """A recursive view definition is not computable as a fixpoint."""
-
-
 # ---------------------------------------------------------------------------
 # Physical schema / storage
 # ---------------------------------------------------------------------------

@@ -2,11 +2,12 @@
 
 :class:`QueryService` wraps the existing :class:`~repro.core.Optimizer`
 / :class:`~repro.engine.Engine` stack into a long-running server loop
-of three stages — ``_plan`` (plan-cache probe with cost-drift
-invalidation, optimize on miss), ``_execute`` (admission control,
-execute under a cancellation token) and ``_settle`` (metrics,
-observability, feedback) — which ``explain``, ``trace`` and
-``diagnose`` share.  It is fully usable in-process (tests, benchmarks,
+of three stages — :meth:`~QueryService.plan` (plan-cache probe with
+cost-drift invalidation, optimize on miss), :meth:`~QueryService.execute`
+(admission control, execute under a cancellation token) and ``_settle``
+(metrics, observability, feedback) — which ``explain``, ``trace``,
+``diagnose`` and the ``repro run``/``explain``/``trace`` commands share.
+It is fully usable in-process (tests, benchmarks, the CLI,
 embedding); :class:`QueryServer` exposes it over TCP with the line-JSON
 protocol of :mod:`repro.service.protocol`, one thread per request via a
 ``ThreadPoolExecutor``.
@@ -38,7 +39,7 @@ from repro.cost.params import CostParameters
 from repro.cost.recost import recost_plan
 from repro.engine.batch import default_batch_size
 from repro.engine.cancel import CancellationToken
-from repro.engine.context import validate_choice
+from repro.engine.context import validate_choice, validate_knob
 from repro.engine.evaluator import Engine, ExecutionResult
 from repro.errors import (
     AdmissionError,
@@ -113,7 +114,6 @@ class ServiceConfig:
     #: ``max_concurrent``) — a distributed query occupies N workers'
     #: worth of machine.
     shards: int = 1
-    max_rows: Optional[int] = None
     #: A query slower than this (seconds) enters the slow-query log;
     #: ``None`` disables latency-based logging.
     slow_query_seconds: Optional[float] = 1.0
@@ -173,6 +173,8 @@ class ServiceConfig:
     strategy: Optional[str] = None
 
     def __post_init__(self) -> None:
+        validate_knob("batch_size", self.batch_size)
+        validate_knob("shards", self.shards)
         validate_choice("strategy", self.strategy, STRATEGY_NAMES)
 
 
@@ -194,9 +196,10 @@ class Session:
 
 @dataclass
 class _Planned:
-    """A request's plan as ``_plan`` leaves it; ``status`` (the cache's
-    verdict) is ``None`` for a fresh plan, ``result`` and
-    ``cost_model`` are set only when this request ran the optimizer."""
+    """A request's plan as :meth:`QueryService.plan` leaves it;
+    ``status`` (the cache's verdict) is ``None`` for a fresh plan,
+    ``result`` and ``cost_model`` are set only when this request ran
+    the optimizer."""
 
     text: str
     key: CacheKey
@@ -213,8 +216,9 @@ class _Planned:
 
 @dataclass
 class _Executed:
-    """One run as ``_execute`` leaves it; the engine's ``request_id``,
-    ``batch_size`` and ``shards`` (the granted width) describe it."""
+    """One run as :meth:`QueryService.execute` leaves it; the engine's
+    ``request_id``, ``batch_size`` and ``shards`` (the granted width)
+    describe it."""
 
     execution: ExecutionResult
     engine: Engine
@@ -278,8 +282,12 @@ class QueryService:
         #: (pool capacity and page size come from the store).
         self._base_params = CostParameters(
             batch_size=self.config.batch_size or default_batch_size(),
-            shards=max(1, self.config.shards),
+            shards=self.config.shards,
         )
+        #: Whether a serial model at the base parameters is the
+        #: optimizer's default one, so ``_model`` may leave it to be
+        #: built lazily (decided once: a cache hit then builds none).
+        self._default_params = self._base_params == CostParameters()
         #: Recalibrated unit costs, hot-swapped by ``recalibrate(apply)``;
         #: ``None`` means ``_base_params``.
         self._cost_params: Optional[CostParameters] = None
@@ -362,31 +370,24 @@ class QueryService:
         shards: Optional[int] = None,
         strategy: Optional[str] = None,
     ) -> dict:
-        """Serve one query end to end (``_plan`` → ``_execute`` →
+        """Serve one query end to end (``plan`` → ``execute`` →
         ``_settle``); failures raise ReproError subclasses, which the
         protocol layer maps to error codes.  ``batch_size``, ``shards``
         and ``strategy`` override the configured defaults."""
         self.metrics.record_request()
         try:
-            planned = self._plan(text, params, strategy)
-            # Minted before execution so the running query is
-            # addressable: shard-worker thread names, exchange frames,
-            # dist log lines and the live progress view carry this id.
-            request_id = self._next_request_id()
-            run = self._execute(
-                planned, request_id, timeout, batch_size, shards, sample=True
+            planned = self.plan(text, params, strategy)
+            run = self.execute(
+                planned, None, timeout, batch_size, shards, sample=True
             )
             record, obs_echo = self._settle(planned, run)
         except ReproError as error:
             self._count_failure(error)
             raise
-        rows, cap = run.execution.rows, self.config.max_rows
-        truncated = cap is not None and len(rows) > cap
         response = {
-            "request_id": request_id,
-            "rows": [_jsonable_row(row) for row in rows[:cap]],
+            "request_id": run.engine.request_id,
+            "rows": [_jsonable_row(row) for row in run.execution.rows],
             "row_count": record.rows,
-            "truncated": truncated,
             "cache": planned.status,
             "estimated_cost": round(planned.estimated, 2),
             "measured_cost": round(record.measured_cost, 2),
@@ -414,22 +415,31 @@ class QueryService:
     def _model(self, width: int) -> Optional[DetailedCostModel]:
         """The cost model at ``width`` shards — the distributed-Fix
         variant must see the width the engine will use — with the
-        recalibrated unit costs when applied.  ``None`` on the default,
-        uncalibrated serial path: callees build a default model lazily,
-        so a cache hit builds none."""
-        if self._cost_params is None and width <= 1:
+        recalibrated unit costs when applied.  ``None`` on the serial,
+        uncalibrated path at the default parameters: callees build that
+        model lazily, so a cache hit builds none."""
+        if self._cost_params is None and width <= 1 and self._default_params:
             return None
         params = self._cost_params or self._base_params
-        return DetailedCostModel(self.physical, replace(params, shards=max(1, width)))
+        return DetailedCostModel(self.physical, replace(params, shards=width))
 
     def _optimizer(
-        self, strategy: Optional[str] = None, width: Optional[int] = None
+        self,
+        strategy: Optional[str] = None,
+        width: Optional[int] = None,
+        policy: str = "cost",
     ) -> Optimizer:
         """A fresh optimizer priced at ``width`` shards (default: the
         configured fan-out) with the configured strategy unless
-        ``strategy`` overrides it; unset, the paper's II."""
+        ``strategy`` overrides it; unset, the paper's II.  ``policy``
+        ``always``/``never`` builds the deductive / naive baseline
+        instead (:mod:`repro.core.baselines`), priced by the same
+        model."""
         model = self._model(self.config.shards if width is None else width)
-        config = OptimizerConfig(strategy=strategy or self.config.strategy)
+        if policy == "cost":
+            config = OptimizerConfig(strategy=strategy or self.config.strategy)
+        else:
+            config = OptimizerConfig(push_policy=policy, reoptimize=False)
         return Optimizer(self.physical, model, config)
 
     def _cluster_for(self, width: int):
@@ -448,9 +458,9 @@ class QueryService:
             self._clusters[width] = cluster
         return cluster
 
-    # -- the request pipeline: _plan → _execute → _settle -------------------
+    # -- the request pipeline: plan → execute → _settle ---------------------
 
-    def _plan(
+    def plan(
         self,
         text: str,
         params: Optional[dict] = None,
@@ -459,12 +469,17 @@ class QueryService:
         width: Optional[int] = None,
         fresh: bool = False,
         tracer: Tracer = NULL_TRACER,
+        policy: str = "cost",
     ) -> _Planned:
         """Substitute → cache key → lookup, or compile → optimize →
-        store.  ``fresh`` (explain, trace, diagnose) optimizes from
-        scratch, priced at ``width`` shards, and neither reads nor fills
-        the cache: the point is to audit the optimizer.  Cached plans
-        are priced at the configured fan-out, never at one request's."""
+        store.  ``fresh`` (explain, trace, diagnose, the CLI) optimizes
+        from scratch, priced at ``width`` shards, and neither reads nor
+        fills the cache: the point is to audit the optimizer.  Cached
+        plans are priced at the configured fan-out, never at one
+        request's.  ``policy`` ``always``/``never`` plans with a
+        baseline push policy (see :meth:`_optimizer`); such a plan is
+        never cached."""
+        fresh = fresh or policy != "cost"
         substituted = substitute_params(text, params)
         validate_choice("strategy", strategy, STRATEGY_NAMES)
         default = self.config.strategy or "ii"
@@ -492,7 +507,7 @@ class QueryService:
                 planned.fingerprint = entry.fingerprint
             else:
                 graph = compile_program(program, self.database.catalog)
-                optimizer = self._optimizer(strategy, width)
+                optimizer = self._optimizer(strategy, width, policy)
                 with tracer.span("optimize"):
                     result = optimizer.optimize(graph, tracer=tracer)
                 planned.result, planned.cost_model = result, optimizer.cost_model
@@ -527,10 +542,10 @@ class QueryService:
                 key[0], old.plan, old.cost, plan, estimated, reason
             )
 
-    def _execute(
+    def execute(
         self,
         planned: _Planned,
-        request_id: str,
+        request_id: Optional[str] = None,
         timeout: Optional[float] = None,
         batch_size: Optional[int] = None,
         shards: Optional[int] = None,
@@ -543,8 +558,13 @@ class QueryService:
         cancellation token → engine → progress → execute.  ``sample``
         (the serving path) picks the observability detail once the
         budget has admitted the request; otherwise the caller's
-        ``profiler``/``tracer`` run at full detail."""
+        ``profiler``/``tracer`` run at full detail.  ``request_id``
+        defaults to a fresh one."""
         self.admission.admit(planned.estimated)
+        # Minted before execution so the running query is addressable:
+        # shard-worker thread names, exchange frames, dist log lines
+        # and the live progress view carry this id.
+        request_id = request_id or self._next_request_id()
         decision = FULL_DETAIL
         if sample and self.governor is not None:
             decision = self.governor.decide(query_class(planned.key[0]))
@@ -1047,10 +1067,10 @@ class QueryService:
         not admission — and record a ``diagnose`` bundle, exactly as an
         anomaly would."""
         request_id = self._next_request_id()
-        width = max(1, shards or self.config.shards)
+        width = shards or self.config.shards
         tracer = Tracer(trace_id=request_id, max_spans=TRACE_MAX_SPANS)
-        planned = self._plan(text, params, width=width, fresh=True, tracer=tracer)
-        run = self._execute(
+        planned = self.plan(text, params, width=width, fresh=True, tracer=tracer)
+        run = self.execute(
             planned,
             request_id,
             timeout,
@@ -1079,9 +1099,14 @@ class QueryService:
         }
 
     def close(self) -> None:
-        """Release resources (flush and close the telemetry sink)."""
+        """Release resources: flush and close the telemetry sink, and
+        shut down the worker pools of the shard clusters built."""
         if self.feedback is not None:
             self.feedback.close()
+        with self._store_lock:
+            clusters, self._clusters = self._clusters, {}
+        for cluster in clusters.values():
+            cluster.close()
 
     def explain_query(
         self,
@@ -1097,12 +1122,12 @@ class QueryService:
         executed at ``shards``, so sharded Fix nodes carry distributed
         est-vs-act terms (network/disk/skew)."""
         request_id = self._next_request_id()
-        width = max(1, shards or self.config.shards)
-        planned = self._plan(text, params, width=width, fresh=True)
+        width = shards or self.config.shards
+        planned = self.plan(text, params, width=width, fresh=True)
         payload = {"request_id": request_id, "shards": width, "analyzed": analyze}
         profiler = PlanProfiler() if analyze else None
         if analyze:
-            run = self._execute(
+            run = self.execute(
                 planned, request_id, timeout, shards=width, profiler=profiler
             )
             payload["shards"] = run.engine.shards
@@ -1135,13 +1160,13 @@ class QueryService:
         handed to the engine, so the exported Chrome trace carries one
         lane per shard next to the coordinator lane."""
         request_id = self._next_request_id()
-        width = max(1, shards or self.config.shards)
+        width = shards or self.config.shards
         tracer = Tracer(trace_id=request_id if width > 1 else None)
-        planned = self._plan(text, params, width=width, fresh=True, tracer=tracer)
+        planned = self.plan(text, params, width=width, fresh=True, tracer=tracer)
         payload = {"request_id": request_id, "shards": width}
         if execute:
             profiler = PlanProfiler()
-            run = self._execute(
+            run = self.execute(
                 planned,
                 request_id,
                 timeout,

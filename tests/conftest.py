@@ -1,9 +1,25 @@
 """Shared fixtures: the Figure 1 catalog and small generated databases."""
 
+import logging
+
 import pytest
 
 from repro.schema import build_music_catalog
 from repro.workloads import MusicConfig, generate_music_database
+
+
+@pytest.fixture(autouse=True)
+def _restore_repro_logger():
+    """Undo what ``configure_logging`` (run by an in-process ``serve``)
+    does to the ``repro`` logger: its handlers, level and ``propagate``
+    flag.  Without this, every later ``caplog`` test sees no
+    ``repro.*`` records."""
+    logger = logging.getLogger("repro")
+    saved = (list(logger.handlers), logger.level, logger.propagate)
+    yield
+    logger.handlers[:] = saved[0]
+    logger.setLevel(saved[1])
+    logger.propagate = saved[2]
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,16 @@ import re
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _database_config, build_parser, main
+from repro.core.baselines import (
+    cost_controlled_optimizer,
+    deductive_optimizer,
+    naive_optimizer,
+)
+from repro.cost import CostParameters, DetailedCostModel
+from repro.engine.batch import default_batch_size
+from repro.lang import compile_text
+from repro.obs.recorder import database_from_config
 
 QUERY = """
 select [name: x.name]
@@ -24,6 +33,21 @@ select [name: i.disciple.name] from i in Influencer where i.gen >= 2;
 """
 
 
+FIG3_QUERY = """
+view Influencer as
+  select [master: x.master, disciple: x, gen: 1] from x in Composer
+  union
+  select [master: i.master, disciple: x, gen: i.gen + 1]
+  from i in Influencer, x in Composer where i.disciple = x.master;
+
+select [name: i.disciple.name, gen: i.gen]
+from i in Influencer
+where i.master.works.instruments.name = "harpsichord" and i.gen >= 3;
+"""
+
+DB_FLAGS = ["--lineages", "4", "--generations", "6"]
+
+
 @pytest.fixture()
 def query_file(tmp_path):
     path = tmp_path / "query.oql"
@@ -35,6 +59,13 @@ def query_file(tmp_path):
 def recursive_file(tmp_path):
     path = tmp_path / "recursive.oql"
     path.write_text(RECURSIVE_QUERY)
+    return str(path)
+
+
+@pytest.fixture()
+def fig3_file(tmp_path):
+    path = tmp_path / "fig3.oql"
+    path.write_text(FIG3_QUERY)
     return str(path)
 
 
@@ -53,6 +84,70 @@ class TestParser:
         args = build_parser().parse_args(["run", query_file])
         assert args.db == "music"
         assert args.policy == "cost"
+
+    def test_serve_takes_no_policy(self):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["serve", "--policy", "never"])
+        assert exit_info.value.code == 2
+
+
+def estimated_cost(output):
+    return re.search(r"^estimated cost : (\S+)$", output, re.M).group(1)
+
+
+def baseline_estimate(factory, **params):
+    """What ``factory`` estimates for FIG3_QUERY on the CLI's database
+    at ``DB_FLAGS``, priced under ``params`` (batch size: the engine
+    default unless given), as the CLI prints it."""
+    args = build_parser().parse_args(["run", "-"] + DB_FLAGS)
+    db = database_from_config(_database_config(args))
+    params.setdefault("batch_size", default_batch_size())
+    model = DetailedCostModel(db.physical, CostParameters(**params))
+    result = factory(db.physical, model).optimize(
+        compile_text(FIG3_QUERY, db.catalog)
+    )
+    return f"{result.cost:.1f}"
+
+
+class TestOneCostModel:
+    """The CLI prices every plan with the model of the machine it
+    executes on: the baselines at the requested fan-out, every policy
+    at the requested batch size."""
+
+    @pytest.mark.parametrize(
+        "policy, factory",
+        [("always", deductive_optimizer), ("never", naive_optimizer)],
+    )
+    def test_baselines_are_priced_at_the_requested_shards(
+        self, fig3_file, policy, factory
+    ):
+        code, output = run_cli(
+            ["explain", fig3_file, "--policy", policy, "--shards", "4"]
+            + DB_FLAGS
+        )
+        assert code == 0
+        sharded = baseline_estimate(factory, shards=4)
+        assert sharded != baseline_estimate(factory)
+        assert estimated_cost(output) == sharded
+
+    def test_run_is_priced_at_the_requested_batch_size(self, fig3_file):
+        code, output = run_cli(["run", fig3_file, "--batch-size", "1"] + DB_FLAGS)
+        assert code == 0
+        assert "batch size 1," in output
+        factory = cost_controlled_optimizer
+        batch_1 = baseline_estimate(factory, batch_size=1)
+        assert batch_1 != baseline_estimate(factory, batch_size=256)
+        assert estimated_cost(output) == batch_1
+
+    @pytest.mark.parametrize("flag", ["--shards", "--batch-size"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_a_knob_out_of_range_is_a_one_line_error(
+        self, fig3_file, flag, value, capsys
+    ):
+        code, output = run_cli(["run", fig3_file, flag, value] + DB_FLAGS)
+        assert code != 0 and output == ""
+        knob = flag.lstrip("-").replace("-", "_")
+        assert capsys.readouterr().err == f"error: {knob} must be >= 1\n"
 
 
 class TestRun:

@@ -9,8 +9,8 @@ The acceptance properties:
 * on an I/O-heavy recursive plan, adding shards lowers the estimated
   cost (the rounds divide across shards faster than the exchange legs
   charge);
-* the shard-local vs repartition chooser ranks the strategies
-  correctly on constructed balanced and skewed partition layouts.
+* the per-round shard-local vs repartition chooser ranks the
+  strategies correctly on constructed balanced and skewed rounds.
 """
 
 import pytest
@@ -19,13 +19,8 @@ from repro.core import cost_controlled_optimizer
 from repro.cost.distributed import (
     REPARTITION,
     SHARD_LOCAL,
-    choose_join_strategy,
     choose_round_strategy,
     exchange_cost,
-    repartition_join_cost,
-    shard_local_join_cost,
-    sharded_scan_cost,
-    skew_factor,
 )
 from repro.cost.model import DetailedCostModel
 from repro.cost.params import CostParameters
@@ -51,14 +46,6 @@ def fig3_plan(music_db):
 # -- primitive terms ----------------------------------------------------------
 
 
-def test_skew_factor_is_max_over_mean():
-    assert skew_factor([]) == 1.0
-    assert skew_factor([0, 0]) == 1.0
-    assert skew_factor([10, 10, 10, 10]) == 1.0
-    assert skew_factor([900, 10, 10, 10]) == pytest.approx(900 / 232.5)
-    assert skew_factor([5]) == 1.0
-
-
 def test_exchange_cost_charges_tuples_and_frames():
     params = CostParameters(network_per_tuple=0.01, network_per_round=0.5)
     assert exchange_cost(100, 4, params) == pytest.approx(100 * 0.01 + 4 * 0.5)
@@ -66,56 +53,7 @@ def test_exchange_cost_charges_tuples_and_frames():
     assert exchange_cost(0, 4, params) == pytest.approx(4 * 0.5)
 
 
-def test_sharded_scan_cost_routes_by_shard_key():
-    params = CostParameters(network_per_round=0.25)
-    # Replicated extents never divide: one shard scans in full.
-    assert sharded_scan_cost(100, 4, params) == pytest.approx(100.0)
-    assert sharded_scan_cost(
-        100, 4, params, partitioned=True, key_match=True
-    ) == pytest.approx(100 / 4 + 0.25)
-    # No usable key: scatter everywhere, gated by the skew of the
-    # observed partition sizes.
-    scattered = sharded_scan_cost(
-        100,
-        4,
-        params,
-        partitioned=True,
-        partition_sizes=[900, 10, 10, 10],
-    )
-    assert scattered == pytest.approx(
-        100 * (900 / 232.5) / 4 + 4 * 0.25
-    )
-    # At one shard everything degenerates to a plain scan.
-    assert sharded_scan_cost(
-        100, 1, params, partitioned=True, key_match=True
-    ) == pytest.approx(100.0)
-
-
-# -- the join-strategy chooser ------------------------------------------------
-
-
-def test_chooser_prefers_shard_local_on_balanced_partitions():
-    params = CostParameters()
-    balanced = [250, 250, 250, 250]
-    strategy, cost = choose_join_strategy(balanced, 0.02, params)
-    assert strategy == SHARD_LOCAL
-    assert cost == pytest.approx(
-        shard_local_join_cost(balanced, 0.02, params)
-    )
-    # Balanced partitions have no skew to pay, so shipping every tuple
-    # across the exchange can only add cost.
-    assert cost < repartition_join_cost(balanced, 0.02, params)
-
-
-def test_chooser_prefers_repartition_on_skewed_partitions():
-    # One hot shard holds 90% of the probe side: the barrier waits on
-    # it, so paying the exchange to rebalance wins.
-    params = CostParameters(network_per_tuple=0.005, network_per_round=0.05)
-    skewed = [900, 10, 10, 10]
-    strategy, cost = choose_join_strategy(skewed, 0.1, params)
-    assert strategy == REPARTITION
-    assert cost == pytest.approx(repartition_join_cost(skewed, 0.1, params))
-    assert cost < shard_local_join_cost(skewed, 0.1, params)
+# -- the round-strategy chooser -----------------------------------------------
 
 
 def test_round_strategy_chooser_on_constructed_scenarios():

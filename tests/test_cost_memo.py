@@ -556,7 +556,7 @@ def test_the_services_recalibrated_params_miss_the_epoch():
         service.run_query(texts[0])  # prices the view at the defaults
         # What ``recalibrate(apply=True)`` installs.
         service._cost_params = CostParameters(page_read=3.0, eval_per_tuple=0.05)
-        planned = service._plan(texts[1])  # same view, another threshold
+        planned = service.plan(texts[1])  # same view, another threshold
         graph = compile_text(texts[1], db.catalog)
         fresh = Optimizer(
             db.physical,

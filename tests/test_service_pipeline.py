@@ -13,7 +13,9 @@ import pytest
 
 from repro.cli import main
 from repro.core.optimizer import Optimizer, OptimizerConfig
+from repro.cost import CostParameters, DetailedCostModel
 from repro.engine import Engine
+from repro.engine.batch import default_batch_size
 from repro.lang import compile_text
 from repro.obs.recorder import database_from_config, load_bundle, replay_bundle
 from repro.plans.canonical import canonical_fingerprint
@@ -149,8 +151,13 @@ def test_diagnose_records_the_plan_the_configured_strategy_chose(db):
     service = _service(db, strategy="enum")
     response = service.handle({"op": "diagnose", "text": FIG3})
     assert response["ok"], response
+    # Priced at the service's own parameters: its batch size is the
+    # engine default (REPRO_BATCH_SIZE or 256).
+    params = CostParameters(batch_size=default_batch_size())
     chosen = Optimizer(
-        db.physical, None, OptimizerConfig(strategy="enum")
+        db.physical,
+        DetailedCostModel(db.physical, params),
+        OptimizerConfig(strategy="enum"),
     ).optimize(compile_text(FIG3, db.catalog))
     assert response["fingerprint"] == canonical_fingerprint(chosen.plan)
     assert response["estimated_cost"] == round(chosen.cost, 2)
@@ -197,3 +204,39 @@ def test_retired_strategy_names_are_protocol_errors(db, name):
     assert "strategy must be one of: ii, enum" in response["error"]["message"]
     with pytest.raises(ValueError, match="strategy must be one of: ii, enum"):
         ServiceConfig(strategy=name)
+
+
+def test_serial_plans_are_priced_at_the_configured_batch_size(db):
+    graph = compile_text(FIG3, db.catalog)
+
+    def estimate(params):
+        model = DetailedCostModel(db.physical, params)
+        return round(Optimizer(db.physical, model).optimize(graph).cost, 2)
+
+    batch_1 = estimate(CostParameters(batch_size=1))
+    assert batch_1 != estimate(CostParameters())
+    service = _service(db, batch_size=1)
+    try:
+        assert service.explain_query(FIG3)["estimated_cost"] == batch_1
+        assert service.run_query(FIG3)["estimated_cost"] == batch_1
+    finally:
+        service.close()
+
+
+def test_close_shuts_down_every_cluster_pool(db):
+    service = _service(db, max_concurrent=4)
+    for width in (2, 3):
+        assert service.handle({"op": "query", "text": FIG3, "shards": width})["ok"]
+    clusters = list(service._clusters.values())
+    assert [cluster.shards for cluster in clusters] == [2, 3]
+    service.close()
+    for cluster in clusters:
+        with pytest.raises(RuntimeError):
+            cluster.submit(print)
+
+
+@pytest.mark.parametrize("knob", ["shards", "batch_size"])
+@pytest.mark.parametrize("value", [0, -3])
+def test_service_config_rejects_a_knob_out_of_range(knob, value):
+    with pytest.raises(ValueError, match=f"{knob} must be >= 1"):
+        ServiceConfig(**{knob: value})
