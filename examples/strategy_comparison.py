@@ -1,10 +1,11 @@
-"""Search-strategy comparison ([IC90], [LV91], Section 4.1).
+"""Search-strategy comparison ([IC90], [KZ88], Section 4.1).
 
 The optimizer separates its search *space* (actions/moves) from its
-search *strategy*.  This example runs the same recursive query through
-four strategies — Iterative Improvement, Simulated Annealing, two-phase
-and exhaustive enumeration — and tabulates plan quality against
-optimization effort (plans costed, wall-clock time).
+search *strategy*.  This example runs the same queries through three
+searches — Iterative Improvement (the paper's strategy), the memoized
+enumerator (``--strategy enum``) and its unpruned closure (the [KZ88]
+exhaustive baseline) — and tabulates plan quality against optimization
+effort (plans costed, wall-clock time).
 
 Run:  python examples/strategy_comparison.py
 """
@@ -12,12 +13,7 @@ Run:  python examples/strategy_comparison.py
 import time
 
 from repro import MusicConfig, Optimizer, OptimizerConfig, generate_music_database
-from repro.core.strategies import (
-    ExhaustiveSearch,
-    IterativeImprovement,
-    SimulatedAnnealing,
-    TwoPhase,
-)
+from repro.core import exhaustive_optimizer
 from repro.cost import DetailedCostModel
 from repro.querygraph.builder import and_, arc, const, eq, ge, out, path, query, rule, spj, var
 from repro.workloads import fig3_query
@@ -25,7 +21,7 @@ from repro.workloads import fig3_query
 
 def dense_join_query(joins: int):
     """A join-heavy query: the space where exhaustive enumeration
-    blows up while randomized strategies stay cheap."""
+    blows up while II and the pruned enumerator stay cheap."""
     arcs = [arc("Composer", **{f"c{i}": "."}) for i in range(joins + 1)]
     conjuncts = [eq(path("c0", "name"), const("Bach"))]
     for i in range(1, joins + 1):
@@ -41,26 +37,24 @@ def dense_join_query(joins: int):
 
 
 def run_table(db, model, graph, title):
-    strategies = [
-        ("iterative improvement", IterativeImprovement(seed=1)),
-        ("simulated annealing", SimulatedAnnealing(seed=1)),
-        ("two-phase (II + SA)", TwoPhase(seed=1)),
-        ("exhaustive closure", ExhaustiveSearch(max_plans=2000)),
+    optimizers = [
+        (
+            "iterative improvement",
+            Optimizer(db.physical, model, OptimizerConfig(strategy="ii")),
+        ),
+        (
+            "memoized enumeration",
+            Optimizer(db.physical, model, OptimizerConfig(strategy="enum")),
+        ),
+        (
+            "exhaustive closure",
+            exhaustive_optimizer(db.physical, model, max_plans=2000),
+        ),
     ]
     print(f"\n=== {title} ===")
     print(f"{'strategy':>24}  {'plan cost':>10}  {'plans costed':>12}  {'time':>8}")
     print("-" * 62)
-    for name, strategy in strategies:
-        optimizer = Optimizer(
-            db.physical,
-            model,
-            OptimizerConfig(
-                push_policy="cost",
-                reoptimize=True,
-                strategy=strategy,
-                exhaustive_generate=isinstance(strategy, ExhaustiveSearch),
-            ),
-        )
+    for name, optimizer in optimizers:
         started = time.perf_counter()
         result = optimizer.optimize(graph)
         elapsed = time.perf_counter() - started
@@ -89,8 +83,8 @@ def main() -> None:
     print(
         "All strategies search the same move space (join swaps, index "
         "toggles,\nPIJ collapse/expansion, selection/join pushes through "
-        "recursion).  On the\njoin-heavy query the exhaustive baseline "
-        "enumerates several times more\nplans for the same final cost — "
+        "recursion).  On the\njoin-heavy query the exhaustive closure "
+        "costs several times more plans\nfor the same final cost — "
         "the paper's Section 4.1 trade-off."
     )
 

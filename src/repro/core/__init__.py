@@ -5,7 +5,6 @@ from repro.core.baselines import (
     brute_force_enumerate,
     cost_controlled_optimizer,
     deductive_optimizer,
-    enumerating_optimizer,
     exhaustive_optimizer,
     naive_optimizer,
 )
@@ -17,12 +16,9 @@ from repro.core.optimizer import OptimizationResult, Optimizer, OptimizerConfig
 from repro.core.rewrite import fixpoint_action, rewrite, union_action
 from repro.core.strategies import (
     STRATEGY_NAMES,
-    ExhaustiveSearch,
     IterativeImprovement,
     SearchResult,
     SearchStrategy,
-    SimulatedAnnealing,
-    TwoPhase,
     resolve_strategy,
 )
 from repro.core.transform import (
@@ -41,7 +37,6 @@ __all__ = [
     "brute_force_enumerate",
     "cost_controlled_optimizer",
     "deductive_optimizer",
-    "enumerating_optimizer",
     "exhaustive_optimizer",
     "naive_optimizer",
     "EnumerationStats",
@@ -59,12 +54,9 @@ __all__ = [
     "union_action",
     "STRATEGY_NAMES",
     "resolve_strategy",
-    "ExhaustiveSearch",
     "IterativeImprovement",
     "SearchResult",
     "SearchStrategy",
-    "SimulatedAnnealing",
-    "TwoPhase",
     "PushableSegment",
     "apply_filter",
     "filter_action",

@@ -10,11 +10,11 @@
 * :func:`exhaustive_optimizer` — the [KZ88]-style strategy:
   exhaustively enumerate the transformation space and keep the global
   optimum.  "As this strategy is cost-based, optimality is guaranteed,
-  but the optimization time may become unacceptably high."
+  but the optimization time may become unacceptably high."  It is the
+  memoized enumerator with pruning switched off, over a generatePT
+  that keeps every join order.
 * :func:`cost_controlled_optimizer` — the paper's optimizer with its
   default two-pass, cost-compared transformPT (for symmetric naming).
-* :func:`enumerating_optimizer` — the memoized transformation-based
-  enumerator (``strategy="enum"``) as a ready-made optimizer.
 * :func:`brute_force_enumerate` — the optimality oracle: close the
   move graph with *no* memo fingerprinting and *no* pruning, costing
   every structurally distinct plan reached, and return the global
@@ -24,10 +24,10 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 from repro.core.optimizer import Optimizer, OptimizerConfig
-from repro.core.strategies import ExhaustiveSearch, IterativeImprovement
+from repro.core.strategies import IterativeImprovement
 from repro.physical.schema import PhysicalSchema
 from repro.plans.nodes import PlanNode
 
@@ -36,7 +36,6 @@ __all__ = [
     "naive_optimizer",
     "exhaustive_optimizer",
     "cost_controlled_optimizer",
-    "enumerating_optimizer",
     "brute_force_enumerate",
 ]
 
@@ -67,13 +66,15 @@ def exhaustive_optimizer(
     max_plans: int = 20_000,
 ) -> Optimizer:
     """Exhaustively close the transformation space ([KZ88])."""
+    from repro.core.enumerate import MemoizedEnumeration
+
     return Optimizer(
         physical,
         cost_model,
         OptimizerConfig(
-            push_policy="cost",
-            reoptimize=True,
-            strategy=ExhaustiveSearch(max_plans=max_plans),
+            strategy=MemoizedEnumeration(
+                prune_factor=None, max_plans=max_plans
+            ),
             exhaustive_generate=True,
         ),
     )
@@ -92,28 +93,6 @@ def cost_controlled_optimizer(
             push_policy="cost",
             reoptimize=True,
             strategy=IterativeImprovement(seed=seed),
-        ),
-    )
-
-
-def enumerating_optimizer(
-    physical: PhysicalSchema,
-    cost_model=None,
-    prune_factor: Optional[float] = 2.0,
-    max_plans: int = 20_000,
-) -> Optimizer:
-    """Systematic memoized enumeration of the transformation space."""
-    from repro.core.enumerate import MemoizedEnumeration
-
-    return Optimizer(
-        physical,
-        cost_model,
-        OptimizerConfig(
-            push_policy="cost",
-            reoptimize=True,
-            strategy=MemoizedEnumeration(
-                prune_factor=prune_factor, max_plans=max_plans
-            ),
         ),
     )
 

@@ -1,10 +1,10 @@
 """Memoized transformation-based enumeration of recursive plans.
 
-The randomized strategies (II/SA/2PO) sample walks through the move
-graph — selection-push in/out of Fix, join-push, join-order
-(``swap-join``), and operator-order (``collapse``/``expand``,
-``index-join``/``nested-loop``) alternatives — so they can silently
-miss the best recursive plan.  :class:`MemoizedEnumeration` explores
+Iterative Improvement samples walks through the move graph —
+selection-push in/out of Fix, join-push, join-order (``swap-join``),
+and operator-order (``collapse``/``expand``,
+``index-join``/``nested-loop``) alternatives — so it can silently miss
+the best recursive plan.  :class:`MemoizedEnumeration` explores
 the same space *systematically*, borrowing the two ideas that make
 transformation-based enumeration affordable (arXiv 2312.02572,
 arXiv 2605.05044):
@@ -80,7 +80,8 @@ class MemoizedEnumeration(SearchStrategy):
 
     ``prune_factor`` bounds how far above the incumbent an open plan
     may sit and still be expanded (``None`` disables pruning — the
-    closure is then exhaustive over distinct plans);
+    closure is then exhaustive over distinct plans, the [KZ88]
+    baseline of :func:`repro.core.baselines.exhaustive_optimizer`);
     ``max_plans`` caps the memo table as a terminating backstop.
     """
 

@@ -120,14 +120,7 @@ class OptimizationResult:
 
     def chose_push(self) -> bool:
         """Whether the winning plan has a selection/join inside a Fix."""
-        for node in self.plan.walk():
-            if isinstance(node, Fix):
-                from repro.plans.nodes import EJ, Sel
-
-                for inner in node.body.walk():
-                    if isinstance(inner, Sel):
-                        return True
-        return False
+        return _pushed_through_recursion(self.plan)
 
 
 class Optimizer:
@@ -554,12 +547,7 @@ class Optimizer:
                     no_push_cost=start_cost,
                     push_cost=result.cost,
                     chosen=description,
-                    chose_push=any(
-                        isinstance(inner, Sel)
-                        for node in result.plan.walk()
-                        if isinstance(node, Fix)
-                        for inner in node.body.walk()
-                    ),
+                    chose_push=_pushed_through_recursion(result.plan),
                 )
             attrs = dict(
                 chosen=description,
@@ -575,6 +563,17 @@ class Optimizer:
         if description != "original":
             summary.append((description, result.cost))
         return result.plan, result.cost, summary, costed
+
+
+def _pushed_through_recursion(plan: PlanNode) -> bool:
+    """Whether a selection (a pushed filter or join predicate) sits
+    inside some Fix body of ``plan``."""
+    return any(
+        isinstance(inner, Sel)
+        for node in plan.walk()
+        if isinstance(node, Fix)
+        for inner in node.body.walk()
+    )
 
 
 def _spj_parts(node) -> List[SPJNode]:

@@ -1,18 +1,17 @@
-"""Search strategies (Sections 4.1, 4.5; [IC90], [LV91]).
+"""Search strategies (Sections 4.1, 4.5; [IC90]).
 
 The optimizer isolates *what can be transformed* (actions/moves) from
-*how alternatives are explored* (strategies).  Strategies implemented:
+*how alternatives are explored* (strategies).  Two strategies search
+the move graph:
 
 * :class:`IterativeImprovement` — random restarts, each descending via
-  random improving moves until a local minimum ([IC90] II);
-* :class:`SimulatedAnnealing` — accepts uphill moves with probability
-  ``exp(-Δ/T)`` under a geometric cooling schedule ([IC90] SA);
-* :class:`TwoPhase` — II to find a good start, then low-temperature SA
-  around it ([IC90] 2PO; the paper's transformPT is "analogous to
-  two-pass search strategies");
-* :class:`ExhaustiveSearch` — closes the move graph breadth-first and
-  returns the global optimum over it (the [KZ88]-style baseline whose
-  "optimization time may become unacceptably high").
+  random improving moves until a local minimum ([IC90] II); the
+  paper's strategy and the default;
+* :class:`repro.core.enumerate.MemoizedEnumeration` (``"enum"``) — the
+  memoized, branch-and-bound closure of the move graph.  With
+  ``prune_factor=None`` it is the [KZ88]-style exhaustive baseline
+  (:func:`repro.core.baselines.exhaustive_optimizer`), whose
+  "optimization time may become unacceptably high".
 
 All strategies count the plans they cost — the currency of the
 optimization-time comparison benchmarks.
@@ -20,10 +19,9 @@ optimization-time comparison benchmarks.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List
 
 from repro.core.moves import neighbors
 from repro.physical.schema import PhysicalSchema
@@ -33,9 +31,6 @@ __all__ = [
     "SearchResult",
     "SearchStrategy",
     "IterativeImprovement",
-    "SimulatedAnnealing",
-    "TwoPhase",
-    "ExhaustiveSearch",
     "STRATEGY_NAMES",
     "resolve_strategy",
 ]
@@ -146,178 +141,19 @@ class IterativeImprovement(SearchStrategy):
         return SearchResult(best_plan, best_cost, costed, taken)
 
 
-class SimulatedAnnealing(SearchStrategy):
-    """Annealing over the move graph with geometric cooling."""
-
-    def __init__(
-        self,
-        initial_temperature: float = 2.0,
-        cooling: float = 0.9,
-        steps_per_temperature: int = 8,
-        floor: float = 0.01,
-        seed: int = 1992,
-    ) -> None:
-        self.initial_temperature = initial_temperature
-        self.cooling = cooling
-        self.steps_per_temperature = steps_per_temperature
-        self.floor = floor
-        self.seed = seed
-
-    def search(
-        self,
-        start: PlanNode,
-        cost_fn: CostFn,
-        physical: PhysicalSchema,
-        *,
-        tracer=None,
-    ) -> SearchResult:
-        """Anneal from ``start`` under geometric cooling."""
-        rng = random.Random(self.seed)
-        tracing = tracer is not None and tracer.enabled
-        current, current_cost = start, cost_fn(start)
-        best_plan, best_cost = current, current_cost
-        costed = 1
-        taken: List[str] = []
-        temperature = self.initial_temperature * max(current_cost, 1.0)
-        while temperature > self.floor * max(best_cost, 1.0):
-            for _step in range(self.steps_per_temperature):
-                options = neighbors(current, physical, self.extended_moves)
-                if not options:
-                    return SearchResult(best_plan, best_cost, costed, taken)
-                description, candidate = rng.choice(options)
-                candidate_cost = cost_fn(candidate)
-                costed += 1
-                delta = candidate_cost - current_cost
-                accepted = (
-                    delta <= 0
-                    or rng.random() < math.exp(-delta / temperature)
-                )
-                if tracing:
-                    tracer.event(
-                        "strategy.candidate",
-                        strategy="SA",
-                        move=description,
-                        cost_before=current_cost,
-                        cost_after=candidate_cost,
-                        accepted=accepted,
-                        temperature=temperature,
-                    )
-                if accepted:
-                    current, current_cost = candidate, candidate_cost
-                    taken.append(description)
-                    if current_cost < best_cost:
-                        best_plan, best_cost = current, current_cost
-            temperature *= self.cooling
-        return SearchResult(best_plan, best_cost, costed, taken)
-
-
-class TwoPhase(SearchStrategy):
-    """II to locate a basin, then low-temperature SA within it."""
-
-    def __init__(self, seed: int = 1992) -> None:
-        self.seed = seed
-
-    def search(
-        self,
-        start: PlanNode,
-        cost_fn: CostFn,
-        physical: PhysicalSchema,
-        *,
-        tracer=None,
-    ) -> SearchResult:
-        """Run II, then refine its result with low-temperature SA."""
-        first = IterativeImprovement(restarts=2, seed=self.seed).search(
-            start, cost_fn, physical, tracer=tracer
-        )
-        second = SimulatedAnnealing(
-            initial_temperature=0.2, seed=self.seed + 1
-        ).search(first.plan, cost_fn, physical, tracer=tracer)
-        if second.cost <= first.cost:
-            return SearchResult(
-                second.plan,
-                second.cost,
-                first.plans_costed + second.plans_costed,
-                first.moves_taken + second.moves_taken,
-            )
-        return SearchResult(
-            first.plan,
-            first.cost,
-            first.plans_costed + second.plans_costed,
-            first.moves_taken,
-        )
-
-
-class ExhaustiveSearch(SearchStrategy):
-    """Breadth-first closure of the move graph; global optimum over it.
-
-    This is the [KZ88]-style exhaustive baseline: optimality by
-    construction, cost-of-optimization unbounded (capped here by
-    ``max_plans`` to keep benchmarks terminating)."""
-
-    def __init__(self, max_plans: int = 20_000) -> None:
-        self.max_plans = max_plans
-
-    def search(
-        self,
-        start: PlanNode,
-        cost_fn: CostFn,
-        physical: PhysicalSchema,
-        *,
-        tracer=None,
-    ) -> SearchResult:
-        """Breadth-first closure of the move graph from ``start``."""
-        tracing = tracer is not None and tracer.enabled
-        seen: Dict[PlanNode, float] = {start: cost_fn(start)}
-        frontier: List[PlanNode] = [start]
-        costed = 1
-        while frontier and len(seen) < self.max_plans:
-            next_frontier: List[PlanNode] = []
-            for plan in frontier:
-                for description, candidate in neighbors(plan, physical, self.extended_moves):
-                    if candidate in seen:
-                        continue
-                    before = seen[plan]
-                    seen[candidate] = cost_fn(candidate)
-                    costed += 1
-                    if tracing:
-                        tracer.event(
-                            "strategy.candidate",
-                            strategy="exhaustive",
-                            move=description,
-                            cost_before=before,
-                            cost_after=seen[candidate],
-                            accepted=True,
-                        )
-                    next_frontier.append(candidate)
-                    if len(seen) >= self.max_plans:
-                        break
-                if len(seen) >= self.max_plans:
-                    break
-            frontier = next_frontier
-        best_plan, best_cost = min(seen.items(), key=lambda item: item[1])
-        return SearchResult(best_plan, best_cost, costed)
-
-
 #: Strategy names accepted anywhere a strategy can be selected by name
 #: (``OptimizerConfig(strategy=...)``, ``repro run --strategy``, the
 #: service protocol's per-request ``strategy`` field): the paper's II
-#: and the exact memoized enumerator.  SA, 2PO and the exhaustive
-#: closure are comparison baselines, constructed directly.
+#: and the memoized enumerator.
 STRATEGY_NAMES = ("ii", "enum")
 
 
-def resolve_strategy(name: str, *, seed: int = 1992) -> SearchStrategy:
-    """Build the strategy registered under ``name``.
-
-    ``seed`` feeds II; ``enum`` is deterministic and ignores it.
-    """
+def resolve_strategy(name: str) -> SearchStrategy:
+    """Build the strategy registered under ``name``."""
     # Imported here: enumerate.py subclasses SearchStrategy.
     from repro.core.enumerate import MemoizedEnumeration
 
-    factories = {
-        "ii": lambda: IterativeImprovement(seed=seed),
-        "enum": MemoizedEnumeration,
-    }
+    factories = {"ii": IterativeImprovement, "enum": MemoizedEnumeration}
     try:
         factory = factories[name]
     except KeyError:

@@ -14,6 +14,7 @@ from repro.cost import DetailedCostModel
 from repro.engine import Engine, ReferenceEvaluator
 from repro.errors import OptimizationError
 from repro.plans import EJ, Fix, Materialize, Sel, find_all, validate_plan
+from repro.plans.canonical import canonical_fingerprint
 from repro.querygraph.builder import (
     and_,
     arc,
@@ -134,6 +135,47 @@ class TestPolicies:
     def test_unknown_policy_rejected(self):
         with pytest.raises(OptimizationError):
             OptimizerConfig(push_policy="sometimes")
+
+
+#: The [KZ88] baseline on the CLAIM-STRATEGY queries
+#: (``benchmarks/bench_claim_strategy_time.py``, ``max_plans=800``):
+#: plans costed, canonical fingerprint and cost of the chosen plan.
+#: The plans and costs are the global optima an independent
+#: breadth-first closure of the move graph found.  On fig3 the
+#: breadth-first closure costed 28 plans because it re-ran from every
+#: pushed transformPT seed; push is one of the enumerator's own moves,
+#: so it runs once from the unpushed plan.
+CLAIM_STRATEGY_EXHAUSTIVE = {
+    "join-3 (dense)": (62, "73dcab40cb0700a8", 20.081577777777778),
+    "join-4 (dense)": (225, "e521e78c45708f3f", 24.494859259259258),
+    "fig3 (recursive)": (20, "b77759ebbc612b0a", 187.92494346597962),
+}
+
+
+class TestExhaustiveBaseline:
+    @pytest.fixture(scope="class")
+    def claim_db(self):
+        from benchmarks.bench_claim_strategy_time import build_db
+
+        return build_db()
+
+    @pytest.mark.parametrize("label", sorted(CLAIM_STRATEGY_EXHAUSTIVE))
+    def test_claim_strategy_plans_pinned(self, claim_db, label):
+        from benchmarks.bench_claim_strategy_time import chain_join_query
+
+        graph = {
+            "join-3 (dense)": lambda: chain_join_query(3, dense=True),
+            "join-4 (dense)": lambda: chain_join_query(4, dense=True),
+            "fig3 (recursive)": fig3_query,
+        }[label]()
+        model = DetailedCostModel(claim_db.physical)
+        result = exhaustive_optimizer(
+            claim_db.physical, model, max_plans=800
+        ).optimize(graph)
+        plans, fingerprint, cost = CLAIM_STRATEGY_EXHAUSTIVE[label]
+        assert result.plans_costed == plans
+        assert canonical_fingerprint(result.plan) == fingerprint
+        assert result.cost == pytest.approx(cost, rel=1e-12)
 
 
 class TestNonRecursiveViews:

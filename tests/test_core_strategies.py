@@ -2,13 +2,9 @@
 
 import pytest
 
+from repro.core.enumerate import MemoizedEnumeration
 from repro.core.moves import neighbors
-from repro.core.strategies import (
-    ExhaustiveSearch,
-    IterativeImprovement,
-    SimulatedAnnealing,
-    TwoPhase,
-)
+from repro.core.strategies import IterativeImprovement
 from repro.cost import DetailedCostModel
 from repro.engine import Engine
 from repro.plans import (
@@ -152,22 +148,9 @@ class TestStrategies:
         assert first.cost == second.cost
         assert first.plan == second.plan
 
-    def test_simulated_annealing_returns_best_seen(self, indexed_db, cost_fn):
-        start = chain_plan()
-        result = SimulatedAnnealing(seed=5).search(
-            start, cost_fn, indexed_db.physical
-        )
-        assert result.cost <= cost_fn(start)
-        validate_plan(result.plan, indexed_db.physical)
-
-    def test_two_phase_combines(self, indexed_db, cost_fn):
-        start = chain_plan()
-        result = TwoPhase(seed=7).search(start, cost_fn, indexed_db.physical)
-        assert result.cost <= cost_fn(start)
-
     def test_exhaustive_at_least_as_good(self, indexed_db, cost_fn):
         start = chain_plan()
-        exhaustive = ExhaustiveSearch(max_plans=500).search(
+        exhaustive = MemoizedEnumeration(prune_factor=None, max_plans=500).search(
             start, cost_fn, indexed_db.physical
         )
         improving = IterativeImprovement(seed=1).search(
@@ -176,7 +159,20 @@ class TestStrategies:
         assert exhaustive.cost <= improving.cost + 1e-9
 
     def test_exhaustive_counts_plans(self, indexed_db, cost_fn):
-        result = ExhaustiveSearch(max_plans=500).search(
-            chain_plan(), cost_fn, indexed_db.physical
-        )
+        closure = MemoizedEnumeration(prune_factor=None, max_plans=500)
+        result = closure.search(chain_plan(), cost_fn, indexed_db.physical)
         assert result.plans_costed >= 2
+        assert result.plans_costed == closure.last_stats.subplans_memoized
+        assert closure.last_stats.pruned_branches == 0
+
+    def test_exhaustive_stops_at_max_plans(self, indexed_db, cost_fn):
+        full = MemoizedEnumeration(prune_factor=None).search(
+            join_plan(), cost_fn, indexed_db.physical
+        )
+        assert full.plans_costed > 2
+        capped = MemoizedEnumeration(prune_factor=None, max_plans=2)
+        result = capped.search(join_plan(), cost_fn, indexed_db.physical)
+        # The cap is checked between expansions: the plan being expanded
+        # finishes its neighbourhood, so the memo may overshoot it.
+        assert capped.last_stats.expanded == 1
+        assert 2 <= result.plans_costed < full.plans_costed

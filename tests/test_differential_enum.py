@@ -14,7 +14,7 @@ configuration the engine supports.
 import pytest
 from hypothesis import given, settings
 
-from repro.core import enumerating_optimizer
+from repro.core import Optimizer, OptimizerConfig
 from repro.dist import ShardCluster
 
 from tests.diff_harness import (
@@ -38,6 +38,11 @@ GRID = [
     for batch_size in BATCH_SIZES
 ]
 assert GRID[0] == (1, 1)
+
+
+def enum_optimizer(physical):
+    return Optimizer(physical, config=OptimizerConfig(strategy="enum"))
+
 
 # Each example optimizes with the full enumerator and executes a
 # 4-configuration grid; cap the sweep so tier-1 stays fast
@@ -75,7 +80,7 @@ def test_differential_enum_flat_queries(music_db, music_cluster, graph):
         graph,
         GRID,
         cluster=music_cluster,
-        optimizer=enumerating_optimizer,
+        optimizer=enum_optimizer,
     )
 
 
@@ -87,7 +92,7 @@ def test_differential_enum_recursive_queries(music_db, music_cluster, graph):
         graph,
         GRID,
         cluster=music_cluster,
-        optimizer=enumerating_optimizer,
+        optimizer=enum_optimizer,
     )
 
 
@@ -99,5 +104,5 @@ def test_differential_enum_parts_queries(parts_db, parts_cluster, graph):
         graph,
         GRID,
         cluster=parts_cluster,
-        optimizer=enumerating_optimizer,
+        optimizer=enum_optimizer,
     )

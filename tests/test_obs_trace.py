@@ -7,12 +7,8 @@ import json
 import pytest
 
 from repro.core.baselines import cost_controlled_optimizer
-from repro.core.strategies import (
-    ExhaustiveSearch,
-    IterativeImprovement,
-    SimulatedAnnealing,
-    TwoPhase,
-)
+from repro.core.enumerate import MemoizedEnumeration
+from repro.core.strategies import IterativeImprovement
 from repro.obs import NULL_TRACER, Tracer
 from repro.workloads import fig3_query, join_push_query
 
@@ -178,11 +174,10 @@ class TestStrategyTraceEvents:
         "strategy",
         [
             IterativeImprovement(restarts=1, max_moves=4),
-            SimulatedAnnealing(steps_per_temperature=2),
-            TwoPhase(),
-            ExhaustiveSearch(max_plans=50),
+            MemoizedEnumeration(),
+            MemoizedEnumeration(prune_factor=None, max_plans=50),
         ],
-        ids=["II", "SA", "2PO", "exhaustive"],
+        ids=["II", "enum", "exhaustive"],
     )
     def test_strategy_accepts_tracer(self, searchable, strategy):
         plan, cost_fn, physical = searchable
@@ -194,6 +189,4 @@ class TestStrategyTraceEvents:
         assert traced.plans_costed == untraced.plans_costed
         events = tracer.events_named("strategy.candidate")
         # One event per costed move (the initial costing is not a move).
-        assert len(events) == traced.plans_costed - (
-            2 if isinstance(strategy, TwoPhase) else 1
-        )
+        assert len(events) == traced.plans_costed - 1
