@@ -123,10 +123,7 @@ def measurements():
             estimated = model.cost(plan)
             db.store.buffer.clear()  # cold start per measurement
             result = engine.execute(plan)
-            measured = result.metrics.measured_cost(
-                page_read_cost=model.params.page_read,
-                eval_cost=model.params.eval_per_tuple,
-            )
+            measured = result.metrics.measured_cost()
             rows.append((name, lineages, estimated, measured))
     return rows
 

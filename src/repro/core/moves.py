@@ -1,7 +1,7 @@
-"""Local plan transformations ("moves") for randomized strategies.
+"""Local plan transformations ("moves") for the search strategies.
 
-Randomized search ([IC90], Section 4.5) walks a neighbourhood graph
-over plans; these moves define the edges:
+Randomized search ([IC90], Section 4.5: II) walks a neighbourhood
+graph over plans and ``enum`` closes it; these moves define the edges:
 
 * ``swap-join`` — commute the operands of an explicit join (nested-loop
   cost is asymmetric);

@@ -144,10 +144,9 @@ def collect_probes(
     """Execute probe plans and record (events, target cost) pairs.
 
     ``target_fn`` maps a run's metrics to the cost to fit against; the
-    default is the simulator's reference weighting
-    (:data:`~repro.engine.metrics.PAGE_READ_COST` per page read,
-    :data:`~repro.engine.metrics.EVAL_COST` per evaluation), standing in for wall-clock time on a real
-    system."""
+    default is :meth:`~repro.engine.metrics.RuntimeMetrics.measured_cost`
+    (the :mod:`repro.units` weights), standing in for wall-clock time
+    on a real system."""
     if target_fn is None:
         target_fn = lambda metrics: metrics.measured_cost()
     engine = Engine(physical)

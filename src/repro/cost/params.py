@@ -2,17 +2,19 @@
 
 The detailed model (Figure 5 + the Section 3.2 basic operations) is
 parameterized by unit costs; the simplified model of Section 4.6 uses
-the paper's four constants ``pr``, ``ev``, ``lea``, ``lev``.  Defaults
-are chosen so one physical page read costs 1.0 and CPU work is an
-order of magnitude cheaper — the classic I/O-dominant regime of
-1992-era cost models (and of the simulator, whose measured cost uses
-the same weights).
+the paper's four constants ``pr``, ``ev``, ``lea``, ``lev``.  The page
+read, predicate evaluation, network and batch-size defaults are the
+unit costs of :mod:`repro.units` — the weights the engine's measured
+cost judges plans by — so the optimizer minimises the cost it is
+audited by.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from typing import Optional
+
+from repro import units
 
 __all__ = ["CostParameters", "SimplifiedParameters"]
 
@@ -22,13 +24,14 @@ class CostParameters:
     """Unit costs and environment knobs for the detailed model."""
 
     #: Cost of one physical page read (``pr`` in the paper's sketch).
-    page_read: float = 1.0
-    #: CPU cost of evaluating one predicate conjunct on one record.
-    eval_per_tuple: float = 0.02
+    page_read: float = units.PAGE_READ
+    #: CPU cost of evaluating one predicate conjunct on one record
+    #: (``ev``).
+    eval_per_tuple: float = units.PREDICATE_EVAL
     #: CPU cost of producing one output tuple (projection etc.).
     tuple_cpu: float = 0.002
     #: Cost of one index page access (B+-tree node touch).
-    index_page: float = 1.0
+    index_page: float = units.PAGE_READ
     #: Buffer capacity assumed by the model, in pages.  The model uses
     #: it to discount repeated accesses to small entities ("some of the
     #: needed data are already in main memory", Section 3.2 footnote).
@@ -53,12 +56,8 @@ class CostParameters:
     #: operator pays the per-batch overhead below once per
     #: ``ceil(tuples / batch_size)`` emitted batches, so plan costs
     #: stay honest at any batch size (at 1 the term degenerates to a
-    #: per-tuple pipeline charge, the tuple-at-a-time regime).  Must
-    #: mirror :data:`repro.engine.batch.DEFAULT_BATCH_SIZE` (kept as a
-    #: literal here — the engine package transitively imports this
-    #: module, so importing the constant would be circular); a test
-    #: pins the two together.
-    batch_size: int = 256
+    #: per-tuple pipeline charge, the tuple-at-a-time regime).
+    batch_size: int = units.DEFAULT_BATCH_SIZE
     #: CPU cost of emitting one batch: a generator resumption, a
     #: cancellation poll and a metering probe.  Small relative to
     #: ``eval_per_tuple`` so operator-choice comparisons (index vs
@@ -82,10 +81,10 @@ class CostParameters:
     shards: int = 1
     #: Network cost of moving one tuple through the delta exchange
     #: (one leg); the ``alpha`` term of the mongodb-d4 decomposition.
-    network_per_tuple: float = 0.005
+    network_per_tuple: float = units.NETWORK_TUPLE
     #: Fixed per-shard per-exchange frame cost (scatter or gather
     #: latency), charged once per shard per leg.
-    network_per_round: float = 0.05
+    network_per_round: float = units.NETWORK_FRAME
     #: Expected partition imbalance (max shard load / mean shard load,
     #: >= 1.0); the ``gamma`` term — a barrier round is gated by its
     #: most loaded shard.
@@ -129,7 +128,7 @@ class SimplifiedParameters:
     no materialization, indices fixed-shape.
     """
 
-    pr: float = 1.0
-    ev: float = 0.1
+    pr: float = units.PAGE_READ
+    ev: float = units.PREDICATE_EVAL
     lea: float = 50.0
     lev: float = 3.0

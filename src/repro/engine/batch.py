@@ -31,6 +31,7 @@ import os
 from typing import Dict, List, Optional
 
 from repro.obs.log import get_logger
+from repro.units import DEFAULT_BATCH_SIZE
 
 __all__ = [
     "Batch",
@@ -39,12 +40,6 @@ __all__ = [
 ]
 
 _LOG = get_logger("engine")
-
-#: Default number of bindings per batch.  Large enough to amortize the
-#: per-batch generator hop / cancellation poll / metering probe down to
-#: noise, small enough that a batch of music-schema bindings stays well
-#: inside a few cache lines of pointers.
-DEFAULT_BATCH_SIZE = 256
 
 
 def default_batch_size() -> int:

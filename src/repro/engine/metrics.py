@@ -4,7 +4,8 @@ The cost model predicts page accesses and predicate evaluations; the
 engine counts what actually happened so benchmarks can compare the two
 (Figure 5 validation).  I/O counters live in the buffer pool; this
 module adds the CPU-side counters and combines both into one measured
-cost figure using the same unit weights the cost model uses.
+cost figure, weighted by the unit costs of :mod:`repro.units` — the
+same weights the cost model's defaults read.
 """
 
 from __future__ import annotations
@@ -13,30 +14,14 @@ import sys
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+from repro import units
 from repro.physical.buffer import BufferStats
 
 __all__ = [
-    "EVAL_COST",
-    "NETWORK_FRAME_COST",
-    "NETWORK_TUPLE_COST",
-    "PAGE_READ_COST",
     "RuntimeMetrics",
     "network_cost",
     "node_cost",
 ]
-
-#: The unit weights of measured cost, defined once: ``pr`` per
-#: (physical or index) page read and ``ev`` per predicate evaluation,
-#: as in the paper's simplified model, plus the network weights of the
-#: ``CostParameters`` defaults per exchanged tuple and per frame
-#: (literals here because ``cost/`` already imports the engine
-#: package).  :meth:`RuntimeMetrics.measured_cost`, EXPLAIN ANALYZE's
-#: per-node actual cost and telemetry's ``OperatorActual.cost`` all
-#: price with them.
-PAGE_READ_COST = 1.0
-EVAL_COST = 0.1
-NETWORK_TUPLE_COST = 0.005
-NETWORK_FRAME_COST = 0.05
 
 
 def node_cost(profile) -> float:
@@ -46,12 +31,12 @@ def node_cost(profile) -> float:
     are both this number."""
     return (
         profile.page_reads + profile.index_page_reads
-    ) * PAGE_READ_COST + profile.predicate_evals * EVAL_COST
+    ) * units.PAGE_READ + profile.predicate_evals * units.PREDICATE_EVAL
 
 
 def network_cost(tuples: float, frames: float) -> float:
     """Measured cost of exchanged tuples and frames."""
-    return tuples * NETWORK_TUPLE_COST + frames * NETWORK_FRAME_COST
+    return tuples * units.NETWORK_TUPLE + frames * units.NETWORK_FRAME
 
 
 #: ``slots=True`` (3.10+) because the counter increments are the
@@ -157,19 +142,17 @@ class RuntimeMetrics:
         """Total tuples produced across all operators."""
         return sum(self.tuples_by_operator.values())
 
-    def measured_cost(
-        self, page_read_cost: float = PAGE_READ_COST, eval_cost: float = EVAL_COST
-    ) -> float:
+    def measured_cost(self) -> float:
         """Combine the counters into one cost figure.
 
-        Uses the same two unit weights as the paper's simplified model:
+        Uses the two unit weights of the paper's simplified model:
         ``pr`` per (physical or index) page read and ``ev`` per
         predicate evaluation; method invocations are weighted
         evaluations.  Sharded runs add :func:`network_cost`.
         """
         io = self.buffer.physical_reads + self.index_page_reads
         cpu = self.predicate_evals + self.method_eval_weight
-        cost = io * page_read_cost + cpu * eval_cost
+        cost = io * units.PAGE_READ + cpu * units.PREDICATE_EVAL
         if self.shards_used > 1:
             cost += network_cost(self.exchange_tuples, self.exchange_frames)
         return cost

@@ -6,7 +6,7 @@ makes those decisions — and their runtime consequences — inspectable:
 
 * :mod:`repro.obs.trace` — a lightweight span tracer threaded through
   the optimizer's four phases (rewrite, translate, generatePT,
-  transformPT) and the randomized strategies, so the full plan-space
+  transformPT) and the search strategies, so the full plan-space
   walk is reconstructable, exportable as JSON or Chrome
   ``chrome://tracing`` format;
 * :mod:`repro.obs.profile` — per-operator runtime profiling of plan

@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
-from repro.engine.metrics import PAGE_READ_COST, network_cost, node_cost
+from repro import units
+from repro.engine.metrics import network_cost, node_cost
 from repro.errors import CostModelError
 from repro.obs.profile import FixIterationProfile, PlanProfiler, assign_node_ids
 from repro.plans.display import render_tree
@@ -255,7 +256,7 @@ def build_explain(
             )
             if actual is not None:
                 if explain.page_reads is not None:
-                    actual["disk"] = float(explain.page_reads) * PAGE_READ_COST
+                    actual["disk"] = float(explain.page_reads) * units.PAGE_READ
                 explain.distributed["act"] = actual
         explain.children = [build(child) for child in node.children]
         return explain

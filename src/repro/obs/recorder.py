@@ -45,6 +45,7 @@ answer-set fingerprint match the originals.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -296,10 +297,10 @@ def replay_bundle(bundle: Dict[str, Any], database=None) -> Dict[str, Any]:
 
     Rebuilds the store from the bundle's generator recipe (unless a
     prebuilt *database* is supplied), re-optimizes the recorded query
-    with the recorded strategy under the recorded cost parameters — the
-    randomized strategies are seeded, so this is deterministic —
-    re-executes under the recorded knobs, and compares plan fingerprint
-    and answer-set fingerprint against the originals.
+    with the recorded strategy under the recorded cost parameters — II's
+    restarts are seeded, so this is deterministic — re-executes under
+    the recorded knobs, and compares plan fingerprint and answer-set
+    fingerprint against the originals.
     """
 
     from repro.core.optimizer import Optimizer, OptimizerConfig
@@ -346,19 +347,20 @@ def replay_bundle(bundle: Dict[str, Any], database=None) -> Dict[str, Any]:
     replayed_fp = canonical_fingerprint(result.plan)
 
     shards = max(1, int(knobs.get("shards", 1)))
-    cluster = None
-    if shards > 1:
-        from repro.dist import ShardCluster
+    with contextlib.ExitStack() as stack:
+        cluster = None
+        if shards > 1:
+            from repro.dist import ShardCluster
 
-        cluster = ShardCluster(physical, shards)
-    engine = Engine(
-        physical,
-        max_fix_iterations=int(knobs.get("max_fix_iterations", 256)),
-        batch_size=knobs.get("batch_size") or None,
-        shards=shards,
-        cluster=cluster,
-    )
-    execution = engine.execute(result.plan)
+            cluster = stack.enter_context(ShardCluster(physical, shards))
+        engine = Engine(
+            physical,
+            max_fix_iterations=int(knobs.get("max_fix_iterations", 256)),
+            batch_size=knobs.get("batch_size") or None,
+            shards=shards,
+            cluster=cluster,
+        )
+        execution = engine.execute(result.plan)
     replayed_answer = answer_fingerprint(execution.rows)
 
     expected_fp = bundle["plan"]["fingerprint"]

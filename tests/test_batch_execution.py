@@ -37,9 +37,8 @@ def filter_plan():
 
 class TestConfigurationPlumbing:
     def test_default_batch_size_mirrors_cost_parameters(self):
-        # cost/params.py keeps its batch_size as a literal (importing
-        # the engine constant would be circular); this is the pin that
-        # keeps the two in sync.
+        # The model prices plans at the batch size the engine runs by
+        # default: both read repro.units.
         assert CostParameters().batch_size == DEFAULT_BATCH_SIZE
 
     def test_env_var_overrides_default(self, monkeypatch):

@@ -146,9 +146,9 @@ class TestPolicies:
 #: pushed transformPT seed; push is one of the enumerator's own moves,
 #: so it runs once from the unpushed plan.
 CLAIM_STRATEGY_EXHAUSTIVE = {
-    "join-3 (dense)": (62, "73dcab40cb0700a8", 20.081577777777778),
-    "join-4 (dense)": (225, "e521e78c45708f3f", 24.494859259259258),
-    "fig3 (recursive)": (20, "b77759ebbc612b0a", 187.92494346597962),
+    "join-3 (dense)": (62, "73dcab40cb0700a8", 38.85491111111111),
+    "join-4 (dense)": (225, "e521e78c45708f3f", 44.40597037037037),
+    "fig3 (recursive)": (20, "b77759ebbc612b0a", 499.3552994911379),
 }
 
 

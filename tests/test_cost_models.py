@@ -9,11 +9,13 @@ from repro.cost import (
     SimplifiedParameters,
     Sym,
 )
+from repro.engine import Engine
 from repro.errors import CostModelError
 from repro.plans import (
     EJ,
     IJ,
     INDEX_JOIN,
+    NESTED_LOOP,
     PIJ,
     EntityLeaf,
     Fix,
@@ -23,6 +25,7 @@ from repro.plans import (
     UnionOp,
 )
 from repro.querygraph.builder import add, const, eq, ge, out, path, var
+from repro.workloads import MusicConfig, generate_music_database
 
 
 def make_fix():
@@ -119,26 +122,44 @@ class TestDetailedModel:
         )
         assert small < large
 
-    def test_nested_loop_vs_index_join(self, indexed_db):
+    def test_nested_loop_vs_index_join(self):
         left = Sel(
             EntityLeaf("Composer", "a"),
             ge(path("a", "birthyear"), const(0)),
         )
         right = EntityLeaf("Composer", "b")
         predicate = eq(path("a", "name"), path("b", "name"))
-        # With a buffer that absorbs the tiny inner, rescans are free
-        # and nested loop wins; starve the buffer and index probing
-        # wins — the cost model sees both regimes.
-        buffered = DetailedCostModel(indexed_db.physical)
-        starved = DetailedCostModel(
-            indexed_db.physical, CostParameters(buffer_pages=1)
-        )
-        assert buffered.cost(EJ(left, right, predicate)) <= buffered.cost(
-            EJ(left, right, predicate, INDEX_JOIN)
-        )
-        assert starved.cost(EJ(left, right, predicate, INDEX_JOIN)) < starved.cost(
-            EJ(left, right, predicate)
-        )
+        # A pool that holds the inner (rescans are free) and a starved
+        # one: in both regimes the EJ algorithm the model prefers is
+        # the one that measures cheaper, each run from a cleared buffer.
+        for buffer_pages in (256, 1):
+            db = generate_music_database(
+                MusicConfig(
+                    lineages=3,
+                    generations=7,
+                    works_per_composer=3,
+                    seed=7,
+                    buffer_pages=buffer_pages,
+                )
+            )
+            db.build_paper_indexes()
+            model = DetailedCostModel(db.physical)
+            measured = {}
+            estimated = {}
+            for algorithm in (NESTED_LOOP, INDEX_JOIN):
+                plan = EJ(left, right, predicate, algorithm)
+                estimated[algorithm] = model.cost(plan)
+                db.store.buffer.clear()
+                measured[algorithm] = (
+                    Engine(db.physical).execute(plan).metrics.measured_cost()
+                )
+            preferred = min(estimated, key=estimated.get)
+            other = INDEX_JOIN if preferred == NESTED_LOOP else NESTED_LOOP
+            assert measured[preferred] < measured[other], (
+                buffer_pages,
+                estimated,
+                measured,
+            )
 
     def test_fix_cost_scales_with_iterations(self, indexed_db):
         model = DetailedCostModel(indexed_db.physical)

@@ -122,9 +122,9 @@ class TestRecalibrationShrinksMisestimate:
             report = service.recalibrate(apply=True)
             assert report["applied"]
             assert report["samples"] >= 6
-            # The fit recovers the simulator's reference unit costs:
-            # 1.0 per page read dominates, and the CPU weight moves
-            # from the default 0.02 toward the simulator's 0.1.
+            # The fit recovers the simulator's reference unit costs
+            # (``repro.units``, which the defaults already are): 1.0
+            # per page read dominates.
             assert report["weights"]["physical_reads"] == pytest.approx(
                 1.0, abs=0.2
             )

@@ -4,6 +4,7 @@ deterministic replay (plan-fingerprint + answer-set equality)."""
 import io
 import json
 import os
+import threading
 
 import pytest
 
@@ -179,6 +180,15 @@ class TestReplay:
         out = io.StringIO()
         assert main(["replay", str(path)], out=out) == 0
         assert "REPLAY OK" in out.getvalue()
+
+    def test_sharded_replay_closes_its_cluster(self):
+        db = database_from_config(RECIPE)
+        bundle = run_and_bundle(FIG3, db)
+        bundle["knobs"]["shards"] = 2
+        before = threading.active_count()
+        report = replay_bundle(bundle)
+        assert report["matched"]
+        assert threading.active_count() == before
 
     def test_replay_detects_answer_divergence(self):
         db = database_from_config(RECIPE)
