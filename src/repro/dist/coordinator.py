@@ -212,14 +212,15 @@ def sharded_rounds(
                     else:
                         staged = staged_cache.get(payload_key)
                         if staged is None:
+                            payload = payloads[payload_key]
                             with stracer.span(
                                 "exchange_recv",
                                 round=round_index,
-                                frames=len(payloads[payload_key]),
-                            ):
-                                received = exchange.decode_tuples(
-                                    payloads[payload_key]
-                                )
+                                frames=len(payload),
+                            ) as recv_span:
+                                if stracer.enabled:
+                                    recv_span.set(bytes=sum(map(len, payload)))
+                                received = exchange.decode_tuples(payload)
                             with stracer.span(
                                 "stage", round=round_index, tuples=len(received)
                             ):
@@ -233,7 +234,7 @@ def sharded_rounds(
                         produced.extend(session.evaluate(part, env))
                 with stracer.span(
                     "exchange_send", round=round_index, tuples=len(produced)
-                ):
+                ) as send_span:
                     frames = exchange.encode_tuples(
                         "result",
                         fix.name,
@@ -243,6 +244,8 @@ def sharded_rounds(
                         trace_id=trace_id,
                         layout="columnar",
                     )
+                    if stracer.enabled:
+                        send_span.set(bytes=sum(map(len, frames)))
                 reads = session.io.stats.logical_reads - reads_before
                 round_span.set(tuples=len(produced), reads=reads)
                 return {
@@ -272,19 +275,18 @@ def sharded_rounds(
         delta: Optional[List[StoredRecord]],
     ):
         """Which shard evaluates which part on which payload, plus the
-        scatter leg: ``(assignments, payloads, scatter volume by
-        shard)``."""
+        scatter leg: ``(assignments, payloads, scatter volume)``."""
         assignments: Dict[int, List[Tuple[PlanNode, Optional[object]]]] = {
             shard: [] for shard in range(width)
         }
         payloads: Dict[object, List[bytes]] = {}
-        scatter_by_shard: Dict[int, exchange.ExchangeStats] = {}
+        scatter = exchange.ExchangeStats()
         if delta is None:
             # Base round: non-recursive parts fan out round-robin; only
             # the gather leg carries tuples.
             for index, part in enumerate(parts):
                 assignments[index % width].append((part, None))
-            return assignments, payloads, scatter_by_shard
+            return assignments, payloads, scatter
         if round_index == 1:
             rebinding[:] = _rebinding_fields(fix, delta)
             if rebinding:
@@ -310,19 +312,15 @@ def sharded_rounds(
                                 layout="columnar",
                             )
                             payloads[("slice", shard)] = frames
-                            stats = scatter_by_shard.setdefault(
-                                shard, exchange.ExchangeStats()
-                            )
-                            stats.count(frames, len(piece))
+                            scatter.count(frames, len(piece))
                     for shard, piece in enumerate(slices):
                         if piece:
                             assignments[shard].append((part, ("slice", shard)))
                 else:
                     # Unpartitionable part: the whole delta travels to
                     # one shard, rotating per round for balance.
-                    # Payloads are keyed (and their volume counted) per
-                    # target so the frame headers name the shard that
-                    # really receives them.
+                    # Payloads are keyed per target so the frame
+                    # headers name the shard that really receives them.
                     target = (round_index + part_index) % width
                     payload_key = ("full", target)
                     if payload_key not in payloads:
@@ -335,12 +333,9 @@ def sharded_rounds(
                             trace_id=trace_id,
                             layout="columnar",
                         )
-                        stats = scatter_by_shard.setdefault(
-                            target, exchange.ExchangeStats()
-                        )
-                        stats.count(payloads[payload_key], len(delta))
+                        scatter.count(payloads[payload_key], len(delta))
                     assignments[target].append((part, payload_key))
-        return assignments, payloads, scatter_by_shard
+        return assignments, payloads, scatter
 
     def evaluate(
         round_index: int,
@@ -349,9 +344,7 @@ def sharded_rounds(
     ) -> Tuple[List[StoredRecord], dict]:
         """One scatter-gather round; returns the fresh records and the
         round record's exchange fields."""
-        assignments, payloads, scatter_by_shard = assign(
-            round_index, parts, delta
-        )
+        assignments, payloads, volume = assign(round_index, parts, delta)
         futures = {
             shard: cluster.submit(
                 shard_task, sessions[shard], round_index, tasks, payloads
@@ -376,9 +369,6 @@ def sharded_rounds(
             raise error
         # Gather leg: dedup in shard-index order (deterministic), then
         # materialize the fresh tuples at the coordinator.
-        volume = exchange.ExchangeStats()
-        for stats in scatter_by_shard.values():
-            volume.merge(stats)
         fresh: List[StoredRecord] = []
         loads: Dict[int, float] = {}
         produced_by_shard: Dict[int, int] = {}
@@ -388,23 +378,7 @@ def sharded_rounds(
                 metrics.shard_busy_seconds += outcome["busy"]
                 loads[shard] = float(outcome["reads"] + outcome["tuples"])
                 produced_by_shard[shard] = outcome["tuples"]
-                arrived = exchange.decode_tuples(outcome["frames"])
-                keep_rows(arrived, fresh)
-                scatter = scatter_by_shard.get(shard)
-                exchange.write_shard_telemetry(
-                    {
-                        "request": rid,
-                        "fix": fix.name,
-                        "round": round_index,
-                        "shard": shard,
-                        "scatter_tuples": scatter.tuples if scatter else 0,
-                        "scatter_bytes": scatter.bytes if scatter else 0,
-                        "gather_tuples": len(arrived),
-                        "gather_bytes": sum(len(f) for f in outcome["frames"]),
-                        "logical_reads": outcome["reads"],
-                        "busy_seconds": round(outcome["busy"], 6),
-                    }
-                )
+                keep_rows(exchange.decode_tuples(outcome["frames"]), fresh)
         round_max = max(loads.values(), default=0.0)
         round_mean = (sum(loads.values()) / len(loads)) if loads else 0.0
         skew = (round_max / round_mean) if round_mean > 0 else 1.0

@@ -20,9 +20,6 @@ silently stringified.
 
 from __future__ import annotations
 
-import json
-import os
-import threading
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence
 
@@ -36,8 +33,6 @@ __all__ = [
     "encode_tuples",
     "decode_tuples",
     "ExchangeStats",
-    "shard_telemetry_path",
-    "write_shard_telemetry",
 ]
 
 #: Tuples per frame before size-based splitting kicks in.  Small enough
@@ -269,32 +264,3 @@ class ExchangeStats:
         self.frames += len(frames)
         self.bytes += sum(len(frame) for frame in frames)
         self.tuples += tuple_count
-
-    def merge(self, other: "ExchangeStats") -> None:
-        self.tuples += other.tuples
-        self.bytes += other.bytes
-        self.frames += other.frames
-
-
-# -- per-shard telemetry ------------------------------------------------------
-
-_telemetry_lock = threading.Lock()
-
-
-def shard_telemetry_path() -> str:
-    """Target JSONL file for per-round per-shard telemetry records;
-    empty string disables (the default)."""
-    return os.environ.get("REPRO_SHARD_TELEMETRY", "")
-
-
-def write_shard_telemetry(record: dict) -> None:
-    """Append one JSONL telemetry record (no-op unless
-    ``REPRO_SHARD_TELEMETRY`` names a file).  CI uploads the file as a
-    build artifact so sharded-round behaviour is inspectable per run."""
-    path = shard_telemetry_path()
-    if not path:
-        return
-    line = json.dumps(record, sort_keys=True, default=str)
-    with _telemetry_lock:
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")

@@ -8,13 +8,15 @@ makes those decisions — and their runtime consequences — inspectable:
   the optimizer's four phases (rewrite, translate, generatePT,
   transformPT) and the search strategies, so the full plan-space
   walk is reconstructable, exportable as JSON or Chrome
-  ``chrome://tracing`` format;
+  ``chrome://tracing`` format (the only Chrome exporter: a sharded
+  run stitches one lane per shard into the same trace);
 * :mod:`repro.obs.profile` — per-operator runtime profiling of plan
   execution (tuples out, page reads, predicate evaluations, wall time
   per PT node, per-Fix-iteration deltas);
 * :mod:`repro.obs.explain` — merges the cost model's per-node
   estimates with the profiler's actuals into an ``EXPLAIN ANALYZE``
-  tree (the continuous Figure 5/6 estimated-vs-measured audit);
+  tree (the continuous Figure 5/6 estimated-vs-measured audit),
+  exported as JSON;
 * :mod:`repro.obs.history` — the persistent
   :class:`~repro.obs.history.QueryTelemetryStore`: per plan
   fingerprint and per operator, estimated vs. measured cardinalities,
@@ -25,12 +27,13 @@ makes those decisions — and their runtime consequences — inspectable:
   plan-regression detection with pinning support;
 * :mod:`repro.obs.governor` / :mod:`repro.obs.sampler` — the overhead
   governor: keeps total observability spend under an explicit budget
-  by per-query-class head sampling plus tail-based (buffered
-  commit-or-drop) trace/profile retention;
+  by per-query-class head sampling; a sampled run keeps its trace and
+  profile, a skipped one carries cheap counters only;
 * :mod:`repro.obs.anomaly` — streaming EWMA+MAD anomaly detection per
   query class over latency, misestimate, skew and barrier-wait;
 * :mod:`repro.obs.recorder` — the flight recorder: self-contained
-  diagnostic bundles replayed deterministically by ``repro replay``;
+  diagnostic bundles replayed deterministically by ``repro replay``
+  through the serving pipeline (``QueryService.plan`` → ``execute``);
 * :mod:`repro.obs.log` — the unified structured (JSON or text) logging
   used across the service, distribution and engine layers.
 """

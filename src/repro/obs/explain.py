@@ -13,9 +13,9 @@ accumulates over the Fix iterations the model predicts) with the
 plan printer.  ``Fix`` nodes additionally list their semi-naive
 iterations (new tuples and wall time per round).
 
-Exports: :meth:`ExplainTree.to_dict` (JSON) and
-:meth:`ExplainTree.to_chrome_trace` (a synthesized flame view of
-inclusive per-node wall time, loadable in ``chrome://tracing``).
+Export: :meth:`ExplainTree.to_dict` (JSON).  The Chrome timeline of
+a run is the tracer's (:meth:`repro.obs.trace.Tracer.to_chrome_trace`),
+whose spans carry real start times.
 """
 
 from __future__ import annotations
@@ -166,39 +166,6 @@ class ExplainTree:
             "actual_cost": _round(self.root.actual_cost),
             "plan": self.root.to_dict(),
         }
-
-    def to_chrome_trace(self) -> dict:
-        """A flame view of inclusive per-node wall time: children are
-        laid out sequentially inside their parent's extent (the real
-        execution interleaves pulls, so offsets are synthetic — the
-        *durations* are the measured inclusive times)."""
-        trace_events: List[dict] = []
-
-        def emit(node: ExplainNode, start_us: float, depth: int) -> None:
-            duration_us = (node.actual_seconds or 0.0) * 1e6
-            trace_events.append(
-                {
-                    "name": f"{node.node_id} {node.label}",
-                    "cat": "execute",
-                    "ph": "X",
-                    "ts": round(start_us, 3),
-                    "dur": round(duration_us, 3),
-                    "pid": 1,
-                    "tid": 1,
-                    "args": {
-                        "rows": node.actual_rows,
-                        "est_rows": _round(node.est_rows),
-                        "page_reads": node.page_reads,
-                    },
-                }
-            )
-            offset = start_us
-            for child in node.children:
-                emit(child, offset, depth + 1)
-                offset += (child.actual_seconds or 0.0) * 1e6
-
-        emit(self.root, 0.0, 0)
-        return {"traceEvents": trace_events, "displayTimeUnit": "ms"}
 
 
 def build_explain(

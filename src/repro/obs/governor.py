@@ -9,8 +9,8 @@ governor keeps *total observability cost under an explicit budget*
 degrading detail per query class only when — and only where — the spend
 actually exceeds the budget:
 
-* **Under budget**: undegraded classes run with full buffered detail
-  (tail-sampling decides post-hoc what to keep); previously degraded
+* **Under budget**: undegraded classes run with full detail (a
+  sampled run keeps its trace and profile); previously degraded
   classes earn their probability back gradually — ``recover_factor``
   per decision, and only while spend sits below
   ``recover_ratio × budget`` (hysteresis) — and return to full detail
@@ -31,7 +31,7 @@ actually exceeds the budget:
 
 * **Anomaly pinning**: once a class raises an anomaly it is pinned to
   full detail for ``anomaly_pin_runs`` runs, so follow-up occurrences
-  of a production incident always yield complete tail-sampled traces.
+  of a production incident always yield complete traces.
 
 Observability spend is *modeled*, not separately clocked (clocking the
 clock would itself blow the budget): each profiler metering probe and
@@ -193,8 +193,6 @@ class ObservabilityGovernor:
         self._work_seconds = 0.0
         # Lifetime counters for the stats op / Prometheus.
         self.decisions: Dict[str, int] = {"full": 0, "head": 0, "skip": 0}
-        self.commits = 0
-        self.drops = 0
         self.anomalies_noted = 0
         self.charged_obs_seconds = 0.0
         self.charged_wall_seconds = 0.0
@@ -305,15 +303,6 @@ class ObservabilityGovernor:
                 state.obs_seconds = state.obs_seconds * decay + obs
         return obs
 
-    def settle(self, committed: bool) -> None:
-        """Record a tail decision: buffered artifacts kept or dropped."""
-
-        with self._lock:
-            if committed:
-                self.commits += 1
-            else:
-                self.drops += 1
-
     def note_anomaly(self, query_class: str) -> None:
         """Pin *query_class* to full detail after an anomaly."""
 
@@ -344,8 +333,6 @@ class ObservabilityGovernor:
                 "probe_cost_us": round(self.probe_cost * 1e6, 4),
                 "span_cost_us": round(self.span_cost * 1e6, 4),
                 "decisions": dict(self.decisions),
-                "commits": self.commits,
-                "drops": self.drops,
                 "anomalies": self.anomalies_noted,
                 "charged_obs_seconds": round(self.charged_obs_seconds, 6),
                 "charged_wall_seconds": round(self.charged_wall_seconds, 6),

@@ -29,8 +29,8 @@ and *re-execute* the request on another machine into one JSON bundle:
     store               {schema, stats} fingerprints of the live store
     execution           {row_count, answer_fingerprint, measured_cost,
                          execute_ms, fix_iterations}
-    trace               committed tail-sampled trace (optional)
-    profile             committed per-node profile (optional)
+    trace               the sampled run's trace (optional)
+    profile             the sampled run's per-node profile (optional)
     telemetry           recent observation window for the plan
     baselines           anomaly-detector baselines for the class
     environment         python/platform strings
@@ -38,14 +38,14 @@ and *re-execute* the request on another machine into one JSON bundle:
 Everything in the bundle is derived from *seeded* inputs — the
 generator recipe rebuilds a bit-identical store, and every transformPT
 strategy is deterministic or seeded — so :func:`replay_bundle`
-re-optimizes with the recorded strategy and re-executes
-deterministically and asserts both the plan fingerprint and the
-answer-set fingerprint match the originals.
+re-plans and re-executes through the serving pipeline
+(``QueryService.plan`` → ``execute``) with the recorded strategy,
+cost parameters and knobs, and asserts both the plan fingerprint and
+the answer-set fingerprint match the originals.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import os
@@ -292,24 +292,31 @@ def load_bundle(path: str) -> Dict[str, Any]:
     return bundle
 
 
+#: The bundle knobs replay hands to the service; fields of retired
+#: knobs (``batch_layout``, ``parallelism``) are dropped, so an older
+#: bundle replays on the current engine (retiring a knob does not bump
+#: ``bundle_version``).
+_REPLAY_KNOBS = ("batch_size", "shards", "max_fix_iterations", "strategy")
+
+
 def replay_bundle(bundle: Dict[str, Any], database=None) -> Dict[str, Any]:
     """Deterministically re-execute a bundle; returns a match report.
 
     Rebuilds the store from the bundle's generator recipe (unless a
-    prebuilt *database* is supplied), re-optimizes the recorded query
-    with the recorded strategy under the recorded cost parameters — II's
-    restarts are seeded, so this is deterministic — re-executes under
-    the recorded knobs, and compares plan fingerprint and answer-set
+    prebuilt *database* is supplied) and runs the recorded query
+    through the serving pipeline — :meth:`QueryService.plan` under the
+    recorded cost parameters and strategy (II's restarts are seeded,
+    so this is deterministic), then :meth:`QueryService.execute` under
+    the recorded knobs — and compares plan fingerprint and answer-set
     fingerprint against the originals.
     """
 
-    from repro.core.optimizer import Optimizer, OptimizerConfig
-    from repro.cost.model import DetailedCostModel
+    import dataclasses
+
     from repro.cost.params import CostParameters
-    from repro.engine.evaluator import Engine
-    from repro.lang.compile import compile_text
     from repro.plans.canonical import canonical_fingerprint
     from repro.service.plan_cache import schema_fingerprint
+    from repro.service.server import QueryService, ServiceConfig
 
     if database is None:
         recipe = bundle.get("database")
@@ -318,50 +325,39 @@ def replay_bundle(bundle: Dict[str, Any], database=None) -> Dict[str, Any]:
                 "bundle carries no database recipe; pass a prebuilt database"
             )
         database = database_from_config(recipe)
-    physical = database.physical
 
     report: Dict[str, Any] = {
-        "schema_match": schema_fingerprint(physical)
+        "schema_match": schema_fingerprint(database.physical)
         == bundle["store"]["schema"],
     }
 
+    knobs = bundle.get("knobs", {})
+    config = ServiceConfig(
+        feedback_enabled=False,
+        **{name: knobs[name] for name in _REPLAY_KNOBS if knobs.get(name)},
+    )
+    # One slot per shard, so admission grants the recorded width.
+    config.max_concurrent = config.shards
+    params, width = None, None
     params_dict = bundle.get("cost_parameters")
-    model = None
     if params_dict is not None:
-        import dataclasses
-
-        # Fields of retired knobs (here and in ``knobs`` below) are
-        # dropped: an older bundle replays on the current engine.
         known = {f.name for f in dataclasses.fields(CostParameters)}
         params = CostParameters(
             **{k: v for k, v in params_dict.items() if k in known}
         )
-        model = DetailedCostModel(physical, params)
-
-    knobs = bundle.get("knobs", {})
-    graph = compile_text(bundle["query"]["text"], database.catalog)
-    optimizer = Optimizer(
-        physical, model, OptimizerConfig(strategy=knobs.get("strategy", "ii"))
-    )
-    result = optimizer.optimize(graph)
-    replayed_fp = canonical_fingerprint(result.plan)
-
-    shards = max(1, int(knobs.get("shards", 1)))
-    with contextlib.ExitStack() as stack:
-        cluster = None
-        if shards > 1:
-            from repro.dist import ShardCluster
-
-            cluster = stack.enter_context(ShardCluster(physical, shards))
-        engine = Engine(
-            physical,
-            max_fix_iterations=int(knobs.get("max_fix_iterations", 256)),
-            batch_size=knobs.get("batch_size") or None,
-            shards=shards,
-            cluster=cluster,
+        # The plan was priced at the recorded parameters' width (a
+        # cached plan at the service's fan-out, whatever width ran it).
+        width = params.shards
+    service = QueryService(database, config)
+    try:
+        planned = service.plan(
+            bundle["query"]["text"], width=width, fresh=True, cost_params=params
         )
-        execution = engine.execute(result.plan)
-    replayed_answer = answer_fingerprint(execution.rows)
+        run = service.execute(planned, shards=config.shards)
+    finally:
+        service.close()
+    replayed_fp = canonical_fingerprint(planned.plan)
+    replayed_answer = answer_fingerprint(run.execution.rows)
 
     expected_fp = bundle["plan"]["fingerprint"]
     expected_answer = bundle["execution"]["answer_fingerprint"]
@@ -373,10 +369,10 @@ def replay_bundle(bundle: Dict[str, Any], database=None) -> Dict[str, Any]:
             "answer_fingerprint": replayed_answer,
             "expected_answer_fingerprint": expected_answer,
             "answer_match": replayed_answer == expected_answer,
-            "row_count": len(execution.rows),
+            "row_count": len(run.execution.rows),
             "expected_row_count": bundle["execution"]["row_count"],
-            "estimated_cost": round(result.cost, 4),
-            "fix_iterations": execution.metrics.fix_iterations,
+            "estimated_cost": round(planned.estimated, 4),
+            "fix_iterations": run.execution.metrics.fix_iterations,
         }
     )
     report["matched"] = bool(report["plan_match"] and report["answer_match"])

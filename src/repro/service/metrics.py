@@ -445,12 +445,12 @@ class ServiceMetrics:
             )
             counter(
                 "obs_committed_total",
-                "Buffered trace/profile runs committed by tail sampling.",
+                "Runs the governor sampled (trace and profile kept).",
                 counters.get("obs_committed", 0),
             )
             counter(
                 "obs_dropped_total",
-                "Buffered trace/profile runs dropped at completion.",
+                "Runs the governor skipped (cheap counters only).",
                 counters.get("obs_dropped", 0),
             )
 

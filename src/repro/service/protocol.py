@@ -34,7 +34,7 @@ Operations
 When an observability budget is configured (``--obs-budget``), query
 responses additionally carry an ``obs`` object echoing the governor's
 sampling decision for that request: ``{mode, sampled, weight, reason,
-committed, commit_reason?, anomalies?, bundle?}``.
+anomalies?, bundle?}``.
 
 A request may carry a client-chosen ``id``; it is echoed verbatim on
 the response (success or error) for correlation.  Executed queries

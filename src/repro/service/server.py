@@ -412,30 +412,39 @@ class QueryService:
         else:
             self.metrics.record_error()
 
-    def _model(self, width: int) -> Optional[DetailedCostModel]:
+    def _model(
+        self, width: int, cost_params: Optional[CostParameters] = None
+    ) -> Optional[DetailedCostModel]:
         """The cost model at ``width`` shards — the distributed-Fix
-        variant must see the width the engine will use — with the
-        recalibrated unit costs when applied.  ``None`` on the serial,
-        uncalibrated path at the default parameters: callees build that
-        model lazily, so a cache hit builds none."""
-        if self._cost_params is None and width <= 1 and self._default_params:
+        variant must see the width the engine will use — with
+        ``cost_params`` or else the recalibrated unit costs when
+        applied.  ``None`` on the serial, uncalibrated path at the
+        default parameters: callees build that model lazily, so a cache
+        hit builds none."""
+        params = cost_params or self._cost_params
+        if params is None and width <= 1 and self._default_params:
             return None
-        params = self._cost_params or self._base_params
-        return DetailedCostModel(self.physical, replace(params, shards=width))
+        return DetailedCostModel(
+            self.physical, replace(params or self._base_params, shards=width)
+        )
 
     def _optimizer(
         self,
         strategy: Optional[str] = None,
         width: Optional[int] = None,
         policy: str = "cost",
+        cost_params: Optional[CostParameters] = None,
     ) -> Optimizer:
         """A fresh optimizer priced at ``width`` shards (default: the
-        configured fan-out) with the configured strategy unless
-        ``strategy`` overrides it; unset, the paper's II.  ``policy``
+        configured fan-out) under ``cost_params`` (default: the
+        service's) with the configured strategy unless ``strategy``
+        overrides it; unset, the paper's II.  ``policy``
         ``always``/``never`` builds the deductive / naive baseline
         instead (:mod:`repro.core.baselines`), priced by the same
         model."""
-        model = self._model(self.config.shards if width is None else width)
+        model = self._model(
+            self.config.shards if width is None else width, cost_params
+        )
         if policy == "cost":
             config = OptimizerConfig(strategy=strategy or self.config.strategy)
         else:
@@ -470,16 +479,18 @@ class QueryService:
         fresh: bool = False,
         tracer: Tracer = NULL_TRACER,
         policy: str = "cost",
+        cost_params: Optional[CostParameters] = None,
     ) -> _Planned:
         """Substitute → cache key → lookup, or compile → optimize →
-        store.  ``fresh`` (explain, trace, diagnose, the CLI) optimizes
-        from scratch, priced at ``width`` shards, and neither reads nor
-        fills the cache: the point is to audit the optimizer.  Cached
-        plans are priced at the configured fan-out, never at one
+        store.  ``fresh`` (explain, trace, diagnose, the CLI, replay)
+        optimizes from scratch, priced at ``width`` shards, and neither
+        reads nor fills the cache: the point is to audit the optimizer.
+        Cached plans are priced at the configured fan-out, never at one
         request's.  ``policy`` ``always``/``never`` plans with a
-        baseline push policy (see :meth:`_optimizer`); such a plan is
-        never cached."""
-        fresh = fresh or policy != "cost"
+        baseline push policy (see :meth:`_optimizer`), and
+        ``cost_params`` (a bundle's recorded machine) replaces the
+        service's unit costs; such a plan is never cached."""
+        fresh = fresh or policy != "cost" or cost_params is not None
         substituted = substitute_params(text, params)
         validate_choice("strategy", strategy, STRATEGY_NAMES)
         default = self.config.strategy or "ii"
@@ -507,7 +518,7 @@ class QueryService:
                 planned.fingerprint = entry.fingerprint
             else:
                 graph = compile_program(program, self.database.catalog)
-                optimizer = self._optimizer(strategy, width, policy)
+                optimizer = self._optimizer(strategy, width, policy, cost_params)
                 with tracer.span("optimize"):
                     result = optimizer.optimize(graph, tracer=tracer)
                 planned.result, planned.cost_model = result, optimizer.cost_model
@@ -569,10 +580,9 @@ class QueryService:
         if sample and self.governor is not None:
             decision = self.governor.decide(query_class(planned.key[0]))
             if decision.sampled:
-                # Buffered observability: the trace and profile
-                # accumulate in memory and are committed or dropped at
-                # completion (tail sampling) — the anomaly verdict is
-                # only known once the query has run.
+                # A sampled run keeps its trace and profile in memory;
+                # an anomaly, known only once the query has run,
+                # bundles them.
                 profiler = PlanProfiler()
                 tracer = Tracer(
                     trace_id=request_id, max_spans=TRACE_MAX_SPANS
@@ -671,11 +681,10 @@ class QueryService:
         slow_reasons: List[str],
     ) -> Optional[dict]:
         """Close the observability loop for one completed query: score
-        it against its class baselines, commit or drop the buffered
-        trace/profile (tail sampling keeps anomalous, slow or
-        head-sampled runs), charge the governor for the detail spent
-        and, on anomaly, record a flight-recorder bundle.  Returns the
-        ``obs`` echo, or ``None`` when the governor is off."""
+        it against its class baselines, charge the governor for the
+        detail spent and, on anomaly in a sampled run, record a
+        flight-recorder bundle.  Returns the ``obs`` echo, or ``None``
+        when the governor is off."""
         if self.governor is None:
             return None
         decision, metrics = run.decision, run.execution.metrics
@@ -691,13 +700,7 @@ class QueryService:
             query_cls, seconds, misestimate=misestimate, skew=skew, barrier_wait=barrier
         )
         found = [anomaly.to_dict() for anomaly in anomalies]
-        # Tail-sampling verdict: anomaly beats slow beats the head
-        # sample the run was admitted under.
-        commit_reason = bundle_path = None
-        if decision.sampled:
-            commit_reason = (
-                "anomaly" if found else "slow" if slow_reasons else decision.reason
-            )
+        bundle_path = None
         if found:
             self.governor.note_anomaly(query_cls)
             self.metrics.count("anomalies", len(found))
@@ -721,17 +724,13 @@ class QueryService:
                 bundle_path, _bundle = self._record_bundle(
                     "anomaly", planned, run, decision.to_dict(), found
                 )
-        # Charge what this run's detail actually cost, then settle the
-        # commit-or-drop so the spent fraction steers later decisions.
+        # Charge what this run's detail actually cost, so the spent
+        # fraction steers later decisions.
         probes = metrics.obs_probes if run.profiler is not None else 0
         spans = run.tracer.span_count() if run.tracer is not None else 0
         self.governor.charge(query_cls, seconds, probes=probes, spans=spans)
-        committed = commit_reason is not None
-        self.governor.settle(committed)
-        self.metrics.count("obs_committed" if committed else "obs_dropped")
-        echo = {**decision.to_dict(), "committed": committed}
-        if commit_reason is not None:
-            echo["commit_reason"] = commit_reason
+        self.metrics.count("obs_committed" if decision.sampled else "obs_dropped")
+        echo = decision.to_dict()
         if found:
             echo["anomalies"] = found
         if bundle_path is not None:
@@ -1284,10 +1283,7 @@ class QueryService:
         query = request.get("query")
         if query is not None and not isinstance(query, str):
             raise ProtocolError("history 'query' must be a string")
-        limit = request.get("limit", 20)
-        if not isinstance(limit, int) or limit <= 0:
-            raise ProtocolError("history 'limit' must be a positive integer")
-        return self.history(query, limit)
+        return self.history(query, _positive_int_field(request, "limit") or 20)
 
     def _op_recalibrate(self, request: dict) -> dict:
         return self.recalibrate(apply=bool(request.get("apply")))

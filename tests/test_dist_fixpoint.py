@@ -2,9 +2,9 @@
 shard map, delta partitioning (disjointness, determinism, which parts
 may be partitioned), the scatter-gather fixpoint's semantics,
 failure/cleanup behaviour, observability (EXPLAIN ANALYZE, runtime
-metrics, per-shard telemetry) and the cluster snapshot."""
+metrics, per-shard round data in the shard trace lanes) and the
+cluster snapshot."""
 
-import json
 import threading
 
 import pytest
@@ -24,7 +24,7 @@ from repro.dist.shard import ShardSession
 from repro.engine import Engine, ReferenceEvaluator
 from repro.errors import FixpointLimitError, ProtocolError
 from repro.lang import compile_text
-from repro.obs import PlanProfiler, build_explain, render_explain
+from repro.obs import PlanProfiler, Tracer, build_explain, render_explain
 from repro.service import protocol
 from repro.physical.storage import Oid, StoredRecord
 from repro.plans.nodes import EJ, EntityLeaf, Proj, RecLeaf, Sel
@@ -101,12 +101,11 @@ def test_exchange_rejects_malformed_oid_marker():
 
 
 def test_exchange_stats_count_both_legs():
+    # A round's scatter and gather legs accumulate into one volume.
     stats = exchange.ExchangeStats()
     frames = encode_tuples("delta", "f", 0, 0, [{"a": 1}, {"a": 2}])
     stats.count(frames, 2)
-    other = exchange.ExchangeStats()
-    other.count(frames, 2)
-    stats.merge(other)
+    stats.count(frames, 2)
     assert stats.tuples == 4
     assert stats.frames == 2 * len(frames)
     assert stats.bytes == 2 * sum(len(frame) for frame in frames)
@@ -432,27 +431,34 @@ def test_explain_analyze_shows_exchange_per_round(music_db, fig3_plan):
     assert "exchanged=" in rendered
 
 
-def test_shard_telemetry_jsonl(music_db, fig3_plan, tmp_path, monkeypatch):
-    target = tmp_path / "shards.jsonl"
-    monkeypatch.setenv("REPRO_SHARD_TELEMETRY", str(target))
+def test_shard_lanes_carry_round_and_exchange_data(music_db, fig3_plan):
+    """Per-shard round data lives in the stitched trace: every shard
+    lane's ``round`` spans carry its tuples and reads, and its exchange
+    spans carry the bytes of both legs — together exactly the run's
+    exchange volume."""
+    tracer = Tracer(trace_id="req-rounds")
     with ShardCluster(music_db.physical, 2) as cluster:
-        Engine(music_db.physical, shards=2, cluster=cluster).execute(fig3_plan)
-    records = [
-        json.loads(line) for line in target.read_text().splitlines()
-    ]
-    assert records
-    expected_keys = {
-        "fix",
-        "round",
-        "shard",
-        "scatter_tuples",
-        "scatter_bytes",
-        "gather_tuples",
-        "gather_bytes",
-        "logical_reads",
+        engine = Engine(music_db.physical, shards=2, cluster=cluster)
+        engine.tracer = tracer
+        execution = engine.execute(fig3_plan)
+    events = tracer.to_chrome_trace()["traceEvents"]
+    lanes = {
+        e["tid"]: e["args"]["name"]
+        for e in events
+        if e["ph"] == "M" and e["name"] == "thread_name"
     }
-    for record in records:
-        assert expected_keys <= set(record)
-        assert record["shard"] in (0, 1)
-    assert {record["shard"] for record in records} == {0, 1}
-    assert max(record["round"] for record in records) >= 1
+    spans = [e for e in events if e["ph"] == "X"]
+    exchanged = 0
+    for shard in ("shard0", "shard1"):
+        lane = [e for e in spans if lanes[e["tid"]] == shard]
+        rounds = [e for e in lane if e["name"] == "round"]
+        assert rounds, shard
+        assert all({"tuples", "reads"} <= set(e["args"]) for e in rounds)
+        assert max(e["args"]["round"] for e in rounds) >= 1
+        legs = [
+            e for e in lane if e["name"] in ("exchange_recv", "exchange_send")
+        ]
+        assert {e["name"] for e in legs} == {"exchange_recv", "exchange_send"}
+        assert all(e["args"]["bytes"] > 0 for e in legs)
+        exchanged += sum(e["args"]["bytes"] for e in legs)
+    assert exchanged == execution.metrics.exchange_bytes

@@ -335,6 +335,19 @@ class TestProtocolSurface:
         finally:
             service.close()
 
+    def test_history_rejects_a_boolean_limit(self):
+        # ``True`` is an ``int`` to Python; as a limit it must not
+        # silently mean 1.
+        service = QueryService(build_db(lineages=2, generations=4))
+        try:
+            service.handle({"op": "query", "text": SCAN})
+            response = service.handle({"op": "history", "limit": True})
+            assert not response["ok"]
+            assert response["error"]["code"] == "protocol_error"
+            assert service.handle({"op": "history", "limit": 1})["ok"]
+        finally:
+            service.close()
+
     def test_feedback_disabled_service_still_serves(self):
         service = QueryService(
             build_db(lineages=2, generations=4),

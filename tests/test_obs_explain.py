@@ -155,14 +155,6 @@ class TestExplain:
         assert payload["plan"]["actual_rows"] == len(execution.rows)
         assert payload["estimated_cost"] > 0
 
-    def test_chrome_export(self, analyzed):
-        _db, _result, _execution, _profiler, tree = analyzed
-        chrome = json.loads(json.dumps(tree.to_chrome_trace()))
-        events = chrome["traceEvents"]
-        assert events and all(e["ph"] == "X" for e in events)
-        # Durations are the measured inclusive times.
-        assert events[0]["dur"] >= max(e["dur"] for e in events[1:])
-
     def test_estimates_accumulate_over_fix_iterations(self, analyzed):
         """The model costs recursive parts once per predicted
         iteration; the captured per-node estimate must reflect that

@@ -10,6 +10,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.baselines import cost_controlled_optimizer
+from repro.cost.params import CostParameters
 from repro.engine import Engine
 from repro.lang.compile import compile_text
 from repro.obs.recorder import (
@@ -22,6 +23,7 @@ from repro.obs.recorder import (
     replay_bundle,
 )
 from repro.plans.canonical import canonical_fingerprint
+from repro.service import QueryService, ServiceConfig
 from repro.workloads import MusicConfig, generate_music_database
 
 RECIPE = {"db": "music", "seed": 21, "lineages": 3, "generations": 6}
@@ -189,6 +191,32 @@ class TestReplay:
         report = replay_bundle(bundle)
         assert report["matched"]
         assert threading.active_count() == before
+
+    def test_sharded_diagnose_replays_under_its_recorded_parameters(self):
+        # A service priced under non-default unit costs (the
+        # eval_per_tuple=0.02 prior bench_feedback_calibration starts
+        # from) records them; replay must plan under them, not under
+        # the defaults.
+        service = QueryService(
+            database_from_config(RECIPE), ServiceConfig(database_config=RECIPE)
+        )
+        service._cost_params = CostParameters(eval_per_tuple=0.02)
+        try:
+            response = service.handle(
+                {"op": "diagnose", "text": FIG3, "shards": 2}
+            )
+        finally:
+            service.close()
+        assert response["ok"], response
+        bundle = json.loads(json.dumps(service.recorder.recent[-1], default=str))
+        assert bundle["knobs"]["shards"] == 2
+        assert bundle["cost_parameters"]["eval_per_tuple"] == 0.02
+        report = replay_bundle(bundle)
+        assert report["plan_match"] and report["answer_match"]
+        assert report["estimated_cost"] == bundle["plan"]["estimated_cost"]
+        # The recorded parameters are what set that estimate.
+        unrecorded = replay_bundle(dict(bundle, cost_parameters=None))
+        assert unrecorded["estimated_cost"] != report["estimated_cost"]
 
     def test_replay_detects_answer_divergence(self):
         db = database_from_config(RECIPE)

@@ -1,10 +1,10 @@
 """End-to-end cost-controlled observability on the serving path.
 
 A governed :class:`QueryService` (``--obs-budget`` set): the sampling
-echo on query responses, anomaly injection driving tail-sampled
+echo on query responses, anomaly injection in sampled runs driving
 flight-recorder bundles that replay deterministically, head-sampling
 degradation under a saturated budget with calibration staying on the
-committed (weighted) samples only, and the ``governor``/``diagnose``
+sampled (weighted) runs only, and the ``governor``/``diagnose``
 protocol ops.
 
 When ``REPRO_BUNDLE_ARTIFACT`` is set (CI does this), the anomaly
@@ -64,8 +64,7 @@ class TestSamplingEcho:
         response = service.handle({"op": "query", "text": SCAN})
         assert response["ok"]
         obs = response["obs"]
-        for key in ("mode", "sampled", "weight", "reason", "committed"):
-            assert key in obs
+        assert set(obs) == {"mode", "sampled", "weight", "reason"}
         assert obs["sampled"] and obs["mode"] == "full"
 
     def test_ungoverned_response_has_no_obs(self):
@@ -96,7 +95,7 @@ class TestAnomalyInjection:
         response = self.inject(service, db)
         assert response["ok"]
         obs = response["obs"]
-        assert obs["commit_reason"] == "anomaly"
+        assert obs["sampled"]
         metrics = [a["metric"] for a in obs["anomalies"]]
         assert "latency" in metrics
         bundle_path = obs["bundle"]
@@ -170,13 +169,16 @@ class TestDegradation:
         modes = {echo["mode"] for echo in echoes}
         assert "skip" in modes, modes
         skipped = [echo for echo in echoes if echo["mode"] == "skip"]
-        assert all(not echo["committed"] for echo in skipped)
+        assert all(not echo["sampled"] for echo in skipped)
+        counters = service.metrics.snapshot()["counters"]
+        assert counters["obs_dropped"] == len(skipped)
 
-        # Calibration consumes exactly the committed observations, and
+        # Calibration consumes exactly the sampled observations, and
         # head-sampled ones carry their inverse-probability weight.
         samples = service.feedback.store.calibration_samples()
-        committed = [echo for echo in echoes if echo["committed"]]
-        assert len(samples) == len(committed)
+        sampled = [echo for echo in echoes if echo["sampled"]]
+        assert counters["obs_committed"] == len(sampled)
+        assert len(samples) == len(sampled)
         assert len(samples) < len(echoes)
         if any(echo["mode"] == "head" for echo in echoes):
             assert any(sample["weight"] > 1.0 for sample in samples)
