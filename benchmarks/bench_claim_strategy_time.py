@@ -22,35 +22,12 @@ from repro.core import (
     exhaustive_optimizer,
 )
 from repro.cost import DetailedCostModel
-from repro.querygraph.builder import and_, arc, const, eq, out, path, query, rule, spj, var
-from repro.querygraph.graph import QueryGraph
-from repro.workloads import MusicConfig, fig3_query, generate_music_database
-
-
-def chain_join_query(joins: int, dense: bool = False) -> QueryGraph:
-    """A master-chain query with ``joins`` explicit joins:
-    c1.master = c0, c2.master = c1, ..., anchored at Bach.
-
-    ``dense=True`` adds skip-level comparison predicates so arcs become
-    pairwise joinable — a richer join-order space, which is what makes
-    exhaustive enumeration blow up."""
-    from repro.querygraph.builder import ge
-
-    arcs = [arc("Composer", **{f"c{i}": "."}) for i in range(joins + 1)]
-    conjuncts = [eq(path("c0", "name"), const("Bach"))]
-    for i in range(1, joins + 1):
-        conjuncts.append(eq(path(f"c{i}", "master"), var(f"c{i-1}")))
-    if dense:
-        for i in range(2, joins + 1):
-            conjuncts.append(
-                ge(path(f"c{i}", "birthyear"), path(f"c{i-2}", "birthyear"))
-            )
-    node = spj(
-        arcs,
-        where=and_(*conjuncts),
-        select=out(name=path(f"c{joins}", "name")),
-    )
-    return query(rule("Answer", node))
+from repro.workloads import (
+    MusicConfig,
+    chain_join_query,
+    fig3_query,
+    generate_music_database,
+)
 
 
 def build_db():

@@ -7,17 +7,25 @@ the pool lock, so misses on different shards overlap.  This benchmark
 makes the paper's Figure 3 ``Influencer`` closure I/O-bound — one
 record per page, a buffer pool far smaller than the working set, a
 fixed per-miss device latency — and runs the optimizer's plan for a
-roomy pool (see
-``PLAN_MACHINE``) at shard widths 1, 2 and 4.
+roomy pool (see ``PLAN_MACHINE``), its Fix-body equi-join run as the
+paper's nested loop, at shard widths 1, 2 and 4.
+
+The optimizer's own plan runs that join as a hash join, which reads
+``Composer`` once per round instead of once per delta tuple: about 4x
+faster serially, and so little I/O is left that it barely scales —
+every shard whose slice reaches the join drains ``Composer`` itself
+(physical reads grow with the width).  Its rows are reported beside
+the nested loop's (``hash_speedup@N``), ungated.
 
 Width 1 is the serial engine (the shards knob bypasses the dist layer
 entirely at 1), so the speedups compare the distributed rounds —
 including their real line-JSON exchange legs, whose tuple/byte volume
 is reported per width — against exact single-process execution.
 
-Reported per width: wall time (best of N), speedup over serial, the
-exchange volume, and the answer-set / tuple-count invariants
-(identical across widths — the differential harness in ``tests/``
+Reported per width: wall time (best of N), speedup over serial,
+physical reads, the exchange volume, and the answer-set / tuple-count
+invariants (the serial counts at every width, a hash join's build side
+scaled by its builds — the differential harness in ``tests/``
 enforces this on randomized queries; the bench re-checks it on its own
 workload).  The machine-readable twin
 ``results/BENCH_distributed_fixpoint.json`` carries ``speedup@4``,
@@ -38,6 +46,13 @@ from repro.engine import Engine
 from repro.obs import PlanProfiler, Tracer
 from repro.workloads import MusicConfig, generate_music_database
 from repro.workloads.queries import fig3_query
+from tests.diff_harness import (
+    as_nested_loop,
+    assert_counts_match_serial,
+    build_owners,
+    counting_builds,
+    tuple_counts,
+)
 
 WIDTHS = (1, 2, 4)
 
@@ -56,10 +71,11 @@ BUFFER_PAGES = 16
 #: What-if machine the plan is priced for.  The bench measures how
 #: page misses on different shards overlap, so it needs a plan that
 #: misses: priced for a roomy pool the optimizer keeps ``ΔInfluencer``
-#: as the Fix body's ``EJ`` outer, which floods the real 16-page pool
-#: (3,296 physical reads).  Priced for the store's own pool it keeps
+#: as the Fix body's ``EJ`` outer, which, run as a nested loop, floods
+#: the real 16-page pool (3,294 physical reads; the hash join reads
+#: 798).  Priced for the store's own pool the nested loop kept
 #: ``Composer`` outer instead (795 reads, ~4x faster at width 1) and
-#: leaves almost no I/O to overlap — see EXPERIMENTS.md.
+#: left almost no I/O to overlap — see EXPERIMENTS.md.
 PLAN_MACHINE = CostParameters(buffer_pages=256, temp_records_per_page=20)
 
 REQUIRED_SPEEDUP_AT_4 = 1.5
@@ -105,43 +121,58 @@ def run_once(db, plan, shards, cluster, observed=False):
     return elapsed, result
 
 
-def test_distributed_fixpoint_speedup(report, table):
-    db = build_database()
-    plan = cost_controlled_optimizer(
-        db.physical, DetailedCostModel(db.physical, PLAN_MACHINE)
-    ).optimize(fig3_query()).plan
-
+def measure_widths(db, plan):
+    """Best-of-``REPEATS`` wall time and counters of ``plan`` at each
+    width, with each width's answers and tuple counts checked against
+    width 1's (exact, once each shard's drain of a hash join's inner is
+    counted) — the bench must not claim speed for an engine that drops
+    tuples.  Returns the rows, each with its speedup, and the answers."""
     measurements = []
     answers = {}
+    counts = {}
     with ShardCluster(db.physical, max(WIDTHS)) as cluster:
         for width in WIDTHS:
             best = None
             for _ in range(REPEATS):
-                elapsed, result = run_once(db, plan, width, cluster)
+                with counting_builds() as builds:
+                    elapsed, result = run_once(db, plan, width, cluster)
                 if best is None or elapsed < best[0]:
                     best = (elapsed, result)
             answers[width] = best[1].answer_set()
             metrics = best[1].metrics
+            counts[width] = tuple_counts(metrics, builds)
             measurements.append(
                 {
                     "shards": width,
                     "elapsed_s": round(best[0], 4),
                     "rows": len(best[1].rows),
                     "total_tuples": metrics.total_tuples,
+                    "physical_reads": metrics.buffer.physical_reads,
                     "fix_iterations": metrics.fix_iterations,
                     "exchange_rounds": metrics.exchange_rounds,
                     "exchange_tuples": metrics.exchange_tuples,
                     "exchange_bytes": metrics.exchange_bytes,
                 }
             )
-
-    # Same answers and same tuple counts at every width — the bench
-    # must not claim speed for an engine that drops tuples.
     serial = measurements[0]
+    owners = build_owners(plan)
     for row, width in zip(measurements, WIDTHS):
         assert answers[width] == answers[1]
-        assert row["total_tuples"] == serial["total_tuples"]
+        assert_counts_match_serial(counts[width], counts[1], owners, width)
         assert row["fix_iterations"] == serial["fix_iterations"]
+        row["speedup"] = round(serial["elapsed_s"] / row["elapsed_s"], 3)
+    return measurements, answers[1]
+
+
+def test_distributed_fixpoint_speedup(report, table):
+    db = build_database()
+    hashed = cost_controlled_optimizer(
+        db.physical, DetailedCostModel(db.physical, PLAN_MACHINE)
+    ).optimize(fig3_query()).plan
+    plan = as_nested_loop(hashed)
+    measurements, answers = measure_widths(db, plan)
+    hash_measurements, hash_answers = measure_widths(db, hashed)
+    assert hash_answers == answers
 
     # Width 4 again with observability on: full stitched trace, plan
     # profiler, request id.  Same answers, bounded overhead.
@@ -153,39 +184,44 @@ def test_distributed_fixpoint_speedup(report, table):
             )
             if obs_best is None or elapsed < obs_best[0]:
                 obs_best = (elapsed, result)
-    assert obs_best[1].answer_set() == answers[1]
+    assert obs_best[1].answer_set() == answers
 
     by_width = {row["shards"]: row for row in measurements}
     obs_ratio = by_width[max(WIDTHS)]["elapsed_s"] / obs_best[0]
-    speedups = {
-        width: by_width[1]["elapsed_s"] / by_width[width]["elapsed_s"]
-        for width in WIDTHS
+    speedups = {row["shards"]: row["speedup"] for row in measurements}
+    hash_speedups = {
+        row["shards"]: row["speedup"] for row in hash_measurements
     }
-    for row in measurements:
-        row["speedup"] = round(speedups[row["shards"]], 3)
 
-    text = table(
-        (
-            "shards",
-            "elapsed_s",
-            "speedup",
-            "rows",
-            "total_tuples",
-            "exchange_tuples",
-            "exchange_bytes",
-        ),
-        [
+    def rows_of(join, rows):
+        return [
             (
+                join,
                 row["shards"],
                 f"{row['elapsed_s']:.4f}",
                 f"{row['speedup']:.2f}x",
                 row["rows"],
                 row["total_tuples"],
+                row["physical_reads"],
                 row["exchange_tuples"],
                 row["exchange_bytes"],
             )
-            for row in measurements
-        ],
+            for row in rows
+        ]
+
+    text = table(
+        (
+            "EJ",
+            "shards",
+            "elapsed_s",
+            "speedup",
+            "rows",
+            "total_tuples",
+            "physical_reads",
+            "exchange_tuples",
+            "exchange_bytes",
+        ),
+        rows_of("nested", measurements) + rows_of("hash", hash_measurements),
     )
     text += (
         f"\nobservability on @4: {obs_best[0]:.4f}s "
@@ -199,8 +235,11 @@ def test_distributed_fixpoint_speedup(report, table):
             "buffer_pages": BUFFER_PAGES,
             "repeats": REPEATS,
             "measurements": measurements,
-            "speedup@2": round(speedups[2], 3),
-            "speedup@4": round(speedups[4], 3),
+            "speedup@2": speedups[2],
+            "speedup@4": speedups[4],
+            "hash_measurements": hash_measurements,
+            "hash_speedup@2": hash_speedups[2],
+            "hash_speedup@4": hash_speedups[4],
             "required_speedup@4": REQUIRED_SPEEDUP_AT_4,
             "obs_elapsed_s@4": round(obs_best[0], 4),
             "obs_throughput_ratio": round(obs_ratio, 3),

@@ -12,8 +12,9 @@ Actions realized here (the paper's ``sel`` and ``join``, plus
   generated as soon as possible, according to the relational heuristics
   of pushing selection through join");
 * ``join`` — arcs are combined by explicit joins only when a join
-  predicate connects them (no Cartesian products); both nested-loop
-  and index-join implementations are generated when applicable;
+  predicate connects them (no Cartesian products); a scanning join
+  (hash when the predicate has an equality key, else nested loop) and,
+  when applicable, an index join are generated;
 * ``collapse`` — consecutive implicit-join hops backed by a path index
   become a ``PIJ`` node; both the collapsed and the plain variants are
   costed.
@@ -39,14 +40,13 @@ from repro.plans.nodes import (
     EJ,
     IJ,
     INDEX_JOIN,
-    NESTED_LOOP,
     PIJ,
     EntityLeaf,
     PlanNode,
     Proj,
     Sel,
 )
-from repro.plans.patterns import index_join_possible
+from repro.plans.patterns import index_join_possible, scan_join_algorithm
 from repro.querygraph.predicates import (
     Comparison,
     Const,
@@ -510,8 +510,13 @@ class SPJGenerator:
         predicate = conjoin([all_conjuncts[p] for p in join_positions])
         consumed = left.consumed | right.consumed | frozenset(join_positions)
         arcs = left.arcs | right.arcs
-        nested = EJ(left.plan, right.plan, predicate, NESTED_LOOP)
-        yield _Partial(nested, arcs, consumed, self._cost(nested, delta_env))
+        scanned = EJ(
+            left.plan,
+            right.plan,
+            predicate,
+            scan_join_algorithm(predicate, right.plan, left_vars),
+        )
+        yield _Partial(scanned, arcs, consumed, self._cost(scanned, delta_env))
         if index_join_possible(
             right.plan, predicate, left_vars, self.physical
         ):

@@ -3,9 +3,10 @@
 Randomized search ([IC90], Section 4.5: II) walks a neighbourhood
 graph over plans and ``enum`` closes it; these moves define the edges:
 
-* ``swap-join`` — commute the operands of an explicit join (nested-loop
-  cost is asymmetric);
-* ``algorithm`` — switch an explicit join between nested-loop and
+* ``swap-join`` — commute the operands of an explicit join (a scanning
+  join's cost is asymmetric);
+* ``algorithm`` — switch an explicit join between its scanning form
+  (hash when the predicate has an equality key, else nested loop) and
   index-join (when an applicable selection index exists);
 * ``collapse`` / ``expand`` — replace an IJ chain by a PIJ over an
   existing path index, and back ("once a portion of the PT has been
@@ -25,12 +26,16 @@ from repro.plans.nodes import (
     EJ,
     IJ,
     INDEX_JOIN,
-    NESTED_LOOP,
     PIJ,
     EntityLeaf,
     PlanNode,
 )
-from repro.plans.patterns import PlanPath, index_join_possible, paths_to
+from repro.plans.patterns import (
+    PlanPath,
+    index_join_possible,
+    paths_to,
+    scan_join_algorithm,
+)
 from repro.querygraph.predicates import PathRef
 
 __all__ = ["neighbors", "index_join_possible"]
@@ -62,10 +67,18 @@ def _join_moves(
     for site in paths_to(plan, lambda n: isinstance(n, EJ)):
         node = site.focus
         assert isinstance(node, EJ)
-        swapped = EJ(node.right, node.left, node.predicate, NESTED_LOOP)
+        swapped = EJ(
+            node.right,
+            node.left,
+            node.predicate,
+            scan_join_algorithm(
+                node.predicate, node.left, node.right.output_vars()
+            ),
+        )
         yield ("swap-join", site.rebuild(swapped))
-        if node.algorithm == NESTED_LOOP and index_join_possible(
-            node.right, node.predicate, node.left.output_vars(), physical
+        left_vars = node.left.output_vars()
+        if node.algorithm != INDEX_JOIN and index_join_possible(
+            node.right, node.predicate, left_vars, physical
         ):
             yield (
                 "index-join",
@@ -74,10 +87,13 @@ def _join_moves(
                 ),
             )
         if node.algorithm == INDEX_JOIN:
+            algorithm = scan_join_algorithm(
+                node.predicate, node.right, left_vars
+            )
             yield (
-                "nested-loop",
+                algorithm.replace("_", "-"),
                 site.rebuild(
-                    EJ(node.left, node.right, node.predicate, NESTED_LOOP)
+                    EJ(node.left, node.right, node.predicate, algorithm)
                 ),
             )
 

@@ -45,6 +45,7 @@ from repro.engine.fixpoint import flatten_union
 from repro.plans.nodes import (
     EJ,
     IJ,
+    INDEX_JOIN,
     PIJ,
     EntityLeaf,
     Fix,
@@ -55,7 +56,7 @@ from repro.plans.nodes import (
     TempLeaf,
     UnionOp,
 )
-from repro.plans.patterns import PlanPath, paths_to
+from repro.plans.patterns import PlanPath, paths_to, scan_join_algorithm
 from repro.querygraph.graph import OutputField, OutputSpec
 from repro.querygraph.predicates import (
     Const,
@@ -473,12 +474,18 @@ def _clone_pushed_node(
             [renamer.var(v) for v in node.out_vars],
         )
     if isinstance(node, EJ):
-        return EJ(
-            inner,
-            _rename_subtree(node.right, renamer),
-            _rewrite_predicate(node.predicate, fix_var, fields, renamer),
-            node.algorithm,
-        )
+        right = _rename_subtree(node.right, renamer)
+        predicate = _rewrite_predicate(node.predicate, fix_var, fields, renamer)
+        algorithm = node.algorithm
+        if algorithm != INDEX_JOIN:
+            # The part's variables replace the Fix's, and a join
+            # swapped to put the Fix outer arrives as a plain nested
+            # loop: whether the predicate has an equality key is asked
+            # anew.
+            algorithm = scan_join_algorithm(
+                predicate, right, inner.output_vars()
+            )
+        return EJ(inner, right, predicate, algorithm)
     raise OptimizationError(f"cannot push node {node.label()}")
 
 

@@ -7,7 +7,8 @@ mapped onto this model's units: the network term charges
 ``network_per_tuple`` per exchanged tuple plus ``network_per_round``
 per shard per exchange (frame latency), the disk term is a round's
 serial page-read cost divided across the shards that work on its
-delta, and the skew term is a multiplier — the *most loaded* shard
+delta (less what the model charges each worker whole: a hash join's
+build, a part the delta cannot be split for), and the skew term is a multiplier — the *most loaded* shard
 gates a barrier round, so a round's wall cost is its mean per-shard
 cost times the configured ``shard_skew``.
 
@@ -62,7 +63,8 @@ def choose_round_strategy(
     """Price one semi-naive round's recursive-part work both ways.
 
     ``round_io``/``round_cpu`` are the serial (one-store) costs of the
-    round; ``delta`` is the round's frontier size.  Shard-local keeps
+    round's work the delta slices divide; ``delta`` is the round's
+    frontier size.  Shard-local keeps
     the delta where the previous round's hash put it (no tuple
     exchange, pay the configured skew); repartition re-scatters the
     delta (pay the exchange, run balanced).  Returns

@@ -4,7 +4,8 @@ Implements the paper's per-node cost formulas over real statistics:
 
 * ``Sel(C)``  = access_cost(C, selpred) + nbpages * eval_cost
 * ``EJ(Ci,Cj)`` = access(Ci) + nbtuples(Ci) * (access(Cj) + nbpages(Cj)*eval)
-  (nested-loop / index-join variants)
+  (nested-loop / index-join variants; the hash join, an extension,
+  charges ``access(Cj)`` once per open instead of per outer tuple)
 * ``IJ(Ci,Cj)`` = access(Ci) + ||Ci|| * access_cost(Ci, Cj)
 * ``PIJ``    = ||C|| * (nblevels + nbleaves / ||C1||)
 * ``Fix(T,P)`` = Σ_i cost(Exp(T_i)) over semi-naive iterations
@@ -74,6 +75,7 @@ from repro.cost.params import CostParameters
 from repro.physical.schema import EpochMemo, PhysicalSchema
 from repro.plans.nodes import (
     EJ,
+    HASH_JOIN,
     IJ,
     INDEX_JOIN,
     PIJ,
@@ -708,19 +710,23 @@ class DetailedCostModel:
         # tuple; the buffer absorbs re-reads of an inner that fits
         # (the engine behaves the same way), so the physical charge is
         # one full inner scan when it fits and a full re-scan per outer
-        # tuple when it does not.
+        # tuple when it does not.  The hash join drains its inner once
+        # per open (inside a Fix body: once per round) and keeps it in
+        # memory, so it pays the inner's I/O and CPU once; it still
+        # judges every pair, as the engine counts them, and each outer
+        # tuple reads its key column once to probe.
         inner_io, inner_cpu = self._cost(node.right, env, None)
         outer_tuples = max(0.0, left_est.tuples)
-        buffer_pages = max(1, self.params.buffer_pages)
-        if right_est.pages <= buffer_pages:
+        opens = max(1.0, outer_tuples)
+        if node.algorithm == HASH_JOIN:
             rescan_io = inner_io
+            rescan_cpu = inner_cpu + self._column_cost(1.0, outer_tuples)
+        elif right_est.pages <= max(1, self.params.buffer_pages):
+            rescan_io, rescan_cpu = inner_io, inner_cpu * opens
         else:
-            rescan_io = inner_io * max(1.0, outer_tuples)
+            rescan_io, rescan_cpu = inner_io * opens, inner_cpu * opens
         evals = outer_tuples * right_est.tuples
-        cpu = (
-            evals * pred_weight * self.params.eval_per_tuple
-            + inner_cpu * max(1.0, outer_tuples)
-        )
+        cpu = evals * pred_weight * self.params.eval_per_tuple + rescan_cpu
         cpu += self._batch_cost(out_est.tuples)
         io = rescan_io + evals * pred_hop_io
         return left_io + io, left_cpu + cpu
@@ -749,6 +755,26 @@ class DetailedCostModel:
 
     # -- fixpoint --------------------------------------------------------------------------------
 
+    def _hash_builds(self, part: PlanNode, env) -> Tuple[float, float]:
+        """(io, cpu) of draining the inner of every hash join on
+        ``part``'s driving (outer) chain once — what each shard whose
+        slice of a round reaches those joins pays in full.  Priced
+        outside any EXPLAIN capture: the part's own pricing already
+        visited these nodes."""
+        from repro.dist.partition import driving_chain
+
+        io, cpu = 0.0, 0.0
+        capture, self._capture = self._capture, None
+        try:
+            for join in driving_chain(part):
+                if isinstance(join, EJ) and join.algorithm == HASH_JOIN:
+                    inner_io, inner_cpu = self._cost(join.right, env, None)
+                    io += inner_io
+                    cpu += inner_cpu
+        finally:
+            self._capture = capture
+        return io, cpu
+
     def _cost_fix(self, node: Fix, env, rows) -> Tuple[float, float]:
         """Figure 5: cost(Fix) = Σ_i cost(Exp(T_i)).
 
@@ -761,7 +787,11 @@ class DetailedCostModel:
         (no exchange, pay the configured skew) and repartitioned
         (re-scatter the delta, run balanced) and the cheaper strategy
         is charged, plus the gather leg's network cost for the tuples
-        the round produces (see :mod:`repro.cost.distributed`).  Every
+        the round produces (see :mod:`repro.cost.distributed`).  What
+        no worker splits is charged whole: the inner drain of a hash
+        join on a partitioned part's driving chain, which every worker
+        pays, and a part the delta cannot be partitioned for, which one
+        worker runs on the whole delta.  Every
         distributed term is gated behind ``shards > 1``, so at one
         shard this is bit-for-bit the serial formula.
         """
@@ -769,6 +799,7 @@ class DetailedCostModel:
             exchange_cost,
             round_strategy_breakdown,
         )
+        from repro.dist.partition import partitionable
         from repro.engine.fixpoint import partition_parts
 
         base_parts, recursive_parts = partition_parts(node)
@@ -815,16 +846,31 @@ class DetailedCostModel:
             inner_env = dict(env)
             inner_env[node.name] = (delta, body_shape)
             round_io, round_cpu = 0.0, 0.0
+            # The share of the round no worker splits: a hash join's
+            # build, which every worker whose delta slice reaches the
+            # join drains itself, and a part the delta cannot be split
+            # for, which one worker runs on the whole delta.
+            whole_io, whole_cpu = 0.0, 0.0
             for part in recursive_parts:
                 part_io, part_cpu = self._cost(part, inner_env, None)
                 round_io += part_io
                 round_cpu += part_cpu
+                if not distributed:
+                    continue
+                if partitionable(part, node.name):
+                    part_io, part_cpu = self._hash_builds(part, inner_env)
+                whole_io += part_io
+                whole_cpu += part_cpu
             if distributed:
                 dist = round_strategy_breakdown(
-                    round_io, round_cpu, delta, shards, self.params
+                    round_io - whole_io,
+                    round_cpu - whole_cpu,
+                    delta,
+                    shards,
+                    self.params,
                 )
-                io += dist["io"]
-                cpu += dist["cpu"]
+                io += dist["io"] + whole_io
+                cpu += dist["cpu"] + whole_cpu
                 # Gather leg: the round's fresh tuples travel back.
                 gather = exchange_cost(produced, shards, self.params)
                 io += gather
@@ -835,7 +881,7 @@ class DetailedCostModel:
                 breakdown["exchange_tuples"] += delta + produced
                 breakdown["exchange_frames"] += 2.0 * shards
                 breakdown["network"] += dist["network"] + gather
-                breakdown["disk_base"] += dist["scan_io"]
+                breakdown["disk_base"] += dist["scan_io"] + whole_io
                 return
             io += round_io
             cpu += round_cpu

@@ -34,6 +34,7 @@ from repro.cost.symbolic import Number, Sym, sym
 from repro.physical.schema import PhysicalSchema
 from repro.plans.nodes import (
     EJ,
+    HASH_JOIN,
     IJ,
     PIJ,
     EntityLeaf,
@@ -309,9 +310,18 @@ class _TableBuilder:
         if isinstance(node, EJ):
             left_size = self.visit(node.left, env)
             right_size = self._operand_size(node.right, env)
-            formula = left_size.pages * self.pr + left_size.tuples * (
-                right_size.pages * (self.pr + self.ev)
-            )
+            if node.algorithm == HASH_JOIN:
+                # The inner is read once per open; every pair is
+                # still judged.
+                formula = (
+                    left_size.pages * self.pr
+                    + right_size.pages * self.pr
+                    + left_size.tuples * right_size.pages * self.ev
+                )
+            else:
+                formula = left_size.pages * self.pr + left_size.tuples * (
+                    right_size.pages * (self.pr + self.ev)
+                )
             tuples = self._join_tuples(node, left_size, right_size, env)
             _label, size = self._emit(f"EJ[{node.predicate!r}]", formula, tuples)
             return size

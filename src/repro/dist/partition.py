@@ -24,7 +24,7 @@ place (shard-local) or re-hashed (repartitioned).
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.physical.storage import StoredRecord
 from repro.plans.nodes import (
@@ -44,6 +44,7 @@ __all__ = [
     "range_shard",
     "ShardMap",
     "parallel_safe",
+    "driving_chain",
     "partitionable",
     "partition_delta",
 ]
@@ -89,9 +90,11 @@ def partitionable(part: PlanNode, name: str) -> bool:
     sits on the driving (outer) chain — ``Sel``/``Proj``/``IJ``/``PIJ``
     descend to their child, ``EJ`` to its left operand.  Every other
     operator's work is then a function of the delta tuples flowing
-    past it, so counts are additive over disjoint slices.  A recursion
-    reference on an inner (re-scanned) side would instead be rescanned
-    per slice, multiplying the outer side's work.
+    past it, so counts are additive over disjoint slices — except a
+    hash join's inner, which each shard whose slice reaches the join
+    drains once per round (a broadcast build of replicated data).  A
+    recursion reference on an inner side would instead be read per
+    slice, multiplying the outer side's work.
     """
     references = [
         node
@@ -100,16 +103,23 @@ def partitionable(part: PlanNode, name: str) -> bool:
     ]
     if len(references) != 1:
         return False
+    *_, bottom = driving_chain(part)
+    return isinstance(bottom, RecLeaf) and bottom.name == name
+
+
+def driving_chain(part: PlanNode) -> Iterator[PlanNode]:
+    """``part`` and the operands below it that drive its evaluation:
+    ``Sel``/``Proj``/``IJ``/``PIJ`` descend to their child, ``EJ`` to
+    its left operand; the chain ends at any other node."""
     node = part
     while True:
-        if isinstance(node, RecLeaf):
-            return node.name == name
+        yield node
         if isinstance(node, (Sel, Proj, IJ, PIJ)):
             node = node.child
         elif isinstance(node, EJ):
             node = node.left
         else:
-            return False
+            return
 
 
 def _rebinding_fields(fix: Fix, delta: Sequence[StoredRecord]) -> List[str]:

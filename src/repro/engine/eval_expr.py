@@ -71,6 +71,10 @@ _JOIN_KEY_KINDS = frozenset({int, float, str, bool, Oid})
 #: per-pair path expands it to no value at all), it does not make the
 #: column non-uniform — root composers have ``master = None``.
 _JOIN_COLUMN_KINDS = _JOIN_KEY_KINDS | {type(None)}
+#: The probe key of an outer binding whose join attribute is a stored
+#: null: it is in no key index, so the probe finds nothing — what the
+#: per-pair path finds, counted alike.
+_NULL_KEY = object()
 
 #: ``const <op> path`` rewritten as ``path <mirrored op> const`` so the
 #: fast comparison path applies regardless of operand order.
@@ -521,7 +525,7 @@ class ExpressionEvaluator:
     def compile_join_kernel(
         self, predicate: Predicate, outer_vars: Set[str], inner_vars: Set[str]
     ) -> Optional["JoinKernel"]:
-        """The column kernel of a nested-loop join predicate (cached
+        """The column kernel of a hash join predicate (cached
         per node and operand variables), or None when the predicate
         has no column form.
 
@@ -753,15 +757,16 @@ class ExpressionEvaluator:
 
 
 class JoinKernel:
-    """Column form of the nested-loop equi-join predicate
+    """Column form of the hash-join equi-join predicate
     ``outer_var.outer_attr = inner_var.inner_attr`` (built by
     :meth:`ExpressionEvaluator.compile_join_kernel`).
 
     Per outer binding :meth:`outer_key` extracts the raw key once; per
     inner chunk :meth:`matches` looks it up in a key index of the inner
     key column, built once per chunk list and kept in the calling
-    join's probe memo — the nested loop's re-scans replay the same
-    chunk lists, so every later probe is one dict lookup.  Both answer
+    join's probe memo — a scan hands back its cached chunk lists, so an
+    extent inner is indexed once per execution and every later probe is
+    one dict lookup.  Both answer
     None for anything the raw comparison does not provably reproduce,
     and the join then runs that outer binding (or that whole inner
     batch) through the per-pair closure — the same whole-batch fallback
@@ -799,15 +804,17 @@ class JoinKernel:
         self.residual = residual
 
     def outer_key(self, binding: Binding) -> Optional[object]:
-        """The raw join key of one outer binding, or None when the
-        binding needs the per-pair loop: not a stored record (a temp
-        tuple, an oid), or its attribute is computed, null, multivalued
-        or record-valued."""
+        """The raw join key of one outer binding (a key that matches
+        nothing for a stored null), or None when the binding needs the
+        per-pair loop: not a stored record (a temp tuple, an oid), or
+        its attribute is computed, multivalued or record-valued."""
         value = binding.get(self.outer_var)
         if type(value) is StoredRecord:
-            raw = value.values.get(self.outer_attr)
+            raw = value.values.get(self.outer_attr, _MISSING)
             if type(raw) in _JOIN_KEY_KINDS:
                 return raw
+            if raw is None:
+                return _NULL_KEY
         return None
 
     def inner_column(self, batch) -> Optional[list]:

@@ -4,7 +4,8 @@ Evaluates processing trees against the simulated object store with
 faithful I/O behaviour: scans touch each page once, implicit joins
 fetch referenced objects through the buffer, nested-loop explicit joins
 honestly re-scan their inner operand per outer tuple (the behaviour the
-``EJ`` cost formula of Figure 5 models), path-index joins charge index
+``EJ`` cost formula of Figure 5 models) while hash joins read it once
+per open, path-index joins charge index
 page reads of ``nblevels + nbleaves/||C1||`` per lookup (the ``PIJ``
 formula), and fixpoints run semi-naively (the ``Fix`` formula).
 
@@ -48,7 +49,7 @@ from repro.engine.eval_expr import (
 )
 from repro.engine.fixpoint import run_fixpoint
 from repro.engine.metrics import RuntimeMetrics
-from repro.obs.profile import NodeProfile, PlanProfiler, assign_node_ids
+from repro.obs.profile import PlanProfiler, assign_node_ids
 from repro.obs.trace import NULL_TRACER
 from repro.physical.buffer import BufferStats
 from repro.physical.pages import PageId
@@ -56,6 +57,7 @@ from repro.physical.schema import PhysicalSchema
 from repro.physical.storage import Oid, ScanSteps, StoredRecord
 from repro.plans.nodes import (
     EJ,
+    HASH_JOIN,
     IJ,
     INDEX_JOIN,
     PIJ,
@@ -151,8 +153,8 @@ class Engine:
         #: Recursion name -> ``(delta, length, scan steps)`` of the
         #: delta its ``RecLeaf`` scans last replayed (:meth:`_delta_plan`).
         self._delta_plans: Dict[str, tuple] = {}
-        #: Nested-loop EJ node id -> its probe memo: one ``[chunk, key
-        #: index]`` slot per inner step position (JoinKernel.matches).
+        #: Hash EJ node id -> its probe memo: one ``[chunk, key index]``
+        #: slot per drained inner batch position (JoinKernel.matches).
         self._probe_memos: Dict[int, List[list]] = {}
         #: I/O charged by shard sessions during this execution (their
         #: buffers are private, so the coordinator-store delta misses
@@ -307,7 +309,8 @@ class Engine:
 
     def drop_replays(self) -> None:
         """Forget the delta plans and probe memos this engine kept for
-        re-scans (end of an execution, or of a shard session)."""
+        re-scans and re-builds (end of an execution, or of a shard
+        session)."""
         self._delta_plans.clear()
         self._probe_memos.clear()
 
@@ -375,6 +378,8 @@ class Engine:
         if isinstance(node, EJ):
             if node.algorithm == INDEX_JOIN:
                 yield from self._index_join_batches(node, delta_env)
+            elif node.algorithm == HASH_JOIN:
+                yield from self._hash_join_batches(node, delta_env)
             else:
                 yield from self._nested_loop_batches(node, delta_env)
             return
@@ -959,61 +964,109 @@ class Engine:
         for every outer *binding* — not per outer batch — re-charging
         its I/O exactly as the EJ cost formula of Figure 5 prices it
         (rescanning per batch would make measured I/O depend on the
-        batch size, which the parity contract forbids).
-
-        What a re-scan does not redo is the CPU: an extent or delta
-        scan replays its cached steps, handing back the same chunk
-        lists, and an equality join probes each of them through a key
-        index (:class:`JoinKernel`) built the first time the join sees
-        the chunk.  When the kernel applies to an outer binding and the
-        inner is a scan leaf, the join replays the leaf's steps itself
-        (built once per join) rather than re-entering
-        :meth:`iterate_batches`: same touches, counters and batches,
-        and under a profiler the same per-node actuals, without the
-        operator dispatch.  The join's probe memo outlives one Fix
-        round — an extent's chunks are the same lists in every round,
-        and a pushed-down selection leaves a round only an outer
-        binding or two — but has one slot per inner batch position, so
-        it never holds more than one re-scan's chunks (the next round's
-        delta replaces the last), and ``execute`` drops it.  Whatever
-        the kernel declines takes the per-pair closure.  Either way the
-        pairs are judged lazily, one emission at a time, so the touches
-        a predicate makes keep their place among the consumer's."""
+        batch size, which the parity contract forbids), and every pair
+        is judged by the per-pair closure.  The optimizer runs an
+        equality predicate as a hash join (:meth:`_hash_join_batches`)
+        instead; this form serves predicates without an equality key
+        and hand-built plans.  The pairs are judged lazily, one
+        emission at a time, so the touches a predicate makes keep their
+        place among the consumer's."""
         evaluator = self._evaluator
         assert evaluator is not None
-        node_id = self._node_ids.get(id(node))
         predicate = evaluator.compile_predicate(node.predicate)
         inner = node.right
+
+        def joins(outer: Binding) -> Iterator[Iterator[Binding]]:
+            for batch in self.iterate_batches(inner, delta_env):
+                yield _joined_pairs(outer, batch.rows, predicate)
+
+        return self._emit_joins(node, delta_env, joins)
+
+    def _hash_join_batches(
+        self, node: EJ, delta_env: Dict[str, List[StoredRecord]]
+    ) -> Iterator[Batch]:
+        """Hash join: each open drains the inner operand completely —
+        every inner page touched once — when the first outer binding
+        arrives (an empty outer never opens it, so the hash join never
+        reads more than the nested loop would).  Each outer binding is
+        then probed against the drained batches through the
+        :class:`JoinKernel`'s key index of each batch's inner column
+        (built the first time the join sees the chunk list and kept in
+        its probe memo: a scan hands back its cached chunk lists, so an
+        extent inner is indexed once per execution, across Fix rounds,
+        while the memo never holds more than one open's chunks —
+        ``execute`` drops it).  Whatever the kernel declines is judged
+        pair by pair against the in-memory inner, with no re-read.
+        Either way ``predicate_evals`` counts every pair, as the nested
+        loop does; ``column_touches`` counts one key-column read per
+        outer binding (the probe), the term that prices the smaller
+        operand as the outer.  Page reads, evaluations and tuples are
+        independent of the batch size; where the outer's first batch
+        ends (the touches before the drain) is not, like the touches of
+        any held emission."""
+        evaluator = self._evaluator
+        assert evaluator is not None
+        predicate = evaluator.compile_predicate(node.predicate)
         kernel = evaluator.compile_join_kernel(
-            node.predicate, node.left.output_vars(), inner.output_vars()
+            node.predicate, node.left.output_vars(), node.right.output_vars()
         )
-        replayable = kernel is not None and isinstance(inner, _SCAN_LEAVES)
-        replay = None  # the inner leaf's _replay_of, built on first use
+        metrics = self.metrics
+        #: ``(batch, its inner key column or None, its memo slot)`` per
+        #: drained inner batch; None until the first outer binding.
+        table: Optional[List[tuple]] = None
+
+        def joins(outer: Binding) -> Iterator[Iterator[Binding]]:
+            nonlocal table
+            if table is None:
+                table = self._hash_build(node, delta_env, kernel)
+            metrics.column_touches += 1  # the probe reads one key column
+            key = kernel.outer_key(outer) if kernel is not None else None
+            for batch, column, slot in table:
+                matched = None
+                if key is not None and column is not None:
+                    matched = kernel.matches(key, column, slot)
+                if matched is None:
+                    yield _joined_pairs(outer, batch.rows, predicate)
+                else:
+                    yield _joined_matches(outer, kernel, matched)
+
+        return self._emit_joins(node, delta_env, joins)
+
+    def _hash_build(
+        self,
+        node: EJ,
+        delta_env: Dict[str, List[StoredRecord]],
+        kernel: Optional[JoinKernel],
+    ) -> List[tuple]:
+        """One open's build side: drain the hash join's inner operand
+        and pair each batch with its key column (None when the kernel
+        declines it) and its probe memo slot."""
+        batches = list(self.iterate_batches(node.right, delta_env))
+        probes = self._probe_memos.setdefault(id(node), [])
+        while len(probes) < len(batches):
+            probes.append([None, None])
+        return [
+            (
+                batch,
+                kernel.inner_column(batch) if kernel is not None else None,
+                slot,
+            )
+            for batch, slot in zip(batches, probes)
+        ]
+
+    def _emit_joins(self, node: EJ, delta_env, joins) -> Iterator[Batch]:
+        """Pull the outer operand and gather ``joins(outer binding)``
+        — lazy iterators of merged bindings — into ``batch_size``
+        emissions."""
+        node_id = self._node_ids.get(id(node))
         batch_size = self.batch_size
         metrics = self.metrics
         produced = 0
         rows: List[Binding] = []
-        probes = self._probe_memos.setdefault(id(node), [])
         try:
             for left_batch in self.iterate_batches(node.left, delta_env):
                 for left_binding in left_batch.rows:
-                    key = (
-                        kernel.outer_key(left_binding)
-                        if kernel is not None
-                        else None
-                    )
-                    if key is not None and replayable:
-                        if replay is None:
-                            replay = self._replay_of(inner, delta_env)
-                        joins = self._replayed_joins(
-                            left_binding, key, kernel, predicate, probes, replay
-                        )
-                    else:
-                        joins = self._rescanned_joins(
-                            left_binding, key, kernel, predicate, probes,
-                            inner, delta_env,
-                        )
-                    for joined in joins:
+                    for joined in joins(left_binding):
                         for merged in joined:
                             rows.append(merged)
                             if len(rows) >= batch_size:
@@ -1027,76 +1080,6 @@ class Engine:
                 yield Batch(rows, node_id)
         finally:
             metrics.add_tuples("ej", node_id, produced)
-
-    def _replayed_joins(
-        self, outer: Binding, key, kernel: JoinKernel, predicate, probes, replay
-    ) -> Iterator[Iterator[Binding]]:
-        """One re-scan of a scan-leaf inner for one outer binding, as
-        one lazy iterator of joined bindings per step: the step's pages
-        are touched as one run and its chunk counted exactly as the
-        leaf's own scan would (:meth:`_scan_batches`), then probed."""
-        steps, var, kind, node_id, profile = replay
-        touch_run = self.store.buffer.touch_run
-        metrics = self.metrics
-        scanned = calls = misses = 0
-        try:
-            for position, (pages, chunk) in enumerate(steps):
-                misses += touch_run(pages)
-                self.check_cancelled()
-                scanned += len(chunk)
-                calls += 1
-                metrics.batches += 1
-                if position == len(probes):
-                    probes.append([None, None])
-                matched = kernel.matches(key, chunk, probes[position])
-                if matched is None:
-                    yield _joined_pairs(
-                        outer, Batch.from_columns({var: chunk}).rows, predicate
-                    )
-                else:
-                    yield _joined_matches(outer, kernel, matched)
-            calls += 1  # the exhausting next() the profiler also meters
-        finally:
-            metrics.add_tuples(kind, node_id, scanned)
-            if profile is not None:
-                profile.tuples_out += scanned
-                profile.next_calls += calls
-                profile.page_reads += misses
-
-    def _rescanned_joins(
-        self, outer: Binding, key, kernel, predicate, probes, inner, delta_env
-    ) -> Iterator[Iterator[Binding]]:
-        """One re-scan of any inner through :meth:`iterate_batches`
-        for one outer binding, as one lazy iterator of joined bindings
-        per inner batch: probed through the kernel when the binding has
-        a key and the batch is the inner variable's lone column, judged
-        pair by pair otherwise."""
-        for position, batch in enumerate(self.iterate_batches(inner, delta_env)):
-            matched = None
-            if key is not None:
-                if position == len(probes):
-                    probes.append([None, None])
-                column = kernel.inner_column(batch)
-                if column is not None:
-                    matched = kernel.matches(key, column, probes[position])
-            if matched is None:
-                yield _joined_pairs(outer, batch.rows, predicate)
-            else:
-                yield _joined_matches(outer, kernel, matched)
-
-    def _replay_of(
-        self, leaf: PlanNode, delta_env: Dict[str, List[StoredRecord]]
-    ) -> Tuple[ScanSteps, str, str, Optional[str], Optional[NodeProfile]]:
-        """What a nested-loop join needs to replay its inner scan leaf:
-        its steps, variable and tuple kind, its node id, and the profile
-        the replay credits (None when no profiler is attached)."""
-        steps, kind = self._leaf_steps(leaf, delta_env)
-        profile = (
-            self.profiler.profile_for(leaf)
-            if self.profiler is not None
-            else None
-        )
-        return steps, leaf.var, kind, self._node_ids.get(id(leaf)), profile
 
     def _index_join_batches(
         self, node: EJ, delta_env: Dict[str, List[StoredRecord]]

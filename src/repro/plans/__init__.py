@@ -3,6 +3,7 @@
 from repro.plans.display import render_functional, render_tree
 from repro.plans.nodes import (
     EJ,
+    HASH_JOIN,
     IJ,
     INDEX_JOIN,
     NESTED_LOOP,
@@ -28,6 +29,7 @@ from repro.plans.validate import validate_plan
 
 __all__ = [
     "EJ",
+    "HASH_JOIN",
     "IJ",
     "INDEX_JOIN",
     "NESTED_LOOP",

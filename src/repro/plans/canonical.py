@@ -12,7 +12,7 @@ Variables are renamed to their first-appearance index in a
 deterministic pre-order walk (``§0``, ``§1``, ...), and the renamed
 term is hashed over *every* cost-relevant field — operator kind,
 entities, attribute paths, predicates, join algorithm, invariant
-fields — so the two EJ algorithms, for instance, get different ids.
+fields — so the EJ algorithms, for instance, get different ids.
 Two plans share a canonical fingerprint iff they are identical up to
 a bijective variable renaming, and the digest is stable across
 processes (no reliance on ``hash()`` or set iteration order).

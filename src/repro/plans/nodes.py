@@ -28,8 +28,8 @@ to stored records, temp tuples or atomic values.
   ``out_var``; multivalued references expand.
 * :class:`PIJ` — implicit join over ≥2 hops implemented by a path
   index.
-* :class:`EJ` — explicit join with a join predicate (nested-loop or
-  index algorithm).
+* :class:`EJ` — explicit join with a join predicate (nested-loop,
+  hash or index algorithm).
 * :class:`UnionOp` — bag union of two compatible streams.
 * :class:`Fix` — fixpoint of its body (a union of base and recursive
   parts), materialized into a temporary; binds ``out_var`` downstream.
@@ -57,10 +57,12 @@ __all__ = [
     "Fix",
     "Materialize",
     "NESTED_LOOP",
+    "HASH_JOIN",
     "INDEX_JOIN",
 ]
 
 NESTED_LOOP = "nested_loop"
+HASH_JOIN = "hash_join"
 INDEX_JOIN = "index_join"
 
 #: What :meth:`PlanNode.memo_traits` returns.
@@ -429,12 +431,15 @@ class EJ(PlanNode):
 
     ``algorithm`` selects the implementation: ``nested_loop`` re-opens
     (and re-charges the I/O of) the right subtree for every left
-    binding, as Figure 5 prices it — the engine never materializes the
-    inner; a re-scan replays the extent's or the round delta's cached
-    batches, and an equality is probed through a per-join key index of
-    each replayed batch; ``index_join`` requires an
-    equality conjunct whose right side is a direct attribute of a right
-    entity leaf carrying a selection index.
+    binding and judges every pair, as Figure 5 prices it;
+    ``hash_join`` (an extension beyond the paper's two methods) drains
+    the right subtree once per open, when the first left binding
+    arrives (an empty left never opens it), and probes each left
+    binding through a key index of the drained batches — what the
+    optimizer picks for any predicate with an
+    equality key; ``index_join`` requires an equality conjunct whose
+    right side is a direct attribute of a right entity leaf carrying a
+    selection index.
     """
 
     __slots__ = ("left", "right", "predicate", "algorithm")
@@ -446,7 +451,7 @@ class EJ(PlanNode):
         predicate: Predicate,
         algorithm: str = NESTED_LOOP,
     ) -> None:
-        if algorithm not in (NESTED_LOOP, INDEX_JOIN):
+        if algorithm not in (NESTED_LOOP, HASH_JOIN, INDEX_JOIN):
             raise PlanError(f"unknown join algorithm {algorithm!r}")
         self.left = left
         self.right = right

@@ -21,7 +21,17 @@ from typing import (
     Type,
 )
 
-from repro.plans.nodes import EJ, IJ, PIJ, EntityLeaf, PlanNode, Proj, Sel
+from repro.plans.nodes import (
+    EJ,
+    HASH_JOIN,
+    IJ,
+    NESTED_LOOP,
+    PIJ,
+    EntityLeaf,
+    PlanNode,
+    Proj,
+    Sel,
+)
 from repro.querygraph.predicates import (
     Comparison,
     Expr,
@@ -41,6 +51,7 @@ __all__ = [
     "rewrite_saturate",
     "consumed_variables",
     "equality_join_key",
+    "scan_join_algorithm",
     "index_join_leaf",
     "index_join_possible",
 ]
@@ -173,6 +184,21 @@ def equality_join_key(
             ):
                 return outer, inner.attrs[0]
     return None
+
+
+def scan_join_algorithm(
+    predicate: Predicate, right: PlanNode, left_vars: Set[str]
+) -> str:
+    """The algorithm of an ``EJ(left, right, predicate)`` that reads
+    its inner by scanning it: ``HASH_JOIN`` when the predicate has an
+    equality key on an inner variable, else ``NESTED_LOOP``.  The hash
+    join prices the same evaluations as the nested loop and reads the
+    inner once per open instead of once per outer tuple, so it is never
+    the costlier of the two and is not offered beside it."""
+    for inner_var in right.output_vars():
+        if equality_join_key(predicate, inner_var, left_vars) is not None:
+            return HASH_JOIN
+    return NESTED_LOOP
 
 
 def index_join_leaf(right: PlanNode) -> Optional[EntityLeaf]:

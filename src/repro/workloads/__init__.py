@@ -22,6 +22,7 @@ from repro.workloads.scenarios import (
 )
 from repro.workloads.queries import (
     INFLUENCER,
+    chain_join_query,
     fig2_query,
     fig3_query,
     influencer_rules,
@@ -44,6 +45,7 @@ __all__ = [
     "compare_push_policies",
     "selection_push_sweep",
     "INFLUENCER",
+    "chain_join_query",
     "fig2_query",
     "fig3_query",
     "influencer_rules",

@@ -8,6 +8,9 @@
   by composers for harpsichord that lived 6 generations before".
 * :func:`join_push_query` — Section 4.5: "the composers that were
   influenced by the masters of Bach" (the selective-join example).
+* :func:`chain_join_query` — a non-recursive chain of explicit joins
+  over ``Composer`` (the join-order space exhaustive search explodes
+  on, Section 4.1).
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ __all__ = [
     "influencer_rules",
     "fig3_query",
     "join_push_query",
+    "chain_join_query",
     "INFLUENCER",
 ]
 
@@ -163,3 +167,27 @@ def join_push_query(composer: str = "Bach") -> QueryGraph:
         ),
     )
     return query(p1, p2, p3)
+
+
+def chain_join_query(joins: int, dense: bool = False) -> QueryGraph:
+    """A master-chain query with ``joins`` explicit joins:
+    c1.master = c0, c2.master = c1, ..., anchored at Bach.
+
+    ``dense=True`` adds skip-level comparison predicates so arcs become
+    pairwise joinable — a richer join-order space, which is what makes
+    exhaustive enumeration blow up."""
+    arcs = [arc("Composer", **{f"c{i}": "."}) for i in range(joins + 1)]
+    conjuncts = [eq(path("c0", "name"), const("Bach"))]
+    for i in range(1, joins + 1):
+        conjuncts.append(eq(path(f"c{i}", "master"), var(f"c{i-1}")))
+    if dense:
+        for i in range(2, joins + 1):
+            conjuncts.append(
+                ge(path(f"c{i}", "birthyear"), path(f"c{i-2}", "birthyear"))
+            )
+    node = spj(
+        arcs,
+        where=and_(*conjuncts),
+        select=out(name=path(f"c{joins}", "name")),
+    )
+    return query(rule("Answer", node))

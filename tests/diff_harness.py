@@ -5,7 +5,8 @@ queries), the standard fixture databases, and the differential check
 itself: optimize once, execute on fresh engines across a configuration
 grid, and require every run to produce the identical answer set
 (matching :class:`ReferenceEvaluator` ground truth) *and* identical
-per-node tuple counts — a lost or duplicated tuple anywhere in the
+per-node tuple counts (a sharded run's hash-join build sides scaled by
+how often each join built) — a lost or duplicated tuple anywhere in the
 pipeline fails the run even when dedup would hide it from the answer
 set.
 
@@ -14,14 +15,16 @@ set.
 running the same queries through the distributed scatter-gather
 fixpoint, plus the kernel-parity sweep (column kernels {on, off}
 crossed into the grid via ``kernels=``, with per-point metering
-parity).
+parity, and every hash-join plan run again as a nested loop).
 ``REPRO_DIFF_EXAMPLES`` scales the example count and
 ``derandomize=True`` keeps CI seeds fixed so a red run is
 reproducible.
 """
 
+import collections
 import contextlib
 import os
+import threading
 from unittest import mock
 
 from hypothesis import HealthCheck
@@ -30,6 +33,8 @@ from hypothesis import strategies as st
 from repro.core import cost_controlled_optimizer
 from repro.engine import Engine, ExpressionEvaluator, ReferenceEvaluator
 from repro.errors import OptimizationError
+from repro.obs.profile import assign_node_ids
+from repro.plans import EJ, HASH_JOIN, NESTED_LOOP, Sel
 from repro.querygraph.builder import (
     and_,
     arc,
@@ -194,8 +199,8 @@ def parts_queries(draw):
 def kernels_declined():
     """Run the engine with every column kernel declining, so each
     operator takes the per-row closure that is the kernel's reference:
-    ``Sel`` filters a batch row by row, the nested-loop ``EJ`` judges
-    each pair, ``Proj`` builds each output row through the compiled
+    ``Sel`` filters a batch row by row, the hash ``EJ`` judges each
+    pair against its drained inner, ``Proj`` builds each output row through the compiled
     field closures.  (Patched on the classes: shard sessions build
     their own evaluators mid-execution.)"""
     with mock.patch.object(
@@ -228,10 +233,26 @@ def run_differential(
     ``batches`` and the logical reads, physical reads and evictions to
     be *identical with kernels on and off* at every ``(batch, shards)``
     point — a columnar kernel that skipped or repeated a predicate
-    evaluation, or a nested-loop replay that touched pages in another
-    order, fails here even when the answers agree.  Every run starts
-    from cold buffers (the coordinator's and every shard's) so the
-    physical reads of two runs are comparable.
+    evaluation, or a hash join that probed its drained inner in another
+    order than the pair-by-pair loop, fails here even when the answers
+    agree.  Every run starts from cold buffers (the coordinator's and
+    every shard's) so the physical reads of two runs are comparable.
+
+    The kernel-parity sweep (more than one ``kernels`` entry) also runs
+    a plan that holds hash joins with every one of them relabelled a
+    nested loop, at every grid point: the answers must be the
+    reference's, ``predicate_evals`` equal (both count every pair;
+    at most the nested loop's when an inner filters, which the nested
+    loop re-counts per re-open), and the hash plan's logical reads at
+    most the nested loop's, which re-reads the inner per outer binding
+    where the hash join reads it once per open.
+
+    Runs of one width must agree exactly on the total and per-node
+    tuple counts and on how often each hash join built its inner.
+    Across widths they must match the grid's first (serial)
+    configuration's exactly once the hash joins' builds are accounted
+    for (:func:`assert_counts_match_serial`): each shard whose slice of
+    a round reaches a hash join drains its inner itself.
     """
     if optimizer is None:
         optimizer = cost_controlled_optimizer
@@ -245,29 +266,20 @@ def run_differential(
     grid = list(grid)
     kernels = list(kernels)
     counts = {}
-    by_node = {}
     metering = {}
     for batch_size, shards in grid:
         for kernel in kernels:
-            engine = Engine(
-                db.physical,
-                batch_size=batch_size,
-                shards=shards,
-                cluster=cluster if shards > 1 else None,
-            )
-            db.physical.store.buffer.clear()
-            for worker in cluster.workers if cluster is not None else ():
-                worker.buffer.clear()
-            with contextlib.nullcontext() if kernel else kernels_declined():
-                result = engine.execute(plan)
+            with counting_builds() as builds:
+                result = _execute_cold(
+                    db, plan, batch_size, shards, cluster, kernel
+                )
             config = (kernel, batch_size, shards)
             assert result.answer_set() == want, (
                 f"kernels={kernel} batch_size={batch_size} "
                 f"shards={shards} diverged from the reference evaluator"
             )
-            counts[config] = result.metrics.total_tuples
-            by_node[config] = dict(result.metrics.tuples_by_node)
             metrics = result.metrics
+            counts[config] = tuple_counts(metrics, builds)
             metering[config] = (
                 metrics.predicate_evals,
                 metrics.expr_evals,
@@ -276,17 +288,19 @@ def run_differential(
                 metrics.buffer.physical_reads,
                 metrics.buffer.evictions,
             )
-    assert len(set(counts.values())) == 1, (
-        f"tuple counts diverged across the configuration grid: {counts}"
-    )
     reference_config = (kernels[0], *grid[0])
-    reference_nodes = by_node[reference_config]
-    for config, nodes in by_node.items():
-        assert nodes == reference_nodes, (
-            f"per-node tuple counts at kernels={config[0]} "
-            f"batch_size={config[1]} shards={config[2]} diverged from "
-            f"the {reference_config} reference: {nodes} != "
-            f"{reference_nodes}"
+    assert reference_config[2] == 1, "the grid must start serial"
+    owners = build_owners(plan)
+    for config, config_counts in counts.items():
+        same_width = next(c for c in counts if c[2] == config[2])
+        assert config_counts == counts[same_width], (
+            f"tuple counts (total, per node, hash builds) at "
+            f"kernels={config[0]} batch_size={config[1]} "
+            f"shards={config[2]} diverged from the {same_width} "
+            f"reference: {config_counts} != {counts[same_width]}"
+        )
+        assert_counts_match_serial(
+            config_counts, counts[reference_config], owners, config[2]
         )
     # Kernel parity of the metering counters, per grid point: the
     # kernel axis must be invisible to them (the other axes may
@@ -302,3 +316,166 @@ def run_differential(
             f"diverged with kernels on/off at batch_size={batch_size} "
             f"shards={shards}: {point}"
         )
+    nested = as_nested_loop(plan)
+    if len(kernels) < 2 or nested == plan:
+        return
+    for batch_size, shards in grid:
+        result = _execute_cold(db, nested, batch_size, shards, cluster, True)
+        hash_evals, _, _, hash_reads, _, _ = metering[
+            (True, batch_size, shards)
+        ]
+        point = f"batch_size={batch_size} shards={shards}"
+        assert result.answer_set() == want, (
+            f"the nested-loop twin diverged from the reference at {point}"
+        )
+        nested_evals = result.metrics.predicate_evals
+        # Both count every pair; the nested loop also re-counts an
+        # inner's own filter per re-open.
+        if _inner_filters(plan):
+            assert hash_evals <= nested_evals, (point, hash_evals, nested_evals)
+        else:
+            assert hash_evals == nested_evals, (
+                f"hash and nested-loop predicate_evals differ at {point}: "
+                f"{hash_evals} != {nested_evals}"
+            )
+        assert hash_reads <= result.metrics.buffer.logical_reads, (
+            f"the hash plan read more pages than its nested-loop twin "
+            f"at {point}: {hash_reads} > "
+            f"{result.metrics.buffer.logical_reads}"
+        )
+
+
+@contextlib.contextmanager
+def counting_builds():
+    """Count, per hash-join node id, how often the engine drains the
+    join's inner (its build side) — shard sessions included, which
+    share the coordinator's node ids — and require at most one build
+    per open of the join."""
+    builds = collections.Counter()
+    opens = collections.Counter()
+    lock = threading.Lock()
+    build = Engine._hash_build
+    open_join = Engine._hash_join_batches
+
+    def counted_build(engine, node, *args):
+        with lock:
+            builds[engine._node_ids.get(id(node))] += 1
+        return build(engine, node, *args)
+
+    def counted_open(engine, node, *args):
+        with lock:
+            opens[engine._node_ids.get(id(node))] += 1
+        return open_join(engine, node, *args)
+
+    with mock.patch.object(
+        Engine, "_hash_build", counted_build
+    ), mock.patch.object(Engine, "_hash_join_batches", counted_open):
+        yield builds
+    for join, built in builds.items():
+        assert built <= opens[join], (
+            f"hash join {join} built {built} times in {opens[join]} opens"
+        )
+
+
+def tuple_counts(metrics, builds):
+    """``(total, per node, builds per hash join)`` of one run."""
+    return (
+        metrics.total_tuples,
+        dict(metrics.tuples_by_node),
+        dict(builds),
+    )
+
+
+def build_owners(plan):
+    """Node id -> id of the innermost hash join whose inner operand
+    (build side) holds the node."""
+    ids = assign_node_ids(plan)
+    owners = {}
+
+    def visit(node, owner):
+        if owner is not None:
+            owners[ids[id(node)]] = owner
+        if isinstance(node, EJ) and node.algorithm == HASH_JOIN:
+            visit(node.left, owner)
+            visit(node.right, ids[id(node)])
+        else:
+            for child in node.children:
+                visit(child, owner)
+
+    visit(plan, None)
+    return owners
+
+
+def assert_counts_match_serial(counts, serial, owners, shards):
+    """Tuple counts (:func:`tuple_counts`) of a ``shards``-wide run
+    against the serial run's, exactly.  A hash join builds once per
+    open, and each shard whose slice of a round reaches the join opens
+    it: a join builds at least as often as serially (some slice reaches
+    it whenever the serial run does) and at most ``shards`` times as
+    often.  A node on a build side counts its serial tuples per build
+    times the builds of the innermost hash join holding it; every other
+    node counts exactly its serial tuples, and so does the total
+    outside the nodes."""
+    total, nodes, builds = counts
+    serial_total, serial_nodes, serial_builds = serial
+    assert set(nodes) == set(serial_nodes), (nodes, serial_nodes)
+    for join in set(builds) | set(serial_builds):
+        built, serially = builds.get(join, 0), serial_builds.get(join, 0)
+        assert serially <= built <= shards * serially, (
+            f"hash join {join} built {built} times at shards={shards}, "
+            f"{serially} serially"
+        )
+    for node_id, count in nodes.items():
+        want = serial_nodes[node_id]
+        join = owners.get(node_id)
+        if join is None or not serial_builds.get(join):
+            assert count == want, (
+                f"node {node_id}: {count} tuples at shards={shards}, "
+                f"{want} serially"
+            )
+        else:
+            assert count * serial_builds.get(join, 0) == want * builds.get(
+                join, 0
+            ), (
+                f"build-side node {node_id}: {count} tuples over "
+                f"{builds.get(join, 0)} builds of {join} at shards={shards}, "
+                f"{want} over {serial_builds.get(join, 0)} serially"
+            )
+    assert total - sum(nodes.values()) == serial_total - sum(
+        serial_nodes.values()
+    ), (total, serial_total)
+
+
+def as_nested_loop(plan):
+    """``plan`` with every hash join run as a nested loop — the paper's
+    join method, which Figure 5 and Figure 7 price."""
+    children = [as_nested_loop(child) for child in plan.children]
+    if isinstance(plan, EJ) and plan.algorithm == HASH_JOIN:
+        return EJ(children[0], children[1], plan.predicate, NESTED_LOOP)
+    return plan.with_children(children) if children else plan
+
+
+def _inner_filters(plan):
+    """Whether some hash join's inner evaluates predicates itself."""
+    return any(
+        isinstance(node, (Sel, EJ))
+        for join in plan.walk()
+        if isinstance(join, EJ) and join.algorithm == HASH_JOIN
+        for node in join.right.walk()
+    )
+
+
+def _execute_cold(db, plan, batch_size, shards, cluster, kernel):
+    """One execution from cold buffers (the coordinator's and every
+    shard's), with the column kernels on or declined."""
+    engine = Engine(
+        db.physical,
+        batch_size=batch_size,
+        shards=shards,
+        cluster=cluster if shards > 1 else None,
+    )
+    db.physical.store.buffer.clear()
+    for worker in cluster.workers if cluster is not None else ():
+        worker.buffer.clear()
+    with contextlib.nullcontext() if kernel else kernels_declined():
+        return engine.execute(plan)

@@ -9,6 +9,7 @@ from repro.engine import Engine, ReferenceEvaluator
 from repro.errors import OptimizationError
 from repro.plans import (
     EJ,
+    HASH_JOIN,
     IJ,
     PIJ,
     EntityLeaf,
@@ -125,7 +126,8 @@ class TestJoins:
         validate_plan(generated.plan, db.physical)
 
     def test_generated_plan_not_worse_than_hand_orders(self, toolchain):
-        """DP output costs no more than either hand-built join order."""
+        """DP output costs no more than either hand-built join order
+        (built as the hash joins the generator emits for an equality)."""
         db, _t, _g = toolchain
         from repro.cost import DetailedCostModel
         from repro.querygraph.builder import out as out_
@@ -138,10 +140,12 @@ class TestJoins:
         predicate = eq(path("b", "master"), var("a"))
         projection = out_(n=path("b", "name"))
         bach_outer = Proj(
-            EJ(bach_sel, EntityLeaf("Composer", "b"), predicate), projection
+            EJ(bach_sel, EntityLeaf("Composer", "b"), predicate, HASH_JOIN),
+            projection,
         )
         bach_inner = Proj(
-            EJ(EntityLeaf("Composer", "b"), bach_sel, predicate), projection
+            EJ(EntityLeaf("Composer", "b"), bach_sel, predicate, HASH_JOIN),
+            projection,
         )
         assert generated.cost <= model.cost(bach_outer) + 1e-9
         assert generated.cost <= model.cost(bach_inner) + 1e-9

@@ -28,7 +28,12 @@ from repro.querygraph.builder import (
     spj,
     var,
 )
-from repro.workloads import fig2_query, fig3_query, join_push_query
+from repro.workloads import (
+    chain_join_query,
+    fig2_query,
+    fig3_query,
+    join_push_query,
+)
 
 
 def check_equivalence(db, graph, result):
@@ -146,9 +151,9 @@ class TestPolicies:
 #: pushed transformPT seed; push is one of the enumerator's own moves,
 #: so it runs once from the unpushed plan.
 CLAIM_STRATEGY_EXHAUSTIVE = {
-    "join-3 (dense)": (62, "73dcab40cb0700a8", 38.85491111111111),
-    "join-4 (dense)": (225, "e521e78c45708f3f", 44.40597037037037),
-    "fig3 (recursive)": (20, "b77759ebbc612b0a", 499.3552994911379),
+    "join-3 (dense)": (62, "957ac6af9b07bc92", 38.855377777777775),
+    "join-4 (dense)": (225, "2dd43ffa3fad8f25", 44.40645925925926),
+    "fig3 (recursive)": (20, "9f4bbcfac52e0adc", 493.55320782988997),
 }
 
 
@@ -161,8 +166,6 @@ class TestExhaustiveBaseline:
 
     @pytest.mark.parametrize("label", sorted(CLAIM_STRATEGY_EXHAUSTIVE))
     def test_claim_strategy_plans_pinned(self, claim_db, label):
-        from benchmarks.bench_claim_strategy_time import chain_join_query
-
         graph = {
             "join-3 (dense)": lambda: chain_join_query(3, dense=True),
             "join-4 (dense)": lambda: chain_join_query(4, dense=True),

@@ -9,9 +9,9 @@ from repro.cost import DetailedCostModel
 from repro.engine import Engine
 from repro.plans import (
     EJ,
+    HASH_JOIN,
     IJ,
     INDEX_JOIN,
-    NESTED_LOOP,
     PIJ,
     EntityLeaf,
     Proj,
@@ -106,13 +106,15 @@ class TestMoves:
         toggled = [plan for desc, plan in options if desc == "index-join"]
         assert toggled
         assert find_all(toggled[0], EJ)[0].algorithm == INDEX_JOIN
+        # An index join's predicate has an equality key, so the move
+        # back is to the hash join.
         back = [
             plan
             for desc, plan in neighbors(toggled[0], indexed_db.physical)
-            if desc == "nested-loop"
+            if desc == "hash-join"
         ]
         assert back
-        assert find_all(back[0], EJ)[0].algorithm == NESTED_LOOP
+        assert find_all(back[0], EJ)[0].algorithm == HASH_JOIN
 
     def test_all_neighbors_valid(self, indexed_db):
         for _desc, plan in neighbors(chain_plan(), indexed_db.physical):

@@ -7,11 +7,15 @@ resolve them once, at construction, from ``store.buffer.capacity`` and
 override and wins.
 
 The decision this was wrong for: under a 6-page pool the closure's Fix
-body ``EJ`` must keep ``Composer`` (8 pages) as the *outer* operand.
-Told the pool had 256 pages the model believed the extent fits, swapped
-the operands on a 0.13 % estimated edge, and LRU flooding turned that
-into 1,896 physical reads instead of 601.
+body ``EJ``, run as a nested loop, must keep ``Composer`` (8 pages) as
+the *outer* operand.  Told the pool had 256 pages the model believed
+the extent fits, swapped the operands on a 0.13 % estimated edge, and
+LRU flooding turned that into 1,896 physical reads instead of 601.  The
+optimizer now runs that equi-join as a hash join, which reads each
+operand once per round whatever the pool (160 reads).
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -23,9 +27,10 @@ from repro.core.baselines import (
 from repro.cost import CardinalityEstimator, CostParameters, DetailedCostModel
 from repro.engine import DEFAULT_BATCH_SIZE, Engine
 from repro.lang import compile_text
-from repro.plans.nodes import EJ, EntityLeaf, Fix, RecLeaf
+from repro.plans.nodes import EJ, NESTED_LOOP, EntityLeaf, Fix, RecLeaf
 from repro.service import QueryService, ServiceConfig
 from repro.workloads import MusicConfig, generate_music_database
+from tests.diff_harness import as_nested_loop
 
 CLOSURE = """
 view Influencer as
@@ -132,38 +137,43 @@ class TestStarvedJoinOrderDecision:
         return compile_text(CLOSURE, db.catalog)
 
     def test_estimate_and_measurement_rank_the_orders_alike(self, db, graph):
-        chosen = cost_controlled_optimizer(db.physical).optimize(graph)
-        misled = cost_controlled_optimizer(
-            db.physical,
-            DetailedCostModel(db.physical, CostParameters(**WRONG_MACHINE)),
-        ).optimize(graph)
+        """The operand order of a nested-loop join is the decision the
+        machine drives: Fig. 5 re-scans an inner per outer tuple, which
+        the pool absorbs only if the inner fits.  The optimizer runs
+        this equi-join as a hash join, which reads each operand once per
+        round whatever the pool, so the two nested-loop orders are built
+        from its plan and ranked by both machines' models."""
+        chosen = cost_controlled_optimizer(db.physical).optimize(graph).plan
+        hashed = fix_body_join(chosen)
+        if isinstance(hashed.left, RecLeaf):
+            hashed = EJ(
+                hashed.right, hashed.left, hashed.predicate, hashed.algorithm
+            )
+        composer_outer = as_nested_loop(
+            chosen.substitute(fix_body_join(chosen), hashed)
+        )
+        join = fix_body_join(composer_outer)
+        assert join.algorithm == NESTED_LOOP
+        assert isinstance(join.left, EntityLeaf)
+        assert join.left.entity == "Composer"
+        assert isinstance(join.right, RecLeaf)
+        delta_outer = composer_outer.substitute(
+            join, EJ(join.right, join.left, join.predicate, join.algorithm)
+        )
 
-        composer_outer = fix_body_join(chosen.plan)
-        delta_outer = fix_body_join(misled.plan)
-        assert isinstance(composer_outer.left, EntityLeaf)
-        assert composer_outer.left.entity == "Composer"
-        assert isinstance(composer_outer.right, RecLeaf)
-        # Told the wrong machine, the same search flips the operands —
-        # and nothing else.
-        assert isinstance(delta_outer.left, RecLeaf)
-        assert chosen.plan.substitute(
-            composer_outer,
-            EJ(
-                composer_outer.right,
-                composer_outer.left,
-                composer_outer.predicate,
-                composer_outer.algorithm,
-            ),
-        ) == misled.plan
-
-        model = DetailedCostModel(db.physical)
-        estimated = model.cost(chosen.plan) - model.cost(misled.plan)
-        run_a = measure(db, chosen.plan)
-        run_b = measure(db, misled.plan)
+        store = DetailedCostModel(db.physical)
+        wrong = DetailedCostModel(db.physical, CostParameters(**WRONG_MACHINE))
+        estimated = store.cost(composer_outer) - store.cost(delta_outer)
+        # Told the wrong machine, the model would flip the operands.
+        assert wrong.cost(delta_outer) < wrong.cost(composer_outer)
+        run_a = measure(db, composer_outer)
+        run_b = measure(db, delta_outer)
         measured = run_a.measured_cost() - run_b.measured_cost()
         assert estimated < 0 and measured < 0
         assert run_a.buffer.physical_reads == 601
         assert run_b.buffer.physical_reads == 1896
+        # The hash join the optimizer serves beats both.
+        assert measure(db, chosen).buffer.physical_reads == 160
 
     def test_cost_controlled_is_no_worse_than_either_fixed_policy(
         self, db, graph
@@ -176,7 +186,7 @@ class TestStarvedJoinOrderDecision:
             ).measured_cost()
             for factory in (deductive_optimizer, naive_optimizer)
         )
-        assert floor == 2057.0
+        assert floor == 1616.0
         assert measured <= floor
         q_error = max(chosen.cost / measured, measured / chosen.cost)
         assert q_error < 2.0
@@ -186,9 +196,23 @@ class TestServiceKeepsTheMachine:
     """``recalibrate(apply=True)`` hot-swaps unit weights, not the
     machine: the re-costed model still sees the store's 6-page pool."""
 
-    def cached_join(self, service) -> EJ:
+    def assert_priced_on_the_store(self, service):
+        """The cached closure plan's estimate is what the service's unit
+        weights price it at on the store's 6-page machine, not on a
+        256-page one."""
         key = service.cache.key_for(CLOSURE, service.physical)
-        return fix_body_join(service.cache.entry(key).plan)
+        entry = service.cache.entry(key)
+        weights = replace(
+            service._cost_params or service._base_params,
+            buffer_pages=None,
+            temp_records_per_page=None,
+        )
+        store = DetailedCostModel(service.physical, weights)
+        wrong = DetailedCostModel(
+            service.physical, replace(weights, **WRONG_MACHINE)
+        )
+        assert entry.cost == pytest.approx(store.cost(entry.plan), rel=1e-9)
+        assert entry.cost != pytest.approx(wrong.cost(entry.plan), rel=1e-3)
 
     def test_recalibrate_and_reset_keep_the_stores_capacity(self):
         service = QueryService(
@@ -207,12 +231,12 @@ class TestServiceKeepsTheMachine:
             assert (wide.shards, wide.buffer_pages) == (2, 6)
 
             service.run_query(CLOSURE)
-            assert self.cached_join(service).left.entity == "Composer"
+            self.assert_priced_on_the_store(service)
 
             assert service.reset_calibration() == {"reset": True}
             service.cache.invalidate_all()
             service.run_query(CLOSURE)
-            assert self.cached_join(service).left.entity == "Composer"
+            self.assert_priced_on_the_store(service)
             assert service._optimizer().cost_model.params.buffer_pages == 6
         finally:
             service.close()

@@ -46,8 +46,9 @@ assert GRID[0] == (1, 1)
 #: batch {1, 256} × shards {1, 2} grid; the harness additionally
 #: requires predicate_evals, expr_evals, batches and the logical reads,
 #: physical reads and evictions of cold-buffer runs to be identical
-#: with kernels on and off at every grid point — kernels on, the
-#: nested-loop EJ replays a scan-leaf inner; declined, it re-opens it.
+#: with kernels on and off at every grid point — kernels on, the hash
+#: EJ probes its drained inner through a key index; declined, it judges
+#: every pair — and runs every hash-join plan again as a nested loop.
 KERNELS = (True, False)
 LAYOUT_GRID = [
     (batch_size, shards) for shards in (1, 2) for batch_size in BATCH_SIZES

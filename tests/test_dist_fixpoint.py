@@ -32,6 +32,12 @@ from repro.querygraph.graph import OutputField, OutputSpec
 from repro.querygraph.predicates import Comparison, PathRef
 from repro.workloads import MusicConfig, generate_music_database
 from repro.workloads.queries import fig3_query
+from tests.diff_harness import (
+    assert_counts_match_serial,
+    build_owners,
+    counting_builds,
+    tuple_counts,
+)
 
 
 @pytest.fixture(scope="module")
@@ -237,17 +243,24 @@ class TestPartitionability:
 
 
 def test_distributed_fixpoint_matches_serial(music_db, fig3_plan):
-    serial = Engine(music_db.physical).execute(fig3_plan)
+    with counting_builds() as serial_builds:
+        serial = Engine(music_db.physical).execute(fig3_plan)
     with ShardCluster(music_db.physical, 4) as cluster:
         for width in (2, 4):
-            dist = Engine(
-                music_db.physical, shards=width, cluster=cluster
-            ).execute(fig3_plan)
+            with counting_builds() as builds:
+                dist = Engine(
+                    music_db.physical, shards=width, cluster=cluster
+                ).execute(fig3_plan)
             assert dist.answer_set() == serial.answer_set()
-            assert dist.metrics.total_tuples == serial.metrics.total_tuples
-            assert dict(dist.metrics.tuples_by_node) == dict(
-                serial.metrics.tuples_by_node
+            # Exact, once each shard's drain of the Fix body's
+            # hash-join inner is counted.
+            assert_counts_match_serial(
+                tuple_counts(dist.metrics, builds),
+                tuple_counts(serial.metrics, serial_builds),
+                build_owners(fig3_plan),
+                width,
             )
+            assert sum(builds.values()) > sum(serial_builds.values())
             assert dist.metrics.shards_used == width
             assert dist.metrics.exchange_rounds > 0
             assert dist.metrics.exchange_tuples > 0
@@ -283,12 +296,21 @@ def test_no_lost_tuples_on_cyclic_data():
     graph = compile_text(CYCLIC_SAFE, db.catalog)
     plan = cost_controlled_optimizer(db.physical).optimize(graph).plan
     reference = ReferenceEvaluator(db.physical).answer_set(graph)
-    serial = Engine(db.physical).execute(plan)
+    with counting_builds() as serial_builds:
+        serial = Engine(db.physical).execute(plan)
     with ShardCluster(db.physical, 4) as cluster:
-        sharded = Engine(db.physical, shards=4, cluster=cluster).execute(plan)
+        with counting_builds() as builds:
+            sharded = Engine(
+                db.physical, shards=4, cluster=cluster
+            ).execute(plan)
     assert serial.answer_set() == reference
     assert sharded.answer_set() == reference
-    assert sharded.metrics.total_tuples == serial.metrics.total_tuples
+    assert_counts_match_serial(
+        tuple_counts(sharded.metrics, builds),
+        tuple_counts(serial.metrics, serial_builds),
+        build_owners(plan),
+        4,
+    )
     assert sharded.metrics.shards_used == 4
 
 

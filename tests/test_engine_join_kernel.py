@@ -1,20 +1,20 @@
-"""Nested-loop EJ column kernel: parity with the per-pair loop.
+"""Hash EJ column kernel: parity with the per-pair loop.
 
 The kernel's contract is that nothing but wall time may tell it from
 the loop it replaces: the emitted row *list* (order and duplicates),
 every evaluation counter, the exact sequence of pages the buffer is
 asked for (hence its hit/miss/eviction history) and the per-node tuple
 counts must be identical.  The loop is still in ``src/`` — it is where
-the join goes whenever the kernel declines — so it is the oracle: each
-generated join runs with the kernels {on, declined} x ``batch_size``
-{1, 3, 256} x buffer {6 pages, default}, and at every point the two
-runs must agree.  The inner operand is an extent scan or a ``RecLeaf``
-delta; either way every re-scan walks its cached scan steps, and the
-kernel probes the replayed chunks through the join's key-index memo.
-With the kernels on, a keyed outer binding has the join replay the
-inner leaf itself, one ``touch_run`` per step (``RecordingPool`` logs
-the run's pages in order); declined, the inner is re-opened through
-the operator dispatch.
+the hash join goes whenever the kernel declines — so it is the oracle:
+each generated join runs with the kernels {on, declined} x
+``batch_size`` {1, 3, 256} x buffer {6 pages, default}, and at every
+point the two runs must agree.  The inner operand is an extent scan or
+a ``RecLeaf`` delta, drained once per open when the first outer
+binding arrives; the kernel probes the drained chunks through the
+join's key-index memo.  The same join run as a nested loop — the inner
+re-opened per outer binding, every pair judged by the closure — emits
+the same rows with the same evaluation counts and never fewer page
+reads.
 
 The generated key columns mix what the kernel accepts (ints, strings,
 bools, floats incl. NaN, oids, nulls) with everything that must send a
@@ -33,12 +33,22 @@ from repro.engine import Batch, Engine, RuntimeMetrics
 from repro.engine.eval_expr import JoinKernel, canonical_row
 from repro.physical.schema import PhysicalSchema
 from repro.physical.storage import ObjectStore, Oid
-from repro.plans import EJ, EntityLeaf, Fix, Proj, RecLeaf, Sel, UnionOp
+from repro.plans import (
+    EJ,
+    HASH_JOIN,
+    NESTED_LOOP,
+    EntityLeaf,
+    Fix,
+    Proj,
+    RecLeaf,
+    Sel,
+    UnionOp,
+)
 from repro.querygraph.builder import and_, const, eq, ge, out, path, var
 from repro.schema.catalog import Catalog
 from repro.schema.conceptual import Attribute, ClassDef, Method
 from repro.schema.types import INT
-from tests.diff_harness import kernels_declined
+from tests.diff_harness import as_nested_loop, kernels_declined
 from tests.test_physical_storage import RecordingPool
 
 BATCH_SIZES = (1, 3, 256)
@@ -151,18 +161,35 @@ def observe(physical, plan, kernel, batch_size, buffer_pages):
     }
 
 
+#: What a nested loop may change: the pages it re-reads per outer
+#: binding, hence the buffer's history, the inner's batches and tuples.
+REREAD = BATCH_DEPENDENT + ("logical_reads", "tuples_by_node")
+
+
 def assert_parity(physical, plan):
+    nested_plan = as_nested_loop(plan)
+    assert nested_plan != plan
     for buffer_pages in BUFFERS:
         invariant = None
         for batch_size in BATCH_SIZES:
             oracle = observe(physical, plan, False, batch_size, buffer_pages)
             kernel = observe(physical, plan, True, batch_size, buffer_pages)
             assert kernel == oracle, (batch_size, buffer_pages)
-            for name in BATCH_DEPENDENT:
-                del oracle[name]
+            nested = observe(
+                physical, nested_plan, True, batch_size, buffer_pages
+            )
+            assert nested["logical_reads"] >= oracle["logical_reads"]
+            assert _less(nested, REREAD) == _less(oracle, REREAD), (
+                batch_size, buffer_pages,
+            )
+            oracle = _less(oracle, BATCH_DEPENDENT)
             if invariant is None:
                 invariant = oracle
             assert oracle == invariant, (batch_size, buffer_pages)
+
+
+def _less(observed, names):
+    return {key: value for key, value in observed.items() if key not in names}
 
 
 def equality(flipped):
@@ -180,10 +207,15 @@ class TestFlatJoinParity:
     @settings(max_examples=60, deadline=None)
     def test_bare_equality(self, left, right, flipped, projected):
         physical = build_physical(left, right)
-        plan = EJ(EntityLeaf("L", "l"), EntityLeaf("R", "r"), equality(flipped))
+        plan = EJ(
+            EntityLeaf("L", "l"),
+            EntityLeaf("R", "r"),
+            equality(flipped),
+            HASH_JOIN,
+        )
         if projected:
             # The consumer dereferences per emitted row, so its page
-            # touches interleave with the inner re-scans.
+            # touches interleave with the outer's and the residual's.
             plan = Proj(
                 plan, out(lw=path("l", "w"), rt=path("r", "ref", "w"))
             )
@@ -227,7 +259,7 @@ class TestFlatJoinParity:
             # Not the first part: no column form, the loop runs as is.
             predicate = and_(ge(path("r", "w"), const(bound % 6)), join)
         plan = Proj(
-            EJ(EntityLeaf("L", "l"), EntityLeaf("R", "r"), predicate),
+            EJ(EntityLeaf("L", "l"), EntityLeaf("R", "r"), predicate, HASH_JOIN),
             out(lt=path("l", "ref", "w"), rw=path("r", "w")),
         )
         assert_parity(physical, plan)
@@ -240,9 +272,9 @@ def closure_plan(delta_on_the_right):
     predicate = eq(path("i", "desc"), path("x", "parent"))
     delta, extent = RecLeaf("Closure", "i"), EntityLeaf("R", "x")
     join = (
-        EJ(extent, delta, predicate)
+        EJ(extent, delta, predicate, HASH_JOIN)
         if delta_on_the_right
-        else EJ(delta, extent, predicate)
+        else EJ(delta, extent, predicate, HASH_JOIN)
     )
     recursive = Proj(join, out(anc=path("i", "anc"), desc=var("x")))
     fix = Fix("Closure", UnionOp(base, recursive), "c")
@@ -288,8 +320,7 @@ class TestRecursiveJoinParity:
 class TestKernelEngages:
     """The parity above would hold vacuously if the kernel never
     fired; pin where it does and where it must not.  The spy sits on
-    :meth:`JoinKernel.matches`, the one probe routine both the replay
-    of a scan-leaf inner and the generic re-scan loop call."""
+    :meth:`JoinKernel.matches`, the hash join's one probe routine."""
 
     @pytest.fixture()
     def fired(self, monkeypatch):
@@ -307,7 +338,7 @@ class TestKernelEngages:
     @pytest.fixture()
     def reopened(self, monkeypatch):
         """The plan nodes handed to ``Engine.iterate_batches``, in
-        order: a replayed inner leaf never shows up here."""
+        order: once per open of each."""
         opened = []
         original = Engine.iterate_batches
 
@@ -326,6 +357,7 @@ class TestKernelEngages:
             EntityLeaf("L", "l"),
             EntityLeaf("R", "r"),
             predicate if predicate is not None else equality(False),
+            HASH_JOIN,
         )
         return Engine(physical, batch_size=256).execute(plan)
 
@@ -338,12 +370,14 @@ class TestKernelEngages:
         assert result.metrics.predicate_evals == 10
         assert result.metrics.expr_evals == 20
 
-    def test_null_outer_key_takes_the_loop(self, fired):
+    def test_null_outer_key_matches_nothing(self, fired):
         result = self.run([None, 1], [1, None])
-        # Only the non-null outer binding probes the kernel.
-        assert fired == {"matched": 1, "declined": 0}
+        # A null outer key equals nothing: its probe finds no record,
+        # counted as the two pairs the loop would judge.
+        assert fired == {"matched": 2, "declined": 0}
         assert len(result.rows) == 1
         assert result.metrics.predicate_evals == 4
+        assert result.metrics.expr_evals == 8
 
     def test_lookalike_keys_match_as_the_loop_does(self, fired):
         result = self.run([1, "1", NAN], [True, 1.0, "1", NAN, 1])
@@ -377,30 +411,44 @@ class TestKernelEngages:
         assert (metrics.predicate_evals, metrics.expr_evals) == (2, 4)
         assert probes[0] is records
 
-    def test_scan_leaf_inner_is_replayed_not_reopened(
-        self, fired, reopened
-    ):
+    def test_scan_leaf_inner_is_read_once_per_open(self, fired, reopened):
         result = self.run([1, None, 2], [2, 1, 1])
-        assert fired == {"matched": 2, "declined": 0}
+        assert fired == {"matched": 3, "declined": 0}
         assert len(result.rows) == 3
-        # Only the null-keyed outer binding re-opens the inner leaf
-        # through the operator dispatch; the keyed two replay it.
+        # The outer is opened first; its first binding drains the
+        # inner once, and all three bindings probe what was drained.
         assert [
             node.entity for node in reopened if isinstance(node, EntityLeaf)
         ] == ["L", "R"]
-        assert result.metrics.tuples_by_node["n2"] == 3 * 3
+        assert result.metrics.tuples_by_node["n2"] == 3
         assert result.metrics.predicate_evals == 3 * 3
 
-    def test_non_leaf_inner_is_reopened_and_probed(self, fired, reopened):
+    def test_empty_outer_never_opens_the_inner(self, reopened):
+        result = self.run([], [2, 1, 1])
+        assert result.rows == []
+        assert [
+            node.entity for node in reopened if isinstance(node, EntityLeaf)
+        ] == ["L"]
+        assert result.metrics.buffer.logical_reads == 0
+
+    def test_non_leaf_inner_is_drained_once_and_probed(self, fired, reopened):
         physical = build_physical(
             [("value", v) for v in (1, 2)], [("value", v) for v in (2, 1, 1)]
         )
         inner = Sel(EntityLeaf("R", "r"), ge(path("r", "w"), const(0)))
-        plan = EJ(EntityLeaf("L", "l"), inner, equality(False))
+        plan = EJ(EntityLeaf("L", "l"), inner, equality(False), HASH_JOIN)
         result = Engine(physical, batch_size=256).execute(plan)
         assert len(result.rows) == 3
         assert fired == {"matched": 2, "declined": 0}
-        assert sum(node is inner for node in reopened) == 2
+        assert sum(node is inner for node in reopened) == 1
+        # The nested loop re-opens the inner (and re-runs its filter)
+        # per outer binding.
+        nested = Engine(physical, batch_size=256).execute(
+            EJ(EntityLeaf("L", "l"), inner, equality(False), NESTED_LOOP)
+        )
+        assert nested.answer_set() == result.answer_set()
+        assert sum(node is inner for node in reopened) == 1 + 2
+        assert nested.metrics.predicate_evals == result.metrics.predicate_evals + 3
 
     def test_non_equality_has_no_kernel(self, fired):
         self.run([1, 2], [1, 2], predicate=ge(path("l", "k"), path("r", "k")))
@@ -410,7 +458,9 @@ class TestKernelEngages:
         physical = build_physical(
             [("oid", 1), ("oid", 2)], [("oid", 2), ("oid", 1), ("oid", 1)]
         )
-        plan = EJ(EntityLeaf("L", "l"), EntityLeaf("R", "r"), equality(True))
+        plan = EJ(
+            EntityLeaf("L", "l"), EntityLeaf("R", "r"), equality(True), HASH_JOIN
+        )
         result = Engine(physical, batch_size=256).execute(plan)
         assert fired == {"matched": 2, "declined": 0}
         assert all(
@@ -422,9 +472,10 @@ class TestKernelEngages:
 
 
 class TestProbeMemo:
-    """A re-scan replays the same chunk lists, so the join indexes each
-    inner chunk once and answers every later outer binding's probe of
-    it from the index — for an extent inner and a delta inner alike."""
+    """A scan hands back the same chunk lists on every open, so the
+    join indexes each inner chunk once and answers every later outer
+    binding's probe of it from the index — for an extent inner and a
+    delta inner alike."""
 
     @pytest.fixture()
     def probes(self, monkeypatch):
@@ -452,7 +503,9 @@ class TestProbeMemo:
             [("value", v) for v in (1, 2, 1, 3)],
             [("value", v) for v in (1, 1, 2, None, 3)],
         )
-        plan = EJ(EntityLeaf("L", "l"), EntityLeaf("R", "r"), equality(False))
+        plan = EJ(
+            EntityLeaf("L", "l"), EntityLeaf("R", "r"), equality(False), HASH_JOIN
+        )
         result = Engine(physical, batch_size=batch_size).execute(plan)
         assert len(result.rows) == 2 + 1 + 2 + 1
         # Four outer bindings probe every inner chunk; each chunk is

@@ -9,6 +9,7 @@ import pytest
 from repro.core.baselines import cost_controlled_optimizer
 from repro.cost import DetailedCostModel
 from repro.engine import Engine
+from repro.engine.eval_expr import JoinKernel
 from repro.errors import CostModelError
 from repro.obs import PlanProfiler, build_explain, render_explain
 from repro.obs.profile import assign_node_ids
@@ -211,8 +212,8 @@ class TestEstimateFallback:
 
 
 def _closure_query():
-    """The unselective ``Influencer`` closure: its Fix body's
-    nested-loop ``EJ`` replays the ``Composer`` leaf per delta tuple."""
+    """The unselective ``Influencer`` closure: its Fix body's hash
+    ``EJ`` probes the ``Composer`` leaf it drains once per round."""
     p1, p2 = influencer_rules()
     answer = rule(
         "Answer",
@@ -247,10 +248,11 @@ def _profiled_actuals(db, plan, kernels, batch_size, buffer_pages):
 
 
 class TestReplayProfileParity:
-    """EXPLAIN ANALYZE cannot tell a nested-loop ``EJ`` that replays
-    its scan-leaf inner from one that re-opens it through the operator
-    dispatch: with column kernels on (replay) and declined (re-open),
-    every node's profiled actuals and the probe count are identical."""
+    """EXPLAIN ANALYZE cannot tell a hash ``EJ`` that probes its
+    drained inner through the key index from one that replays every
+    pair through the per-pair closure: with column kernels on and
+    declined, every node's profiled actuals and the probe count are
+    identical."""
 
     @pytest.fixture(scope="class")
     def db(self):
@@ -274,20 +276,23 @@ class TestReplayProfileParity:
             declined = _profiled_actuals(
                 db, plan, False, batch_size, buffer_pages
             )
-            replays = []
-            replayed_joins = Engine._replayed_joins
+            probes = []
+            matches = JoinKernel.matches
 
             def counting(self, *args):
-                replays.append(args)
-                return replayed_joins(self, *args)
+                found = matches(self, *args)
+                probes.append(found)
+                return found
 
-            monkeypatch.setattr(Engine, "_replayed_joins", counting)
-            replayed = _profiled_actuals(
+            monkeypatch.setattr(JoinKernel, "matches", counting)
+            probed = _profiled_actuals(
                 db, plan, True, batch_size, buffer_pages
             )
         finally:
             db.store.buffer = pool
-        assert replayed == declined
-        # Both plans join the Composer leaf by nested loop (the §4.5
-        # plan also joins selections of it, which are re-opened).
-        assert replays, "the profiled run never replayed its inner"
+        assert probed == declined
+        # Both plans hash-join the Composer leaf (the §4.5 plan also
+        # joins selections of it).
+        assert any(found is not None for found in probes), (
+            "the profiled run never probed a drained inner"
+        )

@@ -240,9 +240,9 @@ class TestReplay:
         assert report["matched"]
 
     def test_replay_prices_the_recorded_machine(self):
-        # Same data, two machines: under the recorded 6-page pool the
-        # closure's Fix-body EJ keeps Composer (8 pages) as the outer
-        # operand; a 256-page pool holds the extent and flips it.
+        # Same data, two machines: the recorded 6-page pool and a
+        # 256-page one, which holds the 8-page Composer extent the
+        # closure dereferences, price the same plan differently.
         def database(buffer_pages):
             db = generate_music_database(
                 MusicConfig(
@@ -266,9 +266,10 @@ class TestReplay:
         roomy = database(256)
         graph = compile_text(FIG3, roomy.catalog)
         unaided = cost_controlled_optimizer(roomy.physical).optimize(graph)
-        assert canonical_fingerprint(unaided.plan) != bundle["plan"]["fingerprint"]
+        assert round(unaided.cost, 4) != bundle["plan"]["estimated_cost"]
         report = replay_bundle(bundle, database=roomy)
         assert report["plan_match"] and report["matched"]
+        assert report["estimated_cost"] == bundle["plan"]["estimated_cost"]
 
     def test_replay_without_recipe_or_database_fails(self):
         db = database_from_config(RECIPE)

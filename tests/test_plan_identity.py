@@ -24,7 +24,7 @@ from repro.obs.recorder import (
     replay_bundle,
 )
 from repro.plans.canonical import canonical_fingerprint
-from repro.plans.nodes import EJ, INDEX_JOIN, NESTED_LOOP
+from repro.plans.nodes import EJ, HASH_JOIN, INDEX_JOIN
 
 RECIPE = {"db": "music", "seed": 21, "lineages": 3, "generations": 6}
 
@@ -56,7 +56,7 @@ def chosen(db):
 def twin(chosen):
     """The chosen plan with its Fix-body join flipped to an index join."""
     [join] = [node for node in chosen.plan.walk() if isinstance(node, EJ)]
-    assert join.algorithm == NESTED_LOOP
+    assert join.algorithm == HASH_JOIN
     flipped = EJ(join.left, join.right, join.predicate, INDEX_JOIN)
     assert flipped.label() == join.label()
     plan = chosen.plan.substitute(join, flipped)
