@@ -203,28 +203,6 @@ def check_batch_execution(gate, fresh, baseline):
         )
 
 
-def check_obs_overhead(gate, fresh, baseline):
-    overhead = fresh.get("overhead", {})
-    gate.absolute(
-        "obs_overhead",
-        "obs-on/off throughput claim",
-        overhead.get("ratio", 0.0),
-        overhead.get("required_ratio", 0.97),
-    )
-    capture = fresh.get("anomaly_capture", {})
-    gate.absolute(
-        "obs_overhead",
-        "anomaly capture rate",
-        capture.get("rate", 0.0),
-        capture.get("required_rate", 0.95),
-    )
-    gate.boolean(
-        "obs_overhead",
-        "bundle replay matched",
-        fresh.get("replay", {}).get("matched"),
-    )
-
-
 def check_enumeration(gate, fresh, baseline):
     def by_key(doc):
         return {
@@ -271,7 +249,6 @@ def check_enumeration(gate, fresh, baseline):
 CHECKERS = {
     "BENCH_enumeration.json": check_enumeration,
     "BENCH_service_throughput.json": check_service_throughput,
-    "BENCH_obs_overhead.json": check_obs_overhead,
     "BENCH_claim_strategy_time.json": check_strategy_time,
     "BENCH_feedback_calibration.json": check_feedback_calibration,
     "BENCH_distributed_fixpoint.json": check_distributed_fixpoint,

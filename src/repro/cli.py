@@ -286,15 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
         "flagged",
     )
     serve_parser.add_argument(
-        "--obs-budget",
-        type=float,
-        default=0.05,
-        metavar="FRACTION",
-        help="observability budget as a fraction of query wall time; "
-        "the overhead governor degrades tracing/profiling detail per "
-        "query class to stay under it (0 disables the governor)",
-    )
-    serve_parser.add_argument(
         "--log-format",
         choices=["text", "json"],
         default="text",
@@ -304,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--bundle-dir",
         default=None,
         metavar="DIR",
-        help="write flight-recorder bundles (anomalies, diagnose) to "
-        "this directory",
+        help="write flight-recorder bundles (repro diagnose) to this "
+        "directory",
     )
     serve_parser.add_argument(
         "--history-max-bytes",
@@ -369,12 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="QUERY_FILE",
         default=None,
         help="release a pinned plan",
-    )
-    feedback_parser.add_argument(
-        "--governor",
-        action="store_true",
-        help="print the overhead governor's sampling state, anomaly "
-        "baselines, and flight-recorder ledger",
     )
     add_client(feedback_parser)
 
@@ -655,19 +640,11 @@ def cmd_trace(args, out) -> int:
     return 0
 
 
-def cmd_serve(args, out, server_box=None) -> int:
-    """Start the query service and block until a client sends
-    ``shutdown`` (or the process is interrupted).
-
-    ``server_box`` is a test hook: when given a list, the started
-    :class:`~repro.service.server.QueryServer` (and, with
-    ``--metrics-port``, the :class:`~repro.service.server.MetricsServer`)
-    is appended to it so the caller can reach the bound ports and stop
-    the servers."""
-    from repro.obs.log import configure_logging
-    from repro.service import MetricsServer, QueryServer, QueryService
-
-    config = _service_config(
+def _serve_config(args):
+    """The :class:`~repro.service.ServiceConfig` ``repro serve`` runs
+    with; at default flags it is ``ServiceConfig()`` plus the database
+    recipe."""
+    return _service_config(
         args,
         cache_capacity=args.cache_size,
         drift_ratio=args.drift_ratio,
@@ -683,10 +660,24 @@ def cmd_serve(args, out, server_box=None) -> int:
         regression_ratio=args.regression_ratio,
         profile_sample_every=args.profile_sample_every,
         auto_pin=args.auto_pin,
-        obs_budget=args.obs_budget or None,
         bundle_dir=args.bundle_dir,
         history_max_bytes=args.history_max_bytes,
     )
+
+
+def cmd_serve(args, out, server_box=None) -> int:
+    """Start the query service and block until a client sends
+    ``shutdown`` (or the process is interrupted).
+
+    ``server_box`` is a test hook: when given a list, the started
+    :class:`~repro.service.server.QueryServer` (and, with
+    ``--metrics-port``, the :class:`~repro.service.server.MetricsServer`)
+    is appended to it so the caller can reach the bound ports and stop
+    the servers."""
+    from repro.obs.log import configure_logging
+    from repro.service import MetricsServer, QueryServer, QueryService
+
+    config = _serve_config(args)
     configure_logging(args.log_format)
     service = QueryService(_build_database(args), config)
     server = QueryServer(
@@ -779,58 +770,6 @@ def cmd_feedback(args, out) -> int:
             return handle.read()
 
     with ServiceClient(args.host, args.port) as client:
-        if args.governor:
-            result = client.governor()
-            if args.json:
-                print(json.dumps(result, indent=2, default=str), file=out)
-                return 0
-            if not result.get("enabled"):
-                print(
-                    "overhead governor is disabled on this server "
-                    "(start it with --obs-budget)",
-                    file=out,
-                )
-            governor = result.get("governor") or {}
-            if governor:
-                decisions = governor.get("decisions", {})
-                print(
-                    f"budget {governor['budget']:.1%}  "
-                    f"spent {governor['spent_fraction']:.2%}  "
-                    f"decisions full={decisions.get('full', 0)} "
-                    f"head={decisions.get('head', 0)} "
-                    f"skip={decisions.get('skip', 0)}",
-                    file=out,
-                )
-                for cls in governor.get("classes", []):
-                    line = (
-                        f"  {cls['query_class']}: "
-                        f"p={cls['probability']:.3f} runs={cls['runs']} "
-                        f"sampled={cls['sampled_runs']} "
-                        f"anomalies={cls['anomalies']}"
-                    )
-                    if cls.get("pinned"):
-                        line += " [pinned]"
-                    print(line, file=out)
-            anomalies = result.get("anomalies") or {}
-            if anomalies:
-                print(
-                    f"anomalies: {anomalies['flagged']} flagged / "
-                    f"{anomalies['observed']} observed "
-                    f"(threshold z>{anomalies['threshold']:g})",
-                    file=out,
-                )
-            recorder = result.get("recorder") or {}
-            sink = (
-                f" -> {recorder['directory']}"
-                if recorder.get("directory")
-                else " (in memory)"
-            )
-            print(
-                f"bundles: {recorder.get('written', 0)} written, "
-                f"{recorder.get('suppressed', 0)} suppressed{sink}",
-                file=out,
-            )
-            return 0
         if args.pin:
             result = client.pin(read_file(args.pin), revert=args.revert)
             if args.json:

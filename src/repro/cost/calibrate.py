@@ -266,28 +266,14 @@ def fit_from_samples(samples: Sequence[Dict[str, float]]) -> CalibratedWeights:
     :meth:`repro.obs.history.QueryTelemetryStore.calibration_samples`
     yields, so the service can recalibrate from accumulated production
     telemetry (the *online* counterpart of :func:`calibrate`).
-
-    An optional per-sample ``weight`` (the overhead governor's inverse
-    sampling probability) turns the fit into weighted least squares: a
-    run admitted at 1-in-*k* head sampling stands for *k* unseen runs
-    of its class.  The model is linear through the origin, so scaling
-    each feature row and its target by ``sqrt(weight)`` implements the
-    weighting exactly; unweighted samples (weight 1.0) are unchanged,
-    and a feature that is zero stays zero, so the exercised-feature
-    count in :func:`fit_weights` is unaffected.
     """
-    probes = []
-    for index, sample in enumerate(samples):
-        weight = float(sample.get("weight", 1.0))
-        scale = weight**0.5 if weight > 0.0 else 1.0
-        probes.append(
+    return fit_weights(
+        [
             ProbeResult(
                 label=str(sample.get("label", f"sample{index}")),
-                events={
-                    name: float(sample.get(name, 0.0)) * scale
-                    for name in EVENT_NAMES
-                },
-                target_cost=float(sample["target"]) * scale,
+                events={name: float(sample.get(name, 0.0)) for name in EVENT_NAMES},
+                target_cost=float(sample["target"]),
             )
-        )
-    return fit_weights(probes)
+            for index, sample in enumerate(samples)
+        ]
+    )

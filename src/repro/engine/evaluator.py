@@ -234,10 +234,6 @@ class Engine:
             local.physical_reads + shard.physical_reads,
             local.evictions + shard.evictions,
         )
-        if profiler is not None:
-            # Includes shard views merged during the fixpoint —
-            # the overhead governor charges its budget against this.
-            self.metrics.obs_probes = profiler.probe_count()
         return ExecutionResult(rows, self.metrics)
 
     # -- engine services used by the fixpoint modules -------------------------------

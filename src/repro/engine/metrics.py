@@ -104,10 +104,6 @@ class RuntimeMetrics:
     #: average of the per-round max/mean skew.
     shard_load_max: float = 0.0
     shard_load_mean: float = 0.0
-    #: Profiler metering probes this execution paid for (0 when the
-    #: run was not profiled) — the overhead governor's profile-side
-    #: spend unit.
-    obs_probes: int = 0
 
     def observed_skew(self) -> float:
         """Measured max/mean shard load across sharded rounds (>= 1.0;
@@ -177,8 +173,6 @@ class RuntimeMetrics:
             "total_tuples": self.total_tuples,
             "tuples_by_node": dict(self.tuples_by_node),
         }
-        if self.obs_probes:
-            payload["obs_probes"] = self.obs_probes
         if self.shards_used:
             payload["shards_used"] = self.shards_used
             payload["exchange_rounds"] = self.exchange_rounds
@@ -226,7 +220,6 @@ class RuntimeMetrics:
         self.shard_busy_seconds += other.shard_busy_seconds
         self.shard_load_max += other.shard_load_max
         self.shard_load_mean += other.shard_load_mean
-        self.obs_probes += other.obs_probes
         self.shards_used = max(self.shards_used, other.shards_used)
         for shard, count in other.tuples_by_shard.items():
             self.tuples_by_shard[shard] = (

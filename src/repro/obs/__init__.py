@@ -25,20 +25,18 @@ makes those decisions — and their runtime consequences — inspectable:
 * :mod:`repro.obs.feedback` — the control loop on top of the store:
   online cost-model recalibration from production actuals and
   plan-regression detection with pinning support;
-* :mod:`repro.obs.governor` / :mod:`repro.obs.sampler` — the overhead
-  governor: keeps total observability spend under an explicit budget
-  by per-query-class head sampling; a sampled run keeps its trace and
-  profile, a skipped one carries cheap counters only;
-* :mod:`repro.obs.anomaly` — streaming EWMA+MAD anomaly detection per
-  query class over latency, misestimate, skew and barrier-wait;
 * :mod:`repro.obs.recorder` — the flight recorder: self-contained
-  diagnostic bundles replayed deterministically by ``repro replay``
+  ``repro diagnose`` bundles replayed deterministically by ``repro replay``
   through the serving pipeline (``QueryService.plan`` → ``execute``);
 * :mod:`repro.obs.log` — the unified structured (JSON or text) logging
   used across the service, distribution and engine layers.
+
+One rule decides how much detail a served query gets: the service
+profiles every ``profile_sample_every``-th query (deterministic 1-in-N;
+0 profiles none).  ``explain --analyze``, ``trace`` and ``diagnose``
+always run at full detail.
 """
 
-from repro.obs.anomaly import Anomaly, AnomalyConfig, AnomalyDetector
 from repro.obs.explain import ExplainNode, build_explain, render_explain
 from repro.obs.feedback import (
     FeedbackConfig,
@@ -55,7 +53,6 @@ from repro.obs.history import (
     PlanHistory,
     QueryTelemetryStore,
 )
-from repro.obs.governor import GovernorConfig, ObservabilityGovernor
 from repro.obs.log import configure_logging, get_logger
 from repro.obs.profile import FixIterationProfile, NodeProfile, PlanProfiler
 from repro.obs.progress import ProgressTracker, QueryProgress
@@ -65,7 +62,6 @@ from repro.obs.recorder import (
     load_bundle,
     replay_bundle,
 )
-from repro.obs.sampler import SamplingDecision
 from repro.obs.trace import NULL_TRACER, Span, SpanEvent, Tracer
 
 __all__ = [
@@ -92,12 +88,6 @@ __all__ = [
     "build_observation",
     "operator_estimates",
     "plan_diff",
-    "GovernorConfig",
-    "ObservabilityGovernor",
-    "SamplingDecision",
-    "Anomaly",
-    "AnomalyConfig",
-    "AnomalyDetector",
     "FlightRecorder",
     "build_bundle",
     "load_bundle",

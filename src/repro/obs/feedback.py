@@ -214,8 +214,6 @@ def build_observation(
     rows: int,
     runtime,
     profiler: Optional[PlanProfiler] = None,
-    weight: float = 1.0,
-    committed: bool = True,
 ) -> Observation:
     """Turn one execution's metrics into a telemetry observation.
 
@@ -224,12 +222,6 @@ def build_observation(
     engine already counts in
     :attr:`~repro.engine.metrics.RuntimeMetrics.tuples_by_node` — free
     either way on the serving hot path.
-
-    ``weight``/``committed`` carry the overhead governor's sampling
-    design: head-sampled runs record their inverse admission
-    probability, and runs the governor skipped detailed observability
-    for are marked uncommitted so recalibration excludes them (see
-    :meth:`QueryTelemetryStore.calibration_samples`).
     """
     # Imported here (not at module scope): calibrate pulls in the
     # engine, whose import re-enters this package.
@@ -273,8 +265,6 @@ def build_observation(
         operators=operators,
         profiled=profiler is not None,
         distributed=distributed,
-        weight=weight,
-        committed=committed,
     )
 
 

@@ -144,15 +144,6 @@ class Observation:
     #: logical reads, observed max/mean load skew and barrier wait —
     #: the measured counterparts of the distributed cost terms.
     distributed: Optional[Dict[str, float]] = None
-    #: Inverse sampling probability assigned by the overhead governor.
-    #: A head-sampled run admitted at 1-in-*stride* carries *stride*,
-    #: so downstream estimators can weight it back to unbiased.
-    weight: float = 1.0
-    #: False when the governor skipped detailed observability for this
-    #: run — the observation still feeds latency/regression tracking,
-    #: but recalibration must not consume it (its event counters were
-    #: collected outside the sampling design).
-    committed: bool = True
 
     def to_dict(self) -> dict:
         payload = {
@@ -173,14 +164,12 @@ class Observation:
             payload["distributed"] = {
                 k: round(float(v), 6) for k, v in self.distributed.items()
             }
-        if self.weight != 1.0:
-            payload["weight"] = round(self.weight, 4)
-        if not self.committed:
-            payload["committed"] = False
         return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Observation":
+        """Unknown keys are ignored, so lines written with since-retired
+        fields (the head-sampling ``weight`` and ``committed``) load."""
         return cls(
             at=float(payload.get("at", 0.0)),
             request_id=payload.get("request_id", ""),
@@ -204,8 +193,6 @@ class Observation:
                 if payload.get("distributed")
                 else None
             ),
-            weight=float(payload.get("weight", 1.0)),
-            committed=bool(payload.get("committed", True)),
         )
 
 
@@ -559,28 +546,16 @@ class QueryTelemetryStore:
             return history.latencies() if history else []
 
     def calibration_samples(self) -> List[Dict[str, float]]:
-        """Every *committed* observation as a calibration sample: the
-        event-count features, the ``target`` measured cost, and the
-        governor-assigned inverse sampling ``weight``.
-
-        Uncommitted observations (runs the overhead governor skipped
-        detailed observability for) are excluded: their event counters
-        sit outside the sampling design, and mixing them in would bias
-        the weighted fit the head-sampled weights exist to keep honest.
-        """
+        """Every observation with event counts as a calibration sample:
+        the event-count features and the ``target`` measured cost."""
         with self._lock:
             samples = []
             for history in self._plans.values():
                 for obs in history.observations:
-                    if not obs.events or not obs.committed:
-                        continue
-                    samples.append(
-                        {
-                            **obs.events,
-                            "target": obs.measured_cost,
-                            "weight": obs.weight,
-                        }
-                    )
+                    if obs.events:
+                        samples.append(
+                            {**obs.events, "target": obs.measured_cost}
+                        )
             return samples
 
     def distributed_misestimate(self, params) -> Optional[float]:

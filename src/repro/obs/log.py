@@ -17,8 +17,8 @@ Structured fields ride the stdlib ``extra=`` mechanism, so call sites
 stay plain ``logging`` calls::
 
     logger = get_logger("repro.service")
-    logger.info("anomaly detected", extra={
-        "request_id": 17, "query_class": "ab12cd34", "metric": "latency",
+    logger.info("diagnose bundle recorded", extra={
+        "request_id": 17, "query_class": "ab12cd34", "bundle": path,
     })
 
 Log aggregation pipelines get machine-parseable lines with ``json``;

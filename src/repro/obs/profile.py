@@ -292,13 +292,6 @@ class PlanProfiler:
 
     # -- reporting -----------------------------------------------------------
 
-    def probe_count(self) -> int:
-        """Metering probes taken so far (one per generator ``next()``)
-        — the overhead governor's unit of profile-side spend."""
-        return sum(
-            profile.next_calls for profile in self.profiles.values()
-        )
-
     def exclusive_seconds(self, node_id: str) -> float:
         """Wall time charged to a node minus its children's share."""
         profile = self.profiles.get(node_id)

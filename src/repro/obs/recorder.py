@@ -1,18 +1,15 @@
 """The flight recorder: self-contained diagnostic bundles + replay.
 
-When a query raises an anomaly — or an operator asks with
-``repro diagnose`` — the service snapshots everything needed to debug
-and *re-execute* the request on another machine into one JSON bundle:
+When an operator asks with ``repro diagnose``, the service runs the
+query at full detail and snapshots everything needed to debug and
+*re-execute* the request on another machine into one JSON bundle:
 
 .. code-block:: text
 
     bundle_version      schema version of this format (currently 2)
     created_at          unix seconds
-    reason              "anomaly" | "diagnose"
+    reason              "diagnose"
     request_id          service request id (when recorded in-service)
-    anomalies           the triggering anomaly records (metric,
-                        value, baseline, robust z-score)
-    sampling            the governor's decision for the run
     query               {text, canonical, class}
     plan                {fingerprint (canonical), rendered,
                         estimated_cost}
@@ -29,11 +26,15 @@ and *re-execute* the request on another machine into one JSON bundle:
     store               {schema, stats} fingerprints of the live store
     execution           {row_count, answer_fingerprint, measured_cost,
                          execute_ms, fix_iterations}
-    trace               the sampled run's trace (optional)
-    profile             the sampled run's per-node profile (optional)
+    trace               the run's trace (optional)
+    profile             the run's per-node profile (optional)
     telemetry           recent observation window for the plan
-    baselines           anomaly-detector baselines for the class
     environment         python/platform strings
+
+Bundles written before the overhead governor and anomaly detector were
+retired may also carry ``reason: "anomaly"``, ``anomalies``,
+``sampling`` and ``baselines``; nothing reads them, so such a bundle
+loads and replays like any other.
 
 Everything in the bundle is derived from *seeded* inputs — the
 generator recipe rebuilds a bit-identical store, and every transformPT
@@ -127,7 +128,6 @@ def database_from_config(config: Dict[str, Any]):
 
 def build_bundle(
     *,
-    reason: str,
     query_text: str,
     canonical: str,
     query_cls: str,
@@ -143,12 +143,9 @@ def build_bundle(
     database: Optional[Dict[str, Any]] = None,
     cost_parameters: Optional[Any] = None,
     request_id: Optional[int] = None,
-    anomalies: Optional[List[dict]] = None,
-    sampling: Optional[Dict[str, Any]] = None,
     trace: Optional[dict] = None,
     profile: Optional[dict] = None,
     telemetry: Optional[dict] = None,
-    baselines: Optional[dict] = None,
 ) -> Dict[str, Any]:
     """Assemble one self-contained diagnostic bundle."""
 
@@ -163,10 +160,8 @@ def build_bundle(
     bundle: Dict[str, Any] = {
         "bundle_version": BUNDLE_VERSION,
         "created_at": round(time.time(), 3),
-        "reason": reason,
+        "reason": "diagnose",
         "request_id": request_id,
-        "anomalies": list(anomalies or ()),
-        "sampling": sampling,
         "query": {
             "text": query_text,
             "canonical": canonical,
@@ -196,7 +191,6 @@ def build_bundle(
         "trace": trace,
         "profile": profile,
         "telemetry": telemetry,
-        "baselines": baselines,
         "environment": {
             "python": platform.python_version(),
             "platform": platform.platform(),
@@ -209,8 +203,8 @@ class FlightRecorder:
     """Writes bundles to a directory (or keeps them in memory only).
 
     Caps both the total bundles written and the bundles per query
-    class, so an anomaly storm on one hot class cannot fill the disk
-    or drown out other classes.  Thread-safe.
+    class, so repeated diagnoses of one class cannot fill the disk or
+    drown out other classes.  Thread-safe.
     """
 
     def __init__(
@@ -232,22 +226,6 @@ class FlightRecorder:
         self.recent: "deque[Dict[str, Any]]" = deque(maxlen=keep_recent)
         if directory:
             os.makedirs(directory, exist_ok=True)
-
-    def admit(self, query_cls: str) -> bool:
-        """Cheap pre-check: would a bundle for this class be recorded?
-
-        Bundle *assembly* (answer-set fingerprinting, telemetry
-        snapshots) dwarfs the cap check, so callers ask first and skip
-        the build entirely during an anomaly storm on a capped class.
-        A refusal counts as a suppression.
-        """
-
-        with self._lock:
-            count = self._by_class.get(query_cls, 0)
-            if self.written >= self.max_bundles or count >= self.per_class:
-                self.suppressed += 1
-                return False
-        return True
 
     def record(self, bundle: Dict[str, Any]) -> Optional[str]:
         """Persist *bundle*; returns its path (None when memory-only

@@ -172,15 +172,6 @@ class Tracer:
             return
         sink.append(SpanEvent(name, time.perf_counter(), attributes))
 
-    def span_count(self) -> int:
-        """Spans + events recorded across this tracer and its lanes
-        (the governor's unit of trace-side observability work)."""
-        total = len(self.spans) + len(self.orphan_events)
-        total += sum(len(span.events) for span in self.spans)
-        for child in self.children.values():
-            total += child.span_count()
-        return total
-
     # -- lanes --------------------------------------------------------------
 
     def child(self, lane: str) -> "Tracer":

@@ -470,7 +470,12 @@ class EJ(PlanNode):
         return self.left.output_vars() | self.right.output_vars()
 
     def label(self) -> str:
-        return f"EJ[{self.predicate!r}]"
+        """``EJ[pred]`` for the paper's nested loop; the other methods
+        name themselves (``EJ[hash: pred]``, ``EJ[index: pred]``)."""
+        if self.algorithm == NESTED_LOOP:
+            return f"EJ[{self.predicate!r}]"
+        method = "hash" if self.algorithm == HASH_JOIN else "index"
+        return f"EJ[{method}: {self.predicate!r}]"
 
     def _build_key(self) -> object:
         return (

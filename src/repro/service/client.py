@@ -176,11 +176,6 @@ class ServiceClient:
             payload["params"] = params
         return self.request(payload)
 
-    def governor(self) -> dict:
-        """Overhead-governor sampling state, anomaly-detector
-        baselines, and the flight recorder's bundle ledger."""
-        return self.request({"op": "governor"})
-
     def diagnose(
         self,
         text: str,
@@ -188,8 +183,8 @@ class ServiceClient:
         timeout: Optional[float] = None,
         shards: Optional[int] = None,
     ) -> dict:
-        """Run one query at full observability detail (bypassing the
-        governor's sampling) and record a diagnostic bundle."""
+        """Run one query at full observability detail (whatever
+        ``profile_sample_every`` says) and record a diagnostic bundle."""
         payload: dict = {"op": "diagnose", "text": text}
         if params is not None:
             payload["params"] = params

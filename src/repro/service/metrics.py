@@ -430,28 +430,10 @@ class ServiceMetrics:
                 counters.get("plans_pinned", 0),
             )
 
-            # Overhead-governor counters: zero until an observability
-            # budget is configured, but always exposed so dashboards
-            # can alert the moment a deployment turns the governor on.
-            counter(
-                "anomalies_total",
-                "Anomalies raised by the per-class EWMA+MAD detector.",
-                counters.get("anomalies", 0),
-            )
             counter(
                 "flight_bundles_total",
                 "Flight-recorder diagnostic bundles recorded.",
                 counters.get("flight_bundles", 0),
-            )
-            counter(
-                "obs_committed_total",
-                "Runs the governor sampled (trace and profile kept).",
-                counters.get("obs_committed", 0),
-            )
-            counter(
-                "obs_dropped_total",
-                "Runs the governor skipped (cheap counters only).",
-                counters.get("obs_dropped", 0),
             )
 
             for name, (help_text, samples) in sorted(self.gauges.items()):

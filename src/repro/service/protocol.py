@@ -24,17 +24,14 @@ Operations
     ``recalibrate {apply?}``              → refit cost weights from telemetry
     ``pin {text, params?, revert?}``      → pin plan / revert a regression
     ``unpin {text, params?}``             → release a pinned plan
-    ``governor``                          → overhead-governor sampling
-                                            state, anomaly baselines,
-                                            flight-recorder ledger
     ``diagnose {text, params?, shards?}`` → run once at full detail and
                                             record a diagnostic bundle
+                                            (plus the flight-recorder
+                                            ledger)
     ``ping`` / ``close`` / ``shutdown``
 
-When an observability budget is configured (``--obs-budget``), query
-responses additionally carry an ``obs`` object echoing the governor's
-sampling decision for that request: ``{mode, sampled, weight, reason,
-anomalies?, bundle?}``.
+An unknown ``op`` (the retired ``governor`` included) is answered with
+a ``protocol_error``.
 
 A request may carry a client-chosen ``id``; it is echoed verbatim on
 the response (success or error) for correlation.  Executed queries

@@ -51,20 +51,17 @@ from repro.errors import (
 )
 from repro.lang.compile import compile_program
 from repro.lang.parser import parse
-from repro.obs.anomaly import AnomalyConfig, AnomalyDetector
 from repro.obs.explain import build_explain, render_explain
 from repro.obs.feedback import (
     FeedbackConfig,
     FeedbackManager,
     build_observation,
 )
-from repro.obs.governor import GovernorConfig, ObservabilityGovernor
-from repro.obs.history import q_error, query_class
+from repro.obs.history import query_class
 from repro.obs.log import get_logger
 from repro.obs.profile import FixIterationProfile, PlanProfiler
 from repro.obs.progress import ProgressTracker
 from repro.obs.recorder import FlightRecorder, build_bundle
-from repro.obs.sampler import FULL_DETAIL, SamplingDecision
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.physical.storage import Oid, StoredRecord
 from repro.plans.canonical import canonical_fingerprint
@@ -82,10 +79,9 @@ __all__ = ["ServiceConfig", "QueryService", "QueryServer", "MetricsServer"]
 #: query classes as fields, not formatted into the message.
 _LOG = get_logger("service")
 
-#: Span cap for the per-request buffered tracer.  Tail sampling buffers
-#: spans in memory until the query completes, so the buffer must be
-#: bounded or a runaway fixpoint would trade the overhead budget for
-#: memory instead.
+#: Span cap for the ``diagnose`` tracer: it buffers spans in memory
+#: until the query completes and the bundle is written, so the buffer
+#: must be bounded or a runaway fixpoint would fill memory.
 TRACE_MAX_SPANS = 4096
 
 
@@ -140,19 +136,12 @@ class ServiceConfig:
     regression_min_runs: int = 3
     #: Observations required before ``recalibrate`` will fit.
     recalibrate_min_samples: int = 8
-    #: Profile every Nth query for per-operator actual costs (0 records
-    #: per-operator cardinalities only).
+    #: Profile every Nth served query for per-operator actual costs
+    #: (0 records per-operator cardinalities only): the one rule that
+    #: decides how much observability detail a served query gets.
     profile_sample_every: int = 0
     #: Automatically pin the prior plan when a regression is flagged.
     auto_pin: bool = False
-    #: Observability budget: the fraction of query wall time the
-    #: overhead governor may spend on tracing and profiling.  ``None``
-    #: (the default) disables the governor — the legacy
-    #: ``profile_sample_every`` path decides profiling instead, and
-    #: responses carry no ``obs`` echo (pre-governor payload shape).
-    obs_budget: Optional[float] = None
-    #: Baseline samples required before a class can raise anomalies.
-    anomaly_min_samples: int = 8
     #: Directory flight-recorder bundles are written to; ``None``
     #: keeps the most recent bundles in memory for the ``diagnose``
     #: op only.
@@ -223,7 +212,6 @@ class _Executed:
     execution: ExecutionResult
     engine: Engine
     seconds: float
-    decision: SamplingDecision
     profiler: Optional[PlanProfiler]
     tracer: Optional[Tracer]
 
@@ -262,18 +250,6 @@ class QueryService:
                     auto_pin=self.config.auto_pin,
                     history_max_bytes=self.config.history_max_bytes,
                 )
-            )
-        #: The overhead governor and anomaly detector: built only when
-        #: an observability budget is configured; ``None`` keeps the
-        #: pre-governor behavior byte-for-byte.
-        self.governor: Optional[ObservabilityGovernor] = None
-        self.anomalies: Optional[AnomalyDetector] = None
-        if self.config.obs_budget:
-            self.governor = ObservabilityGovernor(
-                GovernorConfig(budget=self.config.obs_budget)
-            )
-            self.anomalies = AnomalyDetector(
-                AnomalyConfig(min_samples=self.config.anomaly_min_samples)
             )
         #: Flight recorder: always constructed (memory-only without a
         #: bundle directory) so the ``diagnose`` op works everywhere.
@@ -380,11 +356,11 @@ class QueryService:
             run = self.execute(
                 planned, None, timeout, batch_size, shards, sample=True
             )
-            record, obs_echo = self._settle(planned, run)
+            record = self._settle(planned, run)
         except ReproError as error:
             self._count_failure(error)
             raise
-        response = {
+        return {
             "request_id": run.engine.request_id,
             "rows": [_jsonable_row(row) for row in run.execution.rows],
             "row_count": record.rows,
@@ -398,9 +374,6 @@ class QueryService:
             "batch_size": run.engine.batch_size,
             "shards": run.engine.shards,
         }
-        if obs_echo is not None:
-            response["obs"] = obs_echo
-        return response
 
     def _count_failure(self, error: ReproError) -> None:
         if isinstance(error, ExecutionTimeout):
@@ -567,27 +540,15 @@ class QueryService:
     ) -> _Executed:
         """Cost-budget admission → slots weighted by the shard fan-out →
         cancellation token → engine → progress → execute.  ``sample``
-        (the serving path) picks the observability detail once the
-        budget has admitted the request; otherwise the caller's
-        ``profiler``/``tracer`` run at full detail.  ``request_id``
-        defaults to a fresh one."""
+        (the serving path) profiles every ``profile_sample_every``-th
+        run; otherwise the caller's ``profiler``/``tracer`` run.
+        ``request_id`` defaults to a fresh one."""
         self.admission.admit(planned.estimated)
         # Minted before execution so the running query is addressable:
         # shard-worker thread names, exchange frames, dist log lines
         # and the live progress view carry this id.
         request_id = request_id or self._next_request_id()
-        decision = FULL_DETAIL
-        if sample and self.governor is not None:
-            decision = self.governor.decide(query_class(planned.key[0]))
-            if decision.sampled:
-                # A sampled run keeps its trace and profile in memory;
-                # an anomaly, known only once the query has run,
-                # bundles them.
-                profiler = PlanProfiler()
-                tracer = Tracer(
-                    trace_id=request_id, max_spans=TRACE_MAX_SPANS
-                )
-        elif sample and self.feedback is not None and self.feedback.should_profile():
+        if sample and self.feedback is not None and self.feedback.should_profile():
             profiler = PlanProfiler()
         requested = self.config.shards if shards is None else shards
         if batch_size is None:
@@ -620,13 +581,10 @@ class QueryService:
                 finally:
                     self.progress.finish(engine.progress)
             seconds = time.perf_counter() - started
-        return _Executed(execution, engine, seconds, decision, profiler, tracer)
+        return _Executed(execution, engine, seconds, profiler, tracer)
 
-    def _settle(
-        self, planned: _Planned, run: _Executed
-    ) -> Tuple[QueryRecord, Optional[dict]]:
-        """The query record, the slow-query log, observability and
-        feedback; returns the record and the ``obs`` echo."""
+    def _settle(self, planned: _Planned, run: _Executed) -> QueryRecord:
+        """The query record, the slow-query log and feedback."""
         metrics = run.execution.metrics
         record = QueryRecord(
             canonical=planned.key[0],
@@ -645,17 +603,16 @@ class QueryService:
         )
         self.metrics.record_execution(record, metrics)
         slow_reasons = self._slow_reasons(record)
-        obs_echo = self._settle_observability(planned, run, record, slow_reasons)
         if slow_reasons:
             self.metrics.record_slow(record, slow_reasons)
         if self.feedback is not None and planned.fingerprint is not None:
             self._feed_back(planned, run, record)
-        return record, obs_echo
+        return record
 
     def _slow_reasons(self, record: QueryRecord) -> List[str]:
-        """Why (if at all) this query belongs in the slow-query log; a
-        list, so observability can append anomaly verdicts before the
-        single ``record_slow`` call."""
+        """Why (if at all) this query belongs in the slow-query log: its
+        latency and its cost misestimate are the service's incident
+        signals."""
         reasons: List[str] = []
         threshold = self.config.slow_query_seconds
         if threshold is not None and record.execute_seconds > threshold:
@@ -673,88 +630,17 @@ class QueryService:
                 )
         return reasons
 
-    def _settle_observability(
-        self,
-        planned: _Planned,
-        run: _Executed,
-        record: QueryRecord,
-        slow_reasons: List[str],
-    ) -> Optional[dict]:
-        """Close the observability loop for one completed query: score
-        it against its class baselines, charge the governor for the
-        detail spent and, on anomaly in a sampled run, record a
-        flight-recorder bundle.  Returns the ``obs`` echo, or ``None``
-        when the governor is off."""
-        if self.governor is None:
-            return None
-        decision, metrics = run.decision, run.execution.metrics
-        query_cls, seconds = decision.query_class, record.execute_seconds
-        misestimate = skew = barrier = None
-        if record.estimated_cost > 0 and record.measured_cost > 0:
-            misestimate = q_error(record.estimated_cost, record.measured_cost)
-        if metrics.shards_used > 1:
-            skew = metrics.observed_skew()
-            if seconds > 0:
-                barrier = min(1.0, metrics.barrier_wait_seconds / seconds)
-        anomalies = self.anomalies.observe(
-            query_cls, seconds, misestimate=misestimate, skew=skew, barrier_wait=barrier
-        )
-        found = [anomaly.to_dict() for anomaly in anomalies]
-        bundle_path = None
-        if found:
-            self.governor.note_anomaly(query_cls)
-            self.metrics.count("anomalies", len(found))
-            slow_reasons.extend(anomaly.describe() for anomaly in anomalies)
-            if self.feedback is not None:
-                self.feedback.store.record_event(
-                    "anomaly",
-                    request_id=record.request_id,
-                    query_class=query_cls,
-                    anomalies=found,
-                )
-            _LOG.warning(
-                "anomaly detected",
-                extra={
-                    "request_id": record.request_id,
-                    "query_class": query_cls,
-                    "metrics": [anomaly.metric for anomaly in anomalies],
-                },
-            )
-            if decision.sampled and self.recorder.admit(query_cls):
-                bundle_path, _bundle = self._record_bundle(
-                    "anomaly", planned, run, decision.to_dict(), found
-                )
-        # Charge what this run's detail actually cost, so the spent
-        # fraction steers later decisions.
-        probes = metrics.obs_probes if run.profiler is not None else 0
-        spans = run.tracer.span_count() if run.tracer is not None else 0
-        self.governor.charge(query_cls, seconds, probes=probes, spans=spans)
-        self.metrics.count("obs_committed" if decision.sampled else "obs_dropped")
-        echo = decision.to_dict()
-        if found:
-            echo["anomalies"] = found
-        if bundle_path is not None:
-            echo["bundle"] = bundle_path
-        return echo
-
     def _record_bundle(
-        self,
-        reason: str,
-        planned: _Planned,
-        run: _Executed,
-        sampling: dict,
-        anomalies: Optional[List[dict]] = None,
+        self, planned: _Planned, run: _Executed
     ) -> Tuple[Optional[str], dict]:
-        """Snapshot one executed request into a flight-recorder bundle
-        (an anomaly's or a ``diagnose``); returns its path (``None``
-        when memory-only or capped) and the bundle.  It records the
-        parameters the plan was priced with, so replay prices the same
-        machine."""
+        """Snapshot one ``diagnose`` run into a flight-recorder bundle;
+        returns its path (``None`` when memory-only or capped) and the
+        bundle.  It records the parameters the plan was priced with, so
+        replay prices the same machine."""
         canonical = planned.key[0]
         query_cls = query_class(canonical)
         model = planned.cost_model or self._model(self.config.shards)
         bundle = build_bundle(
-            reason=reason,
             query_text=planned.text,
             canonical=canonical,
             query_cls=query_cls,
@@ -775,18 +661,11 @@ class QueryService:
             database=self.config.database_config,
             cost_parameters=model.params if model is not None else None,
             request_id=run.engine.request_id,
-            anomalies=anomalies,
-            sampling=sampling,
             trace=run.tracer.to_dict() if run.tracer is not None else None,
             profile=run.profiler.to_dict() if run.profiler is not None else None,
             telemetry=(
                 self.feedback.store.snapshot(canonical, 1)
                 if self.feedback is not None
-                else None
-            ),
-            baselines=(
-                self.anomalies.snapshot().get("classes", {}).get(query_cls)
-                if self.anomalies is not None
                 else None
             ),
         )
@@ -801,9 +680,7 @@ class QueryService:
     ) -> None:
         """Record one execution into the telemetry store and act on a
         regression verdict (slow-log entry, counters, optional
-        auto-pin).  The sampling ``weight``/``committed`` ride along so
-        recalibration can unbias head-sampled runs and skip unobserved
-        ones."""
+        auto-pin)."""
         observation = build_observation(
             record.request_id,
             record.estimated_cost,
@@ -812,8 +689,6 @@ class QueryService:
             record.rows,
             run.execution.metrics,
             run.profiler,
-            weight=run.decision.weight,
-            committed=run.decision.sampled,
         )
         regression = self.feedback.observe(
             planned.key[0], planned.fingerprint, observation
@@ -1011,22 +886,6 @@ class QueryService:
             operator_samples,
         )
 
-    def _refresh_obs_gauges(self) -> None:
-        """Publish the governor's budget/spend as gauges on scrape."""
-        if self.governor is None:
-            return
-        self.metrics.set_gauge(
-            "obs_budget_fraction",
-            self.governor.config.budget,
-            "Configured observability budget (fraction of wall time).",
-        )
-        self.metrics.set_gauge(
-            "obs_spent_fraction",
-            self.governor.spent_fraction(),
-            "EWMA fraction of wall time currently spent on "
-            "observability detail.",
-        )
-
     def stats(self) -> dict:
         payload = {
             "uptime_seconds": round(time.time() - self.started_at, 3),
@@ -1036,22 +895,6 @@ class QueryService:
         }
         if self.feedback is not None:
             payload["feedback"] = self.feedback.snapshot()
-        if self.governor is not None:
-            payload["governor"] = self.governor.snapshot()
-        return payload
-
-    def governor_stats(self) -> dict:
-        """The ``governor`` protocol payload: the overhead governor's
-        budget/spend/per-class sampling state, the anomaly detector's
-        baselines, and the flight recorder's bundle ledger."""
-        payload: dict = {
-            "enabled": self.governor is not None,
-            "recorder": self.recorder.snapshot(),
-        }
-        if self.governor is not None:
-            payload["governor"] = self.governor.snapshot()
-        if self.anomalies is not None:
-            payload["anomalies"] = self.anomalies.snapshot()
         return payload
 
     def diagnose_query(
@@ -1062,9 +905,8 @@ class QueryService:
         shards: Optional[int] = None,
     ) -> dict:
         """On-demand flight recording: plan fresh, run the query once at
-        full observability detail — bypassing the governor's sampling,
-        not admission — and record a ``diagnose`` bundle, exactly as an
-        anomaly would."""
+        full observability detail — bypassing ``profile_sample_every``,
+        not admission — and record a ``diagnose`` bundle."""
         request_id = self._next_request_id()
         width = shards or self.config.shards
         tracer = Tracer(trace_id=request_id, max_spans=TRACE_MAX_SPANS)
@@ -1077,8 +919,7 @@ class QueryService:
             profiler=PlanProfiler(),
             tracer=tracer,
         )
-        sampling = {**FULL_DETAIL.to_dict(), "reason": "diagnose"}
-        path, bundle = self._record_bundle("diagnose", planned, run, sampling)
+        path, bundle = self._record_bundle(planned, run)
         query_cls = bundle["query"]["class"]
         _LOG.info(
             "diagnose bundle recorded",
@@ -1185,7 +1026,6 @@ class QueryService:
     def metrics_text(self) -> str:
         """The Prometheus exposition of the service counters."""
         self._refresh_feedback_gauges()
-        self._refresh_obs_gauges()
         return self.metrics.to_prometheus()
 
     # -- protocol dispatch --------------------------------------------------
@@ -1295,9 +1135,6 @@ class QueryService:
 
     def _op_unpin(self, request: dict) -> dict:
         return self.unpin_query(_string_field(request, "text"), request.get("params"))
-
-    def _op_governor(self, request: dict) -> dict:
-        return self.governor_stats()
 
     def _op_diagnose(self, request: dict) -> dict:
         return self.diagnose_query(

@@ -380,6 +380,41 @@ class TestProtocolSurface:
             service.close()
 
 
+class TestProfileSampling:
+    """``profile_sample_every`` is the one rule that decides which
+    served queries carry profiled per-operator actuals: every Nth,
+    counted deterministically from the first."""
+
+    def profiled_requests(self, every, runs=9):
+        service = QueryService(
+            build_db(lineages=2, generations=4),
+            ServiceConfig(profile_sample_every=every),
+        )
+        try:
+            request_ids = [service.run_query(SCAN)["request_id"] for _ in range(runs)]
+            (history,) = service.feedback.store._plans.values()
+            observations = {obs.request_id: obs for obs in history.observations}
+        finally:
+            service.close()
+        profiled = []
+        for number, request_id in enumerate(request_ids, start=1):
+            operators = observations[request_id].operators.values()
+            detailed = [
+                op.cost is not None and op.seconds is not None for op in operators
+            ]
+            assert operators and (all(detailed) or not any(detailed))
+            assert observations[request_id].profiled == all(detailed)
+            if all(detailed):
+                profiled.append(number)
+        return profiled
+
+    def test_every_third_request_is_profiled(self):
+        assert self.profiled_requests(3) == [3, 6, 9]
+
+    def test_zero_profiles_no_request(self):
+        assert self.profiled_requests(0) == []
+
+
 def test_operator_estimates_propagate_unexpected_errors():
     """Per-operator estimates re-cost a plan with the model that just
     priced it; a failure there is a bug, not an empty estimate."""

@@ -11,11 +11,12 @@ from repro.cost import DetailedCostModel
 from repro.engine import Engine
 from repro.engine.eval_expr import JoinKernel
 from repro.errors import CostModelError
-from repro.obs import PlanProfiler, build_explain, render_explain
+from repro.obs import PlanProfiler, build_explain, plan_diff, render_explain
 from repro.obs.profile import assign_node_ids
 from repro.physical.buffer import BufferPool
-from repro.plans import Fix, Sel
+from repro.plans import EJ, INDEX_JOIN, NESTED_LOOP, Fix, Sel
 from repro.querygraph.builder import arc, const, ge, out, path, query, rule, spj
+from repro.service import QueryService
 from repro.workloads import (
     MusicConfig,
     fig3_query,
@@ -23,7 +24,7 @@ from repro.workloads import (
     join_push_query,
 )
 from repro.workloads.queries import influencer_rules
-from tests.diff_harness import kernels_declined
+from tests.diff_harness import as_nested_loop, kernels_declined
 
 
 @pytest.fixture()
@@ -172,6 +173,70 @@ class TestExplain:
         ), "no recursive-part node was costed across iterations"
 
 
+class TestJoinMethodLabels:
+    """EXPLAIN names the join method: ``EJ[hash: pred]`` and
+    ``EJ[index: pred]``, while the paper's nested loop stays
+    ``EJ[pred]`` (the form the Figure 4 and 7 tables print)."""
+
+    CLOSURE = (
+        "view Influencer as "
+        "select [master: x.master, disciple: x, gen: 1] from x in Composer "
+        "union "
+        "select [master: i.master, disciple: x, gen: i.gen + 1] "
+        "from i in Influencer, x in Composer where i.disciple = x.master; "
+        "select [name: i.disciple.name, gen: i.gen] "
+        "from i in Influencer where i.gen >= 3;"
+    )
+
+    def test_starved_closure_explain_analyze_shows_hash(self):
+        # The closure on a 6-page buffer, 8 records per page.
+        db = generate_music_database(
+            MusicConfig(
+                lineages=8,
+                generations=8,
+                works_per_composer=2,
+                records_per_page=8,
+                buffer_pages=6,
+                seed=92,
+            )
+        )
+        db.build_paper_indexes()
+        db.physical.refresh_statistics()
+        service = QueryService(db)
+        response = service.handle(
+            {"op": "explain", "text": self.CLOSURE, "analyze": True}
+        )
+        assert response["ok"], response
+        joins = [
+            line for line in response["plan"].splitlines() if "EJ[" in line
+        ]
+        assert joins and all("EJ[hash: i.disciple = x.master]" in j for j in joins)
+        assert all("act rows=" in j for j in joins)
+
+    def test_labels_per_method(self, optimized):
+        _db, _optimizer, result = optimized
+        joins = [n for n in result.plan.walk() if isinstance(n, EJ)]
+        assert joins
+        for join in joins:
+            predicate = repr(join.predicate)
+            assert join.label() == f"EJ[hash: {predicate}]"
+            for method, label in (
+                (NESTED_LOOP, f"EJ[{predicate}]"),
+                (INDEX_JOIN, f"EJ[index: {predicate}]"),
+            ):
+                other = EJ(join.left, join.right, join.predicate, method)
+                assert other.label() == label
+
+    def test_plan_diff_sees_a_method_flip(self, optimized):
+        _db, _optimizer, result = optimized
+        diff = plan_diff(as_nested_loop(result.plan), result.plan)
+        assert diff["old_push"] == diff["new_push"]
+        assert diff["old_size"] == diff["new_size"]
+        assert diff["removed"] and diff["added"]
+        assert all("EJ[hash: " in op for op in diff["added"])
+        assert not any("hash" in op for op in diff["removed"])
+
+
 class TestEstimateFallback:
     """A node the annotated report did not capture falls back to a bare
     estimate; only the cost model's own error is absorbed there."""
@@ -230,8 +295,7 @@ def _closure_query():
 
 def _profiled_actuals(db, plan, kernels, batch_size, buffer_pages):
     """Per-node ``PlanProfiler`` actuals of one cold-buffer run, less
-    wall times, with each node's metered ``next()`` calls, plus the
-    run's ``obs_probes``."""
+    wall times, with each node's metered ``next()`` calls."""
     db.store.buffer = BufferPool(buffer_pages)
     profiler = PlanProfiler()
     with contextlib.nullcontext() if kernels else kernels_declined():
@@ -244,15 +308,15 @@ def _profiled_actuals(db, plan, kernels, batch_size, buffer_pages):
         for iteration in node.get("fix_iterations", ()):
             del iteration["ms"]
         node["next_calls"] = profiler.profiles[node["node_id"]].next_calls
-    return nodes, result.metrics.obs_probes, result.answer_set()
+    return nodes, result.answer_set()
 
 
 class TestReplayProfileParity:
     """EXPLAIN ANALYZE cannot tell a hash ``EJ`` that probes its
     drained inner through the key index from one that replays every
     pair through the per-pair closure: with column kernels on and
-    declined, every node's profiled actuals and the probe count are
-    identical."""
+    declined, every node's profiled actuals are identical, metered
+    ``next()`` calls included."""
 
     @pytest.fixture(scope="class")
     def db(self):

@@ -43,14 +43,13 @@ where i.gen >= 2;
 """
 
 
-def run_and_bundle(text, database, tmp_path=None, reason="diagnose"):
+def run_and_bundle(text, database, tmp_path=None):
     """Optimize + execute *text* and wrap the run into a bundle."""
     physical = database.physical
     graph = compile_text(text, database.catalog)
     result = cost_controlled_optimizer(physical).optimize(graph)
     execution = Engine(physical).execute(result.plan)
     return build_bundle(
-        reason=reason,
         query_text=text,
         canonical=text,
         query_cls="testcls",
@@ -182,6 +181,27 @@ class TestReplay:
         out = io.StringIO()
         assert main(["replay", str(path)], out=out) == 0
         assert "REPLAY OK" in out.getvalue()
+
+    def test_replay_accepts_retired_anomaly_fields(self, tmp_path):
+        # Bundles recorded by the retired anomaly detector carry its
+        # verdicts, the governor's sampling decision and the class
+        # baselines; replay reads none of them (retiring a field does
+        # not bump bundle_version).
+        db = database_from_config(RECIPE)
+        bundle = run_and_bundle(FIG3, db)
+        bundle.update(
+            reason="anomaly",
+            anomalies=[
+                {"metric": "latency", "value": 0.2, "baseline": 0.01, "z": 9.0}
+            ],
+            sampling={"mode": "full", "sampled": True, "weight": 1.0},
+            baselines={"latency": {"level": 0.01, "spread": 0.001, "count": 8}},
+        )
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(bundle, default=str))
+        out = io.StringIO()
+        assert main(["replay", "--json", str(path)], out=out) == 0
+        assert json.loads(out.getvalue())["matched"]
 
     def test_sharded_replay_closes_its_cluster(self):
         db = database_from_config(RECIPE)

@@ -4,8 +4,9 @@ A plan and its twin that differs only in one ``EJ``'s join algorithm
 are different plans — different cost, different execution — so every
 id that leaves the process must tell them apart: the telemetry store's
 plan keys, ``plan_change`` events, and the fingerprint a flight bundle
-records and ``replay_bundle`` checks.  (A hash of display labels
-cannot: an ``EJ`` label carries its predicate, not its algorithm.)
+records and ``replay_bundle`` checks.  (Version-1 bundles hashed
+display labels, which then carried an ``EJ``'s predicate but not its
+algorithm.)
 """
 
 import json
@@ -58,7 +59,6 @@ def twin(chosen):
     [join] = [node for node in chosen.plan.walk() if isinstance(node, EJ)]
     assert join.algorithm == HASH_JOIN
     flipped = EJ(join.left, join.right, join.predicate, INDEX_JOIN)
-    assert flipped.label() == join.label()
     plan = chosen.plan.substitute(join, flipped)
     assert plan != chosen.plan
     return plan
@@ -89,7 +89,6 @@ def test_plan_changed_reports_a_flipped_join_algorithm(chosen, twin):
 def _bundle(db, chosen, fingerprint):
     execution = Engine(db.physical).execute(chosen.plan)
     return build_bundle(
-        reason="diagnose",
         query_text=FIG3,
         canonical=FIG3,
         query_cls="identity",

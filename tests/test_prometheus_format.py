@@ -153,7 +153,7 @@ def check_histograms(families, samples):
 def service():
     svc = QueryService(
         database_from_config(RECIPE),
-        ServiceConfig(obs_budget=0.05, database_config=RECIPE),
+        ServiceConfig(database_config=RECIPE),
     )
     for _ in range(3):
         assert svc.handle({"op": "query", "text": SCAN})["ok"]
@@ -165,14 +165,10 @@ class TestExposition:
     def test_every_sample_has_help_and_type(self, service):
         families, samples = parse_exposition(service.metrics_text())
         assert samples
-        # Spot-check the families this PR adds.
         for name in (
-            "repro_anomalies_total",
             "repro_flight_bundles_total",
-            "repro_obs_committed_total",
-            "repro_obs_dropped_total",
-            "repro_obs_budget_fraction",
-            "repro_obs_spent_fraction",
+            "repro_misestimate_ratio",
+            "repro_execute_latency_hist_seconds",
         ):
             assert name in families, sorted(families)
 
@@ -191,7 +187,7 @@ class TestExposition:
     def test_counter_types_declared(self, service):
         families, _ = parse_exposition(service.metrics_text())
         assert families["repro_requests_total"]["type"] == "counter"
-        assert families["repro_obs_budget_fraction"]["type"] == "gauge"
+        assert families["repro_misestimate_ratio"]["type"] == "gauge"
         assert (
             families["repro_execute_latency_hist_seconds"]["type"]
             == "histogram"

@@ -267,6 +267,21 @@ class TestServeCommand:
         assert args.cache_size == 64
         assert args.drift_ratio == 0.5
 
+    def test_serve_without_flags_serves_the_default_config(self):
+        """``repro serve`` with no flags builds the configuration the
+        macro benchmark measures (``ServiceConfig()``) in every field
+        but the database recipe it records for replay."""
+        import dataclasses
+
+        from repro.cli import _serve_config
+
+        args = build_parser().parse_args(["serve"])
+        served = dataclasses.asdict(_serve_config(args))
+        default = dataclasses.asdict(ServiceConfig())
+        assert served.pop("database_config") is not None
+        default.pop("database_config")
+        assert served == default
+
     def test_cmd_serve_serves_and_shuts_down(self, capsys):
         import io
 
