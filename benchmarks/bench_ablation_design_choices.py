@@ -14,9 +14,9 @@ Three knobs are switched off one at a time and their effect measured:
 
 import pytest
 
+from benchmarks.iterative_improvement import IterativeImprovement
 from repro.core import Optimizer, OptimizerConfig, cost_controlled_optimizer
 from repro.core.moves import neighbors
-from repro.core.strategies import IterativeImprovement
 from repro.cost import DetailedCostModel
 from repro.engine import Engine
 from repro.physical import ClusterTree, apply_clustering

@@ -1,7 +1,7 @@
 """CLAIM-ENUM — memoized enumeration vs. the randomized strategies.
 
-The transformation-based enumerator (``--strategy enum``) explores the
-same move graph as II/SA/2PO but deterministically, costing each
+The transformation-based enumerator (the optimizer's transformPT
+search) explores the same move graph as II/SA/2PO but deterministically, costing each
 canonical subplan once (memo table) and pruning against the incumbent.
 The claim this benchmark gates, per fig7 configuration (fig3 recursive
 query and the join-push query, under the serial / shards-4 cost
@@ -18,9 +18,10 @@ Both claims are re-checked from the committed
 or cost-model change that silently degrades either fails the
 bench-regression gate.
 
-SA and 2PO ([IC90]) live here, not in ``repro.core``: this benchmark
-is the only place they run, as extra randomized rivals over the same
-move graph.
+SA and 2PO ([IC90]) live here, and II in ``iterative_improvement.py``,
+not in ``repro.core``: the benchmarks are the only place they run, as
+randomized rivals over the same move graph.  Each runs once per
+transformPT candidate (:class:`PerCandidate`), as the paper ran II.
 """
 
 import math
@@ -31,15 +32,15 @@ from typing import List
 
 import pytest
 
-from repro.core.enumerate import MemoizedEnumeration
-from repro.core.moves import neighbors
-from repro.core.optimizer import Optimizer, OptimizerConfig
-from repro.core.strategies import (
+from benchmarks.iterative_improvement import IterativeImprovement, PerCandidate
+from repro.core.enumerate import (
     CostFn,
-    IterativeImprovement,
+    MemoizedEnumeration,
     SearchResult,
     SearchStrategy,
 )
+from repro.core.moves import neighbors
+from repro.core.optimizer import Optimizer, OptimizerConfig
 from repro.cost import CostParameters, DetailedCostModel
 from repro.physical.schema import PhysicalSchema
 from repro.plans.nodes import PlanNode
@@ -162,12 +163,12 @@ CONFIGS = {
     "shards4": {"shards": 4},
 }
 
-#: The randomized strategies, built fresh per optimize with the seed
-#: ``OptimizerConfig(strategy="ii")`` gives II.
+#: The randomized strategies, built fresh per optimize and run once per
+#: transformPT candidate.
 RANDOMIZED = {
-    "ii": lambda: IterativeImprovement(seed=1992),
-    "sa": lambda: SimulatedAnnealing(seed=1992),
-    "2po": lambda: TwoPhase(seed=1992),
+    "ii": lambda: PerCandidate(IterativeImprovement(seed=1992)),
+    "sa": lambda: PerCandidate(SimulatedAnnealing(seed=1992)),
+    "2po": lambda: PerCandidate(TwoPhase(seed=1992)),
 }
 
 #: Acceptance bound: enum's median optimization time must be within

@@ -143,7 +143,7 @@ def test_transform_row(db, benchmark, report, table):
             base = Optimizer(
                 db.physical,
                 model,
-                OptimizerConfig(push_policy="never", reoptimize=False),
+                OptimizerConfig(push_policy="never"),
             ).optimize(graph)
             before_types = node_types(base.plan)
             for description, candidate in transform_candidates(base.plan):

@@ -1,18 +1,17 @@
-"""Search-strategy comparison ([IC90], [KZ88], Section 4.1).
+"""Pruned vs. exhaustive search ([KZ88], Section 4.1).
 
 The optimizer separates its search *space* (actions/moves) from its
-search *strategy*.  This example runs the same queries through three
-searches — Iterative Improvement (the paper's strategy), the memoized
-enumerator (``--strategy enum``) and its unpruned closure (the [KZ88]
-exhaustive baseline) — and tabulates plan quality against optimization
-effort (plans costed, wall-clock time).
+search.  This example runs the same queries through the optimizer's
+memoized enumerator and its unpruned closure (the [KZ88] exhaustive
+baseline) and tabulates plan quality against optimization effort
+(plans costed, wall-clock time).
 
 Run:  python examples/strategy_comparison.py
 """
 
 import time
 
-from repro import MusicConfig, Optimizer, OptimizerConfig, generate_music_database
+from repro import MusicConfig, Optimizer, generate_music_database
 from repro.core import exhaustive_optimizer
 from repro.cost import DetailedCostModel
 from repro.querygraph.builder import and_, arc, const, eq, ge, out, path, query, rule, spj, var
@@ -21,7 +20,7 @@ from repro.workloads import fig3_query
 
 def dense_join_query(joins: int):
     """A join-heavy query: the space where exhaustive enumeration
-    blows up while II and the pruned enumerator stay cheap."""
+    blows up while the pruned enumerator stays cheap."""
     arcs = [arc("Composer", **{f"c{i}": "."}) for i in range(joins + 1)]
     conjuncts = [eq(path("c0", "name"), const("Bach"))]
     for i in range(1, joins + 1):
@@ -38,21 +37,14 @@ def dense_join_query(joins: int):
 
 def run_table(db, model, graph, title):
     optimizers = [
-        (
-            "iterative improvement",
-            Optimizer(db.physical, model, OptimizerConfig(strategy="ii")),
-        ),
-        (
-            "memoized enumeration",
-            Optimizer(db.physical, model, OptimizerConfig(strategy="enum")),
-        ),
+        ("memoized enumeration", Optimizer(db.physical, model)),
         (
             "exhaustive closure",
             exhaustive_optimizer(db.physical, model, max_plans=2000),
         ),
     ]
     print(f"\n=== {title} ===")
-    print(f"{'strategy':>24}  {'plan cost':>10}  {'plans costed':>12}  {'time':>8}")
+    print(f"{'search':>24}  {'plan cost':>10}  {'plans costed':>12}  {'time':>8}")
     print("-" * 62)
     for name, optimizer in optimizers:
         started = time.perf_counter()
@@ -81,7 +73,7 @@ def main() -> None:
 
     print()
     print(
-        "All strategies search the same move space (join swaps, index "
+        "Both searches walk the same move space (join swaps, index "
         "toggles,\nPIJ collapse/expansion, selection/join pushes through "
         "recursion).  On the\njoin-heavy query the exhaustive closure "
         "costs several times more plans\nfor the same final cost — "

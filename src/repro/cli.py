@@ -39,7 +39,7 @@ import sys
 from contextlib import closing
 from typing import List, Optional
 
-from repro.core import STRATEGY_NAMES
+from repro.core.optimizer import PUSH_POLICIES
 from repro.cost import SimplifiedCostModel
 from repro.errors import ReproError, ServiceError
 from repro.plans import render_tree
@@ -91,18 +91,10 @@ def build_parser() -> argparse.ArgumentParser:
         if policy:
             p.add_argument(
                 "--policy",
-                choices=["cost", "always", "never"],
+                choices=PUSH_POLICIES,
                 default="cost",
                 help="push-through-recursion policy",
             )
-        p.add_argument(
-            "--strategy",
-            choices=list(STRATEGY_NAMES),
-            default="ii",
-            help="transformPT search strategy (only with --policy cost): "
-            "ii = the paper's iterative improvement, enum = memoized "
-            "exact enumeration",
-        )
 
     def add_query(p):
         p.add_argument("query_file")
@@ -435,7 +427,7 @@ def _build_database(args):
 
 def _service_config(args, **knobs):
     """The :class:`~repro.service.ServiceConfig` of the CLI's database,
-    strategy, batch-size and shard flags plus ``knobs``; a knob out of
+    batch-size and shard flags plus ``knobs``; a knob out of
     range is a one-line error, not a traceback."""
     from repro.service import ServiceConfig
 
@@ -443,7 +435,6 @@ def _service_config(args, **knobs):
         return ServiceConfig(
             batch_size=getattr(args, "batch_size", None),
             shards=getattr(args, "shards", 1),
-            strategy=args.strategy if args.strategy != "ii" else None,
             database_config=_database_config(args),
             **knobs,
         )

@@ -8,19 +8,17 @@ from repro.core.baselines import (
     exhaustive_optimizer,
     naive_optimizer,
 )
-from repro.core.enumerate import EnumerationStats, MemoizedEnumeration
+from repro.core.enumerate import (
+    EnumerationStats,
+    MemoizedEnumeration,
+    SearchResult,
+    SearchStrategy,
+)
 from repro.core.fold import fold_action, fold_views
 from repro.core.generate import GeneratedPlan, SPJGenerator
 from repro.core.moves import neighbors
 from repro.core.optimizer import OptimizationResult, Optimizer, OptimizerConfig
 from repro.core.rewrite import fixpoint_action, rewrite, union_action
-from repro.core.strategies import (
-    STRATEGY_NAMES,
-    IterativeImprovement,
-    SearchResult,
-    SearchStrategy,
-    resolve_strategy,
-)
 from repro.core.transform import (
     PushableSegment,
     apply_filter,
@@ -52,9 +50,6 @@ __all__ = [
     "fixpoint_action",
     "rewrite",
     "union_action",
-    "STRATEGY_NAMES",
-    "resolve_strategy",
-    "IterativeImprovement",
     "SearchResult",
     "SearchStrategy",
     "PushableSegment",

@@ -14,8 +14,8 @@ We keep the declarative flavour with Python as the pattern language: an
 :class:`Action` exposes ``applications(granule)`` returning the sites
 where ``F`` matches and ``constraint`` holds; each
 :class:`Application` can ``apply()`` to produce the transformed
-granule.  Strategies (:mod:`repro.core.strategies`) choose among
-applications — irrevocably (rewriting), generatively, or by cost.
+granule.  Strategies (:func:`saturate`, generatePT, the transformPT
+search of :mod:`repro.core.enumerate`) choose among applications — irrevocably (rewriting), generatively, or by cost.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@
   *can* be pushed through recursion *are* pushed, with no cost model
   consulted ("most deductive query processors would push selection and
   projection through recursion [BR86]").
-* :func:`naive_optimizer` — never pushes through recursion and skips
-  randomized reoptimization: the plain generatePT output.
+* :func:`naive_optimizer` — never pushes through recursion and runs
+  no transformPT search: the plain generatePT output.
 * :func:`exhaustive_optimizer` — the [KZ88]-style strategy:
   exhaustively enumerate the transformation space and keep the global
   optimum.  "As this strategy is cost-based, optimality is guaranteed,
@@ -14,7 +14,7 @@
   memoized enumerator with pruning switched off, over a generatePT
   that keeps every join order.
 * :func:`cost_controlled_optimizer` — the paper's optimizer with its
-  default two-pass, cost-compared transformPT (for symmetric naming).
+  default cost-compared transformPT (for symmetric naming).
 * :func:`brute_force_enumerate` — the optimality oracle: close the
   move graph with *no* memo fingerprinting and *no* pruning, costing
   every structurally distinct plan reached, and return the global
@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import Callable, Tuple
 
 from repro.core.optimizer import Optimizer, OptimizerConfig
-from repro.core.strategies import IterativeImprovement
 from repro.physical.schema import PhysicalSchema
 from repro.plans.nodes import PlanNode
 
@@ -47,16 +46,16 @@ def deductive_optimizer(
     return Optimizer(
         physical,
         cost_model,
-        OptimizerConfig(push_policy="always", reoptimize=False),
+        OptimizerConfig(push_policy="always"),
     )
 
 
 def naive_optimizer(physical: PhysicalSchema, cost_model=None) -> Optimizer:
-    """Never push through recursion; no randomized reoptimization."""
+    """Never push through recursion; no transformPT search."""
     return Optimizer(
         physical,
         cost_model,
-        OptimizerConfig(push_policy="never", reoptimize=False),
+        OptimizerConfig(push_policy="never"),
     )
 
 
@@ -85,16 +84,11 @@ def cost_controlled_optimizer(
     cost_model=None,
     seed: int = 1992,
 ) -> Optimizer:
-    """The paper's optimizer (cost-compared pushes + II reoptimization)."""
-    return Optimizer(
-        physical,
-        cost_model,
-        OptimizerConfig(
-            push_policy="cost",
-            reoptimize=True,
-            strategy=IterativeImprovement(seed=seed),
-        ),
-    )
+    """The paper's optimizer: pushes decided by comparing costed plans
+    in one memoized search of the move graph.  The search is
+    deterministic, so ``seed`` changes nothing; it is kept for callers
+    written against the seeded randomized search."""
+    return Optimizer(physical, cost_model, OptimizerConfig())
 
 
 def brute_force_enumerate(

@@ -1,4 +1,5 @@
-"""Memoized transformation-based enumeration of recursive plans.
+"""Memoized transformation-based enumeration of recursive plans: the
+optimizer's one transformPT search.
 
 Iterative Improvement samples walks through the move graph —
 selection-push in/out of Fix, join-push, join-order (``swap-join``),
@@ -30,6 +31,9 @@ arXiv 2605.05044):
   test against the brute-force enumerator
   (:func:`repro.core.baselines.brute_force_enumerate`).
 
+Push-filter is one of the moves, so one search from the unpushed plan
+covers every push position.
+
 The strategy is cost-model-aware by construction: it only ever calls
 the ``cost_fn`` it is handed, so the serial and distributed
 (``CostParameters.shards``, :mod:`repro.cost.distributed`) Fix
@@ -44,15 +48,57 @@ output.
 from __future__ import annotations
 
 import heapq
-from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Set
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.core.moves import neighbors
-from repro.core.strategies import CostFn, SearchResult, SearchStrategy
 from repro.physical.schema import PhysicalSchema
 from repro.plans.nodes import PlanNode
 
-__all__ = ["EnumerationStats", "MemoizedEnumeration"]
+__all__ = [
+    "EnumerationStats",
+    "MemoizedEnumeration",
+    "SearchResult",
+    "SearchStrategy",
+]
+
+CostFn = Callable[[PlanNode], float]
+
+
+@dataclass
+class SearchResult:
+    """Outcome of a search run."""
+
+    plan: PlanNode
+    cost: float
+    plans_costed: int
+    moves_taken: List[str] = field(default_factory=list)
+
+
+class SearchStrategy:
+    """Base class: search the move-graph closure of a starting plan
+    under a cost function.
+
+    transformPT runs the search once, from the unpushed plan, so a
+    search must reach the push alternatives through its own moves.
+    ``extended_moves`` additionally explores union-over-join
+    distribution (the Section 5 extension).
+    """
+
+    extended_moves: bool = False
+
+    def search(
+        self,
+        start: PlanNode,
+        cost_fn: CostFn,
+        physical: PhysicalSchema,
+        *,
+        tracer=None,
+    ) -> SearchResult:
+        """Improve ``start``; ``tracer`` (when given and enabled)
+        receives one ``strategy.candidate`` event per costed move:
+        the action applied, cost before/after, accepted or not."""
+        raise NotImplementedError
 
 
 @dataclass
@@ -84,12 +130,6 @@ class MemoizedEnumeration(SearchStrategy):
     baseline of :func:`repro.core.baselines.exhaustive_optimizer`);
     ``max_plans`` caps the memo table as a terminating backstop.
     """
-
-    #: transformPT need not pre-seed this strategy with push
-    #: candidates: push-filter moves are part of the explored graph, so
-    #: one search from the unpushed plan covers every selection/join
-    #: push alternative (see ``Optimizer._transform_pt``).
-    self_contained = True
 
     def __init__(
         self,

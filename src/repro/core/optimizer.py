@@ -17,8 +17,10 @@ Runs the paper's four successive steps::
   (granule: one predicate node);
 * **transformPT** — cost-based, transformational; decides the position
   of selective operations w.r.t. recursion by *comparing costed
-  candidates*, optionally re-optimizing each with a randomized strategy
-  (granule: the whole query as a PT).
+  plans*: one memoized search of the move graph
+  (:class:`~repro.core.enumerate.MemoizedEnumeration`), in which a
+  push through recursion is one move among the join-order and
+  operator-order ones (granule: the whole query as a PT).
 
 The driver is configurable enough to express the paper's baselines
 (:mod:`repro.core.baselines`): disable the cost comparison and always
@@ -31,21 +33,20 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import OptimizationError, QueryModelError, UnknownEntityError
 from repro.core.generate import SPJGenerator
+
+# After generate, which loads the cost package (and the engine behind
+# it) before the move graph's own engine imports run.
+from repro.core.enumerate import MemoizedEnumeration, SearchStrategy
 from repro.core.rewrite import rewrite
-from repro.core.strategies import (
-    IterativeImprovement,
-    SearchResult,
-    SearchStrategy,
-    resolve_strategy,
-)
 from repro.core.transform import transform_candidates
 from repro.core.translate import TranslatedNode, Translator, produced_shape
 from repro.cost.cardinality import TupleShape
 from repro.cost.model import DetailedCostModel
+from repro.engine.context import validate_choice
 from repro.obs.trace import NULL_TRACER
 from repro.physical.schema import PhysicalSchema
 from repro.plans.nodes import (
@@ -62,7 +63,10 @@ from repro.querygraph.graph import FixNode, QueryGraph, SPJNode, UnionNode
 from repro.querygraph.predicates import Comparison, PathRef, conjuncts
 from repro.querygraph.views import RecursionInfo, analyze_recursion
 
-__all__ = ["OptimizerConfig", "OptimizationResult", "Optimizer"]
+__all__ = ["PUSH_POLICIES", "OptimizerConfig", "OptimizationResult", "Optimizer"]
+
+#: The values of :attr:`OptimizerConfig.push_policy`.
+PUSH_POLICIES = ("cost", "always", "never")
 
 
 @dataclass
@@ -71,18 +75,18 @@ class OptimizerConfig:
 
     ``push_policy`` decides how transformPT treats filter pushes:
 
-    * ``"cost"``   — the paper's approach: compare candidates by cost;
+    * ``"cost"``   — the paper's approach: compare plans by cost;
     * ``"always"`` — the deductive-DB heuristic: push whenever
       ``canPush`` holds, without costing;
     * ``"never"``  — never push.
     """
 
     push_policy: str = "cost"
-    reoptimize: bool = True
-    #: A :class:`SearchStrategy` instance, or one of the registered
-    #: names (:data:`repro.core.strategies.STRATEGY_NAMES`, e.g.
-    #: ``"enum"``); names are resolved on construction.
-    strategy: Optional[Union[str, SearchStrategy]] = None
+    #: The transformPT search; ``None`` builds the memoized enumerator.
+    #: An instance is injected by the [KZ88] baseline
+    #: (:func:`repro.core.baselines.exhaustive_optimizer`) and by
+    #: benchmarks that pit other searches against it.
+    strategy: Optional[SearchStrategy] = None
     validate_plans: bool = True
     #: Disable DP pruning in generatePT, fully enumerating join orders
     #: ([KZ88]); used by the exhaustive baseline.
@@ -92,15 +96,17 @@ class OptimizerConfig:
     fold_nonrecursive_views: bool = True
 
     def __post_init__(self) -> None:
-        if self.push_policy not in ("cost", "always", "never"):
+        try:
+            # Unlike an unset knob, a missing policy has no default.
+            validate_choice("push_policy", self.push_policy or "", PUSH_POLICIES)
+        except ValueError as exc:
+            raise OptimizationError(str(exc)) from None
+        if self.strategy is not None and not isinstance(
+            self.strategy, SearchStrategy
+        ):
             raise OptimizationError(
-                f"unknown push policy {self.push_policy!r}"
+                "strategy must be a SearchStrategy instance"
             )
-        if isinstance(self.strategy, str):
-            try:
-                self.strategy = resolve_strategy(self.strategy)
-            except ValueError as exc:
-                raise OptimizationError(str(exc)) from None
 
 
 @dataclass
@@ -113,9 +119,9 @@ class OptimizationResult:
     plans_costed: int = 0
     rewrite_trace: List[str] = field(default_factory=list)
     elapsed_seconds: float = 0.0
-    #: Search-strategy introspection counters, when the strategy keeps
-    #: them (``enum``: subplans memoized, memo hits, pruned branches,
-    #: candidates costed, plans expanded).
+    #: The transformPT search's counters (subplans memoized, memo
+    #: hits, pruned branches, candidates costed, plans expanded) when
+    #: the search ran and keeps them.
     strategy_stats: Optional[Dict[str, int]] = None
 
     def chose_push(self) -> bool:
@@ -135,7 +141,7 @@ class Optimizer:
         self.physical = physical
         self.cost_model = cost_model or DetailedCostModel(physical)
         self.config = config or OptimizerConfig()
-        self._strategy = self.config.strategy or IterativeImprovement()
+        self._strategy = self.config.strategy or MemoizedEnumeration()
         self._tracer = NULL_TRACER
 
     # -- public API --------------------------------------------------------------
@@ -152,7 +158,7 @@ class Optimizer:
 
         Every plan and subplan the steps cost is costed inside one memo
         scope of the cost model (when the model has one), so a subplan
-        shared by candidates, restarts or fixpoint rounds is estimated
+        shared by candidates or fixpoint rounds is estimated
         and costed once; the memo is dropped when this call returns or
         raises."""
         self._tracer = tracer if tracer is not None else NULL_TRACER
@@ -219,20 +225,15 @@ class Optimizer:
         for part_plan in part_plans[1:]:
             answer_plan = UnionOp(answer_plan, part_plan)
 
-        plan, cost, candidates, extra_costed = self._transform_pt(answer_plan)
+        plan, cost, candidates, extra_costed, stats = self._transform_pt(
+            answer_plan
+        )
         plans_costed += extra_costed
         if self.config.validate_plans:
             validate_plan(plan, self.physical)
         elapsed = time.perf_counter() - started
-        stats = getattr(self._strategy, "last_stats", None)
         return OptimizationResult(
-            plan,
-            cost,
-            candidates,
-            plans_costed,
-            trace,
-            elapsed,
-            stats.to_dict() if stats is not None else None,
+            plan, cost, candidates, plans_costed, trace, elapsed, stats
         )
 
     def _translate(self, translator: Translator, part: SPJNode) -> TranslatedNode:
@@ -444,104 +445,52 @@ class Optimizer:
 
     # -- transformPT -------------------------------------------------------------------
 
-    def _transform_pt(
-        self, plan: PlanNode
-    ) -> Tuple[PlanNode, float, List[Tuple[str, float]], int]:
+    def _transform_pt(self, plan: PlanNode) -> Tuple[
+        PlanNode, float, List[Tuple[str, float]], int, Optional[Dict[str, int]]
+    ]:
+        """Decide the pushes; returns the plan, its cost, the costed
+        alternatives (cheapest first), the plans costed and the
+        search's counters (``None`` when no search ran)."""
         policy = self.config.push_policy
-        tracer = self._tracer
-        if (
-            policy == "cost"
-            and self.config.reoptimize
-            and self._strategy.self_contained
-        ):
-            return self._transform_self_contained(plan)
-        costed = 0
-        with tracer.span("transformPT", policy=policy) as transform_span:
-            candidates = transform_candidates(plan)
-            if policy == "never":
-                candidates = [candidates[0]]
-            elif policy == "always":
+        if policy == "cost":
+            return self._search(plan)
+        with self._tracer.span("transformPT", policy=policy) as transform_span:
+            description = "original"
+            if policy == "always":
                 # The deductive heuristic: take the most-pushed candidate
                 # (the last fixpoint of filter applications), ignoring cost.
-                candidates = [candidates[-1]]
-            scored: List[Tuple[str, PlanNode, float]] = []
-            for description, candidate in candidates:
-                if self.config.reoptimize and policy == "cost":
-                    result = self._strategy.search(
-                        candidate,
-                        lambda p: self.cost_model.cost(p),
-                        self.physical,
-                        tracer=tracer,
-                    )
-                    costed += result.plans_costed
-                    scored.append((description, result.plan, result.cost))
-                else:
-                    cost = self.cost_model.cost(candidate)
-                    costed += 1
-                    scored.append((description, candidate, cost))
-                if tracer.enabled:
-                    tracer.event(
-                        "transformPT.candidate",
-                        description=description,
-                        cost=scored[-1][2],
-                    )
-            scored.sort(key=lambda item: item[2])
-            best_description, best_plan, best_cost = scored[0]
-            if tracer.enabled:
-                no_push_cost = next(
-                    (c for d, _p, c in scored if d == "original"), None
+                description, plan = transform_candidates(plan)[-1]
+            cost = self.cost_model.cost(plan)
+            if self._tracer.enabled:
+                self._tracer.event(
+                    "transformPT.candidate", description=description, cost=cost
                 )
-                push_cost = min(
-                    (c for d, _p, c in scored if d != "original"),
-                    default=None,
-                )
-                if no_push_cost is not None and push_cost is not None:
-                    # The paper's central decision, made explicit: the
-                    # costed no-push plan against the best pushed one.
-                    tracer.event(
-                        "transformPT.push_comparison",
-                        no_push_cost=no_push_cost,
-                        push_cost=push_cost,
-                        chosen=best_description,
-                        chose_push=best_description != "original",
-                    )
             transform_span.set(
-                chosen=best_description,
-                cost=best_cost,
-                candidates=len(scored),
-                plans_costed=costed,
+                chosen=description, cost=cost, candidates=1, plans_costed=1
             )
-        summary = [(description, cost) for description, _p, cost in scored]
-        return best_plan, best_cost, summary, costed
+        return plan, cost, [(description, cost)], 1, None
 
-    def _transform_self_contained(
-        self, plan: PlanNode
-    ) -> Tuple[PlanNode, float, List[Tuple[str, float]], int]:
-        """transformPT for self-contained strategies (``enum``).
-
-        Push-filter is one of the strategy's own moves, so pre-seeding
-        it with every ``transform_candidates`` push would enumerate the
-        same space once per candidate; one search from the untouched
-        plan covers all push positions."""
+    def _search(self, plan: PlanNode) -> Tuple[
+        PlanNode, float, List[Tuple[str, float]], int, Optional[Dict[str, int]]
+    ]:
+        """transformPT under the cost policy: one search of the move
+        graph from the unpushed plan.  Push-filter is one of the
+        search's moves, so this one run covers every push position."""
         tracer = self._tracer
-        with tracer.span(
-            "transformPT", policy="cost", mode="self-contained"
-        ) as transform_span:
+        with tracer.span("transformPT", policy="cost") as transform_span:
             start_cost = self.cost_model.cost(plan)
             result = self._strategy.search(
-                plan,
-                lambda p: self.cost_model.cost(p),
-                self.physical,
-                tracer=tracer,
+                plan, self.cost_model.cost, self.physical, tracer=tracer
             )
-            costed = result.plans_costed
-            description = "enumerated" if result.moves_taken else "original"
+            summary = [("original", start_cost)]
+            if result.moves_taken:
+                summary.insert(0, ("enumerated", result.cost))
+            description = summary[0][0]
             if tracer.enabled:
-                tracer.event(
-                    "transformPT.candidate",
-                    description=description,
-                    cost=result.cost,
-                )
+                for name, cost in summary:
+                    tracer.event(
+                        "transformPT.candidate", description=name, cost=cost
+                    )
                 tracer.event(
                     "transformPT.push_comparison",
                     no_push_cost=start_cost,
@@ -549,20 +498,16 @@ class Optimizer:
                     chosen=description,
                     chose_push=_pushed_through_recursion(result.plan),
                 )
-            attrs = dict(
+            stats = getattr(self._strategy, "last_stats", None)
+            stats = stats.to_dict() if stats is not None else None
+            transform_span.set(
                 chosen=description,
                 cost=result.cost,
-                candidates=1,
-                plans_costed=costed,
+                candidates=len(summary),
+                plans_costed=result.plans_costed,
+                **(stats or {}),
             )
-            stats = getattr(self._strategy, "last_stats", None)
-            if stats is not None:
-                attrs.update(stats.to_dict())
-            transform_span.set(**attrs)
-        summary = [("original", start_cost)]
-        if description != "original":
-            summary.append((description, result.cost))
-        return result.plan, result.cost, summary, costed
+        return result.plan, result.cost, summary, result.plans_costed, stats
 
 
 def _pushed_through_recursion(plan: PlanNode) -> bool:

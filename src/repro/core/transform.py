@@ -22,8 +22,9 @@ of *selective operations* relative to recursion is decided:
   downstream operator needs the inner operand's bindings (a semijoin
   push);
 
-* the resulting candidates are (optionally) improved by a randomized
-  strategy and **compared by cost**; pushing happens only when it wins.
+* the pushes are moves of the transformPT search
+  (:mod:`repro.core.enumerate`), so pushed and unpushed plans are
+  **compared by cost**; pushing happens only when it wins.
   This is the paper's core departure from the deductive-DB heuristic.
 
 ``canPush`` uses the provenance analysis attached to the Fix node: a
@@ -559,8 +560,10 @@ filter_action: Action[PlanNode] = Action("filter", _filter_applications)
 
 
 def transform_candidates(plan: PlanNode) -> List[Tuple[str, PlanNode]]:
-    """The candidate set transformPT compares: the original plan plus
-    every plan reachable by applying filter pushes up to saturation.
+    """The original plan plus every plan reachable by applying filter
+    pushes up to saturation: the candidates transformPT costs when it
+    runs no search, and the set the always/never-push baselines pick
+    their plan from.
 
     (Each application may expose further applicable segments on the
     transformed plan — e.g. a selection behind a join — so we close

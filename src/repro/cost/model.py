@@ -775,6 +775,13 @@ class DetailedCostModel:
             self._capture = capture
         return io, cpu
 
+    def fix_rounds(self, node: Fix) -> int:
+        """The rounds :meth:`_cost_fix` prices for a top-level ``node``:
+        the base round, one per estimated delta, the last of them the
+        round that finds nothing new — the count the engine's per-round
+        profile records (``len(deltas) + 1``)."""
+        return len(self.estimator.estimate(node).deltas or []) + 1
+
     def _cost_fix(self, node: Fix, env, rows) -> Tuple[float, float]:
         """Figure 5: cost(Fix) = Σ_i cost(Exp(T_i)).
 
@@ -886,14 +893,12 @@ class DetailedCostModel:
             io += round_io
             cpu += round_cpu
 
-        for index, delta in enumerate(
-            deltas[:-1] if len(deltas) > 1 else deltas[:0]
-        ):
-            produced = deltas[index + 1] if index + 1 < len(deltas) else 0.0
-            round_cost(delta, produced)
-        # One extra empty-delta round detects the fixpoint; charge the
-        # final delta's scan of the recursive parts as well.
-        if len(deltas) > 1:
+        for index, delta in enumerate(deltas[:-1]):
+            round_cost(delta, deltas[index + 1])
+        # The engine always runs one more round on the final delta,
+        # which produces nothing and so detects the fixpoint; a
+        # one-entry list is that round alone.
+        if deltas:
             round_cost(deltas[-1], 0.0)
         # Materializing and deduplicating the accumulated result (the
         # coordinator seen-set under sharding), plus re-emitting it in

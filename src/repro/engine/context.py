@@ -1,10 +1,11 @@
 """Shared validation for the engine's execution knobs.
 
 All integer knobs (``batch_size``, ``shards``) are validated in one
-place (:func:`validate_knob`) and enumerated ones (the optimizer
-``strategy``) in another (:func:`validate_choice`), so every entry
+place (:func:`validate_knob`) and enumerated ones (the optimizer's
+``push_policy``) in another (:func:`validate_choice`), so every entry
 point — the engine constructor, the service config, the protocol
-fields — rejects a bad value with the same message.
+fields, the optimizer config — rejects a bad value with the same
+message.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ def validate_knob(name: str, value: Optional[int], minimum: int = 1) -> None:
 def validate_choice(
     name: str, value: Optional[str], choices: Sequence[str]
 ) -> None:
-    """Validate one enumerated knob (e.g. the per-request optimizer
-    ``strategy``); ``None`` is always allowed.  Raises
+    """Validate one enumerated knob (e.g. the optimizer's
+    ``push_policy``); ``None`` is always allowed.  Raises
     :class:`ValueError` listing the accepted values."""
     if value is None:
         return

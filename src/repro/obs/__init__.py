@@ -6,7 +6,7 @@ makes those decisions — and their runtime consequences — inspectable:
 
 * :mod:`repro.obs.trace` — a lightweight span tracer threaded through
   the optimizer's four phases (rewrite, translate, generatePT,
-  transformPT) and the search strategies, so the full plan-space
+  transformPT) and the transformPT search, so the full plan-space
   walk is reconstructable, exportable as JSON or Chrome
   ``chrome://tracing`` format (the only Chrome exporter: a sharded
   run stitches one lane per shard into the same trace);

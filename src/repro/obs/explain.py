@@ -10,7 +10,8 @@ accumulates over the Fix iterations the model predicts) with the
 *actual* rows, wall time, page reads and predicate evaluations the
 :class:`~repro.obs.profile.PlanProfiler` measured, and
 :func:`render_explain` prints the annotated tree through the standard
-plan printer.  ``Fix`` nodes additionally list their semi-naive
+plan printer.  ``Fix`` nodes additionally show the rounds the model
+priced next to the rounds the engine ran, and list their semi-naive
 iterations (new tuples and wall time per round).
 
 Export: :meth:`ExplainTree.to_dict` (JSON).  The Chrome timeline of
@@ -28,7 +29,7 @@ from repro.engine.metrics import network_cost, node_cost
 from repro.errors import CostModelError
 from repro.obs.profile import FixIterationProfile, PlanProfiler, assign_node_ids
 from repro.plans.display import render_tree
-from repro.plans.nodes import PlanNode
+from repro.plans.nodes import Fix, PlanNode
 
 __all__ = ["ExplainNode", "ExplainTree", "build_explain", "render_explain"]
 
@@ -50,6 +51,11 @@ class ExplainNode:
     page_reads: Optional[int] = None
     index_page_reads: Optional[float] = None
     predicate_evals: Optional[int] = None
+    #: A Fix node's semi-naive rounds, base round included: priced by
+    #: the model (:meth:`~repro.cost.model.DetailedCostModel.fix_rounds`)
+    #: and run by the engine (its ``fix_iterations`` profile entries).
+    est_rounds: Optional[int] = None
+    actual_rounds: Optional[int] = None
     fix_iterations: List[dict] = field(default_factory=list)
     #: Distributed est-vs-act terms for a sharded Fix node:
     #: ``{"est": {...}, "act": {...}}`` with the network/disk/skew
@@ -70,6 +76,8 @@ class ExplainNode:
             "est_rows": _round(self.est_rows),
             "est_cost": _round(self.est_cost),
         }
+        if self.est_rounds is not None:
+            payload["est_rounds"] = self.est_rounds
         if self.analyzed:
             payload.update(
                 {
@@ -82,6 +90,8 @@ class ExplainNode:
                     "predicate_evals": self.predicate_evals,
                 }
             )
+            if self.actual_rounds is not None:
+                payload["actual_rounds"] = self.actual_rounds
         if self.fix_iterations:
             payload["fix_iterations"] = list(self.fix_iterations)
         if self.distributed is not None:
@@ -97,6 +107,8 @@ class ExplainNode:
         est = (
             f"est rows={_fmt(self.est_rows)} cost={_fmt(self.est_cost)}"
         )
+        if self.est_rounds is not None:
+            est += f" rounds={self.est_rounds}"
         if not self.analyzed:
             return f"({est})"
         actual = (
@@ -104,6 +116,8 @@ class ExplainNode:
             f"time={_fmt_ms(self.actual_seconds)} "
             f"reads={self.page_reads}"
         )
+        if self.actual_rounds is not None:
+            actual += f" rounds={self.actual_rounds}"
         return f"({est} | {actual})"
 
     def extra_lines(self) -> List[str]:
@@ -201,6 +215,11 @@ def build_explain(
                 explain.est_rows = cost_model.estimator.estimate(node).tuples
             except CostModelError:
                 pass
+        if isinstance(node, Fix):
+            try:
+                explain.est_rounds = cost_model.fix_rounds(node)
+            except CostModelError:
+                pass  # a nested Fix reads its enclosing delta
         if profiler is not None:
             profile = profiler.profiles.get(node_id)
             if profile is not None:
@@ -214,6 +233,8 @@ def build_explain(
                 explain.fix_iterations = [
                     it.to_dict() for it in profile.fix_iterations
                 ]
+                if isinstance(node, Fix):
+                    explain.actual_rounds = len(profile.fix_iterations)
         breakdown = getattr(cost_model, "fix_breakdowns", {}).get(id(node))
         if breakdown is not None:
             explain.distributed = {"est": dict(breakdown)}

@@ -13,8 +13,7 @@ query at full detail and snapshots everything needed to debug and
     query               {text, canonical, class}
     plan                {fingerprint (canonical), rendered,
                         estimated_cost}
-    knobs               {batch_size, shards, max_fix_iterations,
-                        strategy} (no ``strategy``: the default "ii")
+    knobs               {batch_size, shards, max_fix_iterations}
     cost_parameters     the CostParameters the optimizer priced with,
                         buffer_pages / temp_records_per_page resolved
                         against the recorded store, so replay prices
@@ -33,16 +32,17 @@ query at full detail and snapshots everything needed to debug and
 
 Bundles written before the overhead governor and anomaly detector were
 retired may also carry ``reason: "anomaly"``, ``anomalies``,
-``sampling`` and ``baselines``; nothing reads them, so such a bundle
-loads and replays like any other.
+``sampling`` and ``baselines``, and bundles written while transformPT
+had a choice of searches carry ``knobs.strategy``; nothing reads them,
+so such a bundle loads and replays like any other.
 
 Everything in the bundle is derived from *seeded* inputs — the
-generator recipe rebuilds a bit-identical store, and every transformPT
-strategy is deterministic or seeded — so :func:`replay_bundle`
-re-plans and re-executes through the serving pipeline
-(``QueryService.plan`` → ``execute``) with the recorded strategy,
-cost parameters and knobs, and asserts both the plan fingerprint and
-the answer-set fingerprint match the originals.
+generator recipe rebuilds a bit-identical store, and the transformPT
+search is deterministic — so :func:`replay_bundle` re-plans and
+re-executes through the serving pipeline (``QueryService.plan`` →
+``execute``) with the recorded cost parameters and knobs, and asserts
+both the plan fingerprint and the answer-set fingerprint match the
+originals.
 """
 
 from __future__ import annotations
@@ -271,10 +271,10 @@ def load_bundle(path: str) -> Dict[str, Any]:
 
 
 #: The bundle knobs replay hands to the service; fields of retired
-#: knobs (``batch_layout``, ``parallelism``) are dropped, so an older
-#: bundle replays on the current engine (retiring a knob does not bump
-#: ``bundle_version``).
-_REPLAY_KNOBS = ("batch_size", "shards", "max_fix_iterations", "strategy")
+#: knobs (``batch_layout``, ``parallelism``, ``strategy``) are dropped,
+#: so an older bundle replays on the current engine (retiring a knob
+#: does not bump ``bundle_version``).
+_REPLAY_KNOBS = ("batch_size", "shards", "max_fix_iterations")
 
 
 def replay_bundle(bundle: Dict[str, Any], database=None) -> Dict[str, Any]:
@@ -283,8 +283,7 @@ def replay_bundle(bundle: Dict[str, Any], database=None) -> Dict[str, Any]:
     Rebuilds the store from the bundle's generator recipe (unless a
     prebuilt *database* is supplied) and runs the recorded query
     through the serving pipeline — :meth:`QueryService.plan` under the
-    recorded cost parameters and strategy (II's restarts are seeded,
-    so this is deterministic), then :meth:`QueryService.execute` under
+    recorded cost parameters, then :meth:`QueryService.execute` under
     the recorded knobs — and compares plan fingerprint and answer-set
     fingerprint against the originals.
     """

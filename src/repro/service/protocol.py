@@ -7,12 +7,8 @@ plus payload, or ``ok: false`` plus ``error: {code, message}``.
 
 Operations
     ``hello``                             → ``{session}``
-    ``query {text, params?, timeout?, batch_size?, shards?,
-    strategy?}``                          → ``{rows, cache, ...}``
-                                            (``strategy``: transformPT
-                                            search — ``ii`` or
-                                            ``enum``; plans are
-                                            cached per strategy)
+    ``query {text, params?, timeout?, batch_size?, shards?}``
+                                          → ``{rows, cache, ...}``
     ``prepare {text}``                    → ``{statement, parameters}``
     ``execute {statement, params?, ...}`` → like ``query``
     ``explain {text, analyze?}``          → annotated plan (est vs. actual)
@@ -31,7 +27,9 @@ Operations
     ``ping`` / ``close`` / ``shutdown``
 
 An unknown ``op`` (the retired ``governor`` included) is answered with
-a ``protocol_error``.
+a ``protocol_error``, and so is a ``query``/``execute`` that still
+carries the retired ``strategy`` field: the optimizer has one
+transformPT search, so the field would select nothing.
 
 A request may carry a client-chosen ``id``; it is echoed verbatim on
 the response (success or error) for correlation.  Executed queries

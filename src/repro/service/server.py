@@ -33,13 +33,12 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.optimizer import OptimizationResult, Optimizer, OptimizerConfig
-from repro.core.strategies import STRATEGY_NAMES
 from repro.cost.model import DetailedCostModel
 from repro.cost.params import CostParameters
 from repro.cost.recost import recost_plan
 from repro.engine.batch import default_batch_size
 from repro.engine.cancel import CancellationToken
-from repro.engine.context import validate_choice, validate_knob
+from repro.engine.context import validate_knob
 from repro.engine.evaluator import Engine, ExecutionResult
 from repro.errors import (
     AdmissionError,
@@ -155,16 +154,10 @@ class ServiceConfig:
     #: bit-identical store; ``None`` produces bundles that replay only
     #: against a caller-supplied database.
     database_config: Optional[dict] = None
-    #: Default transformPT search strategy
-    #: (:data:`repro.core.strategies.STRATEGY_NAMES`; the per-request
-    #: ``strategy`` field wins).  ``None`` keeps the paper's II
-    #: reoptimization.
-    strategy: Optional[str] = None
 
     def __post_init__(self) -> None:
         validate_knob("batch_size", self.batch_size)
         validate_knob("shards", self.shards)
-        validate_choice("strategy", self.strategy, STRATEGY_NAMES)
 
 
 @dataclass
@@ -192,7 +185,6 @@ class _Planned:
 
     text: str
     key: CacheKey
-    strategy: str
     status: Optional[str] = None
     plan: Optional[PlanNode] = None
     estimated: float = 0.0
@@ -344,15 +336,14 @@ class QueryService:
         timeout: Optional[float] = None,
         batch_size: Optional[int] = None,
         shards: Optional[int] = None,
-        strategy: Optional[str] = None,
     ) -> dict:
         """Serve one query end to end (``plan`` → ``execute`` →
         ``_settle``); failures raise ReproError subclasses, which the
-        protocol layer maps to error codes.  ``batch_size``, ``shards``
-        and ``strategy`` override the configured defaults."""
+        protocol layer maps to error codes.  ``batch_size`` and
+        ``shards`` override the configured defaults."""
         self.metrics.record_request()
         try:
-            planned = self.plan(text, params, strategy)
+            planned = self.plan(text, params)
             run = self.execute(
                 planned, None, timeout, batch_size, shards, sample=True
             )
@@ -403,26 +394,21 @@ class QueryService:
 
     def _optimizer(
         self,
-        strategy: Optional[str] = None,
         width: Optional[int] = None,
         policy: str = "cost",
         cost_params: Optional[CostParameters] = None,
     ) -> Optimizer:
         """A fresh optimizer priced at ``width`` shards (default: the
         configured fan-out) under ``cost_params`` (default: the
-        service's) with the configured strategy unless ``strategy``
-        overrides it; unset, the paper's II.  ``policy``
-        ``always``/``never`` builds the deductive / naive baseline
-        instead (:mod:`repro.core.baselines`), priced by the same
-        model."""
+        service's).  ``policy`` ``always``/``never`` builds the
+        deductive / naive baseline instead
+        (:mod:`repro.core.baselines`), priced by the same model."""
         model = self._model(
             self.config.shards if width is None else width, cost_params
         )
-        if policy == "cost":
-            config = OptimizerConfig(strategy=strategy or self.config.strategy)
-        else:
-            config = OptimizerConfig(push_policy=policy, reoptimize=False)
-        return Optimizer(self.physical, model, config)
+        return Optimizer(
+            self.physical, model, OptimizerConfig(push_policy=policy)
+        )
 
     def _cluster_for(self, width: int):
         """The shared shard cluster for ``width`` shards, built lazily
@@ -446,7 +432,6 @@ class QueryService:
         self,
         text: str,
         params: Optional[dict] = None,
-        strategy: Optional[str] = None,
         *,
         width: Optional[int] = None,
         fresh: bool = False,
@@ -465,18 +450,11 @@ class QueryService:
         service's unit costs; such a plan is never cached."""
         fresh = fresh or policy != "cost" or cost_params is not None
         substituted = substitute_params(text, params)
-        validate_choice("strategy", strategy, STRATEGY_NAMES)
-        default = self.config.strategy or "ii"
         started = time.perf_counter()
         with self._store_lock:
             program = parse(substituted)
             key = self.cache.key_for_program(program, self.physical)
-            if strategy not in (None, default):
-                # A strategy override must not collide with plans
-                # cached under the default (or another) strategy:
-                # suffix the canonical text, like a different query.
-                key = (f"{key[0]}\n-- strategy={strategy}", key[1])
-            planned = _Planned(substituted, key, strategy or default)
+            planned = _Planned(substituted, key)
             lookup = None
             if not fresh:
                 model = self._model(self.config.shards)
@@ -491,7 +469,7 @@ class QueryService:
                 planned.fingerprint = entry.fingerprint
             else:
                 graph = compile_program(program, self.database.catalog)
-                optimizer = self._optimizer(strategy, width, policy, cost_params)
+                optimizer = self._optimizer(width, policy, cost_params)
                 with tracer.span("optimize"):
                     result = optimizer.optimize(graph, tracer=tracer)
                 planned.result, planned.cost_model = result, optimizer.cost_model
@@ -655,7 +633,6 @@ class QueryService:
                 "batch_size": run.engine.batch_size,
                 "shards": run.engine.shards,
                 "max_fix_iterations": self.config.max_fix_iterations,
-                "strategy": planned.strategy,
             },
             physical=self.physical,
             database=self.config.database_config,
@@ -721,15 +698,12 @@ class QueryService:
         timeout: Optional[float] = None,
         batch_size: Optional[int] = None,
         shards: Optional[int] = None,
-        strategy: Optional[str] = None,
     ) -> dict:
         session = self._session(session_id)
         template = session.statements.get(statement_id)
         if template is None:
             raise ProtocolError(f"unknown statement {statement_id!r}")
-        return self.run_query(
-            template, params, timeout, batch_size, shards, strategy
-        )
+        return self.run_query(template, params, timeout, batch_size, shards)
 
     # -- maintenance / observability ---------------------------------------
 
@@ -1153,13 +1127,19 @@ def _string_field(request: dict, name: str) -> str:
 
 
 def _execution_fields(request: dict) -> tuple:
-    """A ``query``/``execute`` request's ``timeout``, ``batch_size``,
-    ``shards`` and ``strategy``."""
+    """A ``query``/``execute`` request's ``timeout``, ``batch_size``
+    and ``shards``.  The retired ``strategy`` field is refused, not
+    ignored: it no longer selects anything, and a client asking for a
+    search it would not get must hear so."""
+    if "strategy" in request:
+        raise ProtocolError(
+            "'strategy' is not a request field: the optimizer has one "
+            "transformPT search"
+        )
     return (
         _timeout_field(request),
         _positive_int_field(request, "batch_size"),
         _positive_int_field(request, "shards"),
-        _strategy_field(request),
     )
 
 
@@ -1170,17 +1150,6 @@ def _positive_int_field(request: dict, name: str) -> Optional[int]:
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ProtocolError(f"{name} must be a positive integer")
     return value
-
-
-def _strategy_field(request: dict) -> Optional[str]:
-    strategy = request.get("strategy")
-    if strategy is None:
-        return None
-    try:
-        validate_choice("strategy", strategy, STRATEGY_NAMES)
-    except ValueError as error:
-        raise ProtocolError(str(error)) from None
-    return strategy
 
 
 def _timeout_field(request: dict) -> Optional[float]:

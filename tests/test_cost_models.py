@@ -200,6 +200,41 @@ class TestDetailedModel:
         )
         assert tiny_buffer.cost(plan) >= big_buffer.cost(plan)
 
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_one_entry_delta_fix_prices_its_detection_round(self, small_db, shards):
+        """The engine always runs one recursive round on the last delta
+        (it finds nothing new and so detects the fixpoint).  A pushed
+        closure whose estimated delta list has one entry still pays that
+        round: its recursive part is priced once, inside the Fix, and
+        the Fix costs more than its base part plus that round."""
+        from repro.core import deductive_optimizer
+        from repro.engine.fixpoint import partition_parts
+        from repro.lang import compile_text
+
+        text = (
+            "view Influencer as select [master: x.master, disciple: x, gen: 1]"
+            " from x in Composer union select [master: i.master,"
+            " disciple: x, gen: i.gen + 1] from i in Influencer, x in Composer"
+            " where i.disciple = x.master; select [name: i.disciple.name]"
+            ' from i in Influencer where i.master.name = "Bach";'
+        )
+        model = DetailedCostModel(small_db.physical, CostParameters(shards=shards))
+        plan = deductive_optimizer(small_db.physical, model).optimize(
+            compile_text(text, small_db.catalog)
+        ).plan
+        (fix,) = [node for node in plan.walk() if isinstance(node, Fix)]
+        assert len(model.estimator.estimate(fix).deltas) == 1
+        base_parts, recursive_parts = partition_parts(fix)
+        _report, captured = model.annotated_report(plan)
+        for part in recursive_parts:
+            assert id(part) in captured, "recursive part never priced"
+            assert captured[id(part)].visits == 1
+        base = sum(captured[id(part)].cost for part in base_parts)
+        rounds = sum(captured[id(part)].cost for part in recursive_parts)
+        assert rounds > 0
+        assert captured[id(fix)].cost > base + rounds
+        assert model.fix_rounds(fix) == 2  # the base round and that one
+
 
 class TestSimplifiedModel:
     def test_numeric_cost_positive(self, indexed_db):

@@ -1,5 +1,5 @@
 """Differential harness, enumeration dimension: plans chosen by the
-memoized enumerator (``--strategy enum``) run through the answer-set
+memoized enumerator (the optimizer's transformPT search) run through the answer-set
 equality sweep — batch size {1, 256} × shards {1, 2} — against the
 reference evaluator.
 
@@ -14,7 +14,7 @@ configuration the engine supports.
 import pytest
 from hypothesis import given, settings
 
-from repro.core import Optimizer, OptimizerConfig
+from repro.core import Optimizer
 from repro.dist import ShardCluster
 
 from tests.diff_harness import (
@@ -41,7 +41,7 @@ assert GRID[0] == (1, 1)
 
 
 def enum_optimizer(physical):
-    return Optimizer(physical, config=OptimizerConfig(strategy="enum"))
+    return Optimizer(physical)
 
 
 # Each example optimizes with the full enumerator and executes a

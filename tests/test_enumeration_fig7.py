@@ -1,15 +1,15 @@
-"""Golden fig7 regression for the enumeration strategy.
+"""Golden fig7 regression for the transformPT search.
 
 Pins, per fig7 configuration (the serial and shards-4 cost variants
 of the Figure-3 recursive query and the join-push query on
-the fig7 database), the plan the enumerator chooses — by canonical
-fingerprint — and its estimated cost, against
+the fig7 database), the plan the optimizer's enumerator chooses — by
+canonical fingerprint — and its estimated cost, against
 ``tests/golden/enumeration_fig7.json``.
-Also asserts the headline claim behind ``--strategy enum``: its plan
-costs no more than the plan II finds, nor than the optimum of the
-unpruned closure, on the same configuration.  Strategy regressions
-therefore fail loudly instead of showing up as silent plan-quality
-drift.
+Also asserts the paper's promise for the search: its plan costs no
+more than the always-push and never-push baselines' plans, nor than
+the optimum of the unpruned closure, on the same configuration.
+Search regressions therefore fail loudly instead of showing up as
+silent plan-quality drift.
 
 Regenerate the golden file after an intentional optimizer change::
 
@@ -22,9 +22,9 @@ import os
 
 import pytest
 
+from repro.core.baselines import deductive_optimizer, naive_optimizer
 from repro.core.enumerate import MemoizedEnumeration
 from repro.core.optimizer import Optimizer, OptimizerConfig
-from repro.core.strategies import IterativeImprovement
 from repro.cost import CostParameters, DetailedCostModel
 from repro.plans.canonical import canonical_fingerprint
 from repro.workloads import (
@@ -66,12 +66,17 @@ CONFIGS = {
     "shards4": {"shards": 4},
 }
 
-#: The searches enum must match or beat, built fresh per optimize: II
-#: with the seed ``OptimizerConfig(strategy="ii")`` gives it, and the
-#: unpruned closure (the global optimum over the move graph).
-OTHER_SEARCHES = {
-    "ii": lambda: IterativeImprovement(seed=1992),
-    "closure": lambda: MemoizedEnumeration(prune_factor=None),
+#: The optimizers enum must match or beat: the always-push and
+#: never-push baselines, and the unpruned closure (the global optimum
+#: over the move graph).
+OTHER_OPTIMIZERS = {
+    "always": deductive_optimizer,
+    "never": naive_optimizer,
+    "closure": lambda physical, model: Optimizer(
+        physical,
+        model,
+        OptimizerConfig(strategy=MemoizedEnumeration(prune_factor=None)),
+    ),
 }
 
 
@@ -87,11 +92,8 @@ def _model(db, overrides):
     return DetailedCostModel(db.physical, params)
 
 
-def _optimize(db, graph, strategy, model):
-    optimizer = Optimizer(
-        db.physical, model, OptimizerConfig(strategy=strategy)
-    )
-    return optimizer.optimize(graph)
+def _optimize(db, graph, model):
+    return Optimizer(db.physical, model).optimize(graph)
 
 
 def _current_rows(db):
@@ -99,7 +101,7 @@ def _current_rows(db):
     for query_name, make_query in sorted(QUERIES.items()):
         for config_name, overrides in sorted(CONFIGS.items()):
             model = _model(db, overrides)
-            result = _optimize(db, make_query(), "enum", model)
+            result = _optimize(db, make_query(), model)
             rows[f"{query_name}/{config_name}"] = {
                 "canonical": canonical_fingerprint(result.plan),
                 "cost": round(result.cost, 4),
@@ -128,18 +130,18 @@ def test_enum_plan_and_cost_pinned(db):
 @pytest.mark.parametrize("query_name", sorted(QUERIES))
 def test_enum_at_least_as_good_as_randomized(db, query_name, config_name):
     model = _model(db, CONFIGS[config_name])
-    enum_result = _optimize(db, QUERIES[query_name](), "enum", model)
-    for strategy, make in OTHER_SEARCHES.items():
-        other = _optimize(db, QUERIES[query_name](), make(), model)
+    enum_result = _optimize(db, QUERIES[query_name](), model)
+    for name, make in OTHER_OPTIMIZERS.items():
+        other = make(db.physical, model).optimize(QUERIES[query_name]())
         assert enum_result.cost <= other.cost * (1 + 1e-9), (
-            f"enum cost {enum_result.cost} worse than {strategy} "
+            f"enum cost {enum_result.cost} worse than {name} "
             f"cost {other.cost} on {query_name}/{config_name}"
         )
 
 
 def test_enum_memo_engages_on_fig7(db):
     model = _model(db, {})
-    result = _optimize(db, fig3_query(), "enum", model)
+    result = _optimize(db, fig3_query(), model)
     stats = result.strategy_stats
     assert stats is not None
     assert stats["memo_hits"] > 0

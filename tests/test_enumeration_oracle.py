@@ -70,11 +70,11 @@ def parts_db():
 
 
 def _seed_plan(db, graph):
-    """The generatePT output (before transformPT reoptimization) — the
-    root of the transformation space both enumerators explore."""
+    """The generatePT output (before transformPT) — the root of the
+    transformation space both enumerators explore."""
     optimizer = Optimizer(
         db.physical,
-        config=OptimizerConfig(reoptimize=False, validate_plans=False),
+        config=OptimizerConfig(push_policy="never", validate_plans=False),
     )
     captured = {}
     inner = optimizer._transform_pt

@@ -1,27 +1,39 @@
 """Centralized execution-knob validation: every integer knob —
 ``batch_size``, ``shards`` — is validated by one shared path
 (:func:`validate_knob`, called from the ``Engine`` constructor), and
-the enumerated knob — the service ``strategy`` — by
+the enumerated knob — the optimizer's ``push_policy`` — by
 :func:`validate_choice`, so every entry point rejects the same bad
 values with the same message.  The knobs are fixed at construction:
-``Engine.execute`` takes none of them.
+``Engine.execute`` takes none of them.  The retired ``strategy`` knob
+is refused by the protocol, not validated, and is ignored where old
+bundles and telemetry lines still carry it.
 """
+
+import json
 
 import pytest
 
-from repro.core.strategies import STRATEGY_NAMES
+from repro.core.optimizer import PUSH_POLICIES, OptimizerConfig
 from repro.engine import Engine
 from repro.engine.context import validate_choice, validate_knob
+from repro.errors import OptimizationError
 from repro.workloads import MusicConfig, generate_music_database
 
 KNOBS = ("batch_size", "shards")
 
+QUERY = "select [name: x.name] from x in Composer;"
+
 
 @pytest.fixture(scope="module")
-def physical():
+def db():
     return generate_music_database(
         MusicConfig(lineages=1, generations=2, works_per_composer=1, seed=3)
-    ).physical
+    )
+
+
+@pytest.fixture(scope="module")
+def physical(db):
+    return db.physical
 
 
 # -- the shared validator -----------------------------------------------------
@@ -51,17 +63,65 @@ def test_validate_knob_honours_custom_minimum():
 
 
 def test_validate_choice_accepts_none_and_members():
-    for value in (None, "ii", "enum"):
-        validate_choice("strategy", value, STRATEGY_NAMES)  # must not raise
+    for value in (None, "cost", "always", "never"):
+        validate_choice("push_policy", value, PUSH_POLICIES)  # must not raise
 
 
 @pytest.mark.parametrize("bad", ["diagonal", "", "II", 1, ["ii"]])
 def test_validate_choice_rejects_non_members(bad):
-    with pytest.raises(
-        ValueError,
-        match="strategy must be one of: ii, enum$",
-    ):
-        validate_choice("strategy", bad, STRATEGY_NAMES)
+    message = "push_policy must be one of: cost, always, never$"
+    with pytest.raises(ValueError, match=message):
+        validate_choice("push_policy", bad, PUSH_POLICIES)
+    with pytest.raises(OptimizationError, match=message):
+        OptimizerConfig(push_policy=bad)
+
+
+@pytest.mark.parametrize("name", ["ii", "enum", None])
+def test_retired_strategy_knob_is_refused_by_the_protocol(db, name):
+    from repro.service import QueryService, ServiceConfig
+
+    with pytest.raises(TypeError):
+        ServiceConfig(strategy=name)
+    with pytest.raises(OptimizationError, match="SearchStrategy instance"):
+        OptimizerConfig(strategy=name or "enum")
+    service = QueryService(db, ServiceConfig(feedback_enabled=False))
+    try:
+        response = service.handle(
+            {"op": "query", "text": QUERY, "strategy": name}
+        )
+    finally:
+        service.close()
+    assert response["ok"] is False
+    assert response["error"]["code"] == "protocol_error"
+    assert "'strategy'" in response["error"]["message"]
+
+
+def test_telemetry_lines_with_a_strategy_knob_still_load(tmp_path):
+    from repro.obs.history import QueryTelemetryStore
+
+    path = tmp_path / "telemetry.jsonl"
+    lines = [
+        {
+            "kind": "plan",
+            "canonical": "Q",
+            "fingerprint": "fp1",
+            "plan_cost": 10.0,
+            "knobs": {"strategy": "ii"},
+        },
+        {
+            "kind": "obs",
+            "fingerprint": "fp1",
+            "estimated_cost": 10.0,
+            "measured_cost": 12.0,
+            "rows": 3,
+            "knobs": {"strategy": "ii", "batch_size": 256},
+        },
+    ]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    store = QueryTelemetryStore()
+    assert store.load(str(path)) == 2
+    [observation] = store.plan("fp1").observations
+    assert (observation.measured_cost, observation.rows) == (12.0, 3)
 
 
 # -- the engine constructor goes through the same path ------------------------

@@ -2,7 +2,8 @@
 the model charges.
 
 * **Planner.** The optimizer runs every equi-join as a hash join: no
-  plan that generatePT builds, or that an II or ``enum`` move reaches,
+  plan that generatePT builds, or that an ``enum`` (or the benchmarks'
+  II) move reaches,
   holds a ``NESTED_LOOP`` join whose predicate has an equality key
   (:func:`repro.plans.patterns.scan_join_algorithm`).  Every plan
   handed to the cost model is inspected, so an emitted-then-rejected
@@ -19,6 +20,7 @@ the model charges.
 
 import pytest
 
+from benchmarks.iterative_improvement import IterativeImprovement, PerCandidate
 from repro.core import cost_controlled_optimizer
 from repro.core.baselines import exhaustive_optimizer
 from repro.core.optimizer import Optimizer, OptimizerConfig
@@ -49,11 +51,11 @@ QUERIES = {
 
 OPTIMIZERS = {
     "ii": lambda physical, model: Optimizer(
-        physical, model, OptimizerConfig(strategy="ii")
+        physical,
+        model,
+        OptimizerConfig(strategy=PerCandidate(IterativeImprovement())),
     ),
-    "enum": lambda physical, model: Optimizer(
-        physical, model, OptimizerConfig(strategy="enum")
-    ),
+    "enum": lambda physical, model: Optimizer(physical, model),
     "exhaustive": lambda physical, model: exhaustive_optimizer(
         physical, model, max_plans=800
     ),
@@ -235,9 +237,9 @@ class TestModel:
         model = DetailedCostModel(
             indexed_db.physical, CostParameters(shards=2)
         )
-        plan = Optimizer(
-            indexed_db.physical, model, OptimizerConfig(strategy="ii")
-        ).optimize(_closure_query()).plan
+        plan = Optimizer(indexed_db.physical, model).optimize(
+            _closure_query()
+        ).plan
         model.cost(plan)
         (fix,) = [node for node in plan.walk() if isinstance(node, Fix)]
         estimate = model.fix_breakdowns[id(fix)]["disk_base"]

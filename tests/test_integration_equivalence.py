@@ -100,7 +100,7 @@ class TestMeasuredVsEstimated:
         base = Optimizer(
             larger_db.physical,
             model,
-            OptimizerConfig(push_policy="never", reoptimize=False),
+            OptimizerConfig(push_policy="never"),
         ).optimize(fig3_query())
         candidates = transform_candidates(base.plan)
         assert len(candidates) >= 2

@@ -136,6 +136,36 @@ class TestExplain:
         assert "[base: +" in rendered
         assert "[iter 1: +" in rendered
 
+    def test_fix_line_shows_rounds_est_and_act(self, analyzed):
+        """The Fix line pairs the rounds the model priced — the base
+        round, then one per estimated delta, the last finding nothing
+        new — with the rounds the engine ran, in text and JSON.  The
+        recursive part is priced once per round after the base."""
+        db, result, execution, _profiler, tree = analyzed
+        fix = [n for n in result.plan.walk() if isinstance(n, Fix)][0]
+        explain = tree.node_for(fix)
+        deltas = DetailedCostModel(db.physical).estimator.estimate(fix).deltas
+        assert explain.est_rounds == len(deltas) + 1
+        assert explain.actual_rounds == execution.metrics.fix_iterations + 1
+        assert explain.actual_rounds == len(explain.fix_iterations)
+        recursive = fix.body.children[-1]
+        assert tree.node_for(recursive).est_visits == explain.est_rounds - 1
+        fix_line = next(
+            line for line in render_explain(tree).splitlines() if "Fix[" in line
+        )
+        assert f"rounds={explain.est_rounds} |" in fix_line
+        assert fix_line.endswith(f"rounds={explain.actual_rounds})")
+
+        def walk(node):
+            yield node
+            for child in node["children"]:
+                yield from walk(child)
+
+        (payload,) = [n for n in walk(tree.to_dict()["plan"]) if n["kind"] == "Fix"]
+        assert payload["est_rounds"] == explain.est_rounds
+        assert payload["actual_rounds"] == explain.actual_rounds
+        assert "est_rounds" not in payload["children"][0]
+
     def test_render_shows_est_and_act(self, analyzed):
         _db, _result, execution, _profiler, tree = analyzed
         rendered = render_explain(tree)

@@ -6,9 +6,9 @@ import json
 
 import pytest
 
+from benchmarks.iterative_improvement import IterativeImprovement
 from repro.core.baselines import cost_controlled_optimizer
 from repro.core.enumerate import MemoizedEnumeration
-from repro.core.strategies import IterativeImprovement
 from repro.obs import NULL_TRACER, Tracer
 from repro.workloads import fig3_query, join_push_query
 
@@ -109,16 +109,19 @@ class TestOptimizerTrace:
         assert tracer.events_named("translate.arc")
 
     def test_one_event_per_costed_candidate(self, traced):
-        tracer, _result = traced
+        tracer, result = traced
         candidates = tracer.events_named("transformPT.candidate")
-        assert len(candidates) >= 2  # at least original + one push
-        for event in candidates:
-            assert "description" in event.attributes
-            assert event.attributes["cost"] > 0
+        assert len(candidates) == len(result.candidates) == 2
+        assert [
+            (event.attributes["description"], event.attributes["cost"])
+            for event in candidates
+        ] == result.candidates
+        assert [d for d, _c in result.candidates] == ["enumerated", "original"]
         moves = tracer.events_named("strategy.candidate")
-        assert moves, "II reoptimization should emit per-move events"
+        # One event per costed move: the start plan is costed without one.
+        assert len(moves) == result.strategy_stats["candidates_costed"] - 1
         for event in moves:
-            assert event.attributes["strategy"] == "II"
+            assert event.attributes["strategy"] == "enum"
             assert "cost_before" in event.attributes
             assert "cost_after" in event.attributes
             assert isinstance(event.attributes["accepted"], bool)
@@ -155,7 +158,9 @@ class TestOptimizerTrace:
 
 
 class TestStrategyTraceEvents:
-    """Every strategy accepts tracer= and reports its moves."""
+    """Every search accepts tracer= and reports its moves: the
+    optimizer's enumerator, its unpruned [KZ88] closure, and the II
+    the benchmarks run against them."""
 
     @pytest.fixture()
     def searchable(self, larger_db):

@@ -1,6 +1,6 @@
 """Property test: arbitrary move sequences preserve plan semantics.
 
-The randomized strategies walk the move graph freely; soundness of the
+The transformPT search walks the move graph freely; soundness of the
 whole optimizer rests on every edge being an equivalence.  This test
 generates random databases, optimizes the paper's queries to obtain
 realistic starting plans, then applies random move sequences and checks

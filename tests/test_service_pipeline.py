@@ -4,15 +4,18 @@ Every op that executes a plan — ``query``, ``explain`` with
 ``analyze``, ``trace`` (executing), ``diagnose`` — goes through the
 same admission (cost budget, then slots weighted by the shard fan-out),
 shows up in ``progress`` while it runs, and runs with the configured
-strategy and batch size.  Ops that only optimize take no slot.
+batch size.  Ops that only optimize take no slot.  The retired
+``strategy`` request field is refused, and old bundles that still
+record it replay.
 """
 
 import io
+import json
 
 import pytest
 
 from repro.cli import main
-from repro.core.optimizer import Optimizer, OptimizerConfig
+from repro.core.optimizer import Optimizer
 from repro.cost import CostParameters, DetailedCostModel
 from repro.engine import Engine
 from repro.engine.batch import default_batch_size
@@ -148,21 +151,19 @@ def test_sharded_explain_analyze_holds_one_slot_per_shard(db, monkeypatch):
 
 
 def test_diagnose_records_the_plan_the_configured_strategy_chose(db):
-    service = _service(db, strategy="enum")
+    service = _service(db)
     response = service.handle({"op": "diagnose", "text": FIG3})
     assert response["ok"], response
     # Priced at the service's own parameters: its batch size is the
     # engine default (REPRO_BATCH_SIZE or 256).
     params = CostParameters(batch_size=default_batch_size())
     chosen = Optimizer(
-        db.physical,
-        DetailedCostModel(db.physical, params),
-        OptimizerConfig(strategy="enum"),
+        db.physical, DetailedCostModel(db.physical, params)
     ).optimize(compile_text(FIG3, db.catalog))
     assert response["fingerprint"] == canonical_fingerprint(chosen.plan)
     assert response["estimated_cost"] == round(chosen.cost, 2)
     bundle = service.recorder.recent[-1]
-    assert bundle["knobs"]["strategy"] == "enum"
+    assert "strategy" not in bundle["knobs"]
     events = [
         event["name"]
         for span in bundle["trace"]["spans"]
@@ -172,37 +173,54 @@ def test_diagnose_records_the_plan_the_configured_strategy_chose(db):
 
 
 def test_enum_bundle_replays_through_the_cli(db, tmp_path):
-    service = _service(
-        db,
-        strategy="enum",
-        bundle_dir=str(tmp_path),
-        database_config=RECIPE,
-    )
+    service = _service(db, bundle_dir=str(tmp_path), database_config=RECIPE)
     path = service.handle({"op": "diagnose", "text": FIG3})["bundle"]
-    assert load_bundle(path)["knobs"]["strategy"] == "enum"
     out = io.StringIO()
     assert main(["replay", path], out=out) == 0
     assert "REPLAY OK" in out.getvalue()
 
 
-def test_bundle_without_a_strategy_replays_with_ii(db, tmp_path):
+@pytest.mark.parametrize("name", ["ii", "enum"])
+def test_bundle_with_a_retired_strategy_knob_still_replays(db, tmp_path, name):
+    """Bundles recorded while transformPT had two searches carry
+    ``knobs.strategy``; replay ignores it and plans with the one
+    search, through the serving pipeline."""
     service = _service(db, bundle_dir=str(tmp_path), database_config=RECIPE)
     path = service.handle({"op": "diagnose", "text": FIG3})["bundle"]
     bundle = load_bundle(path)
-    assert bundle["knobs"].pop("strategy") == "ii"
+    bundle["knobs"]["strategy"] = name
     assert replay_bundle(bundle, database=db)["matched"]
+    with open(path, "w") as handle:
+        json.dump(bundle, handle)
+    out = io.StringIO()
+    assert main(["replay", path], out=out) == 0
+    assert "REPLAY OK" in out.getvalue()
 
 
-@pytest.mark.parametrize("name", ["sa", "2po", "exhaustive"])
+@pytest.mark.parametrize("name", ["sa", "2po", "exhaustive", "ii", "enum"])
 def test_retired_strategy_names_are_protocol_errors(db, name):
-    """``--strategy`` is two-valued at every surface: the comparison
-    baselines are classes, not names a request can select."""
+    """The optimizer has one transformPT search: a ``query`` or
+    ``execute`` that still asks for one by name gets a typed error
+    naming the field, not silently the only search there is."""
     service = _service(db)
-    response = service.handle({"op": "query", "text": FIG3, "strategy": name})
-    assert response["ok"] is False
-    assert response["error"]["code"] == "protocol_error"
-    assert "strategy must be one of: ii, enum" in response["error"]["message"]
-    with pytest.raises(ValueError, match="strategy must be one of: ii, enum"):
+    session = service.open_session()
+    statement = service.prepare(session, FIG3)["statement"]
+    for request in (
+        {"op": "query", "text": FIG3, "strategy": name},
+        {
+            "op": "execute",
+            "session": session,
+            "statement": statement,
+            "strategy": name,
+        },
+    ):
+        response = service.handle(dict(request, id="r1"))
+        assert response["ok"] is False, request
+        assert response["id"] == "r1"
+        assert response["error"]["code"] == "protocol_error"
+        assert "'strategy' is not a request field" in response["error"]["message"]
+    assert service.handle({"op": "query", "text": FIG3})["ok"]
+    with pytest.raises(TypeError):
         ServiceConfig(strategy=name)
 
 

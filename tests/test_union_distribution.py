@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.core.enumerate import MemoizedEnumeration
 from repro.core.moves import neighbors
-from repro.core.strategies import IterativeImprovement
 from repro.cost import DetailedCostModel
 from repro.engine import Engine
 from repro.plans import EJ, EntityLeaf, Proj, Sel, UnionOp, find_all, validate_plan
@@ -104,7 +104,7 @@ class TestDistributionMoves:
 class TestDistributionInSearch:
     def test_extended_strategy_explores_distribution(self, indexed_db):
         model = DetailedCostModel(indexed_db.physical)
-        strategy = IterativeImprovement(seed=5)
+        strategy = MemoizedEnumeration()
         strategy.extended_moves = True
         result = strategy.search(
             union_join_plan(), model.cost, indexed_db.physical
@@ -114,10 +114,10 @@ class TestDistributionInSearch:
 
     def test_extended_never_worse_than_plain(self, indexed_db):
         model = DetailedCostModel(indexed_db.physical)
-        plain = IterativeImprovement(seed=5, restarts=4).search(
+        plain = MemoizedEnumeration().search(
             union_join_plan(), model.cost, indexed_db.physical
         )
-        extended = IterativeImprovement(seed=5, restarts=4)
+        extended = MemoizedEnumeration()
         extended.extended_moves = True
         extended_result = extended.search(
             union_join_plan(), model.cost, indexed_db.physical
